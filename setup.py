@@ -1,36 +1,11 @@
-"""Setup shim, plus the opt-in mypyc build of the fast event loop.
+"""Setup shim.
 
 The environment used for the reproduction has an older setuptools without
 the ``wheel`` package, so editable installs go through the legacy
-``setup.py develop`` path.  All project metadata lives in ``pyproject.toml``.
-
-The one piece of build logic that cannot live in declarative metadata is
-the optional compiled event loop: with ``REPRO_BUILD_COMPILED=1`` in the
-environment *and* mypyc importable (``pip install 'dream-repro[compiled]'``
-provides it), ``src/repro/sim/fastloop.py`` is compiled to a C extension
-that shadows the pure-Python module under the same import name —
-``repro.sim.loops.fastloop_is_compiled()`` then reports True and
-``loop="compiled"`` becomes available.  In every other configuration this
-file degrades to the bare shim: no env var, no mypyc, or a compilation
-failure all fall back to the pure-Python build (the core stays
-stdlib-only by design, so the fallback is always a complete install).
+``setup.py develop`` path.  All project metadata lives in ``pyproject.toml``;
+this file only exists to make ``pip install -e .`` work offline.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_BUILD_COMPILED") == "1":
-    try:
-        from mypyc.build import mypycify
-
-        ext_modules = mypycify(
-            ["src/repro/sim/fastloop.py"],
-            opt_level="3",
-        )
-    except Exception as error:  # noqa: BLE001 - degrade to pure Python
-        print(f"warning: REPRO_BUILD_COMPILED=1 but mypyc is unavailable ({error}); "
-              "building pure-Python")
-
-setup(ext_modules=ext_modules)
+setup()

@@ -96,13 +96,7 @@ from repro.fleet import (
 )
 from repro.hardware.platform import all_platform_names
 from repro.hardware.vector_view import HAVE_NUMPY
-from repro.sim import (
-    ENGINE_KERNELS,
-    ENGINE_LOOPS,
-    available_loops,
-    fastloop_is_compiled,
-    resource_model_names,
-)
+from repro.sim import ENGINE_KERNELS, resource_model_names
 from repro.metrics.reporting import format_table
 from repro.schedulers import scheduler_names
 from repro.workloads import (
@@ -181,26 +175,18 @@ def _make_store(args: argparse.Namespace) -> Optional[ResultStore]:
 
 
 def _engine_kernel_kwargs(args: argparse.Namespace) -> dict[str, str]:
-    """Extra engine kwargs for ``--kernel`` / ``--loop``.
+    """Extra engine kwargs for ``--kernel`` / ``--resource-model``.
 
-    The default 'python' kernel and loop contribute nothing so default jobs
-    keep their historical content-addressed store keys; 'vector' and
-    'compiled' are validated here (usage error, exit 2) instead of crashing
-    inside a worker.
+    The default kernel and resource model contribute nothing so default
+    jobs keep their historical content-addressed store keys; 'vector' is
+    validated here (usage error, exit 2) instead of crashing inside a
+    worker.
     """
     kwargs: dict[str, str] = {}
     if args.kernel != "python":
         if args.kernel == "vector" and not HAVE_NUMPY:
             raise ValueError("kernel 'vector' requires numpy, which is not installed")
         kwargs["kernel"] = args.kernel
-    loop = getattr(args, "loop", "python")
-    if loop != "python":
-        if loop == "compiled" and not fastloop_is_compiled():
-            raise ValueError(
-                "loop 'compiled' requires the mypyc-built fastloop extension "
-                "(see docs/performance.md); use --loop fast instead"
-            )
-        kwargs["loop"] = loop
     resource_model = getattr(args, "resource_model", "pe_fraction")
     if resource_model != "pe_fraction":
         kwargs["resource_model"] = resource_model
@@ -270,15 +256,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
     kernels = ", ".join(ENGINE_KERNELS)
     if not HAVE_NUMPY:
         kernels += " ('vector' unavailable: numpy not installed)"
-    loops = ", ".join(available_loops())
-    if not fastloop_is_compiled():
-        loops += " ('compiled' unavailable: extension not built)"
     print("scenarios: ", ", ".join(scenario_names()))
     print("platforms: ", ", ".join(all_platform_names()))
     print("schedulers:", ", ".join(scheduler_names()))
     print("backends:  ", ", ".join(backend_names()))
     print("kernels:   ", kernels)
-    print("loops:     ", loops)
     print("resources: ", ", ".join(resource_model_names()))
     print("traffic:   ", ", ".join(arrival_process_names()))
     print("figures:   ", ", ".join(sorted(figures_mod.ALL_FIGURES)))
@@ -330,7 +312,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "cascade_probability": args.cascade_probability,
                 "kernel": args.kernel,
-                "loop": args.loop,
             },
             "backend": args.backend,
             "workers": args.workers,
@@ -688,40 +669,10 @@ def _kernel_list(values: Optional[Sequence[str]]) -> list[str]:
     return kernels
 
 
-def _loop_list(values: Optional[Sequence[str]]) -> list[str]:
-    """Expand the fuzz ``--loops`` axis ('all' = every runnable event loop).
-
-    Mirrors :func:`_kernel_list`: an explicit ``compiled`` without the
-    mypyc extension is a usage error (exit 2), while ``all`` skips it with
-    a visible notice and still cross-checks python vs fast.
-    """
-    names = _split_names(values, ["python"])
-    expanded_all = "all" in names
-    loops = list(ENGINE_LOOPS) if expanded_all else names
-    for loop in loops:
-        if loop not in ENGINE_LOOPS:
-            raise ValueError(
-                f"unknown loop {loop!r}; choose from "
-                f"{', '.join(ENGINE_LOOPS)} (or 'all')"
-            )
-    if "compiled" in loops and not fastloop_is_compiled():
-        if not expanded_all:
-            raise ValueError(
-                "loop 'compiled' requires the mypyc-built fastloop extension "
-                "(see docs/performance.md)"
-            )
-        loops = [loop for loop in loops if loop != "compiled"]
-        print(
-            "notice: skipping loop 'compiled' (fastloop extension not built); "
-            f"testing {'+'.join(loops)}"
-        )
-    return loops
-
-
 def _resource_model_list(values: Optional[Sequence[str]]) -> list[str]:
     """Expand the fuzz ``--resource-models`` axis ('all' = every model).
 
-    Unlike kernels/loops every resource model is always runnable (pure
+    Unlike kernels every resource model is always runnable (pure
     Python), so this only validates names; unknown names are usage errors
     (exit 2) with the sorted registry in the message.
     """
@@ -739,8 +690,8 @@ def _resource_model_list(values: Optional[Sequence[str]]) -> list[str]:
 def _fault_list(values: Optional[Sequence[str]]) -> list[str]:
     """Expand the fuzz ``--faults`` chaos axis ('all' = every fault kind).
 
-    Every fault kind is always runnable (pure Python on the default event
-    loop), so this only validates names; unknown names are usage errors
+    Every fault kind is always runnable (pure Python, every engine path),
+    so this only validates names; unknown names are usage errors
     (exit 2) with the registry in the message.  The default is *no*
     injection — chaos runs are opt-in.
     """
@@ -795,7 +746,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     schedulers = _scheduler_list(args.schedulers, scheduler_names())
     # None = "not given": a replay then honours the artifact's own axes.
     kernels = _kernel_list(args.kernels) if args.kernels else None
-    loops = _loop_list(args.loops) if args.loops else None
     resource_models = (
         _resource_model_list(args.resource_models) if args.resource_models else None
     )
@@ -813,7 +763,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 artifact,
                 schedulers=args.schedulers and schedulers,
                 kernels=kernels,
-                loops=loops,
                 resource_models=resource_models,
                 faults=faults,
             )
@@ -835,7 +784,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be positive")
     spec = _generator_spec(args)
     kernels = kernels or ["python"]
-    loops = loops or ["python"]
     resource_models = resource_models or ["pe_fraction"]
     faults = faults or []
     if "kv_batch" in resource_models and spec.resource_model == "pe_fraction":
@@ -844,8 +792,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         spec = _dc_replace(spec, resource_model="kv_batch")
         print("notice: --resource-models includes kv_batch; generating kv_batch scenarios")
     axis = f" x kernels {'+'.join(kernels)}" if len(kernels) > 1 else ""
-    if len(loops) > 1:
-        axis += f" x loops {'+'.join(loops)}"
     if len(resource_models) > 1:
         axis += f" x resources {'+'.join(resource_models)}"
     if faults:
@@ -864,7 +810,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             duration_ms=duration_ms,
             seed=args.seed,
             kernels=kernels,
-            loops=loops,
             resource_models=resource_models,
             faults=faults,
         )
@@ -1148,13 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-for-bit identical to 'python' (default: python)",
     )
     grid_parser.add_argument(
-        "--loop", choices=ENGINE_LOOPS, default="python",
-        help="event loop of the simulation engine; 'fast' is the "
-        "struct-of-arrays rewrite, 'compiled' its mypyc build (requires "
-        "the compiled extension), both bit-for-bit identical to 'python' "
-        "(default: python)",
-    )
-    grid_parser.add_argument(
         "--resource-model", choices=resource_model_names(), default="pe_fraction",
         help="execution-resource model of every accelerator: 'pe_fraction' "
         "is the paper's spatially-partitioned PE array, 'kv_batch' a shared "
@@ -1342,10 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision kernel for --run (see 'repro grid --kernel'; "
         "default: python)",
     )
-    generate_parser.add_argument(
-        "--loop", choices=ENGINE_LOOPS, default="python",
-        help="event loop for --run (see 'repro grid --loop'; default: python)",
-    )
     _add_execution_options(generate_parser)
     generate_parser.set_defaults(func=_cmd_generate)
 
@@ -1368,14 +1302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reference ('all' or comma-separated; the first is the canonical "
         "run, any divergence on the others is a kernel_parity violation; "
         "default: python)",
-    )
-    fuzz_parser.add_argument(
-        "--loops", action="append", metavar="NAMES",
-        help="event loops to cross-check per scheduler: python, fast, "
-        "compiled ('all' or comma-separated; the first is the canonical "
-        "run, any divergence on the others is a loop_parity violation; "
-        "'all' skips 'compiled' with a notice when the extension is not "
-        "built; default: python)",
     )
     fuzz_parser.add_argument(
         "--resource-models", action="append", metavar="NAMES",

@@ -4,18 +4,16 @@
 simulation hot loop itself, complementing ``repro bench`` which measures
 process-pool scaling.  Every cell of a basket — the Table-3 preset grid
 plus a fixed set of generated scenarios, across all registered schedulers —
-is simulated twice:
+is simulated on each engine path:
 
-* once on the optimized engine (``mode="fast"``: incremental request pool,
-  cached system views, flat-array costing),
+* once on the optimized engine (``mode="fast"``: the production event loop
+  over the incremental request pool, cached system views and flat-array
+  costing),
 * once on the optimized engine with the NumPy decision kernel
-  (``kernel="vector"``; skipped when numpy is unavailable),
-* once on the struct-of-arrays event loop (``loop="fast"``; recorded as the
-  ``compiled_*`` columns instead when the mypyc extension is importable,
-  since the module then *is* the compiled build), and
-* once on the retained reference path (``mode="reference"``: the
-  pre-optimization scan-based pool, per-call cost aggregation and view
-  construction),
+  (``kernel="vector"``; skipped when numpy is unavailable), and
+* once on the retained reference path (``mode="reference"``: the heap
+  event loop over the pre-optimization scan-based pool, per-call cost
+  aggregation and view construction),
 
 and the :class:`~repro.sim.results.SimulationResult`\\ s are asserted
 bit-for-bit identical across all passes.  Throughput is reported as simulation events
@@ -42,7 +40,7 @@ from repro.experiments.backends import make_backend
 from repro.experiments.jobs import generated_context, shared_context
 from repro.hardware.vector_view import HAVE_NUMPY
 from repro.schedulers import make_scheduler
-from repro.sim import SimulationEngine, fastloop_is_compiled
+from repro.sim import SimulationEngine
 from repro.workloads import GeneratorSpec
 
 #: Default simulated window: the engine's own default, which is also the
@@ -75,7 +73,7 @@ def _ratio(numerator_s: float, denominator_s: float) -> float:
 
 
 def _run_once(scenario, platform, scheduler_name: str, cost_table, duration_ms: float,
-              seed: int, mode: str, kernel: str = "python", loop: str = "python",
+              seed: int, mode: str, kernel: str = "python",
               resource_model: str = "pe_fraction") -> tuple[dict, SimulationEngine, float]:
     """One simulation; returns (result dict, the engine, wall seconds)."""
     engine = SimulationEngine(
@@ -87,7 +85,6 @@ def _run_once(scenario, platform, scheduler_name: str, cost_table, duration_ms: 
         cost_table=cost_table,
         mode=mode,
         kernel=kernel,
-        loop=loop,
         resource_model=resource_model,
     )
     started = time.perf_counter()
@@ -166,7 +163,7 @@ class EngineBenchJob:
         scenario, platform, cost_table = self._context()
         repeats = max(1, self.repeats)
         resources = self.resource_model
-        fast_s = ref_s = vector_s = fastloop_s = compiled_s = float("inf")
+        fast_s = ref_s = vector_s = float("inf")
         for _ in range(repeats):
             if profiler is not None:
                 profiler.enable()
@@ -186,20 +183,6 @@ class EngineBenchJob:
                     resource_model=resources,
                 )
                 vector_s = min(vector_s, elapsed)
-        # The struct-of-arrays event loop.  When the mypyc extension is
-        # importable the module IS the compiled build, so loop="fast" times
-        # the compiled loop; the column is then recorded as compiled_* and
-        # the interpreted fastloop number is unavailable (and vice versa).
-        compiled = fastloop_is_compiled()
-        for _ in range(repeats):
-            fastloop_result, fastloop_engine, elapsed = _run_once(
-                scenario, platform, self.scheduler, cost_table,
-                self.duration_ms, self.seed, "fast", loop="fast",
-                resource_model=resources,
-            )
-            fastloop_s = min(fastloop_s, elapsed)
-        if compiled:
-            compiled_s, fastloop_s = fastloop_s, float("inf")
         for _ in range(repeats):
             ref_result, ref_engine, elapsed = _run_once(
                 scenario, platform, self.scheduler, cost_table,
@@ -219,13 +202,6 @@ class EngineBenchJob:
                 and vector_engine.events_processed == fast_events
                 and vector_engine.dispatch_rounds == fast_engine.dispatch_rounds
             )
-        # Same bar for the rewritten event loop.
-        cell_parity = (
-            cell_parity
-            and fastloop_result == fast_result
-            and fastloop_engine.events_processed == fast_events
-            and fastloop_engine.dispatch_rounds == fast_engine.dispatch_rounds
-        )
         cell = {
             "scenario": scenario.name,
             "platform": self.platform,
@@ -253,16 +229,6 @@ class EngineBenchJob:
             cell["vector_wall_s"] = vector_s
             cell["vector_events_per_sec"] = _per_sec(fast_events, vector_s)
             cell["vector_speedup"] = _ratio(fast_s, vector_s)
-        if compiled:
-            cell["compiled_wall_s"] = compiled_s
-            cell["compiled_events_per_sec"] = _per_sec(fast_events, compiled_s)
-            cell["compiled_speedup"] = _ratio(fast_s, compiled_s)
-        else:
-            cell["fastloop_wall_s"] = fastloop_s
-            cell["fastloop_events_per_sec"] = _per_sec(fast_events, fastloop_s)
-            # loop_speedup: the per-event-floor loop vs the dict/heap loop,
-            # both interpreted — the honest pure-Python number.
-            cell["loop_speedup"] = _ratio(fast_s, fastloop_s)
         return cell
 
 
@@ -314,7 +280,7 @@ def kv_smoke_basket() -> dict:
 
     Small on purpose: the cells exist to *record* the KV-cache/
     continuous-batching engine's throughput trajectory (and assert its
-    fast/vector/loop/reference parity), not to gate regressions —
+    fast/vector/reference parity), not to gate regressions —
     :func:`compare_to_baseline` never looks at them.
     """
     return {
@@ -453,10 +419,6 @@ def run_engine_bench(
     reference_eps = _per_sec(total_events, total_reference)
     vectorized = [cell for cell in cells if "vector_wall_s" in cell]
     total_vector = sum(cell["vector_wall_s"] for cell in vectorized)
-    fastlooped = [cell for cell in cells if "fastloop_wall_s" in cell]
-    total_fastloop = sum(cell["fastloop_wall_s"] for cell in fastlooped)
-    compiled_cells = [cell for cell in cells if "compiled_wall_s" in cell]
-    total_compiled = sum(cell["compiled_wall_s"] for cell in compiled_cells)
     schedule_calls = sum(cell["fast_schedule_calls"] for cell in cells)
     payload = {
         "benchmark": "engine_throughput",
@@ -496,24 +458,6 @@ def run_engine_bench(
                     "vector_speedup": _ratio(total_fast, total_vector),
                 }
                 if len(vectorized) == len(cells) and cells
-                else {}
-            ),
-            **(
-                {
-                    "fastloop_wall_s": total_fastloop,
-                    "fastloop_events_per_sec": _per_sec(total_events, total_fastloop),
-                    "loop_speedup": _ratio(total_fast, total_fastloop),
-                }
-                if len(fastlooped) == len(cells) and cells
-                else {}
-            ),
-            **(
-                {
-                    "compiled_wall_s": total_compiled,
-                    "compiled_events_per_sec": _per_sec(total_events, total_compiled),
-                    "compiled_speedup": _ratio(total_fast, total_compiled),
-                }
-                if len(compiled_cells) == len(cells) and cells
                 else {}
             ),
             # Deterministic scheduler-load counters (identical across
@@ -674,39 +618,6 @@ def compare_to_baseline(
                 f"worse, allowed {max_regression * 100:.0f}%)"
             )
 
-    base_loop = base.get("loop_speedup")
-    current_loop = current.get("loop_speedup")
-    if base_loop and current_loop:
-        ratio = current_loop / base_loop
-        if ratio < threshold:
-            problems.append(
-                f"fastloop/fast speedup regressed: {current_loop:.2f}x vs "
-                f"baseline {base_loop:.2f}x ({(1.0 - ratio) * 100:.0f}% worse, "
-                f"allowed {max_regression * 100:.0f}%)"
-            )
-
-    base_loop_eps = base.get("fastloop_events_per_sec")
-    current_loop_eps = current.get("fastloop_events_per_sec")
-    if same_host and base_loop_eps and current_loop_eps:
-        ratio = current_loop_eps / base_loop_eps
-        if ratio < threshold:
-            problems.append(
-                f"fastloop events/sec regressed: {current_loop_eps:.0f} vs "
-                f"baseline {base_loop_eps:.0f} ({(1.0 - ratio) * 100:.0f}% "
-                f"worse, allowed {max_regression * 100:.0f}%)"
-            )
-
-    base_compiled = base.get("compiled_speedup")
-    current_compiled = current.get("compiled_speedup")
-    if base_compiled and current_compiled:
-        ratio = current_compiled / base_compiled
-        if ratio < threshold:
-            problems.append(
-                f"compiled/fast speedup regressed: {current_compiled:.2f}x vs "
-                f"baseline {base_compiled:.2f}x ({(1.0 - ratio) * 100:.0f}% "
-                f"worse, allowed {max_regression * 100:.0f}%)"
-            )
-
     base_rounds = base.get("fast_schedule_calls")
     current_rounds = current.get("fast_schedule_calls")
     if base_rounds and current_rounds is not None:
@@ -744,23 +655,11 @@ def describe(payload: dict) -> str:
                 f"  vec {cell['vector_wall_s'] * 1000:7.1f} ms "
                 f"({cell['vector_speedup']:4.2f}x)"
             )
-        loop = ""
-        if "fastloop_wall_s" in cell:
-            loop = (
-                f"  floop {cell['fastloop_wall_s'] * 1000:7.1f} ms "
-                f"({cell['loop_speedup']:4.2f}x)"
-            )
-        elif "compiled_wall_s" in cell:
-            loop = (
-                f"  cloop {cell['compiled_wall_s'] * 1000:7.1f} ms "
-                f"({cell['compiled_speedup']:4.2f}x)"
-            )
         lines.append(
             f"  {cell['scenario']:>18s}/{cell['platform']:<10s} {cell['scheduler']:<16s} "
             f"{cell['events']:>6d} ev  fast {cell['fast_wall_s'] * 1000:7.1f} ms  "
             f"ref {cell['reference_wall_s'] * 1000:8.1f} ms  {cell['speedup']:5.2f}x"
             f"{vector}"
-            f"{loop}"
             f"{counters}"
             f"{'' if cell['parity'] else '  PARITY MISMATCH'}"
         )
@@ -776,18 +675,6 @@ def describe(payload: dict) -> str:
             f"vector kernel: {totals['vector_events_per_sec']:.0f} ev/s "
             f"({totals['vector_wall_s']:.2f} s) -> {totals['vector_speedup']:.2f}x "
             f"over the scalar fast path"
-        )
-    if "fastloop_events_per_sec" in totals:
-        lines.append(
-            f"fast event loop: {totals['fastloop_events_per_sec']:.0f} ev/s "
-            f"({totals['fastloop_wall_s']:.2f} s) -> {totals['loop_speedup']:.2f}x "
-            f"over the dict/heap event loop (both interpreted)"
-        )
-    if "compiled_events_per_sec" in totals:
-        lines.append(
-            f"compiled event loop: {totals['compiled_events_per_sec']:.0f} ev/s "
-            f"({totals['compiled_wall_s']:.2f} s) -> "
-            f"{totals['compiled_speedup']:.2f}x over the interpreted engine"
         )
     if "fast_schedule_calls" in totals:
         lines.append(

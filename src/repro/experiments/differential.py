@@ -64,20 +64,10 @@ KERNEL_AXIS = {
 #: Axis order used by ``--kernels all`` and the parity matrix.
 KERNEL_AXIS_NAMES = tuple(KERNEL_AXIS)
 
-#: Event-loop axis of the differential harness: the
-#: :data:`~repro.sim.loops.ENGINE_LOOPS` names, passed straight through as
-#: ``SimulationEngine(loop=...)``.  ``"fast"`` is the struct-of-arrays
-#: rewrite, ``"compiled"`` the mypyc build of it (requires the compiled
-#: extension).  All loops must produce bit-for-bit identical results and
-#: traces; ``run_differential(loops=...)`` re-runs every scheduler on each
-#: extra loop and reports any divergence as a ``loop_parity`` metamorphic
-#: failure.
-LOOP_AXIS_NAMES = ("python", "fast", "compiled")
-
 #: Execution-resource-model axis: the
 #: :data:`~repro.sim.resource_models.RESOURCE_MODEL_NAMES`, passed through
-#: as ``SimulationEngine(resource_model=...)``.  Unlike the kernel and
-#: loop axes, secondary resource models are **not** parity-compared to the
+#: as ``SimulationEngine(resource_model=...)``.  Unlike the kernel axis,
+#: secondary resource models are **not** parity-compared to the
 #: canonical run — different capacity physics legitimately produce
 #: different schedules — instead each extra model re-runs every scheduler
 #: under the full trace-invariant oracle (which includes the
@@ -124,7 +114,6 @@ class DifferentialReport:
     generator: Optional[GeneratorSpec] = None
     generator_index: int = 0
     kernels: tuple[str, ...] = ("python",)
-    loops: tuple[str, ...] = ("python",)
     resource_models: tuple[str, ...] = ("pe_fraction",)
     faults: tuple[str, ...] = ()
     #: Runs under secondary resource models, keyed
@@ -184,7 +173,6 @@ class DifferentialReport:
                 | {name.split("@", 1)[0] for name in self.harness_errors}
             ),
             "kernels": list(self.kernels),
-            "loops": list(self.loops),
             "resource_models": list(self.resource_models),
             "faults": list(self.faults),
             "fault_plans": {
@@ -214,8 +202,6 @@ class DifferentialReport:
         """One-line-per-finding human summary."""
         status = "OK" if self.ok and not self.harness_errors else "FAIL"
         axis = f", kernels {'+'.join(self.kernels)}" if len(self.kernels) > 1 else ""
-        if len(self.loops) > 1:
-            axis += f", loops {'+'.join(self.loops)}"
         if len(self.resource_models) > 1:
             axis += f", resources {'+'.join(self.resource_models)}"
         if self.faults:
@@ -323,7 +309,6 @@ def run_differential(
     generator: Optional[GeneratorSpec] = None,
     generator_index: int = 0,
     kernels: Sequence[str] = ("python",),
-    loops: Sequence[str] = ("python",),
     resource_models: Sequence[str] = ("pe_fraction",),
     faults: Sequence[str] = (),
 ) -> DifferentialReport:
@@ -346,15 +331,9 @@ def run_differential(
             in results or (id-normalized) traces is a ``kernel_parity``
             metamorphic failure.  A crash on a secondary path is recorded
             as harness error ``"<scheduler>@<kernel>"``.
-        loops: event-loop axis (:data:`LOOP_AXIS_NAMES`).  Works exactly
-            like ``kernels`` but varies ``SimulationEngine(loop=...)``
-            while holding the canonical kernel fixed: the first entry is
-            the canonical loop, each further entry re-runs every scheduler
-            and divergence is a ``loop_parity`` metamorphic failure, with
-            crashes keyed ``"<scheduler>@loop:<loop>"``.
         resource_models: execution-resource-model axis
             (:data:`RESOURCE_MODEL_AXIS_NAMES`).  The first entry is the
-            model every kernel/loop run uses; each further entry re-runs
+            model every kernel run uses; each further entry re-runs
             every scheduler under that model with the **full invariant
             oracle** (no parity comparison: different capacity physics
             legitimately schedule differently), with findings recorded in
@@ -368,8 +347,7 @@ def run_differential(
             land in :attr:`DifferentialReport.fault_runs`, crashes keyed
             ``"<scheduler>@faults:<kind>"``; the sampled plans are recorded
             in the artifact so failures replay bit-for-bit.  Fault runs
-            always use the canonical kernel on ``loop="python"`` (the only
-            loop that models faults).
+            use the canonical kernel.
     """
     for kernel in kernels:
         if kernel not in KERNEL_AXIS:
@@ -378,13 +356,6 @@ def run_differential(
             )
     if not kernels:
         raise ValueError("kernels must name at least one decision path")
-    for loop in loops:
-        if loop not in LOOP_AXIS_NAMES:
-            raise ValueError(
-                f"unknown loop {loop!r}; choose from {LOOP_AXIS_NAMES}"
-            )
-    if not loops:
-        raise ValueError("loops must name at least one event loop")
     for model in resource_models:
         if model not in RESOURCE_MODEL_AXIS_NAMES:
             raise ValueError(
@@ -407,12 +378,10 @@ def run_differential(
         generator=generator,
         generator_index=generator_index,
         kernels=tuple(kernels),
-        loops=tuple(loops),
         resource_models=tuple(resource_models),
         faults=tuple(faults),
     )
     canonical, *extra_kernels = kernels
-    canonical_loop, *extra_loops = loops
     canonical_resources, *extra_resources = resource_models
     fault_plans = {
         kind: sample_fault_plan(
@@ -429,16 +398,10 @@ def run_differential(
     def _run(
         scheduler_name: str,
         axis_name: str,
-        loop_name: str,
         resource_model: str = canonical_resources,
         fault_plan: tuple[FaultSpec, ...] = (),
     ) -> tuple[SimulationResult, Tracer]:
         mode, engine_kernel = KERNEL_AXIS[axis_name]
-        if mode != "fast" or fault_plan:
-            # Non-python loops only exist for the fast engine mode, and
-            # fault injection exists only on the python loop; the
-            # reference decision path always runs the historical loop.
-            loop_name = "python"
         tracer = Tracer()
         engine = SimulationEngine(
             scenario=scenario,
@@ -450,7 +413,6 @@ def run_differential(
             tracer=tracer,
             mode=mode,
             kernel=engine_kernel,
-            loop=loop_name,
             resource_model=resource_model,
             faults=fault_plan,
         )
@@ -458,7 +420,7 @@ def run_differential(
 
     for scheduler_name in schedulers:
         try:
-            result, tracer = _run(scheduler_name, canonical, canonical_loop)
+            result, tracer = _run(scheduler_name, canonical)
         except Exception:  # noqa: BLE001 - a crashing scheduler is a finding
             report.harness_errors[scheduler_name] = traceback.format_exc()
             continue
@@ -471,9 +433,7 @@ def run_differential(
         )
         for resource_model in extra_resources:
             try:
-                rm_result, rm_tracer = _run(
-                    scheduler_name, canonical, canonical_loop, resource_model
-                )
+                rm_result, rm_tracer = _run(scheduler_name, canonical, resource_model)
             except Exception:  # noqa: BLE001 - a crashing model is a finding
                 report.harness_errors[
                     f"{scheduler_name}@resource:{resource_model}"
@@ -490,9 +450,7 @@ def run_differential(
             )
         for kind, fault_plan in fault_plans.items():
             try:
-                f_result, f_tracer = _run(
-                    scheduler_name, canonical, "python", fault_plan=fault_plan
-                )
+                f_result, f_tracer = _run(scheduler_name, canonical, fault_plan=fault_plan)
             except Exception:  # noqa: BLE001 - a crashing chaos run is a finding
                 report.harness_errors[
                     f"{scheduler_name}@faults:{kind}"
@@ -507,7 +465,7 @@ def run_differential(
                 violations=tuple(f_violations),
                 arrivals=_head_arrivals(f_tracer.records),
             )
-        if not extra_kernels and not extra_loops:
+        if not extra_kernels:
             continue
         # Parity axes: the canonical run was audited above, so a
         # bit-identical secondary run needs no second audit — equality of
@@ -516,9 +474,7 @@ def run_differential(
         canonical_trace = _normalized_trace(tracer.records)
         for axis_name in extra_kernels:
             try:
-                extra_result, extra_tracer = _run(
-                    scheduler_name, axis_name, canonical_loop
-                )
+                extra_result, extra_tracer = _run(scheduler_name, axis_name)
             except Exception:  # noqa: BLE001 - a crashing path is a finding
                 report.harness_errors[f"{scheduler_name}@{axis_name}"] = (
                     traceback.format_exc()
@@ -540,34 +496,6 @@ def run_differential(
                         f"{scheduler_name}: {axis_name!r} decision path produced "
                         f"an identical result but a different event trace than "
                         f"{canonical!r} (seed {seed}, {duration_ms:g} ms)",
-                    )
-                )
-        for loop_name in extra_loops:
-            try:
-                extra_result, extra_tracer = _run(
-                    scheduler_name, canonical, loop_name
-                )
-            except Exception:  # noqa: BLE001 - a crashing loop is a finding
-                report.harness_errors[f"{scheduler_name}@loop:{loop_name}"] = (
-                    traceback.format_exc()
-                )
-                continue
-            if extra_result.to_dict() != canonical_dict:
-                kernel_failures.append(
-                    Violation(
-                        "loop_parity",
-                        f"{scheduler_name}: {loop_name!r} event loop produced "
-                        f"a different result than {canonical_loop!r} "
-                        f"(seed {seed}, {duration_ms:g} ms)",
-                    )
-                )
-            elif _normalized_trace(extra_tracer.records) != canonical_trace:
-                kernel_failures.append(
-                    Violation(
-                        "loop_parity",
-                        f"{scheduler_name}: {loop_name!r} event loop produced "
-                        f"an identical result but a different event trace than "
-                        f"{canonical_loop!r} (seed {seed}, {duration_ms:g} ms)",
                     )
                 )
     report.metamorphic_failures = _check_metamorphic(report, scenario) + kernel_failures
@@ -614,7 +542,6 @@ def run_fuzz(
     duration_ms: float = 400.0,
     seed: int = 0,
     kernels: Sequence[str] = ("python",),
-    loops: Sequence[str] = ("python",),
     resource_models: Sequence[str] = ("pe_fraction",),
     faults: Sequence[str] = (),
 ) -> FuzzResult:
@@ -623,8 +550,7 @@ def run_fuzz(
     Each scenario ``i`` of the spec is built through the process-local
     generated-context cache (cost table built once per scenario) and run
     under every scheduler, on every requested decision path (``kernels``),
-    event loop (``loops``), execution-resource model (``resource_models``)
-    and chaos fault kind (``faults``, see :func:`run_differential`).
+    execution-resource model (``resource_models``) and chaos fault kind (``faults``, see :func:`run_differential`).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -643,7 +569,6 @@ def run_fuzz(
                 generator=spec,
                 generator_index=index,
                 kernels=kernels,
-                loops=loops,
                 resource_models=resource_models,
                 faults=faults,
             )
@@ -655,7 +580,6 @@ def replay_artifact(
     artifact: dict,
     schedulers: Optional[Sequence[str]] = None,
     kernels: Optional[Sequence[str]] = None,
-    loops: Optional[Sequence[str]] = None,
     resource_models: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[str]] = None,
 ) -> DifferentialReport:
@@ -668,7 +592,6 @@ def replay_artifact(
             ``duration_ms``, ``seed``).
         schedulers: optional override of the artifact's scheduler list.
         kernels: optional override of the artifact's decision-path axis.
-        loops: optional override of the artifact's event-loop axis.
         resource_models: optional override of the artifact's
             execution-resource-model axis.
         faults: optional override of the artifact's chaos axis.  The fault
@@ -699,7 +622,6 @@ def replay_artifact(
         generator=spec,
         generator_index=index,
         kernels=tuple(kernels) if kernels else tuple(artifact.get("kernels") or ("python",)),
-        loops=tuple(loops) if loops else tuple(artifact.get("loops") or ("python",)),
         resource_models=(
             tuple(resource_models)
             if resource_models

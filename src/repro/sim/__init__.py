@@ -54,7 +54,6 @@ from repro.sim.invariants import (
     audit_trace,
 )
 from repro.sim.engine import ENGINE_KERNELS, ENGINE_MODES, SimulationEngine, run_simulation
-from repro.sim.loops import ENGINE_LOOPS, available_loops, fastloop_is_compiled
 from repro.sim.resource_models import (
     RESOURCE_MODEL_NAMES,
     KvBatchModel,
@@ -87,11 +86,8 @@ __all__ = [
     "RequestPool",
     "ReferenceRequestPool",
     "ENGINE_KERNELS",
-    "ENGINE_LOOPS",
     "ENGINE_MODES",
     "RESOURCE_MODEL_NAMES",
-    "available_loops",
-    "fastloop_is_compiled",
     "resource_model_names",
     "make_resource_model",
     "ResourceModel",

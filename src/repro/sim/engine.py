@@ -34,55 +34,59 @@ methods ``bind``, ``on_request_arrival``, ``schedule``,
 
 Performance architecture
 ------------------------
-Because the scheduler runs at every state change, building its
-:class:`~repro.sim.decisions.SystemView` *is* the simulation hot loop.  In
-the default ``mode="fast"`` the engine therefore keeps everything it needs
-incrementally up to date instead of re-deriving it per dispatch round:
+Because the scheduler runs at every state change, the event loop and the
+:class:`~repro.sim.decisions.SystemView` it builds for ``schedule()`` *are*
+the simulation hot path.  The engine has two loops with one behaviour:
+
+* ``mode="fast"`` (the default) runs :class:`~repro.sim.fastloop.FastLoop`,
+  the production loop: arrival slot arrays instead of heap entries, an
+  integer-coded completion heap, and the arrival, dispatch and completion
+  transitions inlined with their hot state in locals;
+* ``mode="reference"`` runs the engine's own heap loop, the executable
+  spec: one ``(time, kind priority, tie key, kind, payload)`` heap, one
+  handler call and one full dispatch per event.
+
+Both loops share every cold path (finalization, cascades, expiry, tracing,
+fault transitions, aborts and retries), so that logic exists once, and
+they produce bit-for-bit identical results, traces and event counts.
+
+In fast mode everything the scheduler reads is kept incrementally up to
+date instead of re-derived per dispatch round:
 
 * the :class:`~repro.sim.queues.RequestPool` maintains a sorted pending
-  index, per-task buckets and a deadline min-heap (the engine notifies it
+  index, per-task buckets and a deadline min-heap (the loop notifies it
   on dispatch/progress via ``note_dispatched``/``note_progress``);
-* executors answer capacity queries from incremental caches, and the
-  engine memoizes each accelerator's frozen view keyed on the executor's
-  ``state_version`` (so dispatch rounds that did not touch an accelerator
-  reuse its view object); the :class:`~repro.sim.decisions.SystemView`
-  itself is memoized the same way and reused — with ``now_ms`` refreshed
-  in place — whenever none of its components changed;
+* executors answer capacity queries from incremental caches, and the loop
+  memoizes each accelerator's frozen view keyed on the executor's
+  ``state_version``; the :class:`~repro.sim.decisions.SystemView` itself
+  is memoized the same way and reused, with ``now_ms`` refreshed in
+  place, whenever none of its components changed;
 * cost queries hit the :class:`~repro.hardware.cost_table.CostTable`'s
   precomputed flat arrays.
 
-On top of the cheap-per-call layer, the engine cuts the *number* of
-scheduler consultations so dispatch work is proportional to meaningful
-state changes rather than raw events:
+On top of the cheap-per-call layer, fast mode cuts the *number* of
+scheduler consultations with **dispatch elision**: schedulers are
+deterministic functions of the system view, so when a scheduler's
+declared :class:`~repro.schedulers.base.WakeHint` proves that
+``schedule()`` would return an empty decision and touch no
+decision-relevant state (e.g. nothing is pending, or work is pending but
+every accelerator is saturated below the scheduler's declared capacity
+threshold), the call is skipped and counted in :attr:`dispatches_elided`.
+The predicates are re-derived from live pool/executor state at every
+scheduling point: an accelerator's free fraction only moves through
+dispatch, completion and fault transitions (never through the mere
+passage of time), so a capacity-freeing event can never be missed.  An
+event that follows an elided first-round dispatch at the same instant,
+with nothing stale and not itself a fault or retry, counts as
+*coalesced* (:attr:`events_coalesced`): the instant ran one effective
+dispatch for both.  ``dispatch_elision=False`` turns elision off for
+differential testing.
 
-* **dispatch elision** — schedulers are deterministic functions of the
-  system view, so when a scheduler's declared
-  :class:`~repro.schedulers.base.WakeHint` proves that ``schedule()``
-  would return an empty decision and touch no decision-relevant state
-  (e.g. nothing is pending, or work is pending but every accelerator is
-  saturated below the scheduler's declared capacity threshold), the call
-  is skipped entirely and counted in :attr:`dispatches_elided`.  The
-  eligibility predicates are re-derived from live pool/executor state at
-  every scheduling point — an accelerator's free fraction only changes
-  through dispatch and completion (never through the mere passage of
-  time), so a capacity-freeing completion can never be missed.
-* **same-timestamp event coalescing** — when several events carry the
-  same timestamp and the dispatch between them is provably inert (hint
-  eligible *and* no expiry due at this instant), the engine drains them
-  all — in the existing re-keyed heap order, so traces are unchanged —
-  and runs a single dispatch for the instant, counting the extra events
-  in :attr:`events_coalesced`.
-
-Both layers are enabled by default in fast mode and can be forced off
-with ``dispatch_elision=False`` for differential testing.
-
-``mode="reference"`` retains the pre-optimization path — scan-based pool,
-per-call executor aggregation, a scan-based
-:class:`~repro.hardware.cost_table.ReferenceCostTable`, and the exact
-per-event dispatch sequence (no elision, no coalescing) — and produces
-bit-for-bit identical :class:`~repro.sim.results.SimulationResult`s and
-traces; ``repro bench-engine`` measures and the parity tests enforce this.
-The engine also counts :attr:`events_processed` and
+``mode="reference"`` also retains the pre-optimization components
+(scan-based pool, per-call executor aggregation, a scan-based
+:class:`~repro.hardware.cost_table.ReferenceCostTable`) and the exact
+per-event dispatch sequence (no elision); the parity tests enforce that
+both modes agree.  The engine counts :attr:`events_processed` and
 :attr:`dispatch_rounds` (actual ``schedule()`` invocations) so throughput
 and scheduler load can be reported per cell.
 """
@@ -100,8 +104,8 @@ from repro.hardware.platform import Platform
 from repro.metrics.quantiles import StreamingQuantiles
 from repro.sim.decisions import AcceleratorView, SchedulingDecision, SystemView
 from repro.sim.executor import AcceleratorExecutor
+from repro.sim.fastloop import MAX_DISPATCH_ROUNDS, FastLoop
 from repro.sim.faults import FaultsInput, parse_faults
-from repro.sim.loops import ENGINE_LOOPS, require_compiled
 from repro.sim.queues import ReferenceRequestPool, RequestPool
 from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
@@ -130,9 +134,8 @@ _PRIO_FAULT = -1
 _PRIO_ARRIVAL = 0
 _PRIO_COMPLETE = 1
 
-#: Safety bound on scheduler invocations per event, to surface livelocks in
-#: buggy scheduler implementations instead of hanging the simulation.
-_MAX_DISPATCH_ROUNDS = 64
+#: Trace names of the two fault-edge phases (recoveries sort first).
+_FAULT_PHASES = ("end", "begin")
 
 #: Engine implementations selectable via ``SimulationEngine(mode=...)``.
 ENGINE_MODES = ("fast", "reference")
@@ -167,15 +170,17 @@ class SimulationEngine:
         warmup_ms: frames whose sensor frame arrived before this time are
             executed but excluded from the measured statistics.
         tracer: optional :class:`~repro.sim.tracer.Tracer` for per-event records.
-        mode: ``"fast"`` (default) uses the incremental hot path;
-            ``"reference"`` retains the pre-optimization scan-based path.
-            Results are bit-for-bit identical across modes.
+        mode: ``"fast"`` (default) runs the production event loop
+            (:mod:`repro.sim.fastloop`) over the incremental components;
+            ``"reference"`` runs the heap loop below over the
+            pre-optimization scan-based components.  Results, traces and
+            event counts are bit-for-bit identical across modes.
         dispatch_elision: honour scheduler :class:`~repro.schedulers.base
-            .WakeHint`\\ s to skip provably-inert ``schedule()`` calls and
-            coalesce same-timestamp events (fast mode only; the reference
-            mode always keeps the exact per-event dispatch path).  Results
-            are bit-for-bit identical either way — the switch exists so the
-            elision machinery itself is differentially testable.
+            .WakeHint`\\ s to skip provably-inert ``schedule()`` calls (fast
+            mode only; the reference mode always keeps the exact per-event
+            dispatch path).  Results are bit-for-bit identical either way —
+            the switch exists so the elision machinery itself is
+            differentially testable.
         kernel: ``"python"`` (default) keeps the scalar decision hot path;
             ``"vector"`` evaluates large scheduling rounds of kernel-aware
             schedulers (DREAM) through the NumPy decision kernel
@@ -183,26 +188,20 @@ class SimulationEngine:
             ``mode="fast"``.  Decisions, results and traces are bit-for-bit
             identical across kernels; schedulers that are not kernel-aware
             ignore the setting entirely.
-        loop: ``"python"`` (default) runs the in-engine event loop below;
-            ``"fast"`` runs the struct-of-arrays rewrite
-            (:mod:`repro.sim.fastloop`, pure Python, always available);
-            ``"compiled"`` additionally asserts the mypyc-built fastloop
-            extension is active and fails at construction when it is not
-            (:mod:`repro.sim.loops`).  Requires ``mode="fast"``.  Results,
-            traces and stats are bit-for-bit identical across loops.
         resource_model: execution-resource model defining what accelerator
             capacity means (:mod:`repro.sim.resource_models`).
             ``"pe_fraction"`` (default) is the paper's spatial-sharing
             model and keeps the executors' inlined historical arithmetic —
             bit-for-bit identical to builds without the axis.
             ``"kv_batch"`` runs the continuous-batching executor with a
-            shared KV memory budget; available in every mode, kernel and
-            loop (the non-default admission/pricing path is a single
-            shared code path, so cross-mode parity holds there too).
+            shared KV memory budget; available in every mode and kernel
+            (the non-default admission/pricing path is a single shared code
+            path, so cross-mode parity holds there too).
         faults: optional fault plan (:mod:`repro.sim.faults`): a sequence
             of :class:`~repro.sim.faults.FaultSpec` or their canonical JSON
-            string.  Requires ``loop="python"``.  With no faults declared
-            the engine is bit-for-bit identical to builds without the axis.
+            string; available in every mode, kernel and resource model.
+            With no faults declared the engine is bit-for-bit identical to
+            builds without the axis.
         retry_budget: how many times an outage-aborted request is re-queued
             before it is terminally accounted as ``failed`` (default: 2).
         retry_backoff_ms: base of the exponential re-arrival backoff — the
@@ -225,7 +224,6 @@ class SimulationEngine:
         mode: str = "fast",
         dispatch_elision: bool = True,
         kernel: str = "python",
-        loop: str = "python",
         resource_model: str = "pe_fraction",
         faults: FaultsInput = None,
         retry_budget: int = 2,
@@ -254,37 +252,18 @@ class SimulationEngine:
             from repro.hardware.vector_view import require_numpy
 
             require_numpy()
-        if loop not in ENGINE_LOOPS:
-            raise ValueError(
-                f"unknown loop {loop!r}; available: {', '.join(sorted(ENGINE_LOOPS))}"
-            )
-        if loop != "python":
-            if mode != "fast":
-                raise ValueError(
-                    f"loop={loop!r} requires mode='fast' (the reference mode "
-                    "retains the historical event loop)"
-                )
-            if loop == "compiled":
-                # Fail at construction, not mid-run, when the build is absent.
-                require_compiled()
         if resource_model not in RESOURCE_MODEL_NAMES:
             known = ", ".join(sorted(RESOURCE_MODEL_NAMES))
             raise ValueError(
                 f"unknown resource model {resource_model!r}; available: {known}"
             )
         self.faults = parse_faults(faults)
-        if self.faults and loop != "python":
-            raise ValueError(
-                "fault injection requires loop='python' (the struct-of-arrays "
-                "loops do not model faults); drop faults= or use loop='python'"
-            )
         if retry_budget < 0:
             raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
         if retry_backoff_ms <= 0:
             raise ValueError(f"retry_backoff_ms must be positive, got {retry_backoff_ms}")
         self.retry_budget = retry_budget
         self.retry_backoff_ms = retry_backoff_ms
-        self.loop = loop
         self.resource_model = resource_model
         self.scenario = scenario
         self.platform = platform
@@ -328,9 +307,10 @@ class SimulationEngine:
         self._stats: dict[str, TaskStats] = {
             task.name: TaskStats(task_name=task.name) for task in scenario.tasks
         }
-        # Heap entries: (time_ms, kind priority, tie key, kind, payload)
-        # where the tie key is (task_name, frame_id) for arrivals and a
-        # monotone sequence number for completions.
+        # Reference-loop heap entries: (time_ms, kind priority, tie key,
+        # kind, payload) where the tie key is (task_name, frame_id) for
+        # arrivals, (phase, index) for fault edges and a monotone sequence
+        # number for completion-class events (completions and retries).
         self._events: list[tuple[float, int, object, str, object]] = []
         self._event_seq = itertools.count()
         self._now = 0.0
@@ -349,26 +329,8 @@ class SimulationEngine:
         self._latency_quantiles = {
             task.name: StreamingQuantiles() for task in scenario.tasks
         }
-        # Cached per-accelerator views, keyed (state_version, busy_until).
-        self._acc_views: list[Optional[AcceleratorView]] = [None] * len(self._executors)
-        self._acc_view_keys: list[tuple[int, float]] = [(-1, 0.0)] * len(self._executors)
-        self._acc_views_tuple: Optional[tuple[AcceleratorView, ...]] = None
-        # Memoized SystemView: rebuilt only when one of its component
-        # snapshots is replaced; otherwise reused with now_ms refreshed.
-        self._view: Optional[SystemView] = None
-        # Accelerator-view scan elision: dirty is set on every executor
-        # start/complete; with clean executors that are all busy, the view
-        # tuple cannot have changed (see _accelerator_views_fast).
-        self._execs_dirty = True
-        self._acc_all_busy = False
-        # Wake-hint elision state: the scheduler's hint (resolved in run())
-        # and the (timestamp, pool membership) of the last actual
-        # schedule() call, which gate same-instant-only hints.
-        self._wake_hint = None
-        self._last_schedule_ms: Optional[float] = None
-        self._last_schedule_membership: int = -1
 
-        #: Events popped from the event queue (arrivals + completions).
+        #: Events processed (arrivals, completions, fault edges, retries).
         self.events_processed: int = 0
         #: Actual ``schedule()`` invocations (dispatch rounds that ran).
         self.dispatch_rounds: int = 0
@@ -395,23 +357,19 @@ class SimulationEngine:
         # vector kernel there; schedulers that ignore it are unaffected.
         self.scheduler.decision_kernel = self.kernel
         self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
-        if self.dispatch_elision:
-            self._wake_hint = self.scheduler.wake_hint()
-        if self.loop != "python":
-            # The struct-of-arrays loop primes its own arrival slots and
-            # drains to completion; it shares this engine's pool, executors,
-            # RNG, stats and trace/finalize helpers, so everything below the
-            # loop is byte-identical.
-            from repro.sim.fastloop import FastLoop
-
+        if self._fast:
+            # The production loop shares this engine's pool, executors, RNG,
+            # stats and cold-path helpers, so everything below is shared.
             FastLoop(self).run()
-            self._finalize_leftovers()
-            return self._build_result()
-        self._start_arrival_streams()
-        has_faults = bool(self.faults)
-        if has_faults:
-            self._arm_faults()
+        else:
+            self._run_heap_loop()
+        self._finalize_leftovers()
+        return self._build_result()
 
+    def _run_heap_loop(self) -> None:
+        """The executable spec: pop one event, handle it, dispatch once."""
+        self._start_arrival_streams()
+        self._arm_faults()
         events = self._events
         heappop = heapq.heappop
         while events:
@@ -423,39 +381,13 @@ class SimulationEngine:
             elif kind == _EVENT_COMPLETE:
                 self._handle_completion(payload)
             elif kind == _EVENT_FAULT:
-                self._handle_fault(payload)
+                for retry_ms, request in self._handle_fault(*payload):
+                    self._push_event(retry_ms, _EVENT_RETRY, request)
             elif kind == _EVENT_RETRY:
                 self._handle_retry(payload)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind!r}")
-            # Same-timestamp coalescing: drain further events at this exact
-            # instant — in heap order, so handler traces are unchanged —
-            # when the dispatch between them is provably inert: the wake
-            # hint proves schedule() empty AND no expiry is due right now.
-            # Fault and retry events never coalesce (they move capacity or
-            # pool membership); the guard costs nothing in fault-free runs.
-            while (
-                events
-                and events[0][0] == time_ms
-                and (not has_faults or events[0][3] in (_EVENT_ARRIVAL, _EVENT_COMPLETE))
-                and self._wake_hint is not None
-                and self._provably_empty(self._wake_hint, time_ms)
-                and not self._pool.has_stale(time_ms)
-            ):
-                _t, _prio, _key, kind, payload = heappop(events)
-                self.events_processed += 1
-                self.events_coalesced += 1
-                self.dispatches_elided += 1
-                if kind == _EVENT_ARRIVAL:
-                    self._handle_arrival(payload)
-                elif kind == _EVENT_COMPLETE:
-                    self._handle_completion(payload)
-                else:  # pragma: no cover - defensive
-                    raise RuntimeError(f"unknown event kind {kind!r}")
             self._dispatch(time_ms)
-
-        self._finalize_leftovers()
-        return self._build_result()
 
     # ------------------------------------------------------------------ #
     # event handling
@@ -542,7 +474,6 @@ class SimulationEngine:
             return
         executor = self._executors[acc_id]
         slot = executor.complete(slot_id, self._now)
-        self._execs_dirty = True
         request = slot.request
         if self.tracer is not None:
             self._trace(
@@ -561,33 +492,43 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # fault injection
     # ------------------------------------------------------------------ #
-    def _arm_faults(self) -> None:
-        """Push every fault's begin/end transition onto the event heap.
+    def _fault_edges(self) -> list[tuple[float, int, int]]:
+        """Every fault window's edges as ``(time_ms, phase, index)``, in firing order.
 
-        Entries are keyed ``(time, _PRIO_FAULT, (phase, index))`` with
-        recoveries (phase 0) ordered before activations (phase 1) at equal
-        times, so a back-to-back outage hands capacity back before the next
-        window opens — and everything stays deterministic under ties.
+        Phase 0 is the recovery (window end) and phase 1 the activation, so
+        at equal times recoveries fire before activations — a back-to-back
+        outage hands capacity back before the next window opens — and
+        everything stays deterministic under ties.  Both loops fire fault
+        edges before arrivals and completions at the same instant.
         """
-        for index, spec in enumerate(self.faults):
+        return sorted(
+            edge
+            for index, spec in enumerate(self.faults)
+            for edge in ((spec.start_ms, 1, index), (spec.end_ms, 0, index))
+        )
+
+    def _arm_faults(self) -> None:
+        """Push every fault edge onto the reference loop's event heap."""
+        for time_ms, phase, index in self._fault_edges():
             self._heap_push(
-                (spec.start_ms, _PRIO_FAULT, (1, index), _EVENT_FAULT, (index, "begin"))
-            )
-            self._heap_push(
-                (spec.end_ms, _PRIO_FAULT, (0, index), _EVENT_FAULT, (index, "end"))
+                (time_ms, _PRIO_FAULT, (phase, index), _EVENT_FAULT, (phase, index))
             )
 
-    def _handle_fault(self, payload) -> None:
-        index, phase = payload
+    def _handle_fault(self, phase: int, index: int) -> list[tuple[float, InferenceRequest]]:
+        """Fire one fault edge; returns the retries an outage scheduled.
+
+        The retries come back as ``(re-arrival time, request)`` pairs for
+        the calling loop to enqueue as completion-class events, in order.
+        """
         spec = self.faults[index]
-        if phase == "begin":
+        if phase:
             self._active_faults.add(index)
         else:
             self._active_faults.discard(index)
         if self.tracer is not None:
             self.tracer.record(
                 time_ms=self._now,
-                event=f"fault_{phase}",
+                event=f"fault_{_FAULT_PHASES[phase]}",
                 task_name="__fault__",
                 request_id=-(index + 1),
                 model_name=spec.kind,
@@ -595,8 +536,9 @@ class SimulationEngine:
                 detail=f"magnitude={spec.magnitude:g}",
             )
         self._refresh_fault_state()
-        if phase == "begin" and spec.kind == "platform_outage":
-            self._abort_in_flight()
+        if phase and spec.kind == "platform_outage":
+            return self._abort_in_flight()
+        return []
 
     def _refresh_fault_state(self) -> None:
         """Recompute every executor's capacity/latency from the open windows.
@@ -604,8 +546,8 @@ class SimulationEngine:
         Concurrent degrades compose by ``min`` (most degraded wins),
         stalls by ``max`` (slowest wins), and any open outage zeroes the
         whole platform.  Capacity moves bump executor ``state_version``,
-        so cached accelerator views rebuild and the wake-hint/elision
-        predicates keep reading exact live free fractions.
+        so the fast loop's cached accelerator views rebuild and its
+        elision predicates keep reading exact live free fractions.
         """
         active = [self.faults[i] for i in sorted(self._active_faults)]
         outage = any(spec.kind == "platform_outage" for spec in active)
@@ -623,21 +565,18 @@ class SimulationEngine:
                 capacity = 0.0
             executor.set_capacity(capacity)
             executor.set_latency_factor(factor)
-        self._execs_dirty = True
-        # A fault transition is a decision-relevant state change that does
-        # not touch pool membership, so same-instant-only hints must not
-        # elide the next consultation: invalidate the recorded snapshot.
-        self._last_schedule_membership = -1
 
-    def _abort_in_flight(self) -> None:
+    def _abort_in_flight(self) -> list[tuple[float, InferenceRequest]]:
         """Kill every in-flight slot (outage begin) and re-queue or fail.
 
         Each aborted request is either re-queued with exponential backoff
         (``retry_backoff_ms * 2**(retries-1)``) while its bounded retry
         budget lasts, or terminally accounted as ``failed`` — exactly one
         of the two, which the ``fault_conservation`` oracle audits.
+        Returns the ``(re-arrival time, request)`` retries in abort order.
         """
         now = self._now
+        retries: list[tuple[float, InferenceRequest]] = []
         for executor in self._executors:
             aborted = executor.abort_all(now)
             if not aborted:
@@ -659,14 +598,14 @@ class SimulationEngine:
                 self.scheduler.on_request_finished(request, now)
                 if request.retries <= self.retry_budget:
                     backoff = self.retry_backoff_ms * (2.0 ** (request.retries - 1))
-                    self._push_event(now + backoff, _EVENT_RETRY, request)
+                    retries.append((now + backoff, request))
                 else:
                     request.mark_failed(now)
                     self.requests_failed += 1
                     if self.tracer is not None:
                         self._trace(request, "failed", detail="retry budget exhausted")
                     self._accumulate_stats(request)
-        self._execs_dirty = True
+        return retries
 
     def _handle_retry(self, request: InferenceRequest) -> None:
         """Re-queue an aborted request after its backoff elapsed."""
@@ -727,58 +666,17 @@ class SimulationEngine:
     # dispatching
     # ------------------------------------------------------------------ #
     def _dispatch(self, now: float) -> None:
+        """Expire, then consult the scheduler until it has nothing to apply."""
         self._expire_stale(now)
-        hint = self._wake_hint
-        scheduler = self.scheduler
-        for _ in range(_MAX_DISPATCH_ROUNDS):
-            if hint is not None and self._provably_empty(hint, now):
-                self.dispatches_elided += 1
-                return
+        for _ in range(MAX_DISPATCH_ROUNDS):
             self.dispatch_rounds += 1
-            decision = scheduler.schedule(self._system_view(now))
-            if hint is not None:
-                # Record the consultation point for same-instant-only hints:
-                # captured before the decision is applied, so drops and
-                # finalizations performed by _apply_decision bump the
-                # membership version past this snapshot and correctly
-                # re-arm the next round.
-                self._last_schedule_ms = now
-                self._last_schedule_membership = self._pool.membership_version
-            if decision.is_empty:
-                return
-            applied = self._apply_decision(decision, now)
-            if applied == 0:
+            decision = self.scheduler.schedule(self._system_view(now))
+            if decision.is_empty or self._apply_decision(decision, now) == 0:
                 return
         raise RuntimeError(
             f"scheduler {type(self.scheduler).__name__} did not converge after "
-            f"{_MAX_DISPATCH_ROUNDS} dispatch rounds at t={now:.3f} ms"
+            f"{MAX_DISPATCH_ROUNDS} dispatch rounds at t={now:.3f} ms"
         )
-
-    def _provably_empty(self, hint, now: float) -> bool:
-        """Whether the wake hint proves the next ``schedule()`` call inert.
-
-        Every predicate is evaluated against *live* pool/executor state, so
-        elision never acts on stale information: pending-set membership is
-        read off the incremental pool, and an accelerator's free fraction
-        only moves through ``start``/``complete`` (time alone frees no
-        capacity), so a capacity-freeing completion always re-enables
-        consultation at its own event.
-        """
-        if hint.same_instant_only and (
-            self._last_schedule_ms != now
-            or self._last_schedule_membership != self._pool.membership_version
-        ):
-            return False
-        if not self._pool.has_pending:
-            return hint.elide_when_no_pending
-        min_free = hint.min_free_fraction
-        if min_free is None:
-            return False
-        threshold = min_free - 1e-9
-        for executor in self._executors:
-            if executor.free_fraction >= threshold:
-                return False
-        return True
 
     def _expire_stale(self, now: float) -> None:
         if self.expire_after_periods is None:
@@ -816,7 +714,6 @@ class SimulationEngine:
                 if request.model_name != old_name:
                     self._trace(request, "variant_switch", detail=f"{old_name} -> {request.model_name}")
             record = executor.start(assignment, now)
-            self._execs_dirty = True
             self._pool.note_dispatched(request)
             if self.tracer is not None:
                 self._trace_dispatch(assignment, record)
@@ -824,121 +721,27 @@ class SimulationEngine:
             applied += 1
         return applied
 
-    def _accelerator_view(self, index: int, now: float) -> AcceleratorView:
-        """Fresh frozen view of one executor (reference mode: built per round)."""
-        executor = self._executors[index]
-        return AcceleratorView(
-            acc_id=executor.acc_id,
-            free_fraction=executor.free_fraction,
-            busy_until_ms=executor.busy_until_ms(now),
-            resident_model=executor.resident_model,
-            running_tasks=executor.running_tasks(),
-        )
-
-    def _accelerator_views_fast(self, now: float) -> tuple[AcceleratorView, ...]:
-        """All accelerator views, reusing cached view objects and their tuple.
-
-        A view object is rebuilt only when its executor's ``state_version``
-        moved; if merely the idle-time clock advanced, ``busy_until_ms`` is
-        refreshed in place (in-repo schedulers never retain views across
-        scheduling points, so the mutation of the frozen dataclass is
-        unobservable to them).  The enclosing tuple is reused whenever no
-        view object was replaced — and when no executor was touched since
-        the last call *and* every accelerator is busy, the cached tuple is
-        returned without even scanning: a busy executor's ``busy_until_ms``
-        is the static maximum of its slot end times, so no field of any
-        view can have moved (``self._execs_dirty`` is set by the engine on
-        every ``start``/``complete``, the only operations that mutate an
-        executor).
-        """
-        if (
-            not self._execs_dirty
-            and self._acc_all_busy
-            and self._acc_views_tuple is not None
-        ):
-            return self._acc_views_tuple
-        views = self._acc_views
-        keys = self._acc_view_keys
-        replaced = False
-        all_busy = True
-        for index, executor in enumerate(self._executors):
-            if executor.slots:
-                busy = executor._busy_until if executor.fast else executor.busy_until_ms(now)
-            else:
-                busy = now
-                all_busy = False
-            version = executor.state_version
-            cached = views[index]
-            cached_key = keys[index]
-            if cached is not None and cached_key[0] == version:
-                if cached_key[1] != busy:
-                    object.__setattr__(cached, "busy_until_ms", busy)
-                    keys[index] = (version, busy)
-                continue
-            views[index] = AcceleratorView(
-                acc_id=executor.acc_id,
-                free_fraction=executor.free_fraction,
-                busy_until_ms=busy,
-                resident_model=executor.resident_model,
-                running_tasks=executor.running_tasks(),
-            )
-            keys[index] = (version, busy)
-            replaced = True
-        self._execs_dirty = False
-        self._acc_all_busy = all_busy
-        if replaced or self._acc_views_tuple is None:
-            self._acc_views_tuple = tuple(views)
-        return self._acc_views_tuple
-
     def _system_view(self, now: float) -> SystemView:
-        if not self._fast:
-            return SystemView(
-                now_ms=now,
-                platform=self.platform,
-                cost_table=self.cost_table,
-                scenario=self.scenario,
-                accelerators=tuple(
-                    self._accelerator_view(index, now)
-                    for index in range(len(self._executors))
-                ),
-                pending_requests=self._pool.pending_snapshot(),
-                running_requests=self._pool.running_snapshot(),
-                queue_depths=self._pool.queue_depths(self._task_names),
-            )
-        # Fast path: every component snapshot is memoized on its own state
-        # version, so the enclosing SystemView can be keyed purely on
-        # component identity — when nothing was replaced, the previous view
-        # object is reused with now_ms refreshed in place (legal under the
-        # documented view lifetime contract: schedulers never retain views
-        # across scheduling points).
-        pool = self._pool
-        accelerators = self._accelerator_views_fast(now)
-        pending = pool.pending_snapshot()
-        running = pool.running_snapshot()
-        depths = pool.queue_depths(self._task_names)
-        view = self._view
-        if (
-            view is not None
-            and view.accelerators is accelerators
-            and view.pending_requests is pending
-            and view.running_requests is running
-            and view.queue_depths is depths
-        ):
-            if view.now_ms != now:
-                object.__setattr__(view, "now_ms", now)
-            return view
-        view = SystemView(
+        """A fresh system view with every accelerator view built from scratch."""
+        return SystemView(
             now_ms=now,
             platform=self.platform,
             cost_table=self.cost_table,
             scenario=self.scenario,
-            accelerators=accelerators,
-            pending_requests=pending,
-            running_requests=running,
-            queue_depths=depths,
+            accelerators=tuple(
+                AcceleratorView(
+                    acc_id=executor.acc_id,
+                    free_fraction=executor.free_fraction,
+                    busy_until_ms=executor.busy_until_ms(now),
+                    resident_model=executor.resident_model,
+                    running_tasks=executor.running_tasks(),
+                )
+                for executor in self._executors
+            ),
+            pending_requests=self._pool.pending_snapshot(),
+            running_requests=self._pool.running_snapshot(),
+            queue_depths=self._pool.queue_depths(self._task_names),
         )
-        self._view = view
-        return view
 
     # ------------------------------------------------------------------ #
     # statistics

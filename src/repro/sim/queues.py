@@ -476,10 +476,17 @@ class ReferenceRequestPool:
         return bool(self.collect_stale(now))
 
     def collect_stale(self, now: float) -> list[InferenceRequest]:
-        """Stale requests per the configured grace periods (full scan)."""
+        """Stale requests per the configured grace periods, oldest-id first.
+
+        Sorted by ``request_id`` like :meth:`RequestPool.collect_stale`:
+        pool order is not creation order once a fault retry re-adds a
+        request at the back of the pool.
+        """
         if self._grace_ms_by_task is None:
             return []
-        return self.stale(now, dict(self._grace_ms_by_task))
+        stale = self.stale(now, dict(self._grace_ms_by_task))
+        stale.sort(key=lambda request: request.request_id)
+        return stale
 
     def stale(self, now: float, grace_ms_by_task: dict[str, float]) -> list[InferenceRequest]:
         """Pending, never-started requests whose deadline passed too long ago."""

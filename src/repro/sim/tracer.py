@@ -9,9 +9,10 @@ invariants (e.g. a request never runs on two accelerators at once).
 
 Truncation semantics
 --------------------
-A bounded tracer (``Tracer(capacity=N)``) behaves as a ring buffer over
-arrival order: once more than ``N`` records have been collected, the
-**oldest records are discarded first** and the newest ``N`` are kept.  The
+A bounded tracer (``Tracer(capacity=N)``) is a ring buffer over arrival
+order (a ``collections.deque(maxlen=N)``, so each discard is O(1)): once
+more than ``N`` records have been collected, the **oldest records are
+discarded first** and the newest ``N`` are kept.  The
 number of discarded records is reported by :attr:`Tracer.dropped_records`
 (and :attr:`Tracer.truncated`), so consumers that require a complete event
 stream — most importantly the invariant oracle, whose conservation checks
@@ -21,6 +22,7 @@ silently auditing a suffix.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -75,7 +77,7 @@ class Tracer:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive (or None for unbounded)")
         self.capacity = capacity
-        self._records: list[TraceRecord] = []
+        self._records: deque[TraceRecord] = deque(maxlen=capacity)
         self._dropped = 0
 
     def record(
@@ -93,6 +95,9 @@ class Tracer:
         memory_fraction: Optional[float] = None,
     ) -> None:
         """Append one record, honouring the capacity limit (oldest dropped)."""
+        if self.capacity is not None and len(self._records) == self.capacity:
+            # The full deque discards its oldest record on append.
+            self._dropped += 1
         self._records.append(
             TraceRecord(
                 time_ms=time_ms,
@@ -108,9 +113,6 @@ class Tracer:
                 memory_fraction=memory_fraction,
             )
         )
-        while self.capacity is not None and len(self._records) > self.capacity:
-            del self._records[0]
-            self._dropped += 1
 
     def __len__(self) -> int:
         return len(self._records)

@@ -17,7 +17,6 @@ from repro.experiments.benchmark import (
     run_engine_bench,
 )
 from repro.hardware.vector_view import HAVE_NUMPY
-from repro.sim import fastloop_is_compiled
 
 
 class TestWallClamp:
@@ -83,7 +82,7 @@ class TestEngineBench:
         with pytest.raises(ValueError):
             run_engine_bench(["ar_call"], ["4k_1ws_2os"], ["fcfs_dynamic"], repeats=0)
 
-    def test_payload_records_host_metadata_and_loop_columns(self):
+    def test_payload_records_host_metadata(self):
         payload = run_engine_bench(
             scenarios=["ar_call"], platforms=["4k_1ws_2os"],
             schedulers=["fcfs_dynamic"], generated=0, duration_ms=150.0,
@@ -95,27 +94,13 @@ class TestEngineBench:
         # cpu_model is best-effort ('' only when /proc/cpuinfo and
         # platform.processor() both come up empty).
         assert isinstance(host["cpu_model"], str)
-        # The loop pass names its columns by what actually ran: interpreted
-        # fastloop -> fastloop_*/loop_speedup, mypyc build -> compiled_*.
-        prefix = "compiled" if fastloop_is_compiled() else "fastloop"
-        totals = payload["totals"]
-        for cell in payload["cells"]:
-            assert cell[f"{prefix}_events_per_sec"] > 0.0
-            assert cell[f"{prefix}_wall_s"] >= 0.0
-        assert totals[f"{prefix}_events_per_sec"] > 0.0
-        if fastloop_is_compiled():
-            assert totals["compiled_speedup"] > 0.0
-        else:
-            assert totals["loop_speedup"] > 0.0
-            assert "fast event loop:" in describe(payload)
 
     def test_host_metadata_is_stable_within_a_process(self):
         assert host_metadata() == host_metadata()
 
 
 def _payload(machine="m1", speedup=3.0, eps=10_000.0, vector_speedup=1.2,
-             vector_eps=12_000.0, rounds=100, host=None, loop_speedup=None,
-             loop_eps=None):
+             vector_eps=12_000.0, rounds=100, host=None):
     payload = {
         "machine": machine,
         "basket": {"scenarios": ["ar_call"]},
@@ -129,10 +114,6 @@ def _payload(machine="m1", speedup=3.0, eps=10_000.0, vector_speedup=1.2,
     }
     if host is not None:
         payload["host"] = dict(host)
-    if loop_speedup is not None:
-        payload["totals"]["loop_speedup"] = loop_speedup
-    if loop_eps is not None:
-        payload["totals"]["fastloop_events_per_sec"] = loop_eps
     return payload
 
 
@@ -169,24 +150,6 @@ class TestBaselineGates:
         baseline["basket"] = {"scenarios": ["vr_gaming"]}
         problems = compare_to_baseline(_payload(), baseline, 0.2)
         assert any("matching basket" in p for p in problems)
-
-    def test_loop_speedup_regression_is_flagged(self):
-        current = _payload(loop_speedup=1.0, loop_eps=20_000.0)
-        baseline = _payload(loop_speedup=1.5, loop_eps=20_000.0)
-        problems = compare_to_baseline(current, baseline, 0.2)
-        assert any("fastloop/fast speedup regressed" in p for p in problems)
-
-    def test_fastloop_events_per_sec_gated_on_same_host_only(self):
-        current = _payload(loop_speedup=1.3, loop_eps=10_000.0, host=_HOST)
-        baseline = _payload(loop_speedup=1.3, loop_eps=20_000.0, host=_HOST)
-        problems = compare_to_baseline(current, baseline, 0.2)
-        assert any("fastloop events/sec regressed" in p for p in problems)
-        other = dict(_HOST, cpu_model="OtherCPU 100")
-        problems = compare_to_baseline(
-            _payload(loop_speedup=1.3, loop_eps=10_000.0, host=other),
-            baseline, 0.2,
-        )
-        assert not any("fastloop events/sec" in p for p in problems)
 
 
 class TestHostMismatchWarnings:

@@ -26,9 +26,9 @@ class TestList:
         for needle in (
             "ar_call", "4k_1ws_2os", "dream_full", "serial", "figure7",
             "poisson", "bursty", "load_scaled",
-            # Engine axes: kernels, loops, resource models.
-            "kernels:", "loops:", "resources:",
-            "vector", "fast", "pe_fraction", "kv_batch",
+            # Engine axes: kernels, resource models.
+            "kernels:", "resources:",
+            "vector", "pe_fraction", "kv_batch",
         ):
             assert needle in out
 
@@ -65,39 +65,6 @@ class TestGrid:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "'hits': 1" in out
-
-    def test_grid_fast_loop_runs_and_records_loop(self, tmp_path, capsys):
-        out_file = tmp_path / "grid.json"
-        code = main(
-            [
-                "grid",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--duration-ms", "200",
-                "--loop", "fast",
-                "--json", str(out_file),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["grid"]["loop"] == "fast"
-        assert "UXCost" in capsys.readouterr().out
-
-    def test_grid_compiled_loop_without_extension_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr("repro.cli.fastloop_is_compiled", lambda: False)
-        code = main(
-            [
-                "grid",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--duration-ms", "150",
-                "--loop", "compiled",
-            ]
-        )
-        assert code == 2
-        assert "mypyc-built fastloop extension" in capsys.readouterr().err
 
     def test_grid_latency_table(self, capsys):
         code = main(
@@ -229,12 +196,11 @@ class TestFuzz:
         seen = {}
 
         def fake_run_fuzz(
-            spec, count, schedulers, platform, duration_ms, seed, kernels, loops,
+            spec, count, schedulers, platform, duration_ms, seed, kernels,
             resource_models, faults,
         ):
             seen["schedulers"] = list(schedulers)
             seen["kernels"] = list(kernels)
-            seen["loops"] = list(loops)
             seen["resource_models"] = list(resource_models)
             seen["faults"] = list(faults)
             return FuzzResult(spec=spec, reports=[])
@@ -243,40 +209,8 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--schedulers", "all"]) == 0
         assert seen["schedulers"] == scheduler_names()
         assert seen["kernels"] == ["python"]
-        assert seen["loops"] == ["python"]
         assert seen["resource_models"] == ["pe_fraction"]
         assert seen["faults"] == []
-
-    def test_fuzz_loops_all_skips_unbuilt_compiled_loop(self, monkeypatch, capsys):
-        from repro.experiments.differential import FuzzResult
-
-        seen = {}
-
-        def fake_run_fuzz(spec, count, **kwargs):
-            seen["loops"] = list(kwargs["loops"])
-            return FuzzResult(spec=spec, reports=[])
-
-        monkeypatch.setattr("repro.cli.run_fuzz", fake_run_fuzz)
-        monkeypatch.setattr("repro.cli.fastloop_is_compiled", lambda: False)
-        assert main(["fuzz", "--seeds", "1", "--loops", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "skipping loop 'compiled' (fastloop extension not built)" in out
-        assert "x loops python+fast" in out
-        assert seen["loops"] == ["python", "fast"]
-
-    def test_fuzz_explicit_compiled_loop_without_extension_fails(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr("repro.cli.fastloop_is_compiled", lambda: False)
-        code = main(["fuzz", "--seeds", "1", "--loops", "compiled"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "mypyc-built fastloop extension" in err
-
-    def test_fuzz_unknown_loop_fails_cleanly(self, capsys):
-        code = main(["fuzz", "--seeds", "1", "--loops", "turbo"])
-        assert code == 2
-        assert "unknown loop" in capsys.readouterr().err
 
     def test_fuzz_kernels_all_skips_vector_without_numpy(self, monkeypatch, capsys):
         from repro.experiments.differential import FuzzResult

@@ -1,14 +1,16 @@
 """Decision-path parity: results and traces bit-for-bit across the axis.
 
-The fast engine (incremental pool, cached views, flat-array costing) must
-be *observationally indistinguishable* from the retained reference path,
-and the NumPy vector decision kernel (``kernel="vector"``) from both.
+The fast engine (the production event loop over the incremental pool,
+cached views and flat-array costing) must be *observationally
+indistinguishable* from the retained reference path (the heap loop over
+the scan-based components), and the NumPy vector decision kernel
+(``kernel="vector"``) from both — with and without injected faults.
 These tests run generated scenarios across every registered scheduler on
-every decision path and compare ``SimulationResult.to_dict()`` and the
-full event traces.  Request ids come from a process-global counter, so
-traces are compared after normalizing ids by order of first appearance
-(relative order — all the engine ever relies on — is preserved by the
-mapping).
+every decision path and compare ``SimulationResult.to_dict()``, the full
+event traces and the mode-independent engine counters.  Request ids come
+from a process-global counter, so traces are compared after normalizing
+ids by order of first appearance (relative order — all the engine ever
+relies on — is preserved by the mapping).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 from repro.experiments.jobs import generated_context, shared_context
 from repro.hardware.vector_view import HAVE_NUMPY
 from repro.schedulers import make_scheduler, scheduler_names
-from repro.sim import SimulationEngine, Tracer
+from repro.sim import FAULT_KINDS, SimulationEngine, Tracer, sample_fault_plan
 from repro.workloads import GeneratorSpec, arrival_process_names
 
 #: Generated scenarios swept by the parity matrix (satellite requirement: >= 10).
@@ -37,6 +39,19 @@ _TRAFFIC_SPEC = GeneratorSpec(
 _PLATFORM = "4k_1ws_2os"
 _DURATION_MS = 150.0
 
+#: Generator seeds of the fault parity sweep (scenario 0 of each).
+FAULT_PARITY_SEEDS = (0, 1, 3)
+
+#: Engine counters that do not depend on the mode (elision only exists in
+#: fast mode, so rounds/elided/coalesced legitimately differ).
+_MODE_INDEPENDENT_COUNTERS = (
+    "events_processed",
+    "peak_event_heap",
+    "requests_aborted",
+    "requests_retried",
+    "requests_failed",
+)
+
 
 def _normalize(records):
     mapping: dict[int, int] = {}
@@ -47,7 +62,7 @@ def _normalize(records):
 
 
 def _run(scenario, platform, cost_table, scheduler_name, mode,
-         duration_ms=_DURATION_MS, seed=0, kernel="python", loop="python"):
+         duration_ms=_DURATION_MS, seed=0, **engine_kwargs):
     tracer = Tracer()
     engine = SimulationEngine(
         scenario=scenario,
@@ -58,47 +73,31 @@ def _run(scenario, platform, cost_table, scheduler_name, mode,
         cost_table=cost_table,
         tracer=tracer,
         mode=mode,
-        kernel=kernel,
-        loop=loop,
+        **engine_kwargs,
     )
     result = engine.run()
-    return result, _normalize(tracer.records), engine.events_processed
+    counters = {name: getattr(engine, name) for name in _MODE_INDEPENDENT_COUNTERS}
+    return result.to_dict(), _normalize(tracer.records), counters
 
 
-def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, seed=0):
-    """Fast, reference, fastloop and (when available) vector runs must be identical."""
-    fast_result, fast_trace, fast_events = _run(
-        scenario, platform, cost_table, scheduler_name, "fast",
-        duration_ms=duration_ms, seed=seed,
-    )
-    ref_result, ref_trace, ref_events = _run(
-        scenario, platform, cost_table, scheduler_name, "reference",
-        duration_ms=duration_ms, seed=seed,
-    )
+def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, seed=0,
+                   vector=True, **engine_kwargs):
+    """Fast, reference and (when available) vector runs must be identical."""
     label = f"{scenario.name} / {scheduler_name}"
-    assert fast_result.to_dict() == ref_result.to_dict(), f"result mismatch: {label}"
-    assert fast_trace == ref_trace, f"trace mismatch: {label}"
-    assert fast_events == ref_events
-    loop_result, loop_trace, loop_events = _run(
-        scenario, platform, cost_table, scheduler_name, "fast",
-        duration_ms=duration_ms, seed=seed, loop="fast",
-    )
-    assert loop_result.to_dict() == fast_result.to_dict(), (
-        f"fastloop result mismatch: {label}"
-    )
-    assert loop_trace == fast_trace, f"fastloop trace mismatch: {label}"
-    assert loop_events == fast_events
-    if not HAVE_NUMPY:
+    fast = _run(scenario, platform, cost_table, scheduler_name, "fast",
+                duration_ms=duration_ms, seed=seed, **engine_kwargs)
+    ref = _run(scenario, platform, cost_table, scheduler_name, "reference",
+               duration_ms=duration_ms, seed=seed, **engine_kwargs)
+    assert fast[0] == ref[0], f"result mismatch: {label}"
+    assert fast[1] == ref[1], f"trace mismatch: {label}"
+    assert fast[2] == ref[2], f"counter mismatch: {label}"
+    if not (vector and HAVE_NUMPY):
         return
-    vec_result, vec_trace, vec_events = _run(
-        scenario, platform, cost_table, scheduler_name, "fast",
-        duration_ms=duration_ms, seed=seed, kernel="vector",
-    )
-    assert vec_result.to_dict() == fast_result.to_dict(), (
-        f"vector-kernel result mismatch: {label}"
-    )
-    assert vec_trace == fast_trace, f"vector-kernel trace mismatch: {label}"
-    assert vec_events == fast_events
+    vec = _run(scenario, platform, cost_table, scheduler_name, "fast",
+               duration_ms=duration_ms, seed=seed, kernel="vector", **engine_kwargs)
+    assert vec[0] == fast[0], f"vector-kernel result mismatch: {label}"
+    assert vec[1] == fast[1], f"vector-kernel trace mismatch: {label}"
+    assert vec[2] == fast[2], f"vector-kernel counter mismatch: {label}"
 
 
 @pytest.mark.parametrize("index", range(PARITY_SCENARIO_COUNT))
@@ -119,6 +118,36 @@ def test_traffic_model_scenarios_parity_across_kernels(index):
 def test_preset_scenario_parity(scheduler_name):
     scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
     _assert_parity(scenario, platform, cost_table, scheduler_name, 300.0)
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+@pytest.mark.parametrize("generator_seed", FAULT_PARITY_SEEDS)
+def test_fault_plans_bitwise_parity_across_all_schedulers(generator_seed, kind):
+    """Faulted runs: fault edges, aborts, retries and expiries in lockstep."""
+    scenario, platform, cost_table = generated_context(
+        GeneratorSpec(seed=generator_seed), 0, _PLATFORM
+    )
+    plan = sample_fault_plan(
+        seed=1, duration_ms=_DURATION_MS, accelerators=len(platform.accelerators),
+        kinds=(kind,),
+    )
+    for scheduler_name in scheduler_names():
+        _assert_parity(scenario, platform, cost_table, scheduler_name, _DURATION_MS,
+                       seed=1, vector=False, faults=plan)
+
+
+def test_kv_batch_outage_parity():
+    """kv_batch under an outage, with no retry budget: aborts fail terminally."""
+    scenario, platform, cost_table = generated_context(
+        GeneratorSpec(resource_model="kv_batch"), 0, _PLATFORM
+    )
+    plan = sample_fault_plan(
+        seed=0, duration_ms=300.0, accelerators=len(platform.accelerators),
+        kinds=("platform_outage",),
+    )
+    for scheduler_name in ("fcfs_dynamic", "planaria", "dream_full"):
+        _assert_parity(scenario, platform, cost_table, scheduler_name, 300.0,
+                       resource_model="kv_batch", faults=plan, retry_budget=0)
 
 
 def test_reference_mode_uses_reference_components():
@@ -166,8 +195,9 @@ def test_unknown_kernel_rejected():
 
 
 def test_unknown_loop_rejected():
+    """The mode picks the loop; there is no separate loop option to set."""
     scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    with pytest.raises(ValueError, match="loop"):
+    with pytest.raises(TypeError, match="loop"):
         SimulationEngine(
             scenario=scenario,
             platform=platform,
@@ -175,37 +205,6 @@ def test_unknown_loop_rejected():
             duration_ms=100.0,
             cost_table=cost_table,
             loop="turbo",
-        )
-
-
-def test_fast_loop_requires_fast_mode():
-    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    with pytest.raises(ValueError, match="fast"):
-        SimulationEngine(
-            scenario=scenario,
-            platform=platform,
-            scheduler=make_scheduler("fcfs_dynamic"),
-            duration_ms=100.0,
-            cost_table=cost_table,
-            mode="reference",
-            loop="fast",
-        )
-
-
-def test_compiled_loop_requires_extension():
-    from repro.sim import fastloop_is_compiled
-
-    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    if fastloop_is_compiled():
-        pytest.skip("mypyc extension present; loop='compiled' is available")
-    with pytest.raises(RuntimeError, match="compiled"):
-        SimulationEngine(
-            scenario=scenario,
-            platform=platform,
-            scheduler=make_scheduler("fcfs_dynamic"),
-            duration_ms=100.0,
-            cost_table=cost_table,
-            loop="compiled",
         )
 
 

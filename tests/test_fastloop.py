@@ -1,10 +1,10 @@
-"""The struct-of-arrays event loop: wiring, counters, hooks, degradation.
+"""The production event loop against the heap-loop spec: counters, hooks, heap.
 
-Bit-for-bit result/trace parity of ``loop="fast"`` against the default
-loop is asserted by the sweep in ``test_engine_parity.py``; these tests
-cover everything around it — the loop registry, engine counter parity,
-scheduler lifecycle hooks firing identically, the streaming heap bound,
-and clean degradation when the mypyc extension is absent.
+Bit-for-bit result/trace parity of fast mode (``repro.sim.fastloop``)
+against the reference mode's heap loop is asserted by the sweeps in
+``test_engine_parity.py``; these tests cover everything around it — every
+engine counter matching the spec with elision off, scheduler lifecycle
+hooks firing identically, and the streaming heap bound.
 """
 
 from __future__ import annotations
@@ -14,17 +14,12 @@ import pytest
 from repro.experiments.jobs import shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.fcfs import DynamicFcfsScheduler
-from repro.sim import (
-    ENGINE_LOOPS,
-    SimulationEngine,
-    available_loops,
-    fastloop_is_compiled,
-)
+from repro.sim import SimulationEngine, sample_fault_plan
 
 _PLATFORM = "4k_1ws_2os"
 
 
-def _engine(scheduler, loop, duration_ms=250.0, scenario_name="ar_call"):
+def _engine(scheduler, duration_ms=250.0, scenario_name="ar_call", **kwargs):
     scenario, platform, cost_table = shared_context(scenario_name, _PLATFORM, 0.5)
     return SimulationEngine(
         scenario=scenario,
@@ -32,31 +27,21 @@ def _engine(scheduler, loop, duration_ms=250.0, scenario_name="ar_call"):
         scheduler=scheduler,
         duration_ms=duration_ms,
         cost_table=cost_table,
-        loop=loop,
+        **kwargs,
     )
-
-
-def test_loop_registry():
-    assert ENGINE_LOOPS == ("python", "fast", "compiled")
-    loops = available_loops()
-    assert loops[0] == "python"
-    assert "fast" in loops
-    # 'compiled' is listed exactly when the mypyc extension is importable.
-    assert ("compiled" in loops) == fastloop_is_compiled()
-
-
-def test_engine_records_loop():
-    engine = _engine(make_scheduler("fcfs_dynamic"), "fast")
-    assert engine.loop == "fast"
-    assert _engine(make_scheduler("fcfs_dynamic"), "python").loop == "python"
 
 
 @pytest.mark.parametrize("scheduler_name", scheduler_names())
 def test_engine_counters_identical_across_loops(scheduler_name):
-    """events/rounds/elisions/coalescing/peak-heap all match the python loop."""
-    python_engine = _engine(make_scheduler(scheduler_name), "python")
-    python_engine.run()
-    fast_engine = _engine(make_scheduler(scheduler_name), "fast")
+    """With elision off the fast loop dispatches exactly like the heap loop.
+
+    The plan opens every fault kind, so fault edges, outage aborts and
+    retries are counted too.
+    """
+    plan = sample_fault_plan(seed=0, duration_ms=250.0, accelerators=3)
+    heap_engine = _engine(make_scheduler(scheduler_name), mode="reference", faults=plan)
+    heap_engine.run()
+    fast_engine = _engine(make_scheduler(scheduler_name), dispatch_elision=False, faults=plan)
     fast_engine.run()
     for counter in (
         "events_processed",
@@ -64,8 +49,11 @@ def test_engine_counters_identical_across_loops(scheduler_name):
         "dispatches_elided",
         "events_coalesced",
         "peak_event_heap",
+        "requests_aborted",
+        "requests_retried",
+        "requests_failed",
     ):
-        assert getattr(fast_engine, counter) == getattr(python_engine, counter), counter
+        assert getattr(fast_engine, counter) == getattr(heap_engine, counter), counter
 
 
 class _HookRecorder(DynamicFcfsScheduler):
@@ -92,12 +80,12 @@ class _HookRecorder(DynamicFcfsScheduler):
 
 def test_lifecycle_hooks_fire_identically_across_loops():
     runs = {}
-    for loop in ("python", "fast"):
+    for mode in ("reference", "fast"):
         scheduler = _HookRecorder()
-        _engine(scheduler, loop).run()
-        runs[loop] = scheduler.calls
-    assert runs["python"], "recorder saw no hook calls"
-    assert runs["fast"] == runs["python"]
+        _engine(scheduler, mode=mode).run()
+        runs[mode] = scheduler.calls
+    assert runs["reference"], "recorder saw no hook calls"
+    assert runs["fast"] == runs["reference"]
     kinds = {kind for kind, *_ in runs["fast"]}
     # FCFS dispatches whole models, so requests jump straight from arrival
     # to finished; the layers hook is covered by the hook-elision detection
@@ -107,29 +95,10 @@ def test_lifecycle_hooks_fire_identically_across_loops():
 
 def test_fastloop_streaming_heap_stays_bounded():
     """The slot-array loop must keep the O(tasks + slots) heap bound."""
-    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    engine = SimulationEngine(
-        scenario=scenario,
-        platform=platform,
-        scheduler=make_scheduler("fcfs_dynamic"),
-        duration_ms=10_000.0,
-        cost_table=cost_table,
-        loop="fast",
-    )
+    scenario, platform, _ = shared_context("ar_call", _PLATFORM, 0.5)
+    engine = _engine(make_scheduler("fcfs_dynamic"), duration_ms=10_000.0)
     result = engine.run()
     frames = sum(stats.total_frames for stats in result.task_stats.values())
     assert frames > 500
     bound = 4 * (len(scenario.tasks) + len(platform))
     assert engine.peak_event_heap <= bound
-
-
-def test_interpreted_fastloop_reports_not_compiled():
-    # The container running this suite builds no extension; if a .so is
-    # present (the CI compiled job), the inverse surface is asserted.
-    from repro.sim import fastloop as fastloop_mod
-
-    compiled = fastloop_mod.__file__.endswith((".so", ".pyd"))
-    assert fastloop_is_compiled() == compiled
-    if not compiled:
-        with pytest.raises(RuntimeError, match="mypyc"):
-            _engine(make_scheduler("fcfs_dynamic"), "compiled")

@@ -10,7 +10,7 @@ Three contracts:
   nothing dispatches into an outage, degraded capacity is respected, and
   the full trace-invariant oracle passes;
 * declaring *no* faults is bit-for-bit identical to the pre-fault engine
-  (the zero-cost guarantee the parity suites pin across loops/kernels).
+  (the zero-cost guarantee the parity suites pin across modes/kernels).
 """
 
 import json
@@ -152,13 +152,6 @@ class TestFaultSpec:
 
 
 class TestEngineFaults:
-    def test_faults_require_python_loop(self, tiny_scenario, tiny_platform,
-                                        tiny_cost_table):
-        plan = sample_fault_plan(seed=0, duration_ms=400.0, accelerators=2)
-        with pytest.raises(ValueError, match="loop='python'"):
-            _engine(tiny_scenario, tiny_platform, tiny_cost_table,
-                    loop="fast", faults=plan)
-
     def test_no_faults_is_bit_for_bit_identical(self, tiny_scenario, tiny_platform,
                                                 tiny_cost_table):
         engine, tracer = _engine(tiny_scenario, tiny_platform, tiny_cost_table)
@@ -255,7 +248,7 @@ class TestEngineRegistryErrors:
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
-            ({"loop": "turbo"}, "unknown loop 'turbo'"),
+            ({"resource_model": "turbo"}, "unknown resource model 'turbo'"),
             ({"mode": "turbo"}, "unknown mode 'turbo'"),
             ({"kernel": "turbo"}, "unknown kernel 'turbo'"),
         ],

@@ -2,7 +2,7 @@
 
 Covers the protocol registry, the ``kv_batch`` physics (charge table,
 budget/batch admission, batch-dilated pricing), engine integration with the
-trace-invariant oracle, cross-mode/loop/kernel parity under ``kv_batch``,
+trace-invariant oracle, cross-mode/kernel parity under ``kv_batch``,
 the generator's kv sampling (budgets + interaction turns, with draw
 conservation against the default spec), the differential resource axis,
 and PYTHONHASHSEED-independence of a full kv run.
@@ -108,7 +108,7 @@ class _EngineRunner:
     @staticmethod
     def run(scenario, platform, cost_table, scheduler="dream_full",
             resource_model="kv_batch", mode="fast", kernel="python",
-            loop="python", with_tracer=True, duration_ms=300.0):
+            with_tracer=True, duration_ms=300.0):
         tracer = Tracer() if with_tracer else None
         engine = SimulationEngine(
             scenario=scenario,
@@ -120,7 +120,6 @@ class _EngineRunner:
             tracer=tracer,
             mode=mode,
             kernel=kernel,
-            loop=loop,
             resource_model=resource_model,
         )
         return engine.run(), tracer
@@ -169,18 +168,15 @@ class TestKvBatchEngine:
 
     def test_mode_and_loop_parity_under_kv(self, tiny_scenario, tiny_platform,
                                            tiny_cost_table):
+        # Fast mode runs the production loop, reference mode the heap loop.
         canonical, _ = _EngineRunner.run(
             tiny_scenario, tiny_platform, tiny_cost_table, with_tracer=False
         )
-        for variant in (
-            {"mode": "reference"},
-            {"loop": "fast"},
-        ):
-            result, _ = _EngineRunner.run(
-                tiny_scenario, tiny_platform, tiny_cost_table,
-                with_tracer=False, **variant,
-            )
-            assert result.to_dict() == canonical.to_dict(), variant
+        result, _ = _EngineRunner.run(
+            tiny_scenario, tiny_platform, tiny_cost_table,
+            with_tracer=False, mode="reference",
+        )
+        assert result.to_dict() == canonical.to_dict()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel needs numpy")
     def test_vector_kernel_parity_under_kv(self, tiny_scenario, tiny_platform,
