@@ -9,10 +9,17 @@ time — but going through pytest-benchmark keeps a uniform invocation:
 Durations are chosen so the whole suite completes in a few minutes; pass
 ``--figure-duration-ms`` to scale every simulated window up for tighter
 statistics.
+
+The committed ``results/figure*.txt`` pin the paper figures: each run
+compares its report byte for byte with the committed file and fails with
+a diff on any drift.  A missing file is written instead, so an intended
+change is regenerated by deleting the file and re-running its benchmark.
+Runs under ``--figure-duration-ms`` neither compare nor write.
 """
 
 from __future__ import annotations
 
+import difflib
 import pathlib
 
 import pytest
@@ -60,12 +67,19 @@ def figure_duration_override(request):
 
 
 def run_figure(benchmark, figure_fn, default_duration_ms, override, **kwargs):
-    """Run one figure generator under pytest-benchmark and print its table."""
+    """Run one figure generator, print its table and check it against the pin."""
     duration = override if override is not None else default_duration_ms
     result = benchmark.pedantic(
         figure_fn, kwargs={"duration_ms": duration, **kwargs}, rounds=1, iterations=1
     )
-    printable = {k: v for k, v in result.summary.items() if not hasattr(v, "keys")}
+    # Summary floats print to six decimals, so the pinned report does not
+    # depend on the last bit of float ``sum()``, which is compensated
+    # (Neumaier) summation from Python 3.12 on and plain before it.
+    printable = {
+        k: round(v, 6) if isinstance(v, float) else v
+        for k, v in result.summary.items()
+        if not hasattr(v, "keys")
+    }
     report = (
         f"=== {result.name}: {result.description}\n"
         f"{result.text}\n"
@@ -73,6 +87,28 @@ def run_figure(benchmark, figure_fn, default_duration_ms, override, **kwargs):
     )
     print()
     print(report)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{result.name}.txt").write_text(report)
+    if override is None:
+        _check_pinned(RESULTS_DIR / f"{result.name}.txt", report)
     return result
+
+
+def _check_pinned(path: pathlib.Path, report: str) -> None:
+    """Fail with a diff unless ``report`` equals the committed ``path``."""
+    if not path.exists():
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(report)
+        return
+    committed = path.read_text()
+    if report != committed:
+        diff = "".join(
+            difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                report.splitlines(keepends=True),
+                fromfile=f"committed {path.name}",
+                tofile=f"regenerated {path.name}",
+            )
+        )
+        pytest.fail(
+            f"{path.name} drifted from the committed figure (delete it and re-run "
+            f"to accept the new output):\n{diff}"
+        )

@@ -7,10 +7,7 @@ Subcommands:
 * ``repro grid`` — run a (scenario x platform x scheduler) grid on a chosen
   execution backend, print the paper-style UXCost table, optionally
   persisting results (``--store``) and dumping structured JSON (``--json``).
-  ``--smoke`` selects the small fixed grid CI uses for backend parity;
-  ``--kernel vector`` (also on ``repro generate --run``) evaluates DREAM's
-  scheduling rounds through the NumPy decision kernel (bit-for-bit
-  identical decisions).
+  ``--smoke`` selects the small fixed grid CI uses for backend parity.
 * ``repro figure N`` — regenerate one evaluation figure (or ``all``),
   routed through the selected backend via
   :func:`repro.experiments.harness.default_execution`.
@@ -19,9 +16,8 @@ Subcommands:
   (cells/sec, wall times, speedup) so perf trajectories persist across PRs.
 * ``repro bench-engine`` — time the simulation hot loop itself: run the
   Table-3 grid plus generated scenarios across all registered schedulers on
-  the optimized engine (scalar and, when numpy is available, the vector
-  decision kernel) and the retained reference path, assert bit-for-bit
-  result parity across all passes, report events/sec, and emit
+  the optimized engine and the retained reference path, assert bit-for-bit
+  result parity across both passes, report events/sec, and emit
   ``BENCH_engine.json``.  ``--quick`` selects the CI-sized basket,
   ``--jobs N`` fans cells out to the process execution backend,
   ``--profile`` (fixed dump path) / ``--profile-out PATH`` capture a
@@ -38,9 +34,10 @@ Subcommands:
   requested scheduler on each generated scenario, audit the trace-invariant
   oracle and the metamorphic cross-scheduler properties, and write failing
   scenario specs as replayable artifacts.  ``--traffic`` extends the sweep
-  to non-periodic arrival processes; ``--kernels python,vector,reference``
-  (or ``all``) re-runs every scheduler on each decision path and reports
-  any result/trace divergence as a ``kernel_parity`` violation.
+  to non-periodic arrival processes; ``--kernels python,reference``
+  (or ``all``) re-runs every scheduler on the fast and the reference
+  engine and reports any result/trace divergence as a ``kernel_parity``
+  violation.
   Exit codes: 0 = clean,
   1 = harness error (a scheduler/engine crashed), 2 = usage error,
   3 = invariant or metamorphic violation.  ``--replay <spec.json>``
@@ -95,8 +92,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.hardware.platform import all_platform_names
-from repro.hardware.vector_view import HAVE_NUMPY
-from repro.sim import ENGINE_KERNELS, resource_model_names
+from repro.sim import resource_model_names
 from repro.metrics.reporting import format_table
 from repro.schedulers import scheduler_names
 from repro.workloads import (
@@ -174,23 +170,16 @@ def _make_store(args: argparse.Namespace) -> Optional[ResultStore]:
     return ResultStore(args.store) if args.store is not None else None
 
 
-def _engine_kernel_kwargs(args: argparse.Namespace) -> dict[str, str]:
-    """Extra engine kwargs for ``--kernel`` / ``--resource-model``.
+def _engine_kwargs(args: argparse.Namespace) -> dict[str, str]:
+    """Extra engine kwargs for ``--resource-model``.
 
-    The default kernel and resource model contribute nothing so default
-    jobs keep their historical content-addressed store keys; 'vector' is
-    validated here (usage error, exit 2) instead of crashing inside a
-    worker.
+    The default resource model contributes nothing so default jobs keep
+    their historical content-addressed store keys.
     """
-    kwargs: dict[str, str] = {}
-    if args.kernel != "python":
-        if args.kernel == "vector" and not HAVE_NUMPY:
-            raise ValueError("kernel 'vector' requires numpy, which is not installed")
-        kwargs["kernel"] = args.kernel
     resource_model = getattr(args, "resource_model", "pe_fraction")
     if resource_model != "pe_fraction":
-        kwargs["resource_model"] = resource_model
-    return kwargs
+        return {"resource_model": resource_model}
+    return {}
 
 
 def _execute_and_report(jobs, args: argparse.Namespace) -> tuple[GridResult, float]:
@@ -253,14 +242,10 @@ def _latency_table(grid: GridResult) -> str:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    kernels = ", ".join(ENGINE_KERNELS)
-    if not HAVE_NUMPY:
-        kernels += " ('vector' unavailable: numpy not installed)"
     print("scenarios: ", ", ".join(scenario_names()))
     print("platforms: ", ", ".join(all_platform_names()))
     print("schedulers:", ", ".join(scheduler_names()))
     print("backends:  ", ", ".join(backend_names()))
-    print("kernels:   ", kernels)
     print("resources: ", ", ".join(resource_model_names()))
     print("traffic:   ", ", ".join(arrival_process_names()))
     print("figures:   ", ", ".join(sorted(figures_mod.ALL_FIGURES)))
@@ -297,7 +282,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         duration_ms=duration_ms,
         seed=args.seed,
         cascade_probability=args.cascade_probability,
-        **_engine_kernel_kwargs(args),
+        **_engine_kwargs(args),
     )
     grid, elapsed = _execute_and_report(jobs, args)
 
@@ -311,7 +296,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 "duration_ms": duration_ms,
                 "seed": args.seed,
                 "cascade_probability": args.cascade_probability,
-                "kernel": args.kernel,
             },
             "backend": args.backend,
             "workers": args.workers,
@@ -641,40 +625,26 @@ def _scheduler_list(values: Optional[Sequence[str]], default: Sequence[str]) -> 
 
 
 def _kernel_list(values: Optional[Sequence[str]]) -> list[str]:
-    """Expand the fuzz ``--kernels`` axis ('all' = every decision path).
+    """Expand the fuzz ``--kernels`` axis ('all' = fast and reference engine).
 
-    The 'vector' path needs numpy; an explicit request fails here (usage
-    error, exit 2) — that beats eight identical per-scheduler harness
-    errors later — while ``all`` degrades gracefully: the vector axis is
-    skipped with a visible notice so the sweep still covers every path
-    the interpreter can actually run.
+    Unknown names are usage errors (exit 2) with the axis in the message.
     """
     names = _split_names(values, ["python"])
-    expanded_all = "all" in names
-    kernels = list(KERNEL_AXIS_NAMES) if expanded_all else names
+    kernels = list(KERNEL_AXIS_NAMES) if "all" in names else names
     for kernel in kernels:
         if kernel not in KERNEL_AXIS_NAMES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from "
                 f"{', '.join(KERNEL_AXIS_NAMES)} (or 'all')"
             )
-    if "vector" in kernels and not HAVE_NUMPY:
-        if not expanded_all:
-            raise ValueError("kernel 'vector' requires numpy, which is not installed")
-        kernels = [kernel for kernel in kernels if kernel != "vector"]
-        print(
-            "notice: skipping kernel 'vector' (numpy is not installed); "
-            f"testing {'+'.join(kernels)}"
-        )
     return kernels
 
 
 def _resource_model_list(values: Optional[Sequence[str]]) -> list[str]:
     """Expand the fuzz ``--resource-models`` axis ('all' = every model).
 
-    Unlike kernels every resource model is always runnable (pure
-    Python), so this only validates names; unknown names are usage errors
-    (exit 2) with the sorted registry in the message.
+    This only validates names; unknown names are usage errors (exit 2)
+    with the sorted registry in the message.
     """
     names = _split_names(values, ["pe_fraction"])
     models = list(RESOURCE_MODEL_AXIS_NAMES) if "all" in names else names
@@ -727,7 +697,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     jobs = generated_cell_jobs(
         spec, args.count, platforms, schedulers,
         duration_ms=duration_ms, seed=args.seed,
-        **_engine_kernel_kwargs(args),
+        **_engine_kwargs(args),
     )
     print(
         f"running {len(jobs)} generated cells ({args.count} scenarios x "
@@ -1087,12 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print per-task streamed latency quantiles (p50/p95/p99)",
     )
     grid_parser.add_argument(
-        "--kernel", choices=ENGINE_KERNELS, default="python",
-        help="decision kernel of the simulation engine; 'vector' evaluates "
-        "large DREAM scheduling rounds through the NumPy kernel, "
-        "bit-for-bit identical to 'python' (default: python)",
-    )
-    grid_parser.add_argument(
         "--resource-model", choices=resource_model_names(), default="pe_fraction",
         help="execution-resource model of every accelerator: 'pe_fraction' "
         "is the paper's spatially-partitioned PE array, 'kv_batch' a shared "
@@ -1275,11 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency", action="store_true",
         help="with --run: also print per-task streamed latency quantiles",
     )
-    generate_parser.add_argument(
-        "--kernel", choices=ENGINE_KERNELS, default="python",
-        help="decision kernel for --run (see 'repro grid --kernel'; "
-        "default: python)",
-    )
     _add_execution_options(generate_parser)
     generate_parser.set_defaults(func=_cmd_generate)
 
@@ -1298,10 +1257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--kernels", action="append", metavar="NAMES",
-        help="decision paths to cross-check per scheduler: python, vector, "
-        "reference ('all' or comma-separated; the first is the canonical "
-        "run, any divergence on the others is a kernel_parity violation; "
-        "default: python)",
+        help="engine paths to cross-check per scheduler: python (the fast "
+        "engine), reference ('all' or comma-separated; the first is the "
+        "canonical run, any divergence on the others is a kernel_parity "
+        "violation; default: python)",
     )
     fuzz_parser.add_argument(
         "--resource-models", action="append", metavar="NAMES",

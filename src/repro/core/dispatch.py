@@ -15,19 +15,15 @@ one fits (or the lightest is reached), as illustrated in Figure 6.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.core.mapscore import MapScoreEngine
-from repro.core.vector_kernel import VECTOR_MIN_PENDING
 from repro.hardware.cost_table import CostTable
 from repro.models.graph import ModelGraph
 from repro.models.supernet import Supernet
 from repro.sim.decisions import Assignment, SystemView
 from repro.sim.request import InferenceRequest
 from repro.workloads.scenario import Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.vector_kernel import VectorDecisionKernel
 
 
 class JobDispatchEngine:
@@ -48,16 +44,12 @@ class JobDispatchEngine:
         map_score_engine: MapScoreEngine,
         enable_supernet_switching: bool = False,
         fast: bool = True,
-        kernel: Optional["VectorDecisionKernel"] = None,
     ) -> None:
         self.cost_table = cost_table
         self.scenario = scenario
         self.map_score_engine = map_score_engine
         self.enable_supernet_switching = enable_supernet_switching
         self.fast = fast
-        #: Optional vector decision kernel: large fast-path rounds score all
-        #: (pending, idle) pairs as array ops (same pairs, bit for bit).
-        self.kernel = kernel
         self._supernets: dict[str, Supernet] = {
             task.name: task.model
             for task in scenario.tasks
@@ -293,21 +285,10 @@ class JobDispatchEngine:
                     if request.next_position >= len(request.path):
                         return []
                     return [self._make_assignment(request, idle[0].acc_id, view)]
-                if self.kernel is not None and len(snapshot) >= VECTOR_MIN_PENDING:
-                    best = self.kernel.best_single(
-                        snapshot, idle[0], view.now_ms, alpha, beta
-                    )
-                else:
-                    best = self._best_pair_single_idle(
-                        view, snapshot, idle[0], alpha, beta
-                    )
+                best = self._best_pair_single_idle(view, snapshot, idle[0], alpha, beta)
                 if best is None:
                     return []
                 return [self._make_assignment(best, idle[0].acc_id, view)]
-            if self.kernel is not None:
-                snapshot = view.pending_requests
-                if len(snapshot) >= VECTOR_MIN_PENDING:
-                    return self._assign_ranked(view, snapshot, idle, alpha, beta)
         else:
             idle = [acc for acc in view.accelerators if acc.is_idle]
             if not idle:
@@ -351,38 +332,6 @@ class JobDispatchEngine:
             used_accs.add(acc_id)
             used_requests.add(request.request_id)
             if len(used_accs) == len(idle):
-                break
-        return assignments
-
-    def _assign_ranked(
-        self, view: SystemView, snapshot: tuple, idle: list, alpha: float, beta: float
-    ) -> list[Assignment]:
-        """Greedy matching over the vector kernel's ranked pair order.
-
-        ``order`` iterates flat request-major/accelerator-minor pair indices
-        in the exact order the scalar path's stable descending sort yields,
-        so the greedy dedup below picks the same pairs; deduplicating by
-        request *row* equals deduplicating by request id (each snapshot
-        entry is a distinct request).
-        """
-        ranked = self.kernel.ranked_pairs(snapshot, idle, view.now_ms, alpha, beta)
-        if ranked is None:
-            return []
-        order, positions, idle_ids = ranked
-        num_idle = len(idle_ids)
-        assignments: list[Assignment] = []
-        used_accs: set[int] = set()
-        used_rows: set[int] = set()
-        for flat in order:
-            row, col = divmod(flat, num_idle)
-            acc_id = idle_ids[col]
-            if acc_id in used_accs or row in used_rows:
-                continue
-            request = snapshot[row] if positions is None else snapshot[int(positions[row])]
-            assignments.append(self._make_assignment(request, acc_id, view))
-            used_accs.add(acc_id)
-            used_rows.add(row)
-            if len(used_accs) == num_idle:
                 break
         return assignments
 

@@ -22,7 +22,6 @@ from repro.core.config import DreamConfig, dream_full
 from repro.core.dispatch import JobDispatchEngine
 from repro.core.frame_drop import FrameDropConfig, SmartFrameDropEngine
 from repro.core.mapscore import MapScoreEngine
-from repro.core.vector_kernel import VectorDecisionKernel
 from repro.hardware.cost_table import ReferenceCostTable
 from repro.schedulers.base import Scheduler, WakeHint
 from repro.sim.decisions import SchedulingDecision, SystemView
@@ -54,7 +53,6 @@ class DreamScheduler(Scheduler):
         # dict until depths change, so identity == unchanged depths).
         self._notified_depths: Optional[dict] = None
         self._engines_tuple: Optional[tuple] = None
-        self.vector_kernel: Optional[VectorDecisionKernel] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -124,26 +122,12 @@ class DreamScheduler(Scheduler):
             max_drop_rate=self.config.max_drop_rate,
             window_frames=self.config.drop_window_frames,
         )
-        # kernel="vector": the engines evaluate large scheduling rounds
-        # through the NumPy decision kernel.  Only selectable in fast mode
-        # (the engine enforces it), and decisions are bit-for-bit identical
-        # to the scalar loops, so the kernel never appears in info().
-        # Re-binding (task-level dynamicity) always happens across
-        # independent engine runs with fresh request pools, so a fresh
-        # kernel per bind never orphans a live request's slot.
-        kernel = None
-        if fast and self.decision_kernel == "vector":
-            kernel = VectorDecisionKernel(
-                cost_table, scenario, frame_drop_config.max_drops_per_window
-            )
-        self.vector_kernel = kernel
         self.map_score_engine = MapScoreEngine(cost_table)
         self.frame_drop_engine = SmartFrameDropEngine(
             cost_table,
             scenario,
             frame_drop_config,
             fast=fast,
-            kernel=kernel,
         )
         self.adaptivity_engine = OnlineAdaptivityEngine(
             alpha=carried_alpha,
@@ -163,7 +147,6 @@ class DreamScheduler(Scheduler):
             self.map_score_engine,
             enable_supernet_switching=self.config.enable_supernet_switching,
             fast=fast,
-            kernel=kernel,
         )
         self._engines_tuple = (
             self.map_score_engine,
@@ -181,18 +164,8 @@ class DreamScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # engine callbacks
     # ------------------------------------------------------------------ #
-    def on_request_arrival(self, request: InferenceRequest, now_ms: float) -> None:
-        if self.vector_kernel is not None:
-            self.vector_kernel.add(request)
-
-    def on_layers_complete(self, request: InferenceRequest, now_ms: float) -> None:
-        if self.vector_kernel is not None:
-            self.vector_kernel.mark_dirty(request)
-
     def on_request_finished(self, request: InferenceRequest, now_ms: float) -> None:
         map_score, frame_drop, adaptivity, dispatch = self._engines()
-        if self.vector_kernel is not None:
-            self.vector_kernel.remove(request)
         frame_drop.record_outcome(
             request.task_name, dropped=request.state is RequestState.DROPPED
         )

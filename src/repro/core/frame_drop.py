@@ -28,15 +28,11 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Optional, TYPE_CHECKING
+from typing import Deque, Iterable, Optional
 
-from repro.core.vector_kernel import VECTOR_MIN_PENDING
 from repro.hardware.cost_table import CostTable
 from repro.sim.request import InferenceRequest
 from repro.workloads.scenario import Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.vector_kernel import VectorDecisionKernel
 
 #: Slack floor used when ranking candidates whose deadline already passed.
 _MIN_SLACK_MS = 1e-3
@@ -83,7 +79,6 @@ class SmartFrameDropEngine:
         scenario: Scenario,
         config: Optional[FrameDropConfig] = None,
         fast: bool = True,
-        kernel: Optional["VectorDecisionKernel"] = None,
     ) -> None:
         self.cost_table = cost_table
         self.scenario = scenario
@@ -92,9 +87,6 @@ class SmartFrameDropEngine:
         #: reference simulation mode disables it to keep the historical
         #: cost profile.  Selected drops are identical either way.
         self.fast = fast
-        #: Optional vector decision kernel: large fast-path rounds evaluate
-        #: all four conditions as array ops (same drop, bit for bit).
-        self.kernel = kernel
         # Sliding window of per-task frame outcomes: True = dropped.
         self._windows: dict[str, Deque[bool]] = defaultdict(
             lambda: deque(maxlen=self.config.window_frames)
@@ -121,11 +113,6 @@ class SmartFrameDropEngine:
         if dropped:
             self._window_drops[task_name] += 1
             self.total_drops += 1
-        if self.kernel is not None:
-            self.kernel.note_budget(
-                task_name,
-                self._window_drops[task_name] < self.config.max_drops_per_window,
-            )
 
     def drops_in_window(self, task_name: str) -> int:
         """Number of drops of this task within the sliding window."""
@@ -197,10 +184,6 @@ class SmartFrameDropEngine:
         expected_violations = 0
         flagged: list[InferenceRequest] = []
         if self.fast:
-            if self.kernel is not None and len(pending) >= VECTOR_MIN_PENDING:
-                # Vector form: same four conditions, same first-maximum
-                # tie-break, evaluated as array ops over the slot arrays.
-                return self.kernel.select_drop(pending, running, now_ms)
             # Hot-loop form: the minimum_to_go cache is inlined (this loop
             # runs at every scheduling point over every live request, so
             # attribute/call overhead dominates it), flagged-empty answers

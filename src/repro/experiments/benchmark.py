@@ -8,15 +8,13 @@ is simulated on each engine path:
 
 * once on the optimized engine (``mode="fast"``: the production event loop
   over the incremental request pool, cached system views and flat-array
-  costing),
-* once on the optimized engine with the NumPy decision kernel
-  (``kernel="vector"``; skipped when numpy is unavailable), and
+  costing), and
 * once on the retained reference path (``mode="reference"``: the heap
   event loop over the pre-optimization scan-based pool, per-call cost
   aggregation and view construction),
 
 and the :class:`~repro.sim.results.SimulationResult`\\ s are asserted
-bit-for-bit identical across all passes.  Throughput is reported as simulation events
+bit-for-bit identical across both passes.  Throughput is reported as simulation events
 processed per wall-clock second; the speedup is the ratio of the two.
 
 The resulting payload is written to ``BENCH_engine.json`` so the engine's
@@ -38,7 +36,6 @@ from typing import Optional, Sequence
 from repro import __version__
 from repro.experiments.backends import make_backend
 from repro.experiments.jobs import generated_context, shared_context
-from repro.hardware.vector_view import HAVE_NUMPY
 from repro.schedulers import make_scheduler
 from repro.sim import SimulationEngine
 from repro.workloads import GeneratorSpec
@@ -73,7 +70,7 @@ def _ratio(numerator_s: float, denominator_s: float) -> float:
 
 
 def _run_once(scenario, platform, scheduler_name: str, cost_table, duration_ms: float,
-              seed: int, mode: str, kernel: str = "python",
+              seed: int, mode: str,
               resource_model: str = "pe_fraction") -> tuple[dict, SimulationEngine, float]:
     """One simulation; returns (result dict, the engine, wall seconds)."""
     engine = SimulationEngine(
@@ -84,7 +81,6 @@ def _run_once(scenario, platform, scheduler_name: str, cost_table, duration_ms: 
         seed=seed,
         cost_table=cost_table,
         mode=mode,
-        kernel=kernel,
         resource_model=resource_model,
     )
     started = time.perf_counter()
@@ -163,7 +159,7 @@ class EngineBenchJob:
         scenario, platform, cost_table = self._context()
         repeats = max(1, self.repeats)
         resources = self.resource_model
-        fast_s = ref_s = vector_s = float("inf")
+        fast_s = ref_s = float("inf")
         for _ in range(repeats):
             if profiler is not None:
                 profiler.enable()
@@ -174,15 +170,6 @@ class EngineBenchJob:
             if profiler is not None:
                 profiler.disable()
             fast_s = min(fast_s, elapsed)
-        vector_result = vector_engine = None
-        if HAVE_NUMPY:
-            for _ in range(repeats):
-                vector_result, vector_engine, elapsed = _run_once(
-                    scenario, platform, self.scheduler, cost_table,
-                    self.duration_ms, self.seed, "fast", kernel="vector",
-                    resource_model=resources,
-                )
-                vector_s = min(vector_s, elapsed)
         for _ in range(repeats):
             ref_result, ref_engine, elapsed = _run_once(
                 scenario, platform, self.scheduler, cost_table,
@@ -193,15 +180,6 @@ class EngineBenchJob:
         fast_events = fast_engine.events_processed
         ref_events = ref_engine.events_processed
         cell_parity = fast_result == ref_result and fast_events == ref_events
-        if vector_engine is not None:
-            # The vector kernel must be indistinguishable from the scalar
-            # fast path in everything but wall time.
-            cell_parity = (
-                cell_parity
-                and vector_result == fast_result
-                and vector_engine.events_processed == fast_events
-                and vector_engine.dispatch_rounds == fast_engine.dispatch_rounds
-            )
         cell = {
             "scenario": scenario.name,
             "platform": self.platform,
@@ -225,10 +203,6 @@ class EngineBenchJob:
         if resources != "pe_fraction":
             # Default cells stay byte-identical to historical payloads.
             cell["resource_model"] = resources
-        if vector_engine is not None:
-            cell["vector_wall_s"] = vector_s
-            cell["vector_events_per_sec"] = _per_sec(fast_events, vector_s)
-            cell["vector_speedup"] = _ratio(fast_s, vector_s)
         return cell
 
 
@@ -280,7 +254,7 @@ def kv_smoke_basket() -> dict:
 
     Small on purpose: the cells exist to *record* the KV-cache/
     continuous-batching engine's throughput trajectory (and assert its
-    fast/vector/reference parity), not to gate regressions —
+    fast/reference parity), not to gate regressions —
     :func:`compare_to_baseline` never looks at them.
     """
     return {
@@ -417,8 +391,6 @@ def run_engine_bench(
 
     fast_eps = _per_sec(total_events, total_fast)
     reference_eps = _per_sec(total_events, total_reference)
-    vectorized = [cell for cell in cells if "vector_wall_s" in cell]
-    total_vector = sum(cell["vector_wall_s"] for cell in vectorized)
     schedule_calls = sum(cell["fast_schedule_calls"] for cell in cells)
     payload = {
         "benchmark": "engine_throughput",
@@ -451,15 +423,6 @@ def run_engine_bench(
             "fast_events_per_sec": fast_eps,
             "reference_events_per_sec": reference_eps,
             "speedup": fast_eps / reference_eps if reference_eps > 0 else 0.0,
-            **(
-                {
-                    "vector_wall_s": total_vector,
-                    "vector_events_per_sec": _per_sec(total_events, total_vector),
-                    "vector_speedup": _ratio(total_fast, total_vector),
-                }
-                if len(vectorized) == len(cells) and cells
-                else {}
-            ),
             # Deterministic scheduler-load counters (identical across
             # machines for one basket): the quick-basket CI gate fails when
             # fast_schedule_calls regresses against the committed baseline.
@@ -596,28 +559,6 @@ def compare_to_baseline(
                 f"allowed {max_regression * 100:.0f}%)"
             )
 
-    base_vector = base.get("vector_speedup")
-    current_vector = current.get("vector_speedup")
-    if base_vector and current_vector:
-        ratio = current_vector / base_vector
-        if ratio < threshold:
-            problems.append(
-                f"vector/fast speedup regressed: {current_vector:.2f}x vs "
-                f"baseline {base_vector:.2f}x ({(1.0 - ratio) * 100:.0f}% worse, "
-                f"allowed {max_regression * 100:.0f}%)"
-            )
-
-    base_vector_eps = base.get("vector_events_per_sec")
-    current_vector_eps = current.get("vector_events_per_sec")
-    if same_host and base_vector_eps and current_vector_eps:
-        ratio = current_vector_eps / base_vector_eps
-        if ratio < threshold:
-            problems.append(
-                f"vector events/sec regressed: {current_vector_eps:.0f} vs "
-                f"baseline {base_vector_eps:.0f} ({(1.0 - ratio) * 100:.0f}% "
-                f"worse, allowed {max_regression * 100:.0f}%)"
-            )
-
     base_rounds = base.get("fast_schedule_calls")
     current_rounds = current.get("fast_schedule_calls")
     if base_rounds and current_rounds is not None:
@@ -649,17 +590,10 @@ def describe(payload: dict) -> str:
                 f" (elided {cell['fast_dispatches_elided']}"
                 f", coalesced {cell['fast_events_coalesced']})"
             )
-        vector = ""
-        if "vector_wall_s" in cell:
-            vector = (
-                f"  vec {cell['vector_wall_s'] * 1000:7.1f} ms "
-                f"({cell['vector_speedup']:4.2f}x)"
-            )
         lines.append(
             f"  {cell['scenario']:>18s}/{cell['platform']:<10s} {cell['scheduler']:<16s} "
             f"{cell['events']:>6d} ev  fast {cell['fast_wall_s'] * 1000:7.1f} ms  "
             f"ref {cell['reference_wall_s'] * 1000:8.1f} ms  {cell['speedup']:5.2f}x"
-            f"{vector}"
             f"{counters}"
             f"{'' if cell['parity'] else '  PARITY MISMATCH'}"
         )
@@ -670,12 +604,6 @@ def describe(payload: dict) -> str:
         f"{totals['reference_events_per_sec']:.0f} ev/s "
         f"({totals['reference_wall_s']:.2f} s) -> {totals['speedup']:.2f}x"
     )
-    if "vector_events_per_sec" in totals:
-        lines.append(
-            f"vector kernel: {totals['vector_events_per_sec']:.0f} ev/s "
-            f"({totals['vector_wall_s']:.2f} s) -> {totals['vector_speedup']:.2f}x "
-            f"over the scalar fast path"
-        )
     if "fast_schedule_calls" in totals:
         lines.append(
             f"scheduler load: {totals['fast_schedule_calls']} schedule() calls "

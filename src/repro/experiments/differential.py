@@ -47,18 +47,16 @@ from repro.workloads.scenario import Scenario
 #: Scheduler used as the feasibility baseline when present.
 FEASIBILITY_BASELINE = "fcfs_dynamic"
 
-#: Decision-path axis of the differential harness.  Each name selects a
-#: ``(mode, kernel)`` pair of :class:`~repro.sim.SimulationEngine`:
-#: ``"python"`` is the scalar fast path, ``"vector"`` the NumPy decision
-#: kernel (requires numpy), and ``"reference"`` the retained
-#: pre-optimization engine.  All three must produce bit-for-bit identical
+#: Engine-path axis of the differential harness.  Each name selects a
+#: ``mode`` of :class:`~repro.sim.SimulationEngine`: ``"python"`` is the
+#: fast production engine and ``"reference"`` the retained
+#: pre-optimization engine.  Both must produce bit-for-bit identical
 #: results and traces; ``run_differential(kernels=...)`` re-runs every
 #: scheduler on each extra axis value and reports any divergence as a
 #: ``kernel_parity`` metamorphic failure.
 KERNEL_AXIS = {
-    "python": ("fast", "python"),
-    "vector": ("fast", "vector"),
-    "reference": ("reference", "python"),
+    "python": "fast",
+    "reference": "reference",
 }
 
 #: Axis order used by ``--kernels all`` and the parity matrix.
@@ -235,7 +233,7 @@ def _normalized_trace(records: Sequence[TraceRecord]) -> tuple[TraceRecord, ...]
     Request ids come from a process-global counter, so two runs of the same
     simulation in one process produce different raw ids; the engine only
     ever relies on their relative order, which the mapping preserves.  This
-    is what makes cross-kernel traces comparable for equality.
+    is what makes fast-vs-reference traces comparable for equality.
     """
     mapping: dict[int, int] = {}
     return tuple(
@@ -324,7 +322,7 @@ def run_differential(
         cost_table: optional prebuilt cost table (built once otherwise).
         generator / generator_index: provenance, recorded in the artifact
             so a failing generated scenario can be replayed from its spec.
-        kernels: decision-path axis (:data:`KERNEL_AXIS` names).  The first
+        kernels: engine-path axis (:data:`KERNEL_AXIS` names).  The first
             entry is the canonical run that feeds the invariant oracle and
             the cross-scheduler metamorphic checks; every further entry
             re-runs each scheduler on that engine path and any divergence
@@ -333,7 +331,7 @@ def run_differential(
             as harness error ``"<scheduler>@<kernel>"``.
         resource_models: execution-resource-model axis
             (:data:`RESOURCE_MODEL_AXIS_NAMES`).  The first entry is the
-            model every kernel run uses; each further entry re-runs
+            model every engine-path run uses; each further entry re-runs
             every scheduler under that model with the **full invariant
             oracle** (no parity comparison: different capacity physics
             legitimately schedule differently), with findings recorded in
@@ -347,7 +345,7 @@ def run_differential(
             land in :attr:`DifferentialReport.fault_runs`, crashes keyed
             ``"<scheduler>@faults:<kind>"``; the sampled plans are recorded
             in the artifact so failures replay bit-for-bit.  Fault runs
-            use the canonical kernel.
+            use the canonical engine path.
     """
     for kernel in kernels:
         if kernel not in KERNEL_AXIS:
@@ -355,7 +353,7 @@ def run_differential(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_AXIS_NAMES}"
             )
     if not kernels:
-        raise ValueError("kernels must name at least one decision path")
+        raise ValueError("kernels must name at least one engine path")
     for model in resource_models:
         if model not in RESOURCE_MODEL_AXIS_NAMES:
             raise ValueError(
@@ -401,7 +399,6 @@ def run_differential(
         resource_model: str = canonical_resources,
         fault_plan: tuple[FaultSpec, ...] = (),
     ) -> tuple[SimulationResult, Tracer]:
-        mode, engine_kernel = KERNEL_AXIS[axis_name]
         tracer = Tracer()
         engine = SimulationEngine(
             scenario=scenario,
@@ -411,8 +408,7 @@ def run_differential(
             seed=seed,
             cost_table=cost_table,
             tracer=tracer,
-            mode=mode,
-            kernel=engine_kernel,
+            mode=KERNEL_AXIS[axis_name],
             resource_model=resource_model,
             faults=fault_plan,
         )

@@ -185,8 +185,6 @@ class CostTable:
         self._effective_cache: dict[
             tuple[str, int, float], tuple[tuple[float, ...], tuple[float, ...]]
         ] = {}
-        # Lazily built NumPy projection (see repro.hardware.vector_view).
-        self._vector_view = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -259,22 +257,6 @@ class CostTable:
         view._arrays = self._arrays
         view._switch_cache = {}
         view._effective_cache = {}
-        view._vector_view = None
-        return view
-
-    def vector_view(self):
-        """The memoized :class:`~repro.hardware.vector_view.VectorCostView`.
-
-        Built on first use (the vector kernel is opt-in, and the build
-        needs NumPy); shared by every kernel bound to this table, like the
-        flat arrays themselves.
-        """
-        view = self._vector_view
-        if view is None:
-            from repro.hardware.vector_view import VectorCostView
-
-            view = VectorCostView(self)
-            self._vector_view = view
         return view
 
     # ------------------------------------------------------------------ #

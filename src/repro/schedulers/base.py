@@ -93,13 +93,6 @@ class Scheduler(abc.ABC):
 
     name: str = "scheduler"
 
-    #: Decision-kernel selection, stamped by the simulation engine before
-    #: :meth:`bind` (``SimulationEngine(kernel=...)``).  ``"python"`` is the
-    #: scalar hot path; ``"vector"`` asks kernel-aware schedulers (DREAM) to
-    #: evaluate large scheduling rounds through the NumPy decision kernel.
-    #: Schedulers that ignore it behave identically under both values.
-    decision_kernel: str = "python"
-
     def __init__(self) -> None:
         self.platform: Optional[Platform] = None
         self.cost_table: Optional[CostTable] = None

@@ -53,7 +53,7 @@ from repro.sim.invariants import (
     assert_trace_invariants,
     audit_trace,
 )
-from repro.sim.engine import ENGINE_KERNELS, ENGINE_MODES, SimulationEngine, run_simulation
+from repro.sim.engine import ENGINE_MODES, SimulationEngine, run_simulation
 from repro.sim.resource_models import (
     RESOURCE_MODEL_NAMES,
     KvBatchModel,
@@ -85,7 +85,6 @@ __all__ = [
     "stall_factor_at",
     "RequestPool",
     "ReferenceRequestPool",
-    "ENGINE_KERNELS",
     "ENGINE_MODES",
     "RESOURCE_MODEL_NAMES",
     "resource_model_names",

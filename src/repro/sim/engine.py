@@ -140,13 +140,6 @@ _FAULT_PHASES = ("end", "begin")
 #: Engine implementations selectable via ``SimulationEngine(mode=...)``.
 ENGINE_MODES = ("fast", "reference")
 
-#: Decision kernels selectable via ``SimulationEngine(kernel=...)``.
-#: ``"python"`` is the scalar hot path; ``"vector"`` evaluates large
-#: scheduling rounds of kernel-aware schedulers (DREAM) through the NumPy
-#: decision kernel (:mod:`repro.core.vector_kernel`).  Results are
-#: bit-for-bit identical across kernels.
-ENGINE_KERNELS = ("python", "vector")
-
 
 class SimulationEngine:
     """Simulates one scenario on one platform under one scheduler.
@@ -181,25 +174,18 @@ class SimulationEngine:
             dispatch path).  Results are bit-for-bit identical either way —
             the switch exists so the elision machinery itself is
             differentially testable.
-        kernel: ``"python"`` (default) keeps the scalar decision hot path;
-            ``"vector"`` evaluates large scheduling rounds of kernel-aware
-            schedulers (DREAM) through the NumPy decision kernel
-            (:mod:`repro.core.vector_kernel`) — requires numpy and
-            ``mode="fast"``.  Decisions, results and traces are bit-for-bit
-            identical across kernels; schedulers that are not kernel-aware
-            ignore the setting entirely.
         resource_model: execution-resource model defining what accelerator
             capacity means (:mod:`repro.sim.resource_models`).
             ``"pe_fraction"`` (default) is the paper's spatial-sharing
             model and keeps the executors' inlined historical arithmetic —
             bit-for-bit identical to builds without the axis.
             ``"kv_batch"`` runs the continuous-batching executor with a
-            shared KV memory budget; available in every mode and kernel
+            shared KV memory budget; available in every mode
             (the non-default admission/pricing path is a single shared code
             path, so cross-mode parity holds there too).
         faults: optional fault plan (:mod:`repro.sim.faults`): a sequence
             of :class:`~repro.sim.faults.FaultSpec` or their canonical JSON
-            string; available in every mode, kernel and resource model.
+            string; available in every mode and resource model.
             With no faults declared the engine is bit-for-bit identical to
             builds without the axis.
         retry_budget: how many times an outage-aborted request is re-queued
@@ -223,7 +209,6 @@ class SimulationEngine:
         tracer: Optional[Tracer] = None,
         mode: str = "fast",
         dispatch_elision: bool = True,
-        kernel: str = "python",
         resource_model: str = "pe_fraction",
         faults: FaultsInput = None,
         retry_budget: int = 2,
@@ -237,21 +222,6 @@ class SimulationEngine:
             raise ValueError(
                 f"unknown mode {mode!r}; available: {', '.join(sorted(ENGINE_MODES))}"
             )
-        if kernel not in ENGINE_KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; available: "
-                f"{', '.join(sorted(ENGINE_KERNELS))}"
-            )
-        if kernel == "vector":
-            if mode != "fast":
-                raise ValueError(
-                    "kernel='vector' requires mode='fast' (the reference mode "
-                    "retains the historical scalar cost profile)"
-                )
-            # Fail at construction, not mid-run, when numpy is missing.
-            from repro.hardware.vector_view import require_numpy
-
-            require_numpy()
         if resource_model not in RESOURCE_MODEL_NAMES:
             known = ", ".join(sorted(RESOURCE_MODEL_NAMES))
             raise ValueError(
@@ -275,7 +245,6 @@ class SimulationEngine:
         self.expire_after_periods = expire_after_periods
         self.tracer = tracer
         self.mode = mode
-        self.kernel = kernel
         fast = mode == "fast"
         self._fast = fast
         self.dispatch_elision = dispatch_elision and fast
@@ -353,9 +322,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the measured result."""
-        # Stamped before bind so kernel-aware schedulers (DREAM) build their
-        # vector kernel there; schedulers that ignore it are unaffected.
-        self.scheduler.decision_kernel = self.kernel
         self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
         if self._fast:
             # The production loop shares this engine's pool, executors, RNG,

@@ -6,7 +6,7 @@ handler call per event and one full dispatch per event.  This module runs
 the same simulation with the per-event overhead stripped out — heap tuple
 churn, per-event attribute and property lookups, dispatch bookkeeping —
 and produces **bit-for-bit identical** results, traces and event counts
-under every kernel, resource model and fault plan; the parity sweeps in
+under every resource model and fault plan; the parity sweeps in
 ``tests/test_engine_parity.py`` enforce it.
 
 Design

@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.scenario import Scenario
 
 #: Registered resource-model names; ``resource_model_names()`` is the
-#: public accessor (mirrors ``scheduler_names()`` / ``ENGINE_KERNELS``).
+#: public accessor (mirrors ``scheduler_names()``).
 RESOURCE_MODEL_NAMES = ("pe_fraction", "kv_batch")
 
 #: Default ratio of the shared KV budget to the largest activation

@@ -26,11 +26,11 @@ class TestList:
         for needle in (
             "ar_call", "4k_1ws_2os", "dream_full", "serial", "figure7",
             "poisson", "bursty", "load_scaled",
-            # Engine axes: kernels, resource models.
-            "kernels:", "resources:",
-            "vector", "pe_fraction", "kv_batch",
+            # Engine axis: resource models.
+            "resources:", "pe_fraction", "kv_batch",
         ):
             assert needle in out
+        assert "kernels:" not in out
 
 
 class TestGrid:
@@ -212,7 +212,7 @@ class TestFuzz:
         assert seen["resource_models"] == ["pe_fraction"]
         assert seen["faults"] == []
 
-    def test_fuzz_kernels_all_skips_vector_without_numpy(self, monkeypatch, capsys):
+    def test_fuzz_kernels_all_is_fast_and_reference(self, monkeypatch, capsys):
         from repro.experiments.differential import FuzzResult
 
         seen = {}
@@ -222,20 +222,13 @@ class TestFuzz:
             return FuzzResult(spec=spec, reports=[])
 
         monkeypatch.setattr("repro.cli.run_fuzz", fake_run_fuzz)
-        monkeypatch.setattr("repro.cli.HAVE_NUMPY", False)
         assert main(["fuzz", "--seeds", "1", "--kernels", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "skipping kernel 'vector' (numpy is not installed)" in out
-        assert "vector" not in seen["kernels"]
-        assert "python" in seen["kernels"]
+        assert seen["kernels"] == ["python", "reference"]
 
-    def test_fuzz_explicit_vector_kernel_without_numpy_fails(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr("repro.cli.HAVE_NUMPY", False)
+    def test_fuzz_unknown_kernel_fails_cleanly(self, capsys):
         code = main(["fuzz", "--seeds", "1", "--kernels", "vector"])
         assert code == 2
-        assert "requires numpy" in capsys.readouterr().err
+        assert "unknown kernel 'vector'" in capsys.readouterr().err
 
     def test_fuzz_resource_models_all_upgrades_spec(self, monkeypatch, capsys):
         from repro.experiments.differential import FuzzResult

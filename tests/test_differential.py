@@ -12,15 +12,9 @@ from repro.experiments.differential import (
     run_differential,
     run_fuzz,
 )
-from repro.hardware.vector_view import HAVE_NUMPY
 from repro.workloads import GeneratorSpec
 
 SCHEDULERS = ["fcfs_dynamic", "planaria", "dream_full"]
-
-#: Decision-path axis actually runnable here ('vector' needs numpy).
-RUNNABLE_KERNELS = tuple(
-    name for name in KERNEL_AXIS_NAMES if name != "vector" or HAVE_NUMPY
-)
 
 
 class TestRunDifferential:
@@ -66,12 +60,12 @@ class TestRunDifferential:
         report = run_differential(
             tiny_scenario, tiny_platform, SCHEDULERS,
             duration_ms=300.0, seed=0, cost_table=tiny_cost_table,
-            kernels=RUNNABLE_KERNELS,
+            kernels=KERNEL_AXIS_NAMES,
         )
         assert report.ok
         assert not report.harness_errors
-        assert report.kernels == RUNNABLE_KERNELS
-        assert report.to_artifact()["kernels"] == list(RUNNABLE_KERNELS)
+        assert report.kernels == KERNEL_AXIS_NAMES
+        assert report.to_artifact()["kernels"] == list(KERNEL_AXIS_NAMES)
         assert "kernels" in report.describe()
 
     def test_unknown_kernel_rejected(self, tiny_scenario, tiny_platform,
@@ -184,13 +178,13 @@ class TestFuzz:
     def test_fuzz_kernel_axis_roundtrips_through_replay(self):
         fuzz = run_fuzz(
             self.SPEC, count=1, schedulers=SCHEDULERS[:2], duration_ms=150.0,
-            kernels=RUNNABLE_KERNELS,
+            kernels=KERNEL_AXIS_NAMES,
         )
         assert fuzz.ok
         artifact = fuzz.reports[0].to_artifact()
-        assert artifact["kernels"] == list(RUNNABLE_KERNELS)
+        assert artifact["kernels"] == list(KERNEL_AXIS_NAMES)
         replayed = replay_artifact(artifact)
-        assert replayed.kernels == RUNNABLE_KERNELS
+        assert replayed.kernels == KERNEL_AXIS_NAMES
         assert replayed.ok
 
     def test_replay_requires_generator_spec(self):

@@ -1,12 +1,11 @@
-"""Decision-path parity: results and traces bit-for-bit across the axis.
+"""Engine parity: results and traces bit-for-bit across both modes.
 
 The fast engine (the production event loop over the incremental pool,
 cached views and flat-array costing) must be *observationally
 indistinguishable* from the retained reference path (the heap loop over
-the scan-based components), and the NumPy vector decision kernel
-(``kernel="vector"``) from both — with and without injected faults.
+the scan-based components) — with and without injected faults.
 These tests run generated scenarios across every registered scheduler on
-every decision path and compare ``SimulationResult.to_dict()``, the full
+both engine paths and compare ``SimulationResult.to_dict()``, the full
 event traces and the mode-independent engine counters.  Request ids come
 from a process-global counter, so traces are compared after normalizing
 ids by order of first appearance (relative order — all the engine ever
@@ -20,7 +19,6 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.jobs import generated_context, shared_context
-from repro.hardware.vector_view import HAVE_NUMPY
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.sim import FAULT_KINDS, SimulationEngine, Tracer, sample_fault_plan
 from repro.workloads import GeneratorSpec, arrival_process_names
@@ -28,7 +26,7 @@ from repro.workloads import GeneratorSpec, arrival_process_names
 #: Generated scenarios swept by the parity matrix (satellite requirement: >= 10).
 PARITY_SCENARIO_COUNT = 10
 
-#: Generated scenarios swept by the traffic-model kernel-parity matrix.
+#: Generated scenarios swept by the traffic-model parity matrix.
 TRAFFIC_PARITY_SCENARIO_COUNT = 4
 
 _SPEC = GeneratorSpec(seed=7)
@@ -81,8 +79,8 @@ def _run(scenario, platform, cost_table, scheduler_name, mode,
 
 
 def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, seed=0,
-                   vector=True, **engine_kwargs):
-    """Fast, reference and (when available) vector runs must be identical."""
+                   **engine_kwargs):
+    """Fast and reference runs must be identical."""
     label = f"{scenario.name} / {scheduler_name}"
     fast = _run(scenario, platform, cost_table, scheduler_name, "fast",
                 duration_ms=duration_ms, seed=seed, **engine_kwargs)
@@ -91,13 +89,6 @@ def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, 
     assert fast[0] == ref[0], f"result mismatch: {label}"
     assert fast[1] == ref[1], f"trace mismatch: {label}"
     assert fast[2] == ref[2], f"counter mismatch: {label}"
-    if not (vector and HAVE_NUMPY):
-        return
-    vec = _run(scenario, platform, cost_table, scheduler_name, "fast",
-               duration_ms=duration_ms, seed=seed, kernel="vector", **engine_kwargs)
-    assert vec[0] == fast[0], f"vector-kernel result mismatch: {label}"
-    assert vec[1] == fast[1], f"vector-kernel trace mismatch: {label}"
-    assert vec[2] == fast[2], f"vector-kernel counter mismatch: {label}"
 
 
 @pytest.mark.parametrize("index", range(PARITY_SCENARIO_COUNT))
@@ -133,7 +124,7 @@ def test_fault_plans_bitwise_parity_across_all_schedulers(generator_seed, kind):
     )
     for scheduler_name in scheduler_names():
         _assert_parity(scenario, platform, cost_table, scheduler_name, _DURATION_MS,
-                       seed=1, vector=False, faults=plan)
+                       seed=1, faults=plan)
 
 
 def test_kv_batch_outage_parity():
@@ -182,8 +173,9 @@ def test_unknown_mode_rejected():
 
 
 def test_unknown_kernel_rejected():
+    """DREAM has one decision path; there is no kernel option to set."""
     scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    with pytest.raises(ValueError, match="kernel"):
+    with pytest.raises(TypeError, match="kernel"):
         SimulationEngine(
             scenario=scenario,
             platform=platform,
@@ -206,40 +198,6 @@ def test_unknown_loop_rejected():
             cost_table=cost_table,
             loop="turbo",
         )
-
-
-def test_vector_kernel_requires_fast_mode():
-    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    with pytest.raises(ValueError, match="fast"):
-        SimulationEngine(
-            scenario=scenario,
-            platform=platform,
-            scheduler=make_scheduler("fcfs_dynamic"),
-            duration_ms=100.0,
-            cost_table=cost_table,
-            mode="reference",
-            kernel="vector",
-        )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel requires numpy")
-def test_vector_kernel_binds_to_dream():
-    from repro.core.vector_kernel import VectorDecisionKernel
-
-    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
-    engine = SimulationEngine(
-        scenario=scenario,
-        platform=platform,
-        scheduler=make_scheduler("dream_full"),
-        duration_ms=100.0,
-        cost_table=cost_table,
-        kernel="vector",
-    )
-    engine.run()
-    scheduler = engine.scheduler
-    assert isinstance(scheduler.vector_kernel, VectorDecisionKernel)
-    assert scheduler.dispatch_engine.kernel is scheduler.vector_kernel
-    assert scheduler.frame_drop_engine.kernel is scheduler.vector_kernel
 
 
 def test_engine_counts_events():

@@ -10,7 +10,7 @@ Three contracts:
   nothing dispatches into an outage, degraded capacity is respected, and
   the full trace-invariant oracle passes;
 * declaring *no* faults is bit-for-bit identical to the pre-fault engine
-  (the zero-cost guarantee the parity suites pin across modes/kernels).
+  (the zero-cost guarantee the parity suites pin across modes).
 """
 
 import json
@@ -250,7 +250,6 @@ class TestEngineRegistryErrors:
         [
             ({"resource_model": "turbo"}, "unknown resource model 'turbo'"),
             ({"mode": "turbo"}, "unknown mode 'turbo'"),
-            ({"kernel": "turbo"}, "unknown kernel 'turbo'"),
         ],
     )
     def test_unknown_names_list_sorted_registry(self, tiny_scenario, tiny_platform,
@@ -261,3 +260,8 @@ class TestEngineRegistryErrors:
         assert fragment in message
         listed = message.split("available: ")[1]
         assert listed == ", ".join(sorted(listed.split(", ")))
+
+    def test_kernel_option_rejected(self, tiny_scenario, tiny_platform, tiny_cost_table):
+        """The decision-kernel option is gone, not a registry of one."""
+        with pytest.raises(TypeError, match="kernel"):
+            self._make(tiny_scenario, tiny_platform, tiny_cost_table, kernel="turbo")

@@ -2,7 +2,7 @@
 
 Covers the protocol registry, the ``kv_batch`` physics (charge table,
 budget/batch admission, batch-dilated pricing), engine integration with the
-trace-invariant oracle, cross-mode/kernel parity under ``kv_batch``,
+trace-invariant oracle, cross-mode parity under ``kv_batch``,
 the generator's kv sampling (budgets + interaction turns, with draw
 conservation against the default spec), the differential resource axis,
 and PYTHONHASHSEED-independence of a full kv run.
@@ -14,7 +14,6 @@ import sys
 
 import pytest
 
-from repro.hardware.vector_view import HAVE_NUMPY
 from repro.sim import SimulationEngine, Tracer, audit_trace, make_resource_model
 from repro.sim.resource_models import (
     DEFAULT_KV_BUDGET_RATIO,
@@ -107,7 +106,7 @@ class _EngineRunner:
 
     @staticmethod
     def run(scenario, platform, cost_table, scheduler="dream_full",
-            resource_model="kv_batch", mode="fast", kernel="python",
+            resource_model="kv_batch", mode="fast",
             with_tracer=True, duration_ms=300.0):
         tracer = Tracer() if with_tracer else None
         engine = SimulationEngine(
@@ -119,7 +118,6 @@ class _EngineRunner:
             cost_table=cost_table,
             tracer=tracer,
             mode=mode,
-            kernel=kernel,
             resource_model=resource_model,
         )
         return engine.run(), tracer
@@ -177,18 +175,6 @@ class TestKvBatchEngine:
             with_tracer=False, mode="reference",
         )
         assert result.to_dict() == canonical.to_dict()
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel needs numpy")
-    def test_vector_kernel_parity_under_kv(self, tiny_scenario, tiny_platform,
-                                           tiny_cost_table):
-        canonical, _ = _EngineRunner.run(
-            tiny_scenario, tiny_platform, tiny_cost_table, with_tracer=False
-        )
-        vector, _ = _EngineRunner.run(
-            tiny_scenario, tiny_platform, tiny_cost_table,
-            with_tracer=False, kernel="vector",
-        )
-        assert vector.to_dict() == canonical.to_dict()
 
     def test_batch_cap_bounds_concurrency(self, tiny_scenario, tiny_platform,
                                           tiny_cost_table):

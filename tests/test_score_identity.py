@@ -1,19 +1,17 @@
-"""Randomized score/argmax/tie-break identity across the three decision paths.
+"""Randomized score/argmax/tie-break identity across DREAM's scorers.
 
 The engine promises the decisions are *bit-for-bit* identical between
 
-* the reference scorer (``MapScoreEngine.map_score``),
-* the scalar fast loops (``JobDispatchEngine._score_pairs_fast`` /
-  ``_best_pair_single_idle``), and
-* the vectorized kernel (``VectorDecisionKernel.best_single`` /
-  ``ranked_pairs``).
+* the reference scorer (``MapScoreEngine.map_score``, the spec), and
+* the scalar production scorers (``JobDispatchEngine._score_pairs_fast``
+  for several idle accelerators, ``_best_pair_single_idle`` for one).
 
 Float addition/multiplication are not associative, so this only holds if
-every path applies the same elementwise operations in the same order and
-breaks ties (first maximum / stable descending sort) identically.  These
-tests drive all three with randomized request populations — including
-manufactured exact ties and exhausted paths — and assert identical raw
-scores, identical argmax picks, and identical full pair rankings.
+every scorer applies the same elementwise operations in the same order
+and breaks ties (first maximum) identically.  These tests drive them with
+randomized request populations — including manufactured exact ties and
+exhausted paths — and assert identical raw scores and identical argmax
+picks.
 """
 
 import random
@@ -23,12 +21,8 @@ import pytest
 from repro.core.dispatch import JobDispatchEngine
 from repro.core.mapscore import MapScoreEngine
 from repro.experiments.jobs import shared_context
-from repro.hardware.vector_view import HAVE_NUMPY
 from repro.sim.decisions import AcceleratorView
 from repro.sim.request import InferenceRequest
-
-if HAVE_NUMPY:
-    from repro.core.vector_kernel import VectorDecisionKernel
 
 SCENARIO = "ar_call"
 PLATFORM = "4k_1ws_2os"
@@ -185,48 +179,8 @@ def test_scalar_fast_scores_equal_map_score(seed):
         assert best.request_id == _first_max(scored)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel requires numpy")
-@pytest.mark.parametrize("seed", range(TRIALS))
-def test_vector_kernel_argmax_and_ranking_match_scalar(seed):
-    scenario, cost_table, snapshot, accs, now_ms, alpha, beta = _trial(seed)
-    map_engine = MapScoreEngine(cost_table)
-    dispatch = JobDispatchEngine(cost_table, scenario, map_engine, fast=True)
-    kernel = VectorDecisionKernel(cost_table, scenario, max_drops_per_window=3)
-    for request in snapshot:
-        kernel.add(request)
-
-    # best_single vs the scalar running-max scan, per accelerator.
-    for acc in accs:
-        scalar_best = dispatch._best_pair_single_idle(
-            _View(now_ms), snapshot, acc, alpha, beta
-        )
-        vector_best = kernel.best_single(snapshot, acc, now_ms, alpha, beta)
-        assert vector_best is scalar_best
-
-    # ranked_pairs vs the scalar stable descending sort over the pair list.
-    idle = list(accs[: max(2, len(accs) - 1)])
-    schedulable = [r for r in snapshot if r.next_position < len(r.path)]
-    resident = {acc.acc_id: acc.resident_model for acc in idle}
-    pair_list = dispatch._score_pairs_fast(
-        _View(now_ms), schedulable, idle, resident, alpha, beta
-    )
-    pair_list.sort(key=lambda item: item[0], reverse=True)
-    expected = [(request.request_id, acc_id) for _s, request, acc_id in pair_list]
-
-    ranked = kernel.ranked_pairs(snapshot, idle, now_ms, alpha, beta)
-    assert ranked is not None
-    order, positions, idle_ids = ranked
-    assert idle_ids == [acc.acc_id for acc in idle]
-    got = []
-    for flat in order:
-        row, col = divmod(flat, len(idle_ids))
-        request = snapshot[row] if positions is None else snapshot[int(positions[row])]
-        got.append((request.request_id, idle_ids[col]))
-    assert got == expected
-
-
 def test_exact_ties_break_to_first_in_snapshot_order():
-    """Two byte-identical requests: every path must pick the earlier one."""
+    """Two byte-identical requests: the scalar scan must pick the earlier one."""
     scenario, platform, cost_table = _context()
     rng = random.Random(99)
     task = scenario.tasks[0]
@@ -244,14 +198,3 @@ def test_exact_ties_break_to_first_in_snapshot_order():
     ]
     assert totals[0] == totals[1]  # the tie is real
     assert dispatch._best_pair_single_idle(_View(20.0), snapshot, acc, 1.0, 0.5) is first
-
-    if HAVE_NUMPY:
-        kernel = VectorDecisionKernel(cost_table, scenario, max_drops_per_window=3)
-        kernel.add(first)
-        kernel.add(second)
-        assert kernel.best_single(snapshot, acc, 20.0, 1.0, 0.5) is first
-        ranked = kernel.ranked_pairs(snapshot, (acc,), 20.0, 1.0, 0.5)
-        assert ranked is not None
-        order, positions, idle_ids = ranked
-        assert positions is None and idle_ids == [0]
-        assert order[0] == 0  # the first request outranks its clone
