@@ -221,6 +221,16 @@ class DreamScheduler(Scheduler):
         assignments = dispatch.build_assignments(
             view, alpha=adaptivity.alpha, beta=adaptivity.beta
         )
+        if self.config.enable_frame_drop and self.config.enable_supernet_switching:
+            # SmartDrop memoizes minimum_to_go per (request, position), and
+            # its reference scan fills the memo for every pending request
+            # before dispatch, so a request switching Supernet variant keeps
+            # its pre-switch value until its first layer completes.  The
+            # fast scan skips requests of non-droppable tasks; filling their
+            # entry here keeps that value.
+            for assignment in assignments:
+                if assignment.switch_to_variant is not None:
+                    frame_drop.minimum_to_go_ms(assignment.request)
         if drops:
             droppable_ids = {request.request_id for request in drops}
             assignments = [

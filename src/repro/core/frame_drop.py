@@ -22,13 +22,20 @@ A frame is dropped only when all four conditions hold:
 
 Among all candidates, the frame with the largest ``minimum_to_go / slack``
 ratio is dropped (the most hopeless one).
+
+Conditions 3 and 4 depend only on a frame's task, so the engine keeps the
+set of *droppable* tasks (chain tails with budget left) and updates it when
+a frame finishes, the only time a budget moves.  The hot path tests
+Condition 1 only on pending frames of droppable tasks and scans the rest
+of the live requests only as far as Condition 2 needs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Optional
+from itertools import chain
+from typing import Deque, Optional, Sequence
 
 from repro.hardware.cost_table import CostTable
 from repro.sim.request import InferenceRequest
@@ -60,8 +67,12 @@ class FrameDropConfig:
 
     @property
     def max_drops_per_window(self) -> int:
-        """Absolute drop budget within one window."""
-        return int(self.max_drop_rate * self.window_frames)
+        """Absolute drop budget within one window.
+
+        The tolerance keeps products such as ``0.29 * 100`` (28.999...)
+        from truncating to one drop fewer than the configured rate.
+        """
+        return int(self.max_drop_rate * self.window_frames + 1e-9)
 
 
 class SmartFrameDropEngine:
@@ -83,9 +94,9 @@ class SmartFrameDropEngine:
         self.cost_table = cost_table
         self.scenario = scenario
         self.config = config or FrameDropConfig()
-        #: Hot-loop form of select_drop (inlined cache + early exits); the
-        #: reference simulation mode disables it to keep the historical
-        #: cost profile.  Selected drops are identical either way.
+        #: Hot-loop form of select_drop (droppable-task set, inlined cache,
+        #: early exits); the reference simulation mode disables it to keep
+        #: the historical cost profile.  Selected drops are identical.
         self.fast = fast
         # Sliding window of per-task frame outcomes: True = dropped.
         self._windows: dict[str, Deque[bool]] = defaultdict(
@@ -100,6 +111,12 @@ class SmartFrameDropEngine:
         self._chain_tail: dict[str, bool] = {
             task.name: scenario.is_chain_tail(task.name) for task in scenario.tasks
         }
+        self._max_drops = self.config.max_drops_per_window
+        # Tasks passing Conditions 3 and 4: chain tails with budget left.
+        # Budgets only move in record_outcome, which keeps this current.
+        self._droppable: set[str] = {
+            name for name, tail in self._chain_tail.items() if tail and self._max_drops > 0
+        }
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -113,6 +130,11 @@ class SmartFrameDropEngine:
         if dropped:
             self._window_drops[task_name] += 1
             self.total_drops += 1
+        if self._chain_tail.get(task_name):
+            if self._window_drops[task_name] < self._max_drops:
+                self._droppable.add(task_name)
+            else:
+                self._droppable.discard(task_name)
 
     def drops_in_window(self, task_name: str) -> int:
         """Number of drops of this task within the sliding window."""
@@ -120,7 +142,7 @@ class SmartFrameDropEngine:
 
     def drop_budget_available(self, task_name: str) -> bool:
         """Condition 4: the task is below its maximum drop rate."""
-        return self.drops_in_window(task_name) < self.config.max_drops_per_window
+        return self.drops_in_window(task_name) < self._max_drops
 
     def forget(self, request_id: int) -> None:
         """Drop a finished request's cache entry (bounds memory on long runs)."""
@@ -163,8 +185,8 @@ class SmartFrameDropEngine:
     # ------------------------------------------------------------------ #
     def select_drop(
         self,
-        pending: Iterable[InferenceRequest],
-        running: Iterable[InferenceRequest],
+        pending: Sequence[InferenceRequest],
+        running: Sequence[InferenceRequest],
         now_ms: float,
     ) -> Optional[InferenceRequest]:
         """Pick at most one frame to drop at this scheduling point.
@@ -178,48 +200,19 @@ class SmartFrameDropEngine:
             The request to drop, or ``None`` when no frame satisfies all
             four conditions.
         """
-        # Single pass: count expected violations (Condition 2 input) while
-        # collecting the pending violators, so expects_violation runs once
-        # per request instead of twice.
+        if self.fast:
+            return self._select_drop_fast(pending, running, now_ms)
+        # Reference spec: Condition 1 on every pending request, the
+        # Condition-2 count over every live request, then Conditions 3-4.
         expected_violations = 0
         flagged: list[InferenceRequest] = []
-        if self.fast:
-            # Hot-loop form: the minimum_to_go cache is inlined (this loop
-            # runs at every scheduling point over every live request, so
-            # attribute/call overhead dominates it), flagged-empty answers
-            # No immediately (only pending violators can become
-            # candidates), and the running scan — which only feeds the
-            # Condition-2 count — stops at two.  Skipped work is limited to
-            # pure memo warming, so the selected drop is identical.
-            to_go_cache = self._to_go_cache
-            remaining_best = self.cost_table.remaining_best_latency
-            for request in pending:
-                cached = to_go_cache.get(request.request_id)
-                position = request.next_position
-                if cached is not None and cached[0] == position:
-                    to_go = cached[1]
-                else:
-                    to_go = remaining_best(request.model_name, request.remaining_path())
-                    to_go_cache[request.request_id] = (position, to_go)
-                if to_go > request.deadline_ms - now_ms:     # Condition 1
-                    expected_violations += 1
-                    flagged.append(request)
-            if not flagged:
-                return None
-            if expected_violations < 2:
-                for request in running:
-                    if self.expects_violation(request, now_ms):
-                        expected_violations += 1
-                        if expected_violations >= 2:
-                            break
-        else:
-            for request in pending:
-                if self.expects_violation(request, now_ms):  # Condition 1
-                    expected_violations += 1
-                    flagged.append(request)
-            for request in running:
-                if self.expects_violation(request, now_ms):
-                    expected_violations += 1
+        for request in pending:
+            if self.expects_violation(request, now_ms):  # Condition 1
+                expected_violations += 1
+                flagged.append(request)
+        for request in running:
+            if self.expects_violation(request, now_ms):
+                expected_violations += 1
         # Condition 2: dropping only helps when more than one live inference
         # is in trouble; a single late model cannot hurt the others.
         if expected_violations < 2:
@@ -233,4 +226,51 @@ class SmartFrameDropEngine:
         ]
         if not candidates:
             return None
+        return max(candidates, key=lambda request: self.hopelessness(request, now_ms))
+
+    def _select_drop_fast(
+        self,
+        pending: Sequence[InferenceRequest],
+        running: Sequence[InferenceRequest],
+        now_ms: float,
+    ) -> Optional[InferenceRequest]:
+        """Hot-loop form of :meth:`select_drop`; selects the identical drop.
+
+        Conditions 3 and 4 come first, from the droppable-task set, so
+        Condition 1 (with the ``minimum_to_go`` memo inlined) runs only on
+        pending requests that could become candidates.  Condition 2 then
+        needs just one violator beyond a single candidate: the other
+        pending requests are scanned before the running ones, stopping at
+        the first.  Candidates keep pending order, so ``max`` breaks ties
+        as the reference does.  Skipped work is memo warming only; the one
+        entry a later read depends on, that of a request about to switch
+        Supernet variant, is filled by ``DreamScheduler.schedule``.
+        """
+        droppable = self._droppable
+        if not droppable:
+            return None
+        to_go_cache = self._to_go_cache
+        remaining_best = self.cost_table.remaining_best_latency
+        candidates: list[InferenceRequest] = []
+        for request in pending:
+            if request.task_name not in droppable:           # Conditions 3-4
+                continue
+            cached = to_go_cache.get(request.request_id)
+            position = request.next_position
+            if cached is not None and cached[0] == position:
+                to_go = cached[1]
+            else:
+                to_go = remaining_best(request.model_name, request.remaining_path())
+                to_go_cache[request.request_id] = (position, to_go)
+            if to_go > request.deadline_ms - now_ms:         # Condition 1
+                candidates.append(request)
+        if not candidates:
+            return None
+        if len(candidates) == 1:                             # Condition 2
+            others = chain(
+                (request for request in pending if request.task_name not in droppable),
+                running,
+            )
+            if not any(self.expects_violation(request, now_ms) for request in others):
+                return None
         return max(candidates, key=lambda request: self.hopelessness(request, now_ms))

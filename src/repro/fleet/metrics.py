@@ -414,9 +414,12 @@ def aggregate_fleet(
                 stream.add(task_stats.mean_latency_ms)
         platform.total_energy_mj += result.total_energy_mj
         if result.accelerator_stats:
-            platform.utilization_sum += sum(
-                acc.utilization for acc in result.accelerator_stats
-            ) / len(result.accelerator_stats)
+            # Left to right, not sum(): from Python 3.12 on, sum() compensates
+            # float rounding, so its last bit would depend on the version.
+            utilization = 0.0
+            for acc in result.accelerator_stats:
+                utilization += acc.utilization
+            platform.utilization_sum += utilization / len(result.accelerator_stats)
 
     for user_id, stream in quantiles.items():
         summary = stream.summary()

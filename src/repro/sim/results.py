@@ -221,8 +221,15 @@ class SimulationResult:
 
     @property
     def total_energy_mj(self) -> float:
-        """Total energy consumed across all accelerators."""
-        return sum(acc.energy_mj for acc in self.accelerator_stats)
+        """Total energy consumed across all accelerators.
+
+        Added left to right: from Python 3.12 on, ``sum()`` compensates
+        float rounding, which would make fleet totals version-dependent.
+        """
+        total = 0.0
+        for acc in self.accelerator_stats:
+            total += acc.energy_mj
+        return total
 
     @property
     def normalized_energy(self) -> float:

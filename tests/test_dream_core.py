@@ -143,6 +143,71 @@ class TestFrameDrop:
         relaxed = _request(tiny_scenario, task="heavy", deadline=500.0)
         assert engine.select_drop([relaxed], [relaxed], now_ms=0.0) is None
 
+    def test_drop_budget_does_not_truncate(self):
+        # int(0.29 * 100) == 28: the product is 28.999...
+        assert FrameDropConfig(max_drop_rate=0.29, window_frames=100).max_drops_per_window == 29
+        assert FrameDropConfig(max_drop_rate=0.2, window_frames=10).max_drops_per_window == 2
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_zero_budget_never_drops(self, tiny_cost_table, tiny_scenario, fast):
+        engine = SmartFrameDropEngine(
+            tiny_cost_table, tiny_scenario, FrameDropConfig(max_drop_rate=0.05), fast=fast
+        )
+        hopeless = _request(tiny_scenario, task="heavy", deadline=0.5)
+        other = _request(tiny_scenario, task="cascade", deadline=0.5)
+        assert engine.select_drop([hopeless, other], [], now_ms=0.49) is None
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_spent_budget_returns_as_the_window_slides(self, tiny_cost_table, tiny_scenario, fast):
+        engine = SmartFrameDropEngine(tiny_cost_table, tiny_scenario, fast=fast)
+        hopeless = _request(tiny_scenario, task="heavy", deadline=0.5)
+        upstream = _request(tiny_scenario, task="vision", deadline=0.5)
+        for _ in range(2):
+            engine.record_outcome("heavy", dropped=True)
+        for _ in range(8):
+            engine.record_outcome("heavy", dropped=False)
+            assert engine.select_drop([hopeless, upstream], [], now_ms=0.49) is None
+        # The ninth undropped frame slides the first drop out of the window.
+        engine.record_outcome("heavy", dropped=False)
+        assert engine.select_drop([hopeless, upstream], [], now_ms=0.49) is hopeless
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_second_violation_may_come_from_a_running_request(
+        self, tiny_cost_table, tiny_scenario, fast
+    ):
+        engine = SmartFrameDropEngine(tiny_cost_table, tiny_scenario, fast=fast)
+        hopeless = _request(tiny_scenario, task="heavy", deadline=0.5)
+        late = _request(tiny_scenario, task="vision", deadline=0.5)
+        relaxed = _request(tiny_scenario, task="vision", deadline=500.0)
+        assert engine.select_drop([hopeless, relaxed], [late], now_ms=0.49) is hopeless
+        assert engine.select_drop([hopeless, late], [relaxed], now_ms=0.49) is hopeless
+        assert engine.select_drop([hopeless, relaxed], [relaxed], now_ms=0.49) is None
+
+    def test_fast_scan_selects_the_reference_drop(self, tiny_cost_table, tiny_scenario):
+        # Slacks straddle the tasks' minimum_to_go (0.06-0.2 ms) and the
+        # budget is one drop per three frames, so every early exit is taken.
+        rng = random.Random(3)
+        config = FrameDropConfig(max_drop_rate=0.34, window_frames=3)
+        fast = SmartFrameDropEngine(tiny_cost_table, tiny_scenario, config)
+        reference = SmartFrameDropEngine(tiny_cost_table, tiny_scenario, config, fast=False)
+        tasks = [task.name for task in tiny_scenario.tasks]
+        selected = 0
+        for trial in range(400):
+            requests = [
+                _request(tiny_scenario, task=rng.choice(tasks),
+                         deadline=1.0 + rng.uniform(-0.1, 0.3), seed=trial)
+                for _ in range(rng.randint(0, 5))
+            ]
+            split = rng.randint(0, len(requests))
+            pending, running = requests[:split], requests[split:]
+            expected = reference.select_drop(pending, running, now_ms=1.0)
+            assert fast.select_drop(pending, running, now_ms=1.0) is expected
+            selected += expected is not None
+            task, dropped = rng.choice(tasks), rng.random() < 0.3
+            fast.record_outcome(task, dropped)
+            reference.record_outcome(task, dropped)
+        assert selected > 0
+
 
 class TestIterativeOptimizer:
     def test_converges_on_convex_objective(self):

@@ -21,6 +21,8 @@ import pytest
 from repro.experiments.jobs import generated_context, shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.sim import FAULT_KINDS, SimulationEngine, Tracer, sample_fault_plan
+from repro.sim.request import InferenceRequest
+from repro.sim.results import SimulationResult
 from repro.workloads import GeneratorSpec, arrival_process_names
 
 #: Generated scenarios swept by the parity matrix (satellite requirement: >= 10).
@@ -89,6 +91,7 @@ def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, 
     assert fast[0] == ref[0], f"result mismatch: {label}"
     assert fast[1] == ref[1], f"trace mismatch: {label}"
     assert fast[2] == ref[2], f"counter mismatch: {label}"
+    return fast[0]
 
 
 @pytest.mark.parametrize("index", range(PARITY_SCENARIO_COUNT))
@@ -109,6 +112,48 @@ def test_traffic_model_scenarios_parity_across_kernels(index):
 def test_preset_scenario_parity(scheduler_name):
     scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
     _assert_parity(scenario, platform, cost_table, scheduler_name, 300.0)
+
+
+@pytest.mark.parametrize("scheduler_name", ("dream_smartdrop", "dream_full"))
+@pytest.mark.parametrize("scenario_name", ("vr_gaming", "ar_social"))
+def test_smartdrop_parity_on_deep_queues(scenario_name, scheduler_name):
+    """Cells where SmartDrop drops frames and its fast scan takes every exit.
+
+    The sweeps above average under two pending requests per SmartDrop call
+    and drop nothing.  Here the droppable-task set empties as budgets are
+    spent, and Condition 2 is completed by pending and by running requests.
+    """
+    scenario, platform, cost_table = shared_context(scenario_name, "4k_2ws", 0.5)
+    result = _assert_parity(scenario, platform, cost_table, scheduler_name, 400.0)
+    assert SimulationResult.from_dict(result).dropped_frames > 0
+
+
+def test_supernet_switch_keeps_the_smartdrop_memo(monkeypatch):
+    """A request switching variant already has its pre-switch memo entry.
+
+    The reference SmartDrop scan memoizes ``minimum_to_go`` for every pending
+    request before dispatch, so after a switch the memo holds the pre-switch
+    value until the first layer completes.  The fast scan skips requests of
+    non-droppable tasks, so DREAM-Full fills their entry before switching.
+    """
+    scenario, platform, cost_table = shared_context("vr_gaming", "4k_2ws", 0.5)
+    scheduler = make_scheduler("dream_full")
+    switched, cold = [], []
+    switch_variant = InferenceRequest.switch_variant
+
+    def checked_switch(request, variant):
+        entry = scheduler.frame_drop_engine._to_go_cache.get(request.request_id)
+        switched.append(request.request_id)
+        if entry is None or entry[0] != request.next_position:
+            cold.append(request.request_id)
+        switch_variant(request, variant)
+
+    monkeypatch.setattr(InferenceRequest, "switch_variant", checked_switch)
+    SimulationEngine(
+        scenario=scenario, platform=platform, scheduler=scheduler,
+        duration_ms=400.0, seed=0, cost_table=cost_table,
+    ).run()
+    assert switched and not cold
 
 
 @pytest.mark.parametrize("kind", FAULT_KINDS)

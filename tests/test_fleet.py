@@ -53,6 +53,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.sim.invariants import TraceInvariantError
+from repro.sim.results import AcceleratorStats
 from repro.workloads import SessionRequest, UserSpec, session_requests
 
 
@@ -375,6 +376,25 @@ class TestFleetExecution:
 
     def test_assert_fleet_invariants_accepts_an_honest_run(self):
         assert_fleet_invariants(simulate_fleet(small_spec()))
+
+    def test_platform_totals_are_added_left_to_right(self):
+        # sum() compensates float rounding from Python 3.12 on; these values
+        # round differently under it, so the payload would depend on the version.
+        fleet = simulate_fleet(small_spec())
+        job = fleet.plan.jobs[0]
+        accelerators = tuple(
+            AcceleratorStats(acc_id, f"acc{acc_id}", "ws", energy, 0.0, 0, 0, utilization)
+            for acc_id, (energy, utilization) in enumerate(
+                ((1e16, 1.0), (1.0, 1e-16), (1.0, 1e-16))
+            )
+        )
+        session = dataclasses.replace(
+            fleet.session_results[job.session_id], accelerator_stats=accelerators
+        )
+        refolded = aggregate_fleet(fleet.plan, {job.session_id: session})
+        platform = refolded.platform_stats[job.platform_index]
+        assert platform.total_energy_mj == 1e16
+        assert platform.utilization_sum == 1.0 / 3
 
 
 class TestCrossSessionDeterminism:

@@ -9,6 +9,7 @@ from repro.metrics.reporting import format_table, geometric_mean, relative_reduc
 from repro.sim import Assignment, ReferenceRequestPool, RequestPool
 from repro.sim.executor import AcceleratorExecutor
 from repro.sim.request import InferenceRequest, RequestState
+from repro.sim.results import AcceleratorStats, SimulationResult
 
 
 def _request(tiny_scenario, task="vision", deadline=100.0, arrival=0.0, rng_seed=0):
@@ -374,6 +375,16 @@ class TestReporting:
     def test_relative_reduction(self):
         assert relative_reduction(2.0, 1.0) == pytest.approx(0.5)
         assert relative_reduction(0.0, 1.0) == 0.0
+
+    def test_total_energy_is_added_left_to_right(self):
+        # sum() compensates float rounding from Python 3.12 on and gives
+        # 1.0000000000000002e16 here; results must not depend on the version.
+        accelerators = tuple(
+            AcceleratorStats(acc_id, f"acc{acc_id}", "ws", energy, 0.0, 0, 0, 0.0)
+            for acc_id, energy in enumerate((1e16, 1.0, 1.0))
+        )
+        result = SimulationResult("s", "p", "fcfs_dynamic", 1.0, 0, {}, accelerators)
+        assert result.total_energy_mj == 1e16
 
     def test_format_table_aligns_columns(self):
         text = format_table(["a", "metric"], [["x", 1.5], ["longer", 2.25]])
