@@ -4,8 +4,10 @@ Times one dense scenario (vr_gaming on the heterogeneous 4K platform — the
 heaviest Table-3 cell) on both the optimized and the reference engine, so
 hot-loop performance is measurable from pytest as well as from
 ``repro bench-engine``.  The benchmark asserts result parity and a modest
-speedup floor; the authoritative ≥3x gate lives in the CLI benchmark over
-the full Table-3 grid (longer windows load the queues far more heavily).
+speedup floor.  CI's engine-speed gate is ``repro bench-engine --quick
+--baseline BENCH_engine.json``, which fails when the fast-vs-reference
+speedup falls more than 20% below the committed baseline; there is no
+fixed speedup target.
 """
 
 from __future__ import annotations
@@ -60,6 +62,6 @@ def test_fast_engine_beats_reference_with_identical_results():
         f"\n{_SCENARIO}/{_PLATFORM}/{_SCHEDULER} at {_DURATION_MS:g} ms: "
         f"fast {fast_s * 1000:.1f} ms vs reference {ref_s * 1000:.1f} ms -> {speedup:.2f}x"
     )
-    # Loose floor for a single short cell; the CLI bench gates the real >=3x
-    # target on the full grid at 2000 ms windows.
+    # Loose floor for a single short cell; CI gates the speedup only as a
+    # regression of at most 20% against the committed BENCH_engine.json.
     assert speedup > 1.2

@@ -20,10 +20,10 @@ Subcommands:
   result parity across both passes, report events/sec, and emit
   ``BENCH_engine.json``.  ``--quick`` selects the CI-sized basket,
   ``--jobs N`` fans cells out to the process execution backend,
-  ``--profile`` (fixed dump path) / ``--profile-out PATH`` capture a
-  cProfile of the optimized passes, and ``--baseline`` /
-  ``--max-regression`` / ``--max-round-regression`` gate wall-clock and
-  scheduler-invocation regressions against a committed baseline.
+  ``--profile [PATH]`` captures a cProfile of the optimized passes, and
+  ``--baseline`` / ``--max-regression`` / ``--max-round-regression`` gate
+  wall-clock and scheduler-invocation regressions against a committed
+  baseline.
 * ``repro generate`` — sample randomized scenarios from the model zoo
   (seeded, reproducible), optionally writing the generator spec and running
   the generated grid on any backend/store.  ``--traffic`` samples
@@ -69,11 +69,11 @@ from repro import __version__
 from repro.experiments import figures as figures_mod
 from repro.experiments.backends import backend_names
 from repro.experiments.differential import (
-    FAULT_AXIS_NAMES,
-    KERNEL_AXIS_NAMES,
-    RESOURCE_MODEL_AXIS_NAMES,
+    FUZZ_AXES,
+    axis_summary,
     replay_artifact,
     run_fuzz,
+    validate_axis,
 )
 from repro.experiments.harness import (
     GridResult,
@@ -439,15 +439,26 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
-    if (args.profile is not None or args.profile_out is not None) and args.jobs > 1:
+    if args.profile is not None and args.jobs > 1:
         # Usage error (exit 2 via main): cProfile instruments this process,
         # but with --jobs the timed passes run inside pool workers, so the
         # capture would be empty/misleading rather than merely slow.
         raise ValueError(
-            "--profile/--profile-out requires --jobs 1: the cProfile capture "
+            "--profile requires --jobs 1: the cProfile capture "
             "instruments the current process, and with --jobs N the timed "
             "engine passes run inside worker processes it cannot see"
         )
+    # Read the baseline before the basket runs, so a missing or malformed
+    # file fails fast, and before --out is written: with the default --out
+    # the two paths can be the same file, and the gate must compare against
+    # the committed numbers, not the payload we are about to merge in.
+    baseline = None
+    if args.baseline is not None:
+        try:
+            baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as error:
+            print(f"repro: error: cannot read {args.baseline}: {error}", file=sys.stderr)
+            return 2
     basket = bench_mod.quick_basket() if args.quick else bench_mod.default_basket()
     scenarios = _split_names(args.scenarios, basket["scenarios"])
     platforms = _split_names(args.platforms, basket["platforms"])
@@ -464,9 +475,6 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         f"optimized vs reference engine"
         + (f", {jobs} parallel jobs" if jobs > 1 else "")
     )
-    # --profile-out takes precedence; bare --profile keeps the historical
-    # fixed dump path for quick interactive use.
-    profile_path = args.profile_out if args.profile_out is not None else args.profile
     payload = bench_mod.run_engine_bench(
         scenarios=scenarios,
         platforms=platforms,
@@ -474,23 +482,12 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         generated=generated,
         duration_ms=duration_ms,
         seed=args.seed,
-        profile_path=profile_path,
+        profile_path=args.profile,
         jobs=jobs,
         repeats=args.repeats,
         kv_smoke=args.kv_smoke,
     )
     print(bench_mod.describe(payload))
-
-    # Snapshot the baseline BEFORE writing --out: with the default --out the
-    # two paths can be the same file, and the gate must compare against the
-    # committed numbers, not the payload we are about to merge in.
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"repro: error: cannot read {args.baseline}: {error}", file=sys.stderr)
-            return 2
 
     # BENCH_engine.json holds one payload per basket label (full / quick /
     # custom) so the committed baseline can serve both the headline run and
@@ -512,18 +509,11 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
     merged[label] = payload
     args.out.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out} (label {label!r})")
-    if profile_path is not None:
-        print(f"wrote cProfile dump {profile_path} (inspect with pstats or snakeviz)")
+    if args.profile is not None:
+        print(f"wrote cProfile dump {args.profile} (inspect with pstats or snakeviz)")
 
     if not payload["parity"]:
         print("error: optimized and reference engines disagree", file=sys.stderr)
-        return 1
-    speedup = payload["totals"]["speedup"]
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
         return 1
     if baseline is not None:
         warnings: list[str] = []
@@ -544,7 +534,7 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
             if entry.get("basket") == payload.get("basket")
         )
         print(
-            f"baseline check OK (speedup {speedup:.2f}x vs committed "
+            f"baseline check OK (speedup {payload['totals']['speedup']:.2f}x vs committed "
             f"{matched['totals']['speedup']:.2f}x, "
             f"allowed regression {args.max_regression:.0%})"
         )
@@ -624,56 +614,21 @@ def _scheduler_list(values: Optional[Sequence[str]], default: Sequence[str]) -> 
     return _expand_registry(values, default, scheduler_names)
 
 
-def _kernel_list(values: Optional[Sequence[str]]) -> list[str]:
-    """Expand the fuzz ``--kernels`` axis ('all' = fast and reference engine).
+def _fuzz_axis(axis: str, values: Optional[Sequence[str]]) -> Optional[list[str]]:
+    """Expand one ``repro fuzz`` axis option ('all' = the axis registry).
 
-    Unknown names are usage errors (exit 2) with the axis in the message.
+    None when the option is not given, so a replay keeps the artifact's
+    own values.  Unknown names are usage errors (exit 2).  An option that
+    names nothing (``--kernels ""``) is no error: a sweep then takes the
+    default, and a replay keeps the artifact's kernels and resource models
+    but runs no faults.
     """
-    names = _split_names(values, ["python"])
-    kernels = list(KERNEL_AXIS_NAMES) if "all" in names else names
-    for kernel in kernels:
-        if kernel not in KERNEL_AXIS_NAMES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from "
-                f"{', '.join(KERNEL_AXIS_NAMES)} (or 'all')"
-            )
-    return kernels
-
-
-def _resource_model_list(values: Optional[Sequence[str]]) -> list[str]:
-    """Expand the fuzz ``--resource-models`` axis ('all' = every model).
-
-    This only validates names; unknown names are usage errors (exit 2)
-    with the sorted registry in the message.
-    """
-    names = _split_names(values, ["pe_fraction"])
-    models = list(RESOURCE_MODEL_AXIS_NAMES) if "all" in names else names
-    for model in models:
-        if model not in RESOURCE_MODEL_AXIS_NAMES:
-            raise ValueError(
-                f"unknown resource model {model!r}; choose from "
-                f"{', '.join(sorted(RESOURCE_MODEL_AXIS_NAMES))} (or 'all')"
-            )
-    return models
-
-
-def _fault_list(values: Optional[Sequence[str]]) -> list[str]:
-    """Expand the fuzz ``--faults`` chaos axis ('all' = every fault kind).
-
-    Every fault kind is always runnable (pure Python, every engine path),
-    so this only validates names; unknown names are usage errors
-    (exit 2) with the registry in the message.  The default is *no*
-    injection — chaos runs are opt-in.
-    """
-    names = _split_names(values, [])
-    kinds = list(FAULT_AXIS_NAMES) if "all" in names else names
-    for kind in kinds:
-        if kind not in FAULT_AXIS_NAMES:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; choose from "
-                f"{', '.join(sorted(FAULT_AXIS_NAMES))} (or 'all')"
-            )
-    return kinds
+    if not values:
+        return None
+    names = _expand_registry(values, [], lambda: FUZZ_AXES[axis]["names"])
+    if names:
+        validate_axis(axis, names)
+    return names
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -708,18 +663,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_fuzz_report(report) -> None:
-    print(report.describe())
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     schedulers = _scheduler_list(args.schedulers, scheduler_names())
     # None = "not given": a replay then honours the artifact's own axes.
-    kernels = _kernel_list(args.kernels) if args.kernels else None
-    resource_models = (
-        _resource_model_list(args.resource_models) if args.resource_models else None
-    )
-    faults = _fault_list(args.faults) if args.faults else None
+    axes = {axis: _fuzz_axis(axis, getattr(args, axis)) for axis in FUZZ_AXES}
     duration_ms = args.duration_ms if args.duration_ms is not None else 400.0
 
     if args.replay is not None:
@@ -730,11 +677,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             return 2
         try:
             report = replay_artifact(
-                artifact,
-                schedulers=args.schedulers and schedulers,
-                kernels=kernels,
-                resource_models=resource_models,
-                faults=faults,
+                artifact, schedulers=args.schedulers and schedulers, **axes
             )
         except ValueError:
             # Malformed artifact (e.g. no generator spec): a usage error —
@@ -743,7 +686,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         except Exception as error:  # noqa: BLE001 - harness error, exit 1
             print(f"repro fuzz: harness error during replay: {error}", file=sys.stderr)
             return 1
-        _print_fuzz_report(report)
+        print(report.describe())
         if report.harness_errors:
             return 1
         return 0 if report.ok else EXIT_INVARIANT_VIOLATION
@@ -753,23 +696,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # broad except below must only classify engine/scheduler crashes.
         raise ValueError("--seeds must be positive")
     spec = _generator_spec(args)
-    kernels = kernels or ["python"]
-    resource_models = resource_models or ["pe_fraction"]
-    faults = faults or []
-    if "kv_batch" in resource_models and spec.resource_model == "pe_fraction":
+    axes = {axis: values or list(FUZZ_AXES[axis]["default"]) for axis, values in axes.items()}
+    if "kv_batch" in axes["resource_models"] and spec.resource_model == "pe_fraction":
         # The kv axis is only interesting on kv-flavoured scenarios (shared
         # KV budgets, interaction chains), so upgrade the generator spec.
         spec = _dc_replace(spec, resource_model="kv_batch")
         print("notice: --resource-models includes kv_batch; generating kv_batch scenarios")
-    axis = f" x kernels {'+'.join(kernels)}" if len(kernels) > 1 else ""
-    if len(resource_models) > 1:
-        axis += f" x resources {'+'.join(resource_models)}"
-    if faults:
-        axis += f" x faults {'+'.join(faults)}"
     print(
         f"fuzzing {args.seeds} generated scenario(s) (generator seed "
-        f"{spec.seed}) x {len(schedulers)} schedulers{axis} on {args.platform} "
-        f"({duration_ms:g} ms, sim seed {args.seed})"
+        f"{spec.seed}) x {len(schedulers)} schedulers{axis_summary(axes, ' x ')} "
+        f"on {args.platform} ({duration_ms:g} ms, sim seed {args.seed})"
     )
     try:
         fuzz = run_fuzz(
@@ -779,16 +715,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             platform=args.platform,
             duration_ms=duration_ms,
             seed=args.seed,
-            kernels=kernels,
-            resource_models=resource_models,
-            faults=faults,
+            **axes,
         )
     except Exception as error:  # noqa: BLE001 - harness error, exit 1
         print(f"repro fuzz: harness error: {error}", file=sys.stderr)
         return 1
 
     for report in fuzz.reports:
-        _print_fuzz_report(report)
+        print(report.describe())
     print(fuzz.summary())
 
     needs_artifacts = fuzz.failing or fuzz.erroneous
@@ -1175,14 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump a cProfile capture of the optimized passes (fixed "
         "default path bench_engine.prof when no PATH is given; requires "
         "--jobs 1)",
-    )
-    bench_engine_parser.add_argument(
-        "--profile-out", type=Path, default=None, metavar="PATH",
-        help="explicit path for the cProfile dump (overrides --profile)",
-    )
-    bench_engine_parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="fail unless the optimized engine is at least X times faster",
     )
     bench_engine_parser.add_argument(
         "--baseline", type=Path, default=None, metavar="PATH",

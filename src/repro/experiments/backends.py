@@ -74,11 +74,6 @@ class ProcessBackend:
 
     Args:
         workers: pool size; defaults to ``os.cpu_count()``.
-        chunksize: jobs handed to a worker per dispatch.  ``None`` picks a
-            chunk that spreads the batch ~4 ways per worker — big enough
-            that contiguous same-(scenario, platform) cells usually land on
-            one worker and share its memoized cost table, small enough to
-            load-balance uneven cell durations.
         job_timeout_s: opt-in per-job timeout.  ``None`` (default) keeps
             the historical unbounded ``pool.map`` path.  When set, jobs are
             submitted individually and awaited in order; a job that fails
@@ -93,7 +88,6 @@ class ProcessBackend:
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         job_timeout_s: Optional[float] = None,
     ):
         if workers is not None and workers < 1:
@@ -101,7 +95,6 @@ class ProcessBackend:
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError(f"job_timeout_s must be positive (got {job_timeout_s})")
         self.workers = workers or os.cpu_count() or 1
-        self.chunksize = chunksize
         self.job_timeout_s = job_timeout_s
 
     def run_jobs(self, jobs: Sequence[CellJob]) -> list[SimulationResult]:
@@ -111,7 +104,10 @@ class ProcessBackend:
             return SerialBackend().run_jobs(jobs)
         workers = min(self.workers, len(jobs))
         if self.job_timeout_s is None:
-            chunksize = self.chunksize or max(1, len(jobs) // (workers * 4))
+            # ~4 chunks per worker: contiguous same-(scenario, platform)
+            # cells usually land on one worker and share its memoized cost
+            # table, and uneven cell durations still load-balance.
+            chunksize = max(1, len(jobs) // (workers * 4))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(execute_job, jobs, chunksize=chunksize))
         return self._run_with_timeout(jobs, workers)

@@ -49,7 +49,7 @@ DEFAULT_DURATION_MS = 2000.0
 #: return identical ticks around a very fast quick-basket cell, which used
 #: to drive the ``events / wall`` division into a ``0.0 events/sec``
 #: fallback — silently understating throughput and tripping the
-#: ``--min-speedup``/baseline gates.  Clamping to the timer's own
+#: baseline gate.  Clamping to the timer's own
 #: resolution keeps every ratio finite and honest (a cell genuinely faster
 #: than one tick is unmeasurable, not infinitely fast).
 _MIN_WALL_S = time.get_clock_info("perf_counter").resolution or 1e-9
@@ -573,11 +573,6 @@ def compare_to_baseline(
     return problems
 
 
-def speedup_ratio(payload: dict) -> float:
-    """The headline fast-vs-reference speedup of a bench payload."""
-    return payload["totals"]["speedup"]
-
-
 def describe(payload: dict) -> str:
     """Human-readable summary table of a bench payload."""
     lines = []
@@ -669,5 +664,4 @@ __all__ = [
     "kv_smoke_basket",
     "quick_basket",
     "run_engine_bench",
-    "speedup_ratio",
 ]

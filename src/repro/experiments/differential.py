@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.experiments.jobs import generated_context
 from repro.hardware import CostTable, Platform
@@ -47,13 +47,9 @@ from repro.workloads.scenario import Scenario
 #: Scheduler used as the feasibility baseline when present.
 FEASIBILITY_BASELINE = "fcfs_dynamic"
 
-#: Engine-path axis of the differential harness.  Each name selects a
-#: ``mode`` of :class:`~repro.sim.SimulationEngine`: ``"python"`` is the
-#: fast production engine and ``"reference"`` the retained
-#: pre-optimization engine.  Both must produce bit-for-bit identical
-#: results and traces; ``run_differential(kernels=...)`` re-runs every
-#: scheduler on each extra axis value and reports any divergence as a
-#: ``kernel_parity`` metamorphic failure.
+#: ``kernels`` axis value -> ``SimulationEngine`` mode: ``"python"`` is
+#: the fast production engine, ``"reference"`` the retained
+#: pre-optimization engine.
 KERNEL_AXIS = {
     "python": "fast",
     "reference": "reference",
@@ -62,26 +58,61 @@ KERNEL_AXIS = {
 #: Axis order used by ``--kernels all`` and the parity matrix.
 KERNEL_AXIS_NAMES = tuple(KERNEL_AXIS)
 
-#: Execution-resource-model axis: the
-#: :data:`~repro.sim.resource_models.RESOURCE_MODEL_NAMES`, passed through
-#: as ``SimulationEngine(resource_model=...)``.  Unlike the kernel axis,
-#: secondary resource models are **not** parity-compared to the
-#: canonical run — different capacity physics legitimately produce
-#: different schedules — instead each extra model re-runs every scheduler
-#: under the full trace-invariant oracle (which includes the
-#: ``no_memory_oversubscription`` and ``interaction_causality`` checks
-#: that only bind under ``kv_batch``).
-RESOURCE_MODEL_AXIS_NAMES = RESOURCE_MODEL_NAMES
+#: The fuzz axes of :func:`run_differential`, keyed by its keyword
+#: argument: the noun of error messages, the label of summaries, the
+#: registry and the default.  ``kernels`` is a *parity* axis,
+#: ``resource_models`` and ``faults`` are *audit* axes, and on an axis
+#: with a default the first value is the canonical run (see "Fuzz axes" in
+#: ``docs/architecture.md``).
+FUZZ_AXES = {
+    "kernels": {
+        "noun": "kernel",
+        "label": "kernels",
+        "names": KERNEL_AXIS_NAMES,
+        "default": ("python",),
+    },
+    "resource_models": {
+        "noun": "resource model",
+        "label": "resources",
+        "names": RESOURCE_MODEL_NAMES,
+        "default": ("pe_fraction",),
+    },
+    "faults": {
+        "noun": "fault kind",
+        "label": "faults",
+        "names": tuple(FAULT_KINDS),
+        "default": (),
+    },
+}
 
-#: Chaos axis: the registered fault kinds of :mod:`repro.sim.faults`.
-#: For each requested kind the harness samples a deterministic fault plan
-#: (seeded from the run seed) and re-runs every scheduler with injection
-#: enabled under the **full trace-invariant oracle**, including the
-#: fault-specific checks (``no_dispatch_while_faulted``,
-#: ``fault_conservation``, ``degraded_capacity_respected``).  Like the
-#: resource-model axis this is re-audit, not parity: a faulted schedule
-#: legitimately differs from the fault-free one.
-FAULT_AXIS_NAMES = tuple(FAULT_KINDS)
+
+def validate_axis(axis: str, values: Sequence[str]) -> None:
+    """Reject names outside the registry of ``axis`` (a :data:`FUZZ_AXES` key).
+
+    An axis with a default must also name at least one value: its first
+    value is the canonical run.
+    """
+    noun, names = FUZZ_AXES[axis]["noun"], FUZZ_AXES[axis]["names"]
+    for value in values:
+        if value not in names:
+            raise ValueError(
+                f"unknown {noun} {value!r}; choose from {', '.join(sorted(names))}"
+            )
+    if FUZZ_AXES[axis]["default"] and not values:
+        raise ValueError(f"{axis} must name at least one {noun}")
+
+
+def axis_summary(axes: Mapping[str, Sequence[str]], separator: str) -> str:
+    """``separator + "<label> a+b"`` for every axis that adds secondary runs.
+
+    Those are the axes that name more values than their default: a second
+    kernel or resource model, or any fault kind.
+    """
+    return "".join(
+        f"{separator}{FUZZ_AXES[axis]['label']} {'+'.join(values)}"
+        for axis, values in axes.items()
+        if len(values) > len(FUZZ_AXES[axis]["default"])
+    )
 
 
 @dataclass(frozen=True)
@@ -199,11 +230,7 @@ class DifferentialReport:
     def describe(self) -> str:
         """One-line-per-finding human summary."""
         status = "OK" if self.ok and not self.harness_errors else "FAIL"
-        axis = f", kernels {'+'.join(self.kernels)}" if len(self.kernels) > 1 else ""
-        if len(self.resource_models) > 1:
-            axis += f", resources {'+'.join(self.resource_models)}"
-        if self.faults:
-            axis += f", faults {'+'.join(self.faults)}"
+        axis = axis_summary({name: getattr(self, name) for name in FUZZ_AXES}, ", ")
         lines = [
             f"{status} {self.scenario_name} on {self.platform} "
             f"({len(self.runs)} schedulers, {self.duration_ms:g} ms, "
@@ -322,51 +349,25 @@ def run_differential(
         cost_table: optional prebuilt cost table (built once otherwise).
         generator / generator_index: provenance, recorded in the artifact
             so a failing generated scenario can be replayed from its spec.
-        kernels: engine-path axis (:data:`KERNEL_AXIS` names).  The first
-            entry is the canonical run that feeds the invariant oracle and
-            the cross-scheduler metamorphic checks; every further entry
-            re-runs each scheduler on that engine path and any divergence
-            in results or (id-normalized) traces is a ``kernel_parity``
-            metamorphic failure.  A crash on a secondary path is recorded
-            as harness error ``"<scheduler>@<kernel>"``.
-        resource_models: execution-resource-model axis
-            (:data:`RESOURCE_MODEL_AXIS_NAMES`).  The first entry is the
-            model every engine-path run uses; each further entry re-runs
-            every scheduler under that model with the **full invariant
-            oracle** (no parity comparison: different capacity physics
-            legitimately schedule differently), with findings recorded in
-            :attr:`DifferentialReport.resource_runs` and crashes keyed
-            ``"<scheduler>@resource:<model>"``.
-        faults: chaos axis (:data:`FAULT_AXIS_NAMES`).  For each kind a
-            deterministic fault plan is sampled from the run seed
-            (:func:`~repro.sim.faults.sample_fault_plan`) and every
-            scheduler re-runs with injection enabled under the full
-            invariant oracle including the fault-specific checks.  Runs
-            land in :attr:`DifferentialReport.fault_runs`, crashes keyed
-            ``"<scheduler>@faults:<kind>"``; the sampled plans are recorded
-            in the artifact so failures replay bit-for-bit.  Fault runs
-            use the canonical engine path.
+        kernels / resource_models / faults: the fuzz axes
+            (:data:`FUZZ_AXES`; see "Fuzz axes" in ``docs/architecture.md``).
+            Each scheduler's canonical run uses the first kernel, the first
+            resource model and no faults; it feeds the oracle and the
+            metamorphic checks.  Then, in this order, every further
+            resource model and every fault kind (with a plan sampled from
+            ``seed``) re-runs it as an audit run, filed under
+            ``"<scheduler>@resource:<model>"`` in
+            :attr:`~DifferentialReport.resource_runs` or
+            ``"<scheduler>@faults:<kind>"`` in
+            :attr:`~DifferentialReport.fault_runs`, and every further
+            kernel as a parity run, whose divergence from the canonical
+            result or id-normalized trace is a ``kernel_parity`` failure.
+            A crashing secondary run is a harness error under its key
+            (``"<scheduler>@<kernel>"`` for a kernel).
     """
-    for kernel in kernels:
-        if kernel not in KERNEL_AXIS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from {KERNEL_AXIS_NAMES}"
-            )
-    if not kernels:
-        raise ValueError("kernels must name at least one engine path")
-    for model in resource_models:
-        if model not in RESOURCE_MODEL_AXIS_NAMES:
-            raise ValueError(
-                f"unknown resource model {model!r}; "
-                f"choose from {RESOURCE_MODEL_AXIS_NAMES}"
-            )
-    if not resource_models:
-        raise ValueError("resource_models must name at least one model")
-    for kind in faults:
-        if kind not in FAULT_AXIS_NAMES:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; choose from {FAULT_AXIS_NAMES}"
-            )
+    axes = {"kernels": kernels, "resource_models": resource_models, "faults": faults}
+    for axis, values in axes.items():
+        validate_axis(axis, values)
     cost_table = cost_table or CostTable.build(platform, scenario.all_model_graphs())
     report = DifferentialReport(
         scenario_name=scenario.name,
@@ -379,9 +380,7 @@ def run_differential(
         resource_models=tuple(resource_models),
         faults=tuple(faults),
     )
-    canonical, *extra_kernels = kernels
-    canonical_resources, *extra_resources = resource_models
-    fault_plans = {
+    report.fault_plans = {
         kind: sample_fault_plan(
             seed=seed,
             duration_ms=duration_ms,
@@ -390,15 +389,32 @@ def run_differential(
         )
         for kind in faults
     }
-    report.fault_plans = dict(fault_plans)
+    canonical = report.kernels[0]
+    canonical_engine = {
+        "mode": KERNEL_AXIS[canonical],
+        "resource_model": report.resource_models[0],
+        "faults": (),
+    }
+    # The secondary runs of every scheduler, in report order: (key infix,
+    # axis value, the report field an audit run is filed under or None for
+    # a parity run, engine kwargs that differ from the canonical run).
+    secondary = [
+        *(
+            ("resource:", model, report.resource_runs, {"resource_model": model})
+            for model in report.resource_models[1:]
+        ),
+        *(
+            ("faults:", kind, report.fault_runs, {"faults": plan})
+            for kind, plan in report.fault_plans.items()
+        ),
+        *(
+            ("", kernel, None, {"mode": KERNEL_AXIS[kernel]})
+            for kernel in report.kernels[1:]
+        ),
+    ]
     kernel_failures: list[Violation] = []
 
-    def _run(
-        scheduler_name: str,
-        axis_name: str,
-        resource_model: str = canonical_resources,
-        fault_plan: tuple[FaultSpec, ...] = (),
-    ) -> tuple[SimulationResult, Tracer]:
+    def _run(scheduler_name: str, **engine_kwargs) -> tuple[SimulationResult, Tracer]:
         tracer = Tracer()
         engine = SimulationEngine(
             scenario=scenario,
@@ -408,92 +424,59 @@ def run_differential(
             seed=seed,
             cost_table=cost_table,
             tracer=tracer,
-            mode=KERNEL_AXIS[axis_name],
-            resource_model=resource_model,
-            faults=fault_plan,
+            **{**canonical_engine, **engine_kwargs},
         )
         return engine.run(), tracer
 
-    for scheduler_name in schedulers:
-        try:
-            result, tracer = _run(scheduler_name, canonical)
-        except Exception:  # noqa: BLE001 - a crashing scheduler is a finding
-            report.harness_errors[scheduler_name] = traceback.format_exc()
-            continue
-        violations = audit_trace(tracer, scenario=scenario, result=result)
-        report.runs[scheduler_name] = SchedulerRun(
+    def _audited(
+        scheduler_name: str,
+        result: SimulationResult,
+        tracer: Tracer,
+        fault_plan: Optional[tuple[FaultSpec, ...]] = None,
+    ) -> SchedulerRun:
+        violations = audit_trace(tracer, scenario=scenario, result=result, faults=fault_plan)
+        return SchedulerRun(
             scheduler=scheduler_name,
             result=result,
             violations=tuple(violations),
             arrivals=_head_arrivals(tracer.records),
         )
-        for resource_model in extra_resources:
-            try:
-                rm_result, rm_tracer = _run(scheduler_name, canonical, resource_model)
-            except Exception:  # noqa: BLE001 - a crashing model is a finding
-                report.harness_errors[
-                    f"{scheduler_name}@resource:{resource_model}"
-                ] = traceback.format_exc()
-                continue
-            rm_violations = audit_trace(rm_tracer, scenario=scenario, result=rm_result)
-            report.resource_runs[
-                f"{scheduler_name}@resource:{resource_model}"
-            ] = SchedulerRun(
-                scheduler=scheduler_name,
-                result=rm_result,
-                violations=tuple(rm_violations),
-                arrivals=_head_arrivals(rm_tracer.records),
-            )
-        for kind, fault_plan in fault_plans.items():
-            try:
-                f_result, f_tracer = _run(scheduler_name, canonical, fault_plan=fault_plan)
-            except Exception:  # noqa: BLE001 - a crashing chaos run is a finding
-                report.harness_errors[
-                    f"{scheduler_name}@faults:{kind}"
-                ] = traceback.format_exc()
-                continue
-            f_violations = audit_trace(
-                f_tracer, scenario=scenario, result=f_result, faults=fault_plan
-            )
-            report.fault_runs[f"{scheduler_name}@faults:{kind}"] = SchedulerRun(
-                scheduler=scheduler_name,
-                result=f_result,
-                violations=tuple(f_violations),
-                arrivals=_head_arrivals(f_tracer.records),
-            )
-        if not extra_kernels:
+
+    for scheduler_name in schedulers:
+        try:
+            result, tracer = _run(scheduler_name)
+        except Exception:  # noqa: BLE001 - a crashing scheduler is a finding
+            report.harness_errors[scheduler_name] = traceback.format_exc()
             continue
-        # Parity axes: the canonical run was audited above, so a
-        # bit-identical secondary run needs no second audit — equality of
-        # the result dict and the id-normalized trace *is* the oracle gate.
-        canonical_dict = result.to_dict()
-        canonical_trace = _normalized_trace(tracer.records)
-        for axis_name in extra_kernels:
+        report.runs[scheduler_name] = _audited(scheduler_name, result, tracer)
+        for infix, value, runs, engine_kwargs in secondary:
+            key = f"{scheduler_name}@{infix}{value}"
             try:
-                extra_result, extra_tracer = _run(scheduler_name, axis_name)
-            except Exception:  # noqa: BLE001 - a crashing path is a finding
-                report.harness_errors[f"{scheduler_name}@{axis_name}"] = (
-                    traceback.format_exc()
+                run_result, run_tracer = _run(scheduler_name, **engine_kwargs)
+            except Exception:  # noqa: BLE001 - a crashing secondary run is a finding
+                report.harness_errors[key] = traceback.format_exc()
+                continue
+            if runs is not None:
+                runs[key] = _audited(
+                    scheduler_name, run_result, run_tracer, engine_kwargs.get("faults")
                 )
                 continue
-            if extra_result.to_dict() != canonical_dict:
-                kernel_failures.append(
-                    Violation(
-                        "kernel_parity",
-                        f"{scheduler_name}: {axis_name!r} decision path produced "
-                        f"a different result than {canonical!r} "
-                        f"(seed {seed}, {duration_ms:g} ms)",
-                    )
+            # The canonical run was audited above, so equality of the result
+            # dict and the id-normalized trace *is* the oracle gate here.
+            if run_result.to_dict() != result.to_dict():
+                difference = "a different result"
+            elif _normalized_trace(run_tracer.records) != _normalized_trace(tracer.records):
+                difference = "an identical result but a different event trace"
+            else:
+                continue
+            kernel_failures.append(
+                Violation(
+                    "kernel_parity",
+                    f"{scheduler_name}: {value!r} decision path produced "
+                    f"{difference} than {canonical!r} "
+                    f"(seed {seed}, {duration_ms:g} ms)",
                 )
-            elif _normalized_trace(extra_tracer.records) != canonical_trace:
-                kernel_failures.append(
-                    Violation(
-                        "kernel_parity",
-                        f"{scheduler_name}: {axis_name!r} decision path produced "
-                        f"an identical result but a different event trace than "
-                        f"{canonical!r} (seed {seed}, {duration_ms:g} ms)",
-                    )
-                )
+            )
     report.metamorphic_failures = _check_metamorphic(report, scenario) + kernel_failures
     return report
 
@@ -608,6 +591,15 @@ def replay_artifact(
     index = int(artifact.get("generator_index", 0))
     platform_name = artifact.get("platform", "4k_1ws_2os")
     scenario, platform_obj, cost_table = generated_context(spec, index, platform_name)
+    overrides = {"kernels": kernels, "resource_models": resource_models, "faults": faults}
+    axes = {}
+    for axis, values in overrides.items():
+        default = FUZZ_AXES[axis]["default"]
+        # An empty override counts only on an axis without a canonical
+        # value: ``faults=()`` replays fault-free.
+        if values is None or (default and not values):
+            values = artifact.get(axis) or default
+        axes[axis] = tuple(values)
     return run_differential(
         scenario,
         platform_obj,
@@ -617,13 +609,5 @@ def replay_artifact(
         cost_table=cost_table,
         generator=spec,
         generator_index=index,
-        kernels=tuple(kernels) if kernels else tuple(artifact.get("kernels") or ("python",)),
-        resource_models=(
-            tuple(resource_models)
-            if resource_models
-            else tuple(artifact.get("resource_models") or ("pe_fraction",))
-        ),
-        faults=(
-            tuple(faults) if faults is not None else tuple(artifact.get("faults") or ())
-        ),
+        **axes,
     )

@@ -225,10 +225,19 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--kernels", "all"]) == 0
         assert seen["kernels"] == ["python", "reference"]
 
-    def test_fuzz_unknown_kernel_fails_cleanly(self, capsys):
-        code = main(["fuzz", "--seeds", "1", "--kernels", "vector"])
+    @pytest.mark.parametrize(
+        ("option", "value", "message"),
+        [
+            ("--kernels", "vector", "unknown kernel 'vector'"),
+            ("--resource-models", "gpu_hours", "unknown resource model 'gpu_hours'"),
+            ("--faults", "meteor_strike", "unknown fault kind 'meteor_strike'"),
+        ],
+        ids=["kernels", "resource_models", "faults"],
+    )
+    def test_fuzz_unknown_axis_value_fails_cleanly(self, option, value, message, capsys):
+        code = main(["fuzz", "--seeds", "1", option, value])
         assert code == 2
-        assert "unknown kernel 'vector'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_fuzz_resource_models_all_upgrades_spec(self, monkeypatch, capsys):
         from repro.experiments.differential import FuzzResult
@@ -249,11 +258,6 @@ class TestFuzz:
         # The generator spec is upgraded so the kv axis actually exercises
         # shared budgets and interaction chains.
         assert seen["spec_resource_model"] == "kv_batch"
-
-    def test_fuzz_unknown_resource_model_fails_cleanly(self, capsys):
-        code = main(["fuzz", "--seeds", "1", "--resource-models", "gpu_hours"])
-        assert code == 2
-        assert "unknown resource model" in capsys.readouterr().err
 
     def test_fuzz_resource_axis_end_to_end(self, capsys):
         code = main(
@@ -280,11 +284,6 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--faults", "all"]) == 0
         assert seen["faults"] == list(FAULT_KINDS)
         assert "x faults" in capsys.readouterr().out
-
-    def test_fuzz_unknown_fault_kind_fails_cleanly(self, capsys):
-        code = main(["fuzz", "--seeds", "1", "--faults", "meteor_strike"])
-        assert code == 2
-        assert "unknown fault kind" in capsys.readouterr().err
 
     def test_fuzz_fault_axis_end_to_end(self, capsys):
         code = main(
@@ -480,14 +479,31 @@ class TestBenchEngine:
         assert code == 1
         assert "regressed" in capsys.readouterr().err
 
-    def test_bench_engine_malformed_baseline_is_usage_error(self, tmp_path, capsys):
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        code = main(
-            self._ARGS + ["--out", str(tmp_path / "out.json"), "--baseline", str(broken)]
-        )
+    def _assert_baseline_rejected_before_the_run(self, baseline, tmp_path, capsys,
+                                                  monkeypatch):
+        # A bad --baseline must fail before the basket runs (the full one
+        # takes minutes per repeat), not after timing every cell.
+        def must_not_run(**kwargs):
+            raise AssertionError("the basket ran before --baseline was read")
+
+        monkeypatch.setattr("repro.experiments.benchmark.run_engine_bench", must_not_run)
+        out_file = tmp_path / "out.json"
+        code = main(self._ARGS + ["--out", str(out_file), "--baseline", str(baseline)])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_bench_engine_malformed_baseline_is_usage_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        self._assert_baseline_rejected_before_the_run(broken, tmp_path, capsys, monkeypatch)
+
+    def test_bench_engine_missing_baseline_is_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        self._assert_baseline_rejected_before_the_run(
+            tmp_path / "nope.json", tmp_path, capsys, monkeypatch
+        )
 
     def test_bench_engine_basket_mismatch_fails_cleanly(self, tmp_path, capsys):
         out_file = tmp_path / "BENCH_engine.json"
@@ -517,54 +533,11 @@ class TestBenchEngine:
         )
         assert code == 0
         assert profile_file.exists()
-        import pstats
-
-        stats = pstats.Stats(str(profile_file))
-        assert stats.total_calls > 0
-
-    def test_bench_engine_profile_out_path(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        profile_file = tmp_path / "explicit.prof"
-        code = main(
-            [
-                "bench-engine",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--generated", "0",
-                "--duration-ms", "150",
-                "--out", str(out_file),
-                "--profile-out", str(profile_file),
-            ]
-        )
-        assert code == 0
-        assert profile_file.exists()
         assert str(profile_file) in capsys.readouterr().out
         import pstats
 
         stats = pstats.Stats(str(profile_file))
         assert stats.total_calls > 0
-
-    def test_bench_engine_profile_out_overrides_profile(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        ignored = tmp_path / "ignored.prof"
-        explicit = tmp_path / "explicit.prof"
-        code = main(
-            [
-                "bench-engine",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--generated", "0",
-                "--duration-ms", "150",
-                "--out", str(out_file),
-                "--profile", str(ignored),
-                "--profile-out", str(explicit),
-            ]
-        )
-        assert code == 0
-        assert explicit.exists()
-        assert not ignored.exists()
 
     def test_bench_engine_jobs_parallel_matches_serial_counters(self, tmp_path, capsys):
         serial_out = tmp_path / "serial.json"
@@ -619,20 +592,8 @@ class TestBenchEngine:
         assert code == 0
         assert json.loads(out_file.read_text())["t"]["repeats"] == 2
 
-    def test_bench_engine_jobs_rejects_profiling(self, tmp_path, capsys):
-        code = main(
-            self._ARGS
-            + [
-                "--out", str(tmp_path / "out.json"),
-                "--jobs", "2",
-                "--profile-out", str(tmp_path / "p.prof"),
-            ]
-        )
-        assert code == 2
-        assert "requires --jobs 1" in capsys.readouterr().err
-
     def test_bench_engine_jobs_rejects_bare_profile_too(self, tmp_path, capsys):
-        # --profile (without --profile-out) must hit the same eager check.
+        # --profile is rejected eagerly, before any cell runs.
         code = main(
             self._ARGS
             + [

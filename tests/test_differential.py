@@ -68,13 +68,23 @@ class TestRunDifferential:
         assert report.to_artifact()["kernels"] == list(KERNEL_AXIS_NAMES)
         assert "kernels" in report.describe()
 
-    def test_unknown_kernel_rejected(self, tiny_scenario, tiny_platform,
-                                     tiny_cost_table):
-        with pytest.raises(ValueError, match="kernel"):
+    @pytest.mark.parametrize(
+        ("axis", "values", "message"),
+        [
+            ("kernels", ("python", "simd"), "unknown kernel 'simd'; choose from"),
+            ("resource_models", ("pe_fraction", "gpu_hours"),
+             "unknown resource model 'gpu_hours'; choose from"),
+            ("faults", ("meteor_strike",), "unknown fault kind 'meteor_strike'; choose from"),
+        ],
+        ids=["kernels", "resource_models", "faults"],
+    )
+    def test_unknown_axis_value_rejected(self, axis, values, message, tiny_scenario,
+                                         tiny_platform, tiny_cost_table):
+        with pytest.raises(ValueError, match=message):
             run_differential(
                 tiny_scenario, tiny_platform, SCHEDULERS[:1],
                 duration_ms=100.0, cost_table=tiny_cost_table,
-                kernels=("python", "simd"),
+                **{axis: values},
             )
 
     def test_divergent_kernel_result_is_a_kernel_parity_failure(
@@ -107,28 +117,97 @@ class TestRunDifferential:
             f.invariant == "kernel_parity" for f in report.metamorphic_failures
         )
 
-    def test_crashing_kernel_axis_is_captured_per_path(
-            self, tiny_scenario, tiny_platform, tiny_cost_table, monkeypatch):
+    @pytest.mark.parametrize(
+        ("axis", "values", "key"),
+        [
+            ("kernels", ("python", "reference"), "fcfs_dynamic@reference"),
+            ("resource_models", ("pe_fraction", "kv_batch"),
+             "fcfs_dynamic@resource:kv_batch"),
+            ("faults", ("platform_outage",), "fcfs_dynamic@faults:platform_outage"),
+        ],
+        ids=["kernels", "resource_models", "faults"],
+    )
+    def test_crashing_secondary_run_is_captured_per_path(
+            self, axis, values, key, tiny_scenario, tiny_platform, tiny_cost_table,
+            monkeypatch):
         from repro.experiments import differential as mod
 
         real_engine = mod.SimulationEngine
 
-        class ExplodingReference(real_engine):
+        class ExplodingSecondary(real_engine):
             def __init__(self, **kwargs):
-                if kwargs.get("mode") == "reference":
-                    raise RuntimeError("reference path exploded")
+                if (
+                    kwargs.get("mode", "fast") != "fast"
+                    or kwargs.get("resource_model", "pe_fraction") != "pe_fraction"
+                    or kwargs.get("faults")
+                ):
+                    raise RuntimeError("secondary run exploded")
                 super().__init__(**kwargs)
 
-        monkeypatch.setattr(mod, "SimulationEngine", ExplodingReference)
+        monkeypatch.setattr(mod, "SimulationEngine", ExplodingSecondary)
         report = run_differential(
             tiny_scenario, tiny_platform, ["fcfs_dynamic"],
             duration_ms=100.0, cost_table=tiny_cost_table,
-            kernels=("python", "reference"),
+            **{axis: values},
         )
-        assert "fcfs_dynamic" in report.runs  # canonical run survived
-        assert "fcfs_dynamic@reference" in report.harness_errors
+        assert list(report.runs) == ["fcfs_dynamic"]  # canonical run survived
+        assert list(report.harness_errors) == [key]
+        assert "secondary run exploded" in report.harness_errors[key]
+        assert not report.resource_runs and not report.fault_runs
+        assert f"harness error in {key}" in report.describe()
         # Artifact scheduler names stay valid registry names for --replay.
         assert report.to_artifact()["schedulers"] == ["fcfs_dynamic"]
+
+    def test_secondary_runs_go_scheduler_major(
+            self, tiny_scenario, tiny_platform, tiny_cost_table, monkeypatch):
+        from repro.experiments import differential as mod
+
+        real_engine = mod.SimulationEngine
+        calls = []
+
+        class RecordingEngine(real_engine):
+            def __init__(self, **kwargs):
+                kinds = sorted({spec.kind for spec in kwargs["faults"]})
+                calls.append(
+                    (kwargs["scheduler"].name, kwargs["mode"], kwargs["resource_model"],
+                     *kinds)
+                )
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(mod, "SimulationEngine", RecordingEngine)
+        report = run_differential(
+            tiny_scenario, tiny_platform, ["fcfs_dynamic", "dream_full"],
+            duration_ms=300.0, seed=0, cost_table=tiny_cost_table,
+            kernels=KERNEL_AXIS_NAMES,
+            resource_models=("pe_fraction", "kv_batch"),
+            faults=("accel_degrade", "platform_outage"),
+        )
+        assert report.ok
+        assert not report.harness_errors
+        assert list(report.runs) == ["fcfs_dynamic", "dream_full"]
+        assert list(report.resource_runs) == [
+            "fcfs_dynamic@resource:kv_batch",
+            "dream_full@resource:kv_batch",
+        ]
+        assert list(report.fault_runs) == [
+            "fcfs_dynamic@faults:accel_degrade",
+            "fcfs_dynamic@faults:platform_outage",
+            "dream_full@faults:accel_degrade",
+            "dream_full@faults:platform_outage",
+        ]
+        # Per scheduler: the canonical run, then resource models, then
+        # fault kinds, then kernels.
+        assert calls == [
+            run
+            for scheduler in ("fcfs_dynamic", "dream_full")
+            for run in [
+                (scheduler, "fast", "pe_fraction"),
+                (scheduler, "fast", "kv_batch"),
+                (scheduler, "fast", "pe_fraction", "accel_degrade"),
+                (scheduler, "fast", "pe_fraction", "platform_outage"),
+                (scheduler, "reference", "pe_fraction"),
+            ]
+        ]
 
     def test_crashing_scheduler_is_captured_not_raised(self, tiny_scenario, tiny_platform,
                                                        tiny_cost_table, monkeypatch):
@@ -211,15 +290,6 @@ class TestFaultAxis:
         assert artifact["faults"] == ["platform_outage"]
         assert artifact["fault_plans"]["platform_outage"]
         assert "faults platform_outage" in report.describe()
-
-    def test_unknown_fault_kind_rejected(self, tiny_scenario, tiny_platform,
-                                         tiny_cost_table):
-        with pytest.raises(ValueError, match="fault kind"):
-            run_differential(
-                tiny_scenario, tiny_platform, SCHEDULERS[:1],
-                duration_ms=100.0, cost_table=tiny_cost_table,
-                faults=("meteor_strike",),
-            )
 
     def test_fault_axis_roundtrips_through_replay(self):
         spec = GeneratorSpec(seed=13, min_tasks=2, max_tasks=3)

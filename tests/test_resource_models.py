@@ -291,17 +291,6 @@ class TestDifferentialResourceAxis:
         }
         assert report.to_artifact()["resource_models"] == ["pe_fraction", "kv_batch"]
 
-    def test_unknown_resource_model_rejected(self, tiny_scenario, tiny_platform,
-                                             tiny_cost_table):
-        from repro.experiments.differential import run_differential
-
-        with pytest.raises(ValueError, match="choose from"):
-            run_differential(
-                tiny_scenario, tiny_platform, ["fcfs_dynamic"],
-                duration_ms=100.0, seed=0, cost_table=tiny_cost_table,
-                resource_models=("pe_fraction", "gpu_hours"),
-            )
-
 
 class TestCrossHashSeedStability:
     """A full kv_batch pipeline run is identical across interpreter sessions."""
