@@ -40,14 +40,14 @@ def pytest_addoption(parser):
         "--run-perf",
         action="store_true",
         default=False,
-        help="Run the opt-in engine performance microbenchmarks (marker: perf).",
+        help="Run the opt-in timed engine gate (marker: perf).",
     )
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: engine throughput microbenchmarks; skipped unless --run-perf is given",
+        "perf: timed engine gate; skipped unless --run-perf is given",
     )
 
 

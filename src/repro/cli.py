@@ -14,16 +14,6 @@ Subcommands:
 * ``repro bench`` — time the same grid on the serial and process backends,
   assert bit-for-bit parity, and emit a machine-readable ``BENCH_grid.json``
   (cells/sec, wall times, speedup) so perf trajectories persist across PRs.
-* ``repro bench-engine`` — time the simulation hot loop itself: run the
-  Table-3 grid plus generated scenarios across all registered schedulers on
-  the optimized engine and the retained reference path, assert bit-for-bit
-  result parity across both passes, report events/sec, and emit
-  ``BENCH_engine.json``.  ``--quick`` selects the CI-sized basket,
-  ``--jobs N`` fans cells out to the process execution backend,
-  ``--profile [PATH]`` captures a cProfile of the optimized passes, and
-  ``--baseline`` / ``--max-regression`` / ``--max-round-regression`` gate
-  wall-clock and scheduler-invocation regressions against a committed
-  baseline.
 * ``repro generate`` — sample randomized scenarios from the model zoo
   (seeded, reproducible), optionally writing the generator spec and running
   the generated grid on any backend/store.  ``--traffic`` samples
@@ -67,7 +57,7 @@ from typing import Optional, Sequence
 
 from repro import __version__
 from repro.experiments import figures as figures_mod
-from repro.experiments.backends import backend_names
+from repro.experiments.backends import backend_names, make_backend
 from repro.experiments.differential import (
     FUZZ_AXES,
     axis_summary,
@@ -362,6 +352,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # Built before anything runs, so a bad --workers is a usage error at
+    # once rather than after the whole serial pass.
+    process_backend = make_backend("process", workers=args.workers)
     scenarios = _split_names(args.scenarios, SMOKE_GRID["scenarios"])
     platforms = _split_names(args.platforms, SMOKE_GRID["platforms"])
     schedulers = _split_names(args.schedulers, SMOKE_GRID["schedulers"])
@@ -386,8 +379,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     process_grid = run_grid(
         scenarios, platforms, schedulers,
-        duration_ms=duration_ms, seed=args.seed,
-        backend="process", workers=args.workers,
+        duration_ms=duration_ms, seed=args.seed, backend=process_backend,
     )
     process_s = time.perf_counter() - started
     print(f"process: {process_s:.2f} s ({cells / process_s:.2f} cells/s)")
@@ -426,118 +418,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-# --------------------------------------------------------------------- #
-# repro bench-engine
-# --------------------------------------------------------------------- #
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    from repro.experiments import benchmark as bench_mod
-
-    if args.jobs < 1:
-        raise ValueError("--jobs must be positive")
-    if args.profile is not None and args.jobs > 1:
-        # Usage error (exit 2 via main): cProfile instruments this process,
-        # but with --jobs the timed passes run inside pool workers, so the
-        # capture would be empty/misleading rather than merely slow.
-        raise ValueError(
-            "--profile requires --jobs 1: the cProfile capture "
-            "instruments the current process, and with --jobs N the timed "
-            "engine passes run inside worker processes it cannot see"
-        )
-    # Read the baseline before the basket runs, so a missing or malformed
-    # file fails fast, and before --out is written: with the default --out
-    # the two paths can be the same file, and the gate must compare against
-    # the committed numbers, not the payload we are about to merge in.
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"repro: error: cannot read {args.baseline}: {error}", file=sys.stderr)
-            return 2
-    basket = bench_mod.quick_basket() if args.quick else bench_mod.default_basket()
-    scenarios = _split_names(args.scenarios, basket["scenarios"])
-    platforms = _split_names(args.platforms, basket["platforms"])
-    schedulers = _scheduler_list(args.schedulers, basket["schedulers"])
-    generated = args.generated if args.generated is not None else basket["generated"]
-    duration_ms = args.duration_ms if args.duration_ms is not None else basket["duration_ms"]
-
-    cells = (len(scenarios) * len(platforms) + generated) * len(schedulers)
-    jobs = args.jobs
-    print(
-        f"bench-engine: {cells} cells ({len(scenarios)} scenarios x "
-        f"{len(platforms)} platforms + {generated} generated) x "
-        f"{len(schedulers)} schedulers, {duration_ms:g} ms each, "
-        f"optimized vs reference engine"
-        + (f", {jobs} parallel jobs" if jobs > 1 else "")
-    )
-    payload = bench_mod.run_engine_bench(
-        scenarios=scenarios,
-        platforms=platforms,
-        schedulers=schedulers,
-        generated=generated,
-        duration_ms=duration_ms,
-        seed=args.seed,
-        profile_path=args.profile,
-        jobs=jobs,
-        repeats=args.repeats,
-        kv_smoke=args.kv_smoke,
-    )
-    print(bench_mod.describe(payload))
-
-    # BENCH_engine.json holds one payload per basket label (full / quick /
-    # custom) so the committed baseline can serve both the headline run and
-    # the CI gate; merging preserves the other labels.
-    label = args.label or ("quick" if args.quick else "full")
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            existing = None
-        if isinstance(existing, dict):
-            if "totals" in existing:
-                merged["full"] = existing
-            else:
-                merged.update(
-                    {k: v for k, v in existing.items() if isinstance(v, dict) and "totals" in v}
-                )
-    merged[label] = payload
-    args.out.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out} (label {label!r})")
-    if args.profile is not None:
-        print(f"wrote cProfile dump {args.profile} (inspect with pstats or snakeviz)")
-
-    if not payload["parity"]:
-        print("error: optimized and reference engines disagree", file=sys.stderr)
-        return 1
-    if baseline is not None:
-        warnings: list[str] = []
-        problems = bench_mod.compare_to_baseline(
-            payload, baseline, args.max_regression,
-            max_round_regression=args.max_round_regression,
-            warnings=warnings,
-        )
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        matched = next(
-            entry
-            for entry in bench_mod.baseline_entries(baseline)
-            if entry.get("basket") == payload.get("basket")
-        )
-        print(
-            f"baseline check OK (speedup {payload['totals']['speedup']:.2f}x vs committed "
-            f"{matched['totals']['speedup']:.2f}x, "
-            f"allowed regression {args.max_regression:.0%})"
-        )
     return 0
 
 
@@ -1051,85 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail unless the process backend is at least X times faster",
     )
     bench_parser.set_defaults(func=_cmd_bench)
-
-    bench_engine_parser = subparsers.add_parser(
-        "bench-engine",
-        help="time the simulation hot loop (optimized vs reference engine, events/sec)",
-    )
-    bench_engine_parser.add_argument(
-        "--scenarios", action="append", metavar="NAMES",
-        help="comma-separated scenario names (default: the Table-3 grid)",
-    )
-    bench_engine_parser.add_argument(
-        "--platforms", action="append", metavar="NAMES",
-        help="comma-separated platform names (default: 4k_1ws_2os,4k_2ws)",
-    )
-    bench_engine_parser.add_argument(
-        "--schedulers", action="append", metavar="NAMES",
-        help="schedulers to bench ('all' or comma-separated; default: all)",
-    )
-    bench_engine_parser.add_argument(
-        "--generated", type=int, default=None, metavar="N",
-        help="generated scenarios appended to the basket (default: 3; 2 with --quick)",
-    )
-    bench_engine_parser.add_argument(
-        "--duration-ms", type=float, default=None,
-        help="simulated window per cell (default: 2000; 400 with --quick)",
-    )
-    bench_engine_parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    bench_engine_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized basket: 2 scenarios x 1 platform + 2 generated at 400 ms",
-    )
-    bench_engine_parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_engine.json"), metavar="PATH",
-        help="machine-readable output file; payloads merge under their basket "
-        "label (default: BENCH_engine.json)",
-    )
-    bench_engine_parser.add_argument(
-        "--label", default=None, metavar="NAME",
-        help="basket label in the output file (default: 'quick' with --quick, else 'full')",
-    )
-    bench_engine_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run cells through the process execution backend with N workers "
-        "(default: 1 = serial; per-cell timings are measured inside each "
-        "worker, so on a single-core container N>1 makes them contend — "
-        "use >1 on multi-core hosts such as the 4-vCPU CI runners)",
-    )
-    bench_engine_parser.add_argument(
-        "--repeats", type=int, default=1, metavar="N",
-        help="runs per cell per engine; the minimum wall time is recorded "
-        "(noise-robust — use 2-3 when regenerating a committed baseline; "
-        "default: 1)",
-    )
-    bench_engine_parser.add_argument(
-        "--profile", type=Path, nargs="?", const=Path("bench_engine.prof"),
-        default=None, metavar="PATH",
-        help="dump a cProfile capture of the optimized passes (fixed "
-        "default path bench_engine.prof when no PATH is given; requires "
-        "--jobs 1)",
-    )
-    bench_engine_parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help="committed BENCH_engine.json to gate regressions against",
-    )
-    bench_engine_parser.add_argument(
-        "--max-regression", type=float, default=0.2, metavar="F",
-        help="allowed fractional throughput regression vs --baseline (default: 0.2)",
-    )
-    bench_engine_parser.add_argument(
-        "--max-round-regression", type=float, default=0.1, metavar="F",
-        help="allowed fractional growth of the fast engine's schedule() "
-        "call count vs --baseline (deterministic per basket; default: 0.1)",
-    )
-    bench_engine_parser.add_argument(
-        "--kv-smoke", action="store_true",
-        help="also time a small kv_batch (KV-cache/continuous-batching) "
-        "basket; recorded under a separate 'kv_smoke' payload key and "
-        "never gated by --baseline",
-    )
-    bench_engine_parser.set_defaults(func=_cmd_bench_engine)
 
     generate_parser = subparsers.add_parser(
         "generate", help="sample randomized scenarios from the model zoo"

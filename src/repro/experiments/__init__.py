@@ -41,7 +41,6 @@ from repro.experiments.differential import (
     run_differential,
     run_fuzz,
 )
-from repro.experiments.benchmark import compare_to_baseline, run_engine_bench
 from repro.experiments.jobs import CellJob, PhasedJob, generated_cell_jobs, grid_jobs
 from repro.experiments.store import ResultStore
 from repro.experiments.sweeps import cascade_probability_sweep, uxcost_objective, parameter_grid
@@ -67,7 +66,6 @@ __all__ = [
     "run_fuzz",
     "backend_names",
     "cascade_probability_sweep",
-    "compare_to_baseline",
     "default_execution",
     "execute_jobs",
     "figures",
@@ -76,7 +74,6 @@ __all__ = [
     "make_backend",
     "parameter_grid",
     "run_cell",
-    "run_engine_bench",
     "run_grid",
     "run_phased_workload",
     "uxcost_objective",

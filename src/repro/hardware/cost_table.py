@@ -32,8 +32,7 @@ the scan it replaces, so optimized and reference simulations agree
 bit-for-bit.  :meth:`CostTable.reference_view` returns a
 :class:`ReferenceCostTable` that shares the underlying entries but answers
 every aggregate with the original O(accelerators)-per-call scans — the
-retained "pre-optimization" path that ``repro bench-engine`` measures
-against.
+retained "pre-optimization" path of the reference engine.
 """
 
 from __future__ import annotations
@@ -247,8 +246,8 @@ class CostTable:
 
         The view shares this table's entries and summaries (values are
         bit-for-bit identical either way); only the *cost* of answering a
-        query differs.  The reference simulation path uses it so that
-        ``repro bench-engine`` measures honest pre-optimization timings.
+        query differs.  The reference simulation path uses it, so its
+        timings are those of the pre-optimization scans.
         """
         view = ReferenceCostTable.__new__(ReferenceCostTable)
         view._platform = self._platform

@@ -55,8 +55,8 @@ class WakeHint:
     only needs to name *sufficient* conditions for inertness, never all of
     them.  The engine re-derives every condition from live pool/executor
     state at each scheduling point, so elision can never act on stale
-    information; ``repro bench-engine`` and the elision parity tests verify
-    bit-for-bit identical results, traces and stats with elision on vs off.
+    information; the elision parity tests verify bit-for-bit identical
+    results, traces and stats with elision on vs off.
 
     Attributes:
         min_free_fraction: if set, ``schedule()`` is inert whenever at

@@ -57,7 +57,6 @@ from repro.sim.engine import ENGINE_MODES, SimulationEngine, run_simulation
 from repro.sim.resource_models import (
     RESOURCE_MODEL_NAMES,
     KvBatchModel,
-    PeFractionModel,
     ResourceModel,
     make_resource_model,
     resource_model_names,
@@ -90,7 +89,6 @@ __all__ = [
     "resource_model_names",
     "make_resource_model",
     "ResourceModel",
-    "PeFractionModel",
     "KvBatchModel",
     "Assignment",
     "SchedulingDecision",

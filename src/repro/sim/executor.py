@@ -28,7 +28,7 @@ always exact.
 
 ``fast=False`` retains the historical implementation — per-call slot
 scans and a per-layer Python pricing loop — for the reference simulation
-mode that ``repro bench-engine`` compares against.
+mode, the executable spec the fast engine is compared against.
 """
 
 from __future__ import annotations

@@ -12,15 +12,16 @@ on.  A :class:`ResourceModel` defines the semantics of that scalar:
 * how long the assigned layers take given the accelerator's current
   occupancy (:meth:`ResourceModel.price_layers`).
 
-Two implementations ship:
+Two models are registered:
 
 ``pe_fraction`` (default)
     The paper's spatial-sharing model.  An assignment charges exactly its
     requested ``pe_fraction`` and per-layer latency is
-    ``max(compute / pe_fraction, memory) + overhead``.  The default model
-    is **never consulted on the hot path**: the executor keeps its
-    historical inlined arithmetic, so results are bit-for-bit identical to
-    a build without this module (enforced by the engine-parity sweep).
+    ``max(compute / pe_fraction, memory) + overhead``.  It has no class:
+    :func:`make_resource_model` returns ``None`` for it and the executor
+    keeps its historical inlined arithmetic, so results are bit-for-bit
+    identical to a build without this module (enforced by the
+    engine-parity sweep).
 
 ``kv_batch``
     A vLLM-style continuous-batching executor with a shared KV-cache
@@ -143,33 +144,6 @@ class ResourceModel:
         raise NotImplementedError
 
 
-class PeFractionModel(ResourceModel):
-    """The paper's PE-fraction spatial-sharing model (the default).
-
-    Documented here for the protocol contract; the executor never calls
-    into this class on the hot path — its inlined arithmetic *is* this
-    model, kept bit-for-bit stable by the engine-parity sweep.
-    """
-
-    name = "pe_fraction"
-
-    def price_layers(self, executor, request, layer_indices, assignment):
-        duration = 0.0
-        energy = 0.0
-        worst = 0.0
-        for layer_index in layer_indices:
-            duration += executor.effective_layer_latency_ms(
-                request.model_name, layer_index, assignment.pe_fraction
-            )
-            energy += executor.cost_table.energy(
-                request.model_name, layer_index, executor.acc_id
-            )
-            worst += executor.cost_table.worst_layer_energy(
-                request.model_name, layer_index
-            )
-        return duration, energy, worst
-
-
 class KvBatchModel(ResourceModel):
     """Continuous batching under a shared KV-cache memory budget.
 
@@ -280,7 +254,6 @@ __all__ = [
     "DEFAULT_KV_BUDGET_RATIO",
     "DEFAULT_MAX_BATCH",
     "KvBatchModel",
-    "PeFractionModel",
     "RESOURCE_MODEL_NAMES",
     "ResourceModel",
     "activation_footprint_bytes",

@@ -179,7 +179,7 @@ class SimulationResult:
     whose measured results are bit-for-bit identical.  They are therefore
     excluded from equality comparison and from :meth:`to_dict` (parity
     checks and the content-keyed result store see only measurements);
-    ``repro bench-engine`` reports them per cell instead.
+    ``benchmarks/test_perf_engine.py`` pins their quick-basket totals.
     """
 
     scenario_name: str

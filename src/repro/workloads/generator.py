@@ -208,8 +208,8 @@ class GeneratorSpec:
 
         ``traffic_models`` is only emitted when it differs from the
         periodic-only default: the canonical JSON seeds every generation
-        RNG and keys the result cache and bench baskets, so default specs
-        must keep producing the exact pre-traffic scenarios.
+        RNG and keys the result cache, so default specs must keep
+        producing the exact pre-traffic scenarios.
         """
         payload = {
             "seed": self.seed,

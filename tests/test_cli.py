@@ -388,254 +388,19 @@ class TestBench:
         assert code == 1
         assert "below required" in capsys.readouterr().err
 
+    def test_bench_rejects_nonpositive_workers_before_running(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # A bad --workers must fail before the serial pass times every
+        # cell, not after it.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid ran before --workers was checked")
 
-class TestBenchEngine:
-    _ARGS = [
-        "bench-engine",
-        "--scenarios", "ar_call",
-        "--platforms", "4k_1ws_2os",
-        "--schedulers", "fcfs_dynamic,dream_full",
-        "--generated", "1",
-        "--duration-ms", "150",
-    ]
-
-    def test_bench_engine_emits_labeled_payload(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        code = main(self._ARGS + ["--out", str(out_file), "--label", "test"])
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        entry = payload["test"]
-        assert entry["benchmark"] == "engine_throughput"
-        assert entry["parity"] is True
-        # (1 preset + 1 generated scenario) x 2 schedulers.
-        assert entry["totals"]["cells"] == 4
-        assert entry["totals"]["events"] > 0
-        assert entry["totals"]["fast_events_per_sec"] > 0
-        assert entry["totals"]["reference_events_per_sec"] > 0
-        out = capsys.readouterr().out
-        assert "parity: OK (bit-for-bit)" in out
-
-    def test_bench_engine_kv_smoke_records_separate_payload(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        code = main(self._ARGS + ["--kv-smoke", "--out", str(out_file), "--label", "test"])
-        assert code == 0
-        entry = json.loads(out_file.read_text())["test"]
-        smoke = entry["kv_smoke"]
-        assert smoke["parity"] is True
-        assert smoke["totals"]["events"] > 0
-        assert all(cell["resource_model"] == "kv_batch" for cell in smoke["cells"])
-        # The smoke cells stay out of the gated basket/cells/totals.
-        assert entry["basket"]["schedulers"] == ["fcfs_dynamic", "dream_full"]
-        assert all("resource_model" not in cell for cell in entry["cells"])
-        assert "kv_batch smoke:" in capsys.readouterr().out
-
-    def test_bench_engine_merges_labels(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        assert main(self._ARGS + ["--out", str(out_file), "--label", "a"]) == 0
-        assert main(self._ARGS + ["--out", str(out_file), "--label", "b"]) == 0
-        payload = json.loads(out_file.read_text())
-        assert set(payload) == {"a", "b"}
-
-    def test_bench_engine_baseline_gate(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        assert main(self._ARGS + ["--out", str(out_file)]) == 0
-
-        # Same basket against its own baseline: no regression possible
-        # beyond noise, so a generous allowance must pass.
-        rerun = tmp_path / "rerun.json"
-        code = main(
-            self._ARGS
-            + ["--out", str(rerun), "--baseline", str(out_file), "--max-regression", "0.9"]
-        )
-        assert code == 0
-
-        # An absurdly fast fabricated baseline must trip the gate.
-        baseline = json.loads(out_file.read_text())
-        entry = baseline["full"]
-        entry["totals"]["speedup"] *= 100.0
-        entry["totals"]["fast_events_per_sec"] *= 100.0
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(baseline))
-        code = main(
-            self._ARGS
-            + ["--out", str(rerun), "--baseline", str(doctored), "--max-regression", "0.2"]
-        )
-        assert code == 1
-        assert "regressed" in capsys.readouterr().err
-
-    def test_bench_engine_baseline_read_before_out_overwrites_it(self, tmp_path, capsys):
-        # --out and --baseline may be the SAME file (both default to
-        # BENCH_engine.json): the gate must compare against the committed
-        # numbers, not the payload it just merged into the file.
-        shared = tmp_path / "BENCH_engine.json"
-        assert main(self._ARGS + ["--out", str(shared)]) == 0
-        payload = json.loads(shared.read_text())
-        payload["full"]["totals"]["speedup"] *= 100.0
-        shared.write_text(json.dumps(payload))
-        code = main(
-            self._ARGS
-            + ["--out", str(shared), "--baseline", str(shared), "--max-regression", "0.2"]
-        )
-        assert code == 1
-        assert "regressed" in capsys.readouterr().err
-
-    def _assert_baseline_rejected_before_the_run(self, baseline, tmp_path, capsys,
-                                                  monkeypatch):
-        # A bad --baseline must fail before the basket runs (the full one
-        # takes minutes per repeat), not after timing every cell.
-        def must_not_run(**kwargs):
-            raise AssertionError("the basket ran before --baseline was read")
-
-        monkeypatch.setattr("repro.experiments.benchmark.run_engine_bench", must_not_run)
-        out_file = tmp_path / "out.json"
-        code = main(self._ARGS + ["--out", str(out_file), "--baseline", str(baseline)])
+        monkeypatch.setattr("repro.cli.run_grid", must_not_run)
+        out_file = tmp_path / "b.json"
+        code = main(["bench", "--workers", "0", "--out", str(out_file)])
         assert code == 2
-        assert "cannot read" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
         assert not out_file.exists()
-
-    def test_bench_engine_malformed_baseline_is_usage_error(self, tmp_path, capsys,
-                                                            monkeypatch):
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        self._assert_baseline_rejected_before_the_run(broken, tmp_path, capsys, monkeypatch)
-
-    def test_bench_engine_missing_baseline_is_usage_error(self, tmp_path, capsys,
-                                                          monkeypatch):
-        self._assert_baseline_rejected_before_the_run(
-            tmp_path / "nope.json", tmp_path, capsys, monkeypatch
-        )
-
-    def test_bench_engine_basket_mismatch_fails_cleanly(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        assert main(self._ARGS + ["--out", str(out_file)]) == 0
-        rerun = tmp_path / "rerun.json"
-        code = main(
-            self._ARGS[:-1]
-            + ["100", "--out", str(rerun), "--baseline", str(out_file)]
-        )
-        assert code == 1
-        assert "matching basket" in capsys.readouterr().err
-
-    def test_bench_engine_profile_dump(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        profile_file = tmp_path / "engine.prof"
-        code = main(
-            [
-                "bench-engine",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--generated", "0",
-                "--duration-ms", "150",
-                "--out", str(out_file),
-                "--profile", str(profile_file),
-            ]
-        )
-        assert code == 0
-        assert profile_file.exists()
-        assert str(profile_file) in capsys.readouterr().out
-        import pstats
-
-        stats = pstats.Stats(str(profile_file))
-        assert stats.total_calls > 0
-
-    def test_bench_engine_jobs_parallel_matches_serial_counters(self, tmp_path, capsys):
-        serial_out = tmp_path / "serial.json"
-        parallel_out = tmp_path / "parallel.json"
-        assert main(self._ARGS + ["--out", str(serial_out), "--label", "t"]) == 0
-        assert main(
-            self._ARGS + ["--out", str(parallel_out), "--label", "t", "--jobs", "2"]
-        ) == 0
-        serial = json.loads(serial_out.read_text())["t"]
-        parallel = json.loads(parallel_out.read_text())["t"]
-        assert parallel["parity"] is True
-        assert parallel["jobs"] == 2
-        # Everything deterministic must be identical across backends: cell
-        # order, event counts, and the scheduler-load counters (only the
-        # wall-clock fields may differ).
-        deterministic = (
-            "scenario", "platform", "scheduler", "events",
-            "fast_schedule_calls", "fast_dispatches_elided",
-            "fast_events_coalesced", "reference_schedule_calls", "parity",
-        )
-        assert [
-            {key: cell[key] for key in deterministic} for cell in serial["cells"]
-        ] == [
-            {key: cell[key] for key in deterministic} for cell in parallel["cells"]
-        ]
-        for key in (
-            "events", "fast_schedule_calls", "fast_dispatches_elided",
-            "fast_events_coalesced", "reference_schedule_calls",
-        ):
-            assert serial["totals"][key] == parallel["totals"][key]
-
-    def test_bench_engine_rejects_bad_repeats(self, tmp_path, capsys):
-        code = main(self._ARGS + ["--out", str(tmp_path / "out.json"), "--repeats", "0"])
-        assert code == 2
-        assert "repeats" in capsys.readouterr().err
-
-    def test_bench_engine_repeats_recorded(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        code = main(
-            [
-                "bench-engine",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--generated", "0",
-                "--duration-ms", "150",
-                "--repeats", "2",
-                "--out", str(out_file),
-                "--label", "t",
-            ]
-        )
-        assert code == 0
-        assert json.loads(out_file.read_text())["t"]["repeats"] == 2
-
-    def test_bench_engine_jobs_rejects_bare_profile_too(self, tmp_path, capsys):
-        # --profile is rejected eagerly, before any cell runs.
-        code = main(
-            self._ARGS
-            + [
-                "--out", str(tmp_path / "out.json"),
-                "--jobs", "2",
-                "--profile", str(tmp_path / "p.prof"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "requires --jobs 1" in err
-        # The message explains WHY, not just what: profiling cannot see
-        # engine passes running inside worker processes.
-        assert "worker processes" in err
-
-    def test_bench_engine_rejects_nonpositive_jobs(self, tmp_path, capsys):
-        code = main(self._ARGS + ["--out", str(tmp_path / "out.json"), "--jobs", "0"])
-        assert code == 2
-        assert "--jobs must be positive" in capsys.readouterr().err
-
-    def test_bench_engine_round_regression_gate(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_engine.json"
-        assert main(self._ARGS + ["--out", str(out_file)]) == 0
-        baseline = json.loads(out_file.read_text())
-        entry = baseline["full"]
-        # A fabricated baseline with far fewer schedule() calls: the fresh
-        # run's (identical) count now reads as a >10% regression.
-        entry["totals"]["fast_schedule_calls"] = max(
-            1, entry["totals"]["fast_schedule_calls"] // 2
-        )
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(baseline))
-        code = main(
-            self._ARGS
-            + [
-                "--out", str(tmp_path / "rerun.json"),
-                "--baseline", str(doctored),
-                "--max-regression", "0.9",
-            ]
-        )
-        assert code == 1
-        assert "schedule() calls regressed" in capsys.readouterr().err
 
 
 class TestFleet:

@@ -5,7 +5,7 @@ protection as code:
 
 * ``docs/cli.md`` is generated from the live argument parser and must be
   byte-identical to an in-process regeneration;
-* the five documentation pages exist and their relative links resolve;
+* the documentation pages exist and their relative links resolve;
 * every module under ``src/`` carries a module docstring (the local
   equivalent of the ruff D100/D104 gate CI runs).
 """
@@ -22,7 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
 
 PAGES = ["architecture.md", "performance.md", "fleet.md", "glossary.md", "cli.md",
-         "perf-trend.md", "resource-models.md", "faults.md"]
+         "resource-models.md", "faults.md"]
 
 
 def load_gen_cli_reference():
@@ -48,7 +48,7 @@ class TestCliReference:
         content = (DOCS / "cli.md").read_text(encoding="utf-8")
         for command in [
             "repro list", "repro grid", "repro figure", "repro bench",
-            "repro bench-engine", "repro generate", "repro fuzz",
+            "repro generate", "repro fuzz",
             "repro fleet", "repro fleet run", "repro fleet describe",
         ]:
             assert f"## `{command}`" in content, f"missing section for {command}"

@@ -114,6 +114,24 @@ def test_preset_scenario_parity(scheduler_name):
     _assert_parity(scenario, platform, cost_table, scheduler_name, 300.0)
 
 
+@pytest.mark.parametrize("scheduler_name", scheduler_names())
+def test_vr_gaming_parity(scheduler_name):
+    """The quick basket's other preset (``benchmarks/test_perf_engine.py``)."""
+    scenario, platform, cost_table = shared_context("vr_gaming", _PLATFORM, 0.5)
+    _assert_parity(scenario, platform, cost_table, scheduler_name, 400.0)
+
+
+@pytest.mark.parametrize("scheduler_name", ("fcfs_dynamic", "planaria", "dream_full"))
+@pytest.mark.parametrize("index", range(2))
+def test_kv_batch_generated_parity(index, scheduler_name):
+    """kv_batch scenarios: budgets, batch dilation and interaction turns."""
+    scenario, platform, cost_table = generated_context(
+        GeneratorSpec(resource_model="kv_batch"), index, _PLATFORM
+    )
+    _assert_parity(scenario, platform, cost_table, scheduler_name, 400.0,
+                   resource_model="kv_batch")
+
+
 @pytest.mark.parametrize("scheduler_name", ("dream_smartdrop", "dream_full"))
 @pytest.mark.parametrize("scenario_name", ("vr_gaming", "ar_social"))
 def test_smartdrop_parity_on_deep_queues(scenario_name, scheduler_name):

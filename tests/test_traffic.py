@@ -205,7 +205,7 @@ class TestTaskSpecTraffic:
 
 class TestGeneratorTrafficSampling:
     def test_default_spec_key_unchanged_by_traffic_feature(self):
-        """The canonical key (cache keys, bench baskets, RNG seeds) of a
+        """The canonical key (cache keys, RNG seeds) of a
         periodic-only spec must not mention traffic at all."""
         spec = GeneratorSpec()
         assert "traffic" not in spec.canonical_key()
