@@ -7,13 +7,13 @@ Subcommands:
 * ``repro grid`` — run a (scenario x platform x scheduler) grid on a chosen
   execution backend, print the paper-style UXCost table, optionally
   persisting results (``--store``) and dumping structured JSON (``--json``).
-  ``--smoke`` selects the small fixed grid CI uses for backend parity.
-* ``repro figure N`` — regenerate one evaluation figure (or ``all``),
-  routed through the selected backend via
-  :func:`repro.experiments.harness.default_execution`.
-* ``repro bench`` — time the same grid on the serial and process backends,
-  assert bit-for-bit parity, and emit a machine-readable ``BENCH_grid.json``
-  (cells/sec, wall times, speedup) so perf trajectories persist across PRs.
+  ``--smoke`` selects the small fixed grid CI uses for backend parity and
+  the process-backend speedup check.
+* ``repro figure N`` — regenerate one evaluation figure (or ``all``).
+  Figures 2, 7, 8, 9, 12 and 14 run their cells through the selected
+  backend and store via :func:`repro.experiments.harness.default_execution`;
+  Figures 10, 11 and 13 run their optimizer and objective loops
+  in-process, without the store.
 * ``repro generate`` — sample randomized scenarios from the model zoo
   (seeded, reproducible), optionally writing the generator spec and running
   the generated grid on any backend/store.  ``--traffic`` samples
@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 from repro import __version__
 from repro.experiments import figures as figures_mod
-from repro.experiments.backends import backend_names, make_backend
+from repro.experiments.backends import backend_names
 from repro.experiments.differential import (
     FUZZ_AXES,
     axis_summary,
@@ -65,12 +65,7 @@ from repro.experiments.differential import (
     run_fuzz,
     validate_axis,
 )
-from repro.experiments.harness import (
-    GridResult,
-    default_execution,
-    execute_jobs,
-    run_grid,
-)
+from repro.experiments.harness import GridResult, default_execution, execute_jobs
 from repro.experiments.jobs import generated_cell_jobs, grid_jobs
 from repro.experiments.store import ResultStore
 from repro.fleet import (
@@ -99,9 +94,9 @@ from repro.workloads import (
 #: in CI).
 EXIT_INVARIANT_VIOLATION = 3
 
-#: Fixed grid used by ``repro grid --smoke`` and as the ``repro bench``
-#: default: 2 scenarios x 2 platforms x 3 schedulers = 12 cells, spanning a
-#: baseline, a strong baseline and the full DREAM configuration.
+#: Fixed grid used by ``repro grid --smoke`` (the CI backend parity and
+#: speedup check): 2 scenarios x 2 platforms x 3 schedulers = 12 cells,
+#: spanning a baseline, a strong baseline and the full DREAM configuration.
 SMOKE_GRID = {
     "scenarios": ["ar_call", "vr_gaming"],
     "platforms": ["4k_1ws_2os", "4k_2ws"],
@@ -347,81 +342,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------- #
-# repro bench
-# --------------------------------------------------------------------- #
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Built before anything runs, so a bad --workers is a usage error at
-    # once rather than after the whole serial pass.
-    process_backend = make_backend("process", workers=args.workers)
-    scenarios = _split_names(args.scenarios, SMOKE_GRID["scenarios"])
-    platforms = _split_names(args.platforms, SMOKE_GRID["platforms"])
-    schedulers = _split_names(args.schedulers, SMOKE_GRID["schedulers"])
-    duration_ms = args.duration_ms if args.duration_ms is not None else 2000.0
-    jobs = grid_jobs(
-        scenarios, platforms, schedulers, duration_ms=duration_ms, seed=args.seed
-    )
-    cells = len(jobs)
-    print(
-        f"benchmarking {cells} cells (duration {duration_ms:g} ms) "
-        f"serial vs process[{args.workers}]"
-    )
-
-    started = time.perf_counter()
-    serial_grid = run_grid(
-        scenarios, platforms, schedulers,
-        duration_ms=duration_ms, seed=args.seed, backend="serial",
-    )
-    serial_s = time.perf_counter() - started
-    print(f"serial:  {serial_s:.2f} s ({cells / serial_s:.2f} cells/s)")
-
-    started = time.perf_counter()
-    process_grid = run_grid(
-        scenarios, platforms, schedulers,
-        duration_ms=duration_ms, seed=args.seed, backend=process_backend,
-    )
-    process_s = time.perf_counter() - started
-    print(f"process: {process_s:.2f} s ({cells / process_s:.2f} cells/s)")
-
-    parity = serial_grid.uxcost_table() == process_grid.uxcost_table()
-    speedup = serial_s / process_s if process_s > 0 else 0.0
-    print(f"parity:  {'OK (bit-for-bit)' if parity else 'MISMATCH'}")
-    print(f"speedup: {speedup:.2f}x at {args.workers} workers")
-
-    payload = {
-        "benchmark": "grid_throughput",
-        "repro_version": __version__,
-        "grid": {
-            "scenarios": scenarios,
-            "platforms": platforms,
-            "schedulers": schedulers,
-            "duration_ms": duration_ms,
-            "seed": args.seed,
-        },
-        "cells": cells,
-        "workers": args.workers,
-        "serial": {"wall_time_s": serial_s, "cells_per_sec": cells / serial_s},
-        "process": {"wall_time_s": process_s, "cells_per_sec": cells / process_s},
-        "speedup": speedup,
-        "parity": parity,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-
-    if not parity:
-        print("error: serial and process backends disagree", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-# --------------------------------------------------------------------- #
 # repro generate / repro fuzz
 # --------------------------------------------------------------------- #
 
@@ -512,6 +432,9 @@ def _fuzz_axis(axis: str, values: Optional[Sequence[str]]) -> Optional[list[str]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        # Usage error (exit 2 via main's handler), before anything prints.
+        raise ValueError("--count must be positive")
     spec = _generator_spec(args)
     generator = ScenarioGenerator(spec)
     scenarios = [generator.generate(index) for index in range(args.count)]
@@ -825,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The top-level ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Reproduce the paper's experiment grids, figures and benchmarks.",
+        description="Reproduce the paper's experiment grids and figures.",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -881,7 +804,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid_parser.set_defaults(func=_cmd_grid)
 
     figure_parser = subparsers.add_parser(
-        "figure", help="regenerate one evaluation figure (2,7-14) or 'all'"
+        "figure", help="regenerate one evaluation figure (2,7-14) or 'all'",
+        description="--backend and --store reach the cells of figures 2, 7, 8, 9, "
+        "12 and 14. Figures 10, 11 and 13 run their optimizer and objective "
+        "loops in-process, without the store.",
     )
     figure_parser.add_argument(
         "name", help="figure number (e.g. 7), name (figure7), or 'all'"
@@ -897,40 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_execution_options(figure_parser)
     figure_parser.set_defaults(func=_cmd_figure)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="time serial vs process execution and emit BENCH_grid.json"
-    )
-    bench_parser.add_argument(
-        "--scenarios", action="append", metavar="NAMES",
-        help="comma-separated scenario names (default: smoke grid)",
-    )
-    bench_parser.add_argument(
-        "--platforms", action="append", metavar="NAMES",
-        help="comma-separated platform names (default: smoke grid)",
-    )
-    bench_parser.add_argument(
-        "--schedulers", action="append", metavar="NAMES",
-        help="comma-separated scheduler names (default: smoke grid)",
-    )
-    bench_parser.add_argument(
-        "--duration-ms", type=float, default=None,
-        help="simulated window per cell (default: 2000)",
-    )
-    bench_parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    bench_parser.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="process-pool size to benchmark against (default: 4)",
-    )
-    bench_parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_grid.json"), metavar="PATH",
-        help="machine-readable output file (default: BENCH_grid.json)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="fail unless the process backend is at least X times faster",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     generate_parser = subparsers.add_parser(
         "generate", help="sample randomized scenarios from the model zoo"

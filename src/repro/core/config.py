@@ -84,10 +84,6 @@ class DreamConfig:
         """Copy of the config with a different optimization objective."""
         return replace(self, objective=objective)
 
-    def with_parameters(self, alpha: float, beta: float) -> "DreamConfig":
-        """Copy of the config with different initial (alpha, beta)."""
-        return replace(self, alpha=alpha, beta=beta)
-
 
 def dream_fixed(alpha: float = 1.0, beta: float = 1.0) -> DreamConfig:
     """MapScore with fixed parameters and no optimization (Figure 9 baseline)."""

@@ -261,17 +261,3 @@ class DreamScheduler(Scheduler):
             "supernet_switching": self.config.enable_supernet_switching,
             "objective": self.config.objective.value,
         }
-
-    @property
-    def current_alpha(self) -> float:
-        """Current starvation weight used by MapScore."""
-        if self.adaptivity_engine is None:
-            return self.config.alpha
-        return self.adaptivity_engine.alpha
-
-    @property
-    def current_beta(self) -> float:
-        """Current energy weight used by MapScore."""
-        if self.adaptivity_engine is None:
-            return self.config.beta
-        return self.adaptivity_engine.beta

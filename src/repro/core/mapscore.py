@@ -48,7 +48,10 @@ class MapScoreBreakdown:
 
 
 class MapScoreEngine:
-    """Computes MapScore entries (the MapScore table of Figure 4).
+    """Computes one MapScore entry of Figure 4's table per (request, accelerator).
+
+    The table itself is scanned by the DREAM dispatch engine
+    (:class:`repro.core.dispatch.JobDispatchEngine`).
 
     Args:
         cost_table: the offline per-(layer, accelerator) cost estimates.
@@ -168,34 +171,3 @@ class MapScoreEngine:
             energy_score=energy,
             total=total,
         )
-
-    def score_table(
-        self,
-        requests: list[InferenceRequest],
-        acc_ids: list[int],
-        now_ms: float,
-        alpha: float,
-        beta: float,
-        resident_models: dict[int, Optional[str]],
-    ) -> list[MapScoreBreakdown]:
-        """MapScore for every (request, accelerator) combination.
-
-        This is the "MapScore table" of Figure 4, restricted to the
-        accelerators that can currently accept work.
-        """
-        table = []
-        for request in requests:
-            if request.next_layer() is None:
-                continue
-            for acc_id in acc_ids:
-                table.append(
-                    self.map_score(
-                        request,
-                        acc_id,
-                        now_ms,
-                        alpha,
-                        beta,
-                        resident_models.get(acc_id),
-                    )
-                )
-        return table

@@ -4,8 +4,9 @@ Each ``figure*`` function in :mod:`repro.experiments.figures` runs the
 simulations behind one figure of the paper and returns a structured result
 plus a plain-text table with the same rows/series the paper plots.  The
 ``benchmarks/`` directory wraps each one in a pytest-benchmark target, and
-the ``repro`` console CLI (:mod:`repro.cli`) drives grids, figures and
-throughput benchmarks from the command line.
+the ``repro`` console CLI (:mod:`repro.cli`) drives grids, figures,
+generated scenarios, differential fuzzing and fleets from the command
+line.
 
 Execution is cell-parallel: grids expand into picklable
 :class:`~repro.experiments.jobs.CellJob` specs executed on a pluggable
@@ -29,7 +30,6 @@ from repro.experiments.harness import (
     default_execution,
     execute_jobs,
     get_execution_defaults,
-    run_cell,
     run_grid,
     run_phased_workload,
 )
@@ -43,7 +43,7 @@ from repro.experiments.differential import (
 )
 from repro.experiments.jobs import CellJob, PhasedJob, generated_cell_jobs, grid_jobs
 from repro.experiments.store import ResultStore
-from repro.experiments.sweeps import cascade_probability_sweep, uxcost_objective, parameter_grid
+from repro.experiments.sweeps import uxcost_objective, parameter_grid
 from repro.experiments import figures
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "run_differential",
     "run_fuzz",
     "backend_names",
-    "cascade_probability_sweep",
     "default_execution",
     "execute_jobs",
     "figures",
@@ -73,7 +72,6 @@ __all__ = [
     "grid_jobs",
     "make_backend",
     "parameter_grid",
-    "run_cell",
     "run_grid",
     "run_phased_workload",
     "uxcost_objective",

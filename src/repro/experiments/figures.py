@@ -6,13 +6,17 @@ the same series the paper plots and whose ``text`` is a printable table.
 Durations default to values that keep a full regeneration tractable on a
 laptop; pass larger ``duration_ms`` for tighter statistics.
 
-Grid-shaped figures execute through :func:`repro.experiments.harness.run_grid`
-and therefore inherit the execution defaults installed with
-:func:`repro.experiments.harness.default_execution` — wrap a figure call in
-that context manager (or use ``repro figure N --backend process``) to fan
-its cells out over a process pool and/or persist them in a
-:class:`~repro.experiments.store.ResultStore` without changing any figure
-signature.  Results are bit-for-bit identical across backends.
+Figures 2, 7, 8, 9, 12 and 14 execute through
+:func:`repro.experiments.harness.run_grid` (Figures 12 and 14 once per
+cascade probability) and therefore inherit the execution defaults
+installed with :func:`repro.experiments.harness.default_execution` — wrap
+a figure call in that context manager (or use ``repro figure N --backend
+process``) to fan its cells out over a process pool and/or persist them in
+a :class:`~repro.experiments.store.ResultStore` without changing any
+figure signature.  Results are bit-for-bit identical across backends.
+Figures 10, 11 and 13 run their optimizer and objective loops in-process,
+without the backend or the store, on the memoized
+:func:`~repro.experiments.jobs.shared_context` of each cell.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from repro.core.adaptivity import IterativeParameterOptimizer, OptimizationTrace
 from repro.core.config import DreamConfig, OptimizationObjective
 from repro.core.dream import DreamScheduler
 from repro.experiments.harness import ExperimentCell, GridResult, run_grid
-from repro.experiments.sweeps import cascade_probability_sweep, parameter_grid, uxcost_objective
-from repro.hardware import make_platform
+from repro.experiments.jobs import shared_context
+from repro.experiments.sweeps import parameter_grid, uxcost_objective
 from repro.hardware.platform import heterogeneous_platform_names, homogeneous_platform_names
 from repro.metrics.reporting import format_table, geometric_mean
 from repro.sim import run_simulation
-from repro.workloads import build_scenario, scenario_names
+from repro.workloads import scenario_names
 
 
 @dataclass
@@ -307,15 +311,21 @@ def figure12(
     platforms: Sequence[str] = ("4k_1ws_2os", "4k_1os_2ws"),
 ) -> FigureResult:
     """Figure 12: UXCost while sweeping the ML-cascade probability."""
+    scenarios = ("vr_gaming", "ar_social")
     schedulers = ["veltair", "planaria", "dream_mapscore", "dream_smartdrop", "dream_full"]
+    grids = {
+        probability: run_grid(
+            scenarios, platforms, schedulers,
+            duration_ms=duration_ms, seed=seed, cascade_probability=probability,
+        )
+        for probability in probabilities
+    }
     rows = []
-    for scenario in ("vr_gaming", "ar_social"):
+    for scenario in scenarios:
         for platform in platforms:
-            sweep = cascade_probability_sweep(
-                scenario, platform, schedulers, probabilities, duration_ms=duration_ms, seed=seed
-            )
-            for probability, results in sweep.items():
-                for scheduler, result in results.items():
+            for probability, grid in grids.items():
+                for scheduler in schedulers:
+                    result = grid.results[ExperimentCell(scenario, platform, scheduler)]
                     rows.append(
                         {
                             "scenario": scenario,
@@ -352,11 +362,12 @@ def figure13(
         OptimizationObjective.DEADLINE_ONLY,
         OptimizationObjective.ENERGY_ONLY,
     ]
-    platform = make_platform(platform_name)
     rows = []
     for scenario_name in ("vr_gaming", "ar_social"):
         for probability in probabilities:
-            scenario = build_scenario(scenario_name, cascade_probability=probability)
+            scenario, platform, cost_table = shared_context(
+                scenario_name, platform_name, probability
+            )
             reference: Optional[dict] = None
             for objective in objectives:
                 config = DreamConfig(
@@ -371,6 +382,7 @@ def figure13(
                     scheduler=scheduler,
                     duration_ms=duration_ms,
                     seed=seed,
+                    cost_table=cost_table,
                 )
                 breakdown = result.uxcost_breakdown
                 record = {
@@ -408,19 +420,19 @@ def figure14(
     platforms: Sequence[str] = ("4k_1ws_2os", "4k_1os_2ws"),
 ) -> FigureResult:
     """Figure 14: Supernet subnet mix selected by DREAM under load."""
+    scenarios = ("vr_gaming", "ar_social")
+    grids = {
+        probability: run_grid(
+            scenarios, platforms, ["dream_full"],
+            duration_ms=duration_ms, seed=seed, cascade_probability=probability,
+        )
+        for probability in probabilities
+    }
     rows = []
-    for scenario_name in ("vr_gaming", "ar_social"):
+    for scenario_name in scenarios:
         for platform in platforms:
-            sweep = cascade_probability_sweep(
-                scenario_name,
-                platform,
-                ["dream_full"],
-                probabilities,
-                duration_ms=duration_ms,
-                seed=seed,
-            )
-            for probability, results in sweep.items():
-                result = results["dream_full"]
+            for probability, grid in grids.items():
+                result = grid.results[ExperimentCell(scenario_name, platform, "dream_full")]
                 mix = result.variant_mix("context_understanding")
                 rows.append(
                     {

@@ -36,11 +36,8 @@ from repro.experiments.jobs import (
     grid_jobs,
 )
 from repro.experiments.store import ResultStore
-from repro.hardware import make_platform
 from repro.metrics.reporting import geometric_mean
-from repro.schedulers import make_scheduler
-from repro.sim import SimulationResult, run_simulation
-from repro.workloads import build_scenario
+from repro.sim import SimulationResult
 from repro.workloads.dynamicity import PhasedWorkload
 
 __all__ = [
@@ -50,7 +47,6 @@ __all__ = [
     "default_execution",
     "get_execution_defaults",
     "execute_jobs",
-    "run_cell",
     "run_grid",
     "run_phased_workload",
 ]
@@ -229,48 +225,6 @@ def execute_jobs(
             if store is not None:
                 store.put(job, result)
     return results  # type: ignore[return-value]
-
-
-def run_cell(
-    cell: ExperimentCell,
-    duration_ms: float,
-    seed: int = 0,
-    cascade_probability: float = 0.5,
-    cost_table=None,
-    scenario=None,
-    platform=None,
-    **engine_kwargs,
-) -> SimulationResult:
-    """Run one grid cell (one simulation).
-
-    With no prebuilt objects this delegates to the picklable
-    :class:`CellJob` path (the same code both backends execute).  Passing
-    ``scenario``/``platform``/``cost_table`` overrides keeps the historical
-    escape hatch for callers that hold custom-built objects; the cell's
-    names then only have to resolve for the pieces NOT overridden, and a
-    missing cost table is built by the engine from the actual objects.
-    """
-    if cost_table is None and scenario is None and platform is None:
-        return CellJob.create(
-            scenario=cell.scenario,
-            platform=cell.platform,
-            scheduler=cell.scheduler,
-            duration_ms=duration_ms,
-            seed=seed,
-            cascade_probability=cascade_probability,
-            **engine_kwargs,
-        ).run()
-    scenario = scenario or build_scenario(cell.scenario, cascade_probability=cascade_probability)
-    platform = platform or make_platform(cell.platform)
-    return run_simulation(
-        scenario=scenario,
-        platform=platform,
-        scheduler=make_scheduler(cell.scheduler),
-        duration_ms=duration_ms,
-        seed=seed,
-        cost_table=cost_table,
-        **engine_kwargs,
-    )
 
 
 def run_grid(

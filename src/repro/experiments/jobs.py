@@ -53,8 +53,8 @@ def _freeze_engine_kwargs(kwargs: Mapping[str, object]) -> Tuple[Tuple[str, obje
         if not isinstance(value, _SCALAR_TYPES):
             raise TypeError(
                 f"engine kwarg {key!r} must be a JSON scalar to be used in a "
-                f"job spec (got {type(value).__name__}); pass prebuilt objects "
-                f"through run_cell's explicit-override path instead"
+                f"job spec (got {type(value).__name__}); to run prebuilt objects, "
+                f"call repro.sim.run_simulation directly"
             )
     return tuple(sorted(kwargs.items()))
 
@@ -362,11 +362,6 @@ def generated_context(
         lambda: ScenarioGenerator(spec).generate(index),
         platform_name,
     )
-
-
-def clear_context_cache() -> None:
-    """Drop every memoized (scenario, platform) context (mainly for tests)."""
-    _context_cache.clear()
 
 
 def grid_jobs(

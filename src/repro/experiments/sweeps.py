@@ -1,14 +1,11 @@
-"""Parameter and workload sweeps shared by several figures.
+"""Parameter sweeps shared by Figures 10 and 11.
 
 * :func:`uxcost_objective` — the objective function handed to the
   iterative (alpha, beta) optimizer: one short simulation of a fixed-
-  parameter DREAM per evaluation (Figures 10, 11, 13).
+  parameter DREAM per evaluation.
 * :func:`parameter_grid` — an exhaustive grid evaluation of the (alpha,
   beta) space, used to locate the "global optimum" the paper compares its
   search result against.
-* :func:`cascade_probability_sweep` — UXCost of a set of schedulers while
-  the ML-cascade trigger probability rises from 50% towards 99%
-  (Figures 12 and 14).
 """
 
 from __future__ import annotations
@@ -17,9 +14,8 @@ from typing import Callable, Sequence
 
 from repro.core.config import DreamConfig, OptimizationObjective
 from repro.core.dream import DreamScheduler
-from repro.hardware import CostTable, make_platform
-from repro.sim import SimulationResult, run_simulation
-from repro.workloads import build_scenario
+from repro.experiments.jobs import shared_context
+from repro.sim import run_simulation
 
 
 def uxcost_objective(
@@ -37,9 +33,9 @@ def uxcost_objective(
     measurement isolates the MapScore parameters) and returns the selected
     metric.
     """
-    scenario = build_scenario(scenario_name, cascade_probability=cascade_probability)
-    platform = make_platform(platform_name)
-    cost_table = CostTable.build(platform, scenario.all_model_graphs())
+    scenario, platform, cost_table = shared_context(
+        scenario_name, platform_name, cascade_probability
+    )
 
     def objective_fn(alpha: float, beta: float) -> float:
         config = DreamConfig(
@@ -77,36 +73,3 @@ def parameter_grid(
         for alpha in values
         for beta in values
     }
-
-
-def cascade_probability_sweep(
-    scenario_name: str,
-    platform_name: str,
-    scheduler_names: Sequence[str],
-    probabilities: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
-    duration_ms: float = 800.0,
-    seed: int = 0,
-) -> dict[float, dict[str, SimulationResult]]:
-    """UXCost of each scheduler as the ML-cascade probability increases.
-
-    Returns ``{probability: {scheduler: SimulationResult}}`` — the raw data
-    behind Figure 12 (UXCost curves) and Figure 14 (Supernet variant mix).
-    """
-    from repro.schedulers import make_scheduler  # local import to avoid cycles
-
-    platform = make_platform(platform_name)
-    sweep: dict[float, dict[str, SimulationResult]] = {}
-    for probability in probabilities:
-        scenario = build_scenario(scenario_name, cascade_probability=probability)
-        cost_table = CostTable.build(platform, scenario.all_model_graphs())
-        sweep[probability] = {}
-        for scheduler_name in scheduler_names:
-            sweep[probability][scheduler_name] = run_simulation(
-                scenario=scenario,
-                platform=platform,
-                scheduler=make_scheduler(scheduler_name),
-                duration_ms=duration_ms,
-                seed=seed,
-                cost_table=cost_table,
-            )
-    return sweep

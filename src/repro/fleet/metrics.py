@@ -65,19 +65,9 @@ class UserStats:
     failed_sessions: int = 0
 
     @property
-    def admission_rate(self) -> float:
-        """Admitted over submitted sessions."""
-        return self.admitted / self.submitted if self.submitted else 0.0
-
-    @property
     def rejection_rate(self) -> float:
         """Capacity-rejected over submitted sessions."""
         return self.rejected / self.submitted if self.submitted else 0.0
-
-    @property
-    def throttle_rate(self) -> float:
-        """Fair-share-throttled over submitted sessions."""
-        return self.throttled / self.submitted if self.submitted else 0.0
 
     @property
     def violation_rate(self) -> float:

@@ -121,11 +121,6 @@ class LayerCost:
     dram_bytes: float
     utilization: float
 
-    @property
-    def is_memory_bound(self) -> bool:
-        """Whether DRAM traffic, not compute, dominates the latency."""
-        return self.memory_ms > self.compute_ms
-
 
 class AnalyticalCostModel:
     """Deterministic analytical cost model for WS/OS accelerators.

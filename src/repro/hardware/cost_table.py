@@ -16,7 +16,7 @@ precomputes them once at build time into flat per-model arrays:
 * per-(model, accelerator) arrays of ``latency_ms`` / ``energy_mj`` /
   ``compute_ms`` / ``memory_ms`` / launch overhead,
 * per-(model, layer) cross-accelerator aggregates (total / average / best
-  latency, total energy, worst-layer energy, best accelerator id),
+  latency, total energy, worst-layer energy),
 * left-to-right prefix sums of each array, so any cost of layers
   ``[0, k)`` is a single O(1) lookup that is *bit-for-bit identical* to
   the sequential accumulation it replaces (prefix differences with a
@@ -103,7 +103,6 @@ class _ModelArrays:
         "total_energy",       # [layer] -> sum across accelerators
         "best_latency",       # [layer] -> min across accelerators
         "worst_energy",       # [layer] -> max across accelerators
-        "best_acc",           # [layer] -> fastest accelerator id
         "worst_energy_prefix",  # [k] -> sum of worst_energy[:k]
         "full_average_latency",  # sum(total_latency) / num_accelerators
         "acc_rows",             # [layer][acc_id] -> (latency_ms, energy_mj)
@@ -143,9 +142,6 @@ class _ModelArrays:
         self.total_energy = tuple(sum(c.energy_mj for c in row) for row in rows)
         self.best_latency = tuple(min(c.latency_ms for c in row) for row in rows)
         self.worst_energy = tuple(max(c.energy_mj for c in row) for row in rows)
-        self.best_acc = tuple(
-            min(range(len(row)), key=lambda acc_id: row[acc_id].latency_ms) for row in rows
-        )
         self.worst_energy_prefix = _prefix_sums(self.worst_energy)
         self.full_average_latency = (
             sum(self.total_latency) / num_accelerators if num_accelerators else 0.0
@@ -371,10 +367,6 @@ class CostTable:
         """Latency on the best (fastest) accelerator for the layer."""
         return self._arrays[model_name].best_latency[layer_index]
 
-    def best_accelerator(self, model_name: str, layer_index: int) -> int:
-        """Id of the fastest accelerator for the layer."""
-        return self._arrays[model_name].best_acc[layer_index]
-
     def remaining_average_latency(
         self, model_name: str, layer_indices: Sequence[int]
     ) -> float:
@@ -442,10 +434,6 @@ class CostTable:
         self._switch_cache[key] = value
         return value
 
-    def worst_case_energy(self, model_name: str) -> float:
-        """Worst-case energy of the model (UXCost normalization denominator)."""
-        return self._summaries[model_name].worst_case_energy_mj
-
 
 class ReferenceCostTable(CostTable):
     """The pre-optimization cost table: every aggregate is a per-call scan.
@@ -482,10 +470,6 @@ class ReferenceCostTable(CostTable):
     def best_latency(self, model_name: str, layer_index: int) -> float:
         row = self._entries[model_name][layer_index]
         return min(c.latency_ms for c in row)
-
-    def best_accelerator(self, model_name: str, layer_index: int) -> int:
-        row = self._entries[model_name][layer_index]
-        return min(range(len(row)), key=lambda acc_id: row[acc_id].latency_ms)
 
     def remaining_average_latency(
         self, model_name: str, layer_indices: Sequence[int]

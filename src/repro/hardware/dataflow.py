@@ -34,11 +34,6 @@ class Dataflow(enum.Enum):
     OUTPUT_STATIONARY = "OS"
 
     @property
-    def short_name(self) -> str:
-        """Two-letter name used in platform preset names ("WS" / "OS")."""
-        return self.value
-
-    @property
     def weight_reuse(self) -> float:
         """Relative on-chip reuse of weights (higher = fewer SRAM reads)."""
         if self is Dataflow.WEIGHT_STATIONARY:
@@ -67,19 +62,3 @@ class Dataflow(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-def parse_dataflow(name: str) -> Dataflow:
-    """Parse a dataflow from a user-facing string ("ws", "WS", "os"...).
-
-    Raises:
-        ValueError: if the name is not a recognized dataflow.
-    """
-    normalized = name.strip().upper()
-    for dataflow in Dataflow:
-        if normalized in (dataflow.value, dataflow.name):
-            return dataflow
-    raise ValueError(
-        f"unknown dataflow {name!r}; expected one of "
-        f"{[d.value for d in Dataflow]}"
-    )

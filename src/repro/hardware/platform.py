@@ -62,13 +62,6 @@ class Platform:
         """Total number of PEs across all sub-accelerators."""
         return sum(acc.num_pes for acc in self.accelerators)
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True if the platform mixes dataflows or PE-array sizes."""
-        dataflows = {acc.dataflow for acc in self.accelerators}
-        sizes = {acc.num_pes for acc in self.accelerators}
-        return len(dataflows) > 1 or len(sizes) > 1
-
     def describe(self) -> str:
         """One-line human-readable description of the platform."""
         parts = ", ".join(

@@ -2,12 +2,7 @@
 
 from repro.metrics.uxcost import ModelOutcome, UXCostBreakdown, compute_uxcost
 from repro.metrics.quantiles import P2Quantile, StreamingQuantiles
-from repro.metrics.reporting import (
-    geometric_mean,
-    relative_reduction,
-    format_table,
-    summarize_results,
-)
+from repro.metrics.reporting import format_table, geometric_mean
 
 __all__ = [
     "ModelOutcome",
@@ -16,7 +11,5 @@ __all__ = [
     "UXCostBreakdown",
     "compute_uxcost",
     "geometric_mean",
-    "relative_reduction",
     "format_table",
-    "summarize_results",
 ]

@@ -9,7 +9,7 @@ plotting dependency.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -24,18 +24,6 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric_mean of an empty sequence")
     clamped = [max(value, 1e-12) for value in values]
     return math.exp(sum(math.log(value) for value in clamped) / len(clamped))
-
-
-def relative_reduction(baseline: float, improved: float) -> float:
-    """Fractional reduction of ``improved`` relative to ``baseline``.
-
-    A positive result means ``improved`` is lower (better, for
-    lower-is-better metrics like UXCost).  Returns 0 when the baseline is
-    non-positive.
-    """
-    if baseline <= 0:
-        return 0.0
-    return (baseline - improved) / baseline
 
 
 def format_table(
@@ -67,34 +55,3 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
-
-
-def summarize_results(
-    uxcosts: Mapping[str, Mapping[str, float]],
-    baseline_names: Sequence[str],
-    target_name: str,
-) -> dict[str, float]:
-    """Geometric-mean reduction of a target scheduler against baselines.
-
-    Args:
-        uxcosts: mapping of configuration name -> {scheduler name -> UXCost}.
-        baseline_names: schedulers to compare against.
-        target_name: the scheduler whose improvement is reported.
-
-    Returns:
-        Mapping of baseline name -> geometric-mean fractional UXCost
-        reduction of ``target_name`` across all configurations where both
-        schedulers have a result.
-    """
-    reductions: dict[str, float] = {}
-    for baseline in baseline_names:
-        ratios = []
-        for config, by_scheduler in uxcosts.items():
-            if baseline in by_scheduler and target_name in by_scheduler:
-                base = by_scheduler[baseline]
-                target = by_scheduler[target_name]
-                if base > 0:
-                    ratios.append(max(target, 1e-12) / base)
-        if ratios:
-            reductions[baseline] = 1.0 - geometric_mean(ratios)
-    return reductions

@@ -59,13 +59,6 @@ class ModelOutcome:
         return self.violated_frames / self.total_frames
 
     @property
-    def raw_violation_rate(self) -> float:
-        """Plain violated / total rate without the small-number rule."""
-        if self.total_frames == 0:
-            return 0.0
-        return self.violated_frames / self.total_frames
-
-    @property
     def normalized_energy(self) -> float:
         """NormEnergy: actual energy over worst-case energy, in [0, ~1]."""
         if self.worst_case_energy_mj <= 0.0:

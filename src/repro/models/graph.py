@@ -62,11 +62,6 @@ class ModelGraph:
         return sum(layer.macs for layer in self.layers)
 
     @property
-    def total_weight_bytes(self) -> int:
-        """Total parameter footprint in bytes."""
-        return sum(layer.weight_bytes for layer in self.layers)
-
-    @property
     def is_dynamic(self) -> bool:
         """True if the model has operator-level dynamicity."""
         return not isinstance(self.dynamic_behavior, StaticExecution)
@@ -106,24 +101,6 @@ class ModelGraph:
                     f"model {self.name!r}: path indices must be strictly increasing"
                 )
             previous = idx
-
-    def with_behavior(self, behavior: DynamicBehavior) -> "ModelGraph":
-        """Return a copy of the graph with a different dynamic behaviour."""
-        return ModelGraph(
-            name=self.name,
-            layers=self.layers,
-            dynamic_behavior=behavior,
-            metadata=self.metadata,
-        )
-
-    def renamed(self, name: str) -> "ModelGraph":
-        """Return a copy of the graph under a different name."""
-        return ModelGraph(
-            name=name,
-            layers=self.layers,
-            dynamic_behavior=self.dynamic_behavior,
-            metadata=self.metadata,
-        )
 
     def describe(self) -> str:
         """One-line summary used by examples and reports."""

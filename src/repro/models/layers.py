@@ -66,11 +66,6 @@ class Layer:
         """Total operand footprint (weights + input + output)."""
         return self.weight_bytes + self.input_bytes + self.output_bytes
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """MACs per byte of operand traffic (roofline x-coordinate)."""
-        return self.macs / max(1, self.total_bytes)
-
     def scaled(self, mac_scale: float, name: str | None = None) -> "Layer":
         """Return a copy with MACs, traffic and parallelism scaled.
 

@@ -8,8 +8,10 @@ task to a lighter variant to shed load without dropping the frame.
 
 A :class:`Supernet` groups the variant :class:`~repro.models.graph.ModelGraph`
 objects, ordered from heaviest ("original", the default) to lightest, and
-answers the queries the dispatch engine needs: the default variant, the
-next-lighter variant, and the variant set for cost-table construction.
+answers the queries the dispatch engine needs: the default variant, a
+variant's position in the order, and the variant set for cost-table
+construction.  The switching policy itself is
+:meth:`repro.core.dispatch.JobDispatchEngine.choose_variant`.
 """
 
 from __future__ import annotations
@@ -60,16 +62,6 @@ class Supernet:
         """The heaviest ("original") variant, dispatched under light load."""
         return self.variants[0]
 
-    @property
-    def lightest_variant(self) -> ModelGraph:
-        """The lightest variant, dispatched under the heaviest load."""
-        return self.variants[-1]
-
-    @property
-    def variant_names(self) -> list[str]:
-        """Variant names ordered heaviest first."""
-        return [variant.name for variant in self.variants]
-
     def variant_index(self, variant_name: str) -> int:
         """Index of a variant by name (0 = heaviest).
 
@@ -80,27 +72,3 @@ class Supernet:
             if variant.name == variant_name:
                 return index
         raise KeyError(f"{variant_name!r} is not a variant of supernet {self.name!r}")
-
-    def lighter_variant(self, variant_name: str, steps: int = 1) -> ModelGraph:
-        """The variant ``steps`` positions lighter than ``variant_name``.
-
-        Clamps at the lightest variant, so requesting a lighter model than
-        exists returns the lightest one rather than failing.
-        """
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        index = self.variant_index(variant_name)
-        return self.variants[min(index + steps, len(self.variants) - 1)]
-
-    def select_for_load(self, load_fraction: float) -> ModelGraph:
-        """Pick a variant for a given system-load estimate in [0, 1].
-
-        A simple monotone policy used by examples and tests: the load range
-        is split evenly across variants, heaviest at low load.
-        The DREAM dispatch engine uses its own slack-driven policy
-        (:mod:`repro.core.dispatch`); this helper is a convenience for
-        users of the library.
-        """
-        clamped = min(max(load_fraction, 0.0), 1.0)
-        index = min(int(clamped * len(self.variants)), len(self.variants) - 1)
-        return self.variants[index]

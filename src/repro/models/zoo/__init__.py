@@ -16,7 +16,7 @@ from repro.models.supernet import Supernet
 from repro.models.zoo.fbnet import build_fbnet_c
 from repro.models.zoo.ssd_mobilenet import build_ssd_mobilenet_v2
 from repro.models.zoo.handpose import build_handposenet
-from repro.models.zoo.once_for_all import build_once_for_all, build_once_for_all_default
+from repro.models.zoo.once_for_all import build_once_for_all
 from repro.models.zoo.kws import build_kws_res8
 from repro.models.zoo.gnmt import build_gnmt
 from repro.models.zoo.skipnet import build_skipnet
@@ -75,7 +75,6 @@ __all__ = [
     "build_ssd_mobilenet_v2",
     "build_handposenet",
     "build_once_for_all",
-    "build_once_for_all_default",
     "build_kws_res8",
     "build_gnmt",
     "build_skipnet",

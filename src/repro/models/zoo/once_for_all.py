@@ -78,8 +78,3 @@ def build_once_for_all(resolution: int = 256) -> Supernet:
     """
     variants = tuple(_build_variant(name, resolution) for name in _VARIANTS)
     return Supernet(name="once_for_all", variants=variants)
-
-
-def build_once_for_all_default(resolution: int = 256) -> ModelGraph:
-    """The heaviest OFA variant only (for schedulers without switching)."""
-    return build_once_for_all(resolution).default_variant

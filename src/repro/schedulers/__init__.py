@@ -20,8 +20,6 @@ from repro.schedulers.registry import (
     SCHEDULER_FACTORIES,
     make_scheduler,
     scheduler_names,
-    baseline_scheduler_names,
-    dream_scheduler_names,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "SCHEDULER_FACTORIES",
     "make_scheduler",
     "scheduler_names",
-    "baseline_scheduler_names",
-    "dream_scheduler_names",
 ]

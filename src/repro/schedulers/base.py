@@ -165,16 +165,6 @@ class Scheduler(abc.ABC):
             )
         return self.cost_table
 
-    def remaining_best_latency_ms(self, request: InferenceRequest) -> float:
-        """minimum_to_go: remaining latency on the per-layer best accelerators."""
-        cost_table = self._require_bound()
-        return cost_table.remaining_best_latency(request.model_name, request.remaining_path())
-
-    def remaining_average_latency_ms(self, request: InferenceRequest) -> float:
-        """ToGo: remaining latency averaged across accelerators (Algorithm 1)."""
-        cost_table = self._require_bound()
-        return cost_table.remaining_average_latency(request.model_name, request.remaining_path())
-
     def slack_ms(self, request: InferenceRequest, now_ms: float) -> float:
         """Slack: time left until the request's deadline."""
         return request.deadline_ms - now_ms

@@ -35,16 +35,6 @@ def scheduler_names() -> list[str]:
     return list(SCHEDULER_FACTORIES)
 
 
-def baseline_scheduler_names() -> list[str]:
-    """The non-DREAM baselines compared in Figures 7, 8 and 12."""
-    return ["fcfs_dynamic", "veltair", "planaria"]
-
-
-def dream_scheduler_names() -> list[str]:
-    """The DREAM configurations of Table 4."""
-    return ["dream_mapscore", "dream_smartdrop", "dream_full"]
-
-
 def make_scheduler(name: str) -> Scheduler:
     """Instantiate a fresh scheduler by name.
 

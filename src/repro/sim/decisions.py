@@ -147,19 +147,3 @@ class SystemView:
     def accelerator(self, acc_id: int) -> AcceleratorView:
         """View of one accelerator by id."""
         return self.accelerators[acc_id]
-
-    @property
-    def has_idle_accelerator(self) -> bool:
-        """True if any accelerator is completely idle."""
-        return any(acc.is_idle for acc in self.accelerators)
-
-    def load_estimate(self) -> float:
-        """A crude instantaneous load estimate in [0, 1+].
-
-        Defined as the fraction of busy accelerator capacity plus queued
-        work pressure; used by examples and the Supernet-switching policy as
-        a coarse signal.
-        """
-        busy = sum(1.0 - acc.free_fraction for acc in self.accelerators)
-        backlog = len(self.pending_requests) / max(1, len(self.accelerators))
-        return busy / max(1, len(self.accelerators)) + min(1.0, backlog * 0.25)

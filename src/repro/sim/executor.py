@@ -148,11 +148,6 @@ class AcceleratorExecutor:
         """
         return max(0.0, self._capacity - self.allocated_fraction)
 
-    @property
-    def capacity_fraction(self) -> float:
-        """Current usable capacity (1.0 healthy, < 1 degraded, 0 outage)."""
-        return self._capacity
-
     def busy_until_ms(self, now: float) -> float:
         """Latest end time of in-flight work (``now`` when idle)."""
         if not self.slots:

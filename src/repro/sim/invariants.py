@@ -77,9 +77,7 @@ of any scenario, platform and scheduler must satisfy:
 
 The oracle consumes the structured fields of
 :class:`~repro.sim.tracer.TraceRecord` (``pe_fraction``, ``frame_id``,
-``deadline_ms``) and refuses to run conservation-style global checks on a
-truncated (bounded-capacity) trace, which :class:`~repro.sim.tracer.Tracer`
-now reports explicitly.
+``deadline_ms``).
 """
 
 from __future__ import annotations
@@ -770,20 +768,9 @@ def audit_trace(
         All violations found, in invariant-registry order.
 
     Raises:
-        ValueError: if the trace is truncated (bounded capacity overflowed)
-            — global invariants cannot be audited on a partial trace — or
-            if an unknown invariant name is requested.
+        ValueError: if an unknown invariant name is requested.
     """
-    if isinstance(trace, Tracer):
-        if trace.truncated:
-            raise ValueError(
-                f"trace is truncated ({trace.dropped_records} oldest records "
-                "discarded); the invariant oracle needs a complete trace — use "
-                "an unbounded Tracer()"
-            )
-        records: Sequence[TraceRecord] = trace.records
-    else:
-        records = list(trace)
+    records: Sequence[TraceRecord] = list(trace)
 
     selected = tuple(invariants) if invariants is not None else INVARIANT_NAMES
     unknown = [name for name in selected if name not in INVARIANT_NAMES]

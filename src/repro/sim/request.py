@@ -108,16 +108,6 @@ class InferenceRequest:
         return self.model.name
 
     @property
-    def total_layers(self) -> int:
-        """Number of layers in the sampled execution path."""
-        return len(self.path)
-
-    @property
-    def layers_done(self) -> int:
-        """Number of layers already executed."""
-        return self.next_position
-
-    @property
     def started(self) -> bool:
         """True once at least one layer has been dispatched."""
         return self.next_position > 0 or self.state is RequestState.RUNNING
@@ -155,12 +145,6 @@ class InferenceRequest:
     def queue_time_ms(self, now: float) -> float:
         """Tqueue: time since the request last made progress (Algorithm 1, line 4)."""
         return max(0.0, now - self.last_progress_ms)
-
-    def previous_accelerator(self) -> Optional[int]:
-        """Accelerator that executed the most recent layer (Stack_task.acc)."""
-        if not self.completed_layers:
-            return None
-        return self.completed_layers[-1].acc_id
 
     # ------------------------------------------------------------------ #
     # state transitions (driven by the simulation engine)

@@ -215,11 +215,6 @@ class SimulationResult:
         return violated / total
 
     @property
-    def summed_violation_rate(self) -> float:
-        """Sum of per-task violation rates (the UXCost DLV factor, raw)."""
-        return sum(stats.violation_rate for stats in self.task_stats.values())
-
-    @property
     def total_energy_mj(self) -> float:
         """Total energy consumed across all accelerators.
 

@@ -6,23 +6,12 @@ long simulations generate many events — and enabled by passing
 ``tracer=Tracer()`` to the engine.  Tests and the trace-invariant oracle
 (:mod:`repro.sim.invariants`) use it to assert detailed scheduling
 invariants (e.g. a request never runs on two accelerators at once).
-
-Truncation semantics
---------------------
-A bounded tracer (``Tracer(capacity=N)``) is a ring buffer over arrival
-order (a ``collections.deque(maxlen=N)``, so each discard is O(1)): once
-more than ``N`` records have been collected, the **oldest records are
-discarded first** and the newest ``N`` are kept.  The
-number of discarded records is reported by :attr:`Tracer.dropped_records`
-(and :attr:`Tracer.truncated`), so consumers that require a complete event
-stream — most importantly the invariant oracle, whose conservation checks
-are meaningless on a partial trace — can detect truncation instead of
-silently auditing a suffix.
+A tracer keeps every record, so the oracle always audits a complete event
+stream.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -65,20 +54,8 @@ class TraceRecord:
 class Tracer:
     """Collects trace records during a simulation run."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        """Create a tracer.
-
-        Args:
-            capacity: optional maximum number of records kept.  When the
-                limit is exceeded the *oldest* records are discarded first
-                (the newest ``capacity`` records are kept); ``None`` keeps
-                everything.  See :attr:`dropped_records`.
-        """
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive (or None for unbounded)")
-        self.capacity = capacity
-        self._records: deque[TraceRecord] = deque(maxlen=capacity)
-        self._dropped = 0
+    def __init__(self) -> None:
+        self._records: list[TraceRecord] = []
 
     def record(
         self,
@@ -94,10 +71,7 @@ class Tracer:
         deadline_ms: Optional[float] = None,
         memory_fraction: Optional[float] = None,
     ) -> None:
-        """Append one record, honouring the capacity limit (oldest dropped)."""
-        if self.capacity is not None and len(self._records) == self.capacity:
-            # The full deque discards its oldest record on append.
-            self._dropped += 1
+        """Append one record."""
         self._records.append(
             TraceRecord(
                 time_ms=time_ms,
@@ -122,23 +96,9 @@ class Tracer:
 
     @property
     def records(self) -> list[TraceRecord]:
-        """All collected records, oldest first (newest kept under capacity)."""
+        """All collected records, oldest first."""
         return list(self._records)
-
-    @property
-    def dropped_records(self) -> int:
-        """Number of oldest records discarded due to the capacity limit."""
-        return self._dropped
-
-    @property
-    def truncated(self) -> bool:
-        """True if any record was discarded; the trace is then a suffix."""
-        return self._dropped > 0
 
     def events(self, event: str) -> list[TraceRecord]:
         """All records of one event kind (``"dispatch"``, ``"drop"``...)."""
         return [record for record in self._records if record.event == event]
-
-    def for_request(self, request_id: int) -> list[TraceRecord]:
-        """All records touching one request."""
-        return [record for record in self._records if record.request_id == request_id]

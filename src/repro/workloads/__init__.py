@@ -27,7 +27,7 @@ from repro.workloads.traffic import (
     arrival_process_names,
     make_arrival_process,
 )
-from repro.workloads.frames import Frame, FrameSource, generate_frames, head_arrival_plan
+from repro.workloads.frames import Frame, generate_frames, head_arrival_plan
 from repro.workloads.scenarios import (
     SCENARIO_BUILDERS,
     build_scenario,
@@ -40,18 +40,12 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.dynamicity import WorkloadPhase, PhasedWorkload
 from repro.workloads.users import SessionRequest, UserSpec, session_requests
-from repro.workloads.generator import (
-    MODEL_POOL,
-    GeneratorSpec,
-    ScenarioGenerator,
-    generate_scenarios,
-)
+from repro.workloads.generator import MODEL_POOL, GeneratorSpec, ScenarioGenerator
 
 __all__ = [
     "MODEL_POOL",
     "GeneratorSpec",
     "ScenarioGenerator",
-    "generate_scenarios",
     "TaskSpec",
     "Scenario",
     "ARRIVAL_PROCESSES",
@@ -64,7 +58,6 @@ __all__ = [
     "arrival_process_names",
     "make_arrival_process",
     "Frame",
-    "FrameSource",
     "generate_frames",
     "head_arrival_plan",
     "SCENARIO_BUILDERS",

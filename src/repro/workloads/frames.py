@@ -30,66 +30,18 @@ from __future__ import annotations
 import random
 from typing import Iterator, TYPE_CHECKING
 
-from repro.workloads.traffic import DEFAULT_PROCESS, Frame, PeriodicArrival
+from repro.workloads.traffic import DEFAULT_PROCESS, Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.scenario import Scenario, TaskSpec
 
 __all__ = [
     "Frame",
-    "FrameSource",
     "generate_frames",
     "head_arrival_plan",
     "task_arrival_rng",
     "task_frame_stream",
 ]
-
-
-class FrameSource:
-    """Generates the periodic frames of one head task.
-
-    A thin, stateful wrapper over :class:`~repro.workloads.traffic
-    .PeriodicArrival` (the canonical implementation, shared with the
-    engine's streaming path).
-
-    Args:
-        task: the head task specification.
-        start_ms: arrival time of frame 0 (phase offset).
-        jitter_ms: uniform arrival jitter amplitude; sensors are not
-            perfectly periodic, and a small jitter also prevents pathological
-            phase alignment between tasks with identical rates.
-        rng: random generator used for the jitter.
-    """
-
-    def __init__(
-        self,
-        task: "TaskSpec",
-        start_ms: float = 0.0,
-        jitter_ms: float = 0.0,
-        rng: random.Random | None = None,
-    ) -> None:
-        if not task.is_head:
-            raise ValueError(
-                f"task {task.name!r} is cascaded (depends on {task.depends_on!r}); "
-                "only head tasks have frame sources"
-            )
-        if jitter_ms < 0:
-            raise ValueError("jitter_ms must be non-negative")
-        self.task = task
-        self.start_ms = start_ms
-        self.jitter_ms = jitter_ms
-        self._rng = rng or random.Random(0)
-
-    def frames_until(self, end_ms: float) -> Iterator[Frame]:
-        """Yield all frames whose *nominal* time lies in ``[start_ms, end_ms)``.
-
-        A jittered arrival may land at or past ``end_ms`` (see the module
-        docstring); its deadline then exceeds the window, so it is never
-        measured.
-        """
-        return PeriodicArrival(jitter_ms=self.jitter_ms).frames(
-            self.task, start_ms=self.start_ms, end_ms=end_ms, rng=self._rng
-        )
 
 
 def head_arrival_plan(

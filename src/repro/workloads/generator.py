@@ -350,8 +350,3 @@ class ScenarioGenerator:
         """Yield the first ``count`` scenarios of the spec."""
         for index in range(count):
             yield self.generate(index)
-
-
-def generate_scenarios(spec: GeneratorSpec, count: int) -> list[Scenario]:
-    """Convenience wrapper: the first ``count`` scenarios of ``spec``."""
-    return list(ScenarioGenerator(spec).scenarios(count))

@@ -232,25 +232,6 @@ class Scenario:
         """Names of every graph returned by :meth:`all_model_graphs`."""
         return [graph.name for graph in self.all_model_graphs()]
 
-    def task_for_model(self, model_name: str) -> TaskSpec:
-        """The task that owns a given model (or Supernet-variant) name.
-
-        Raises:
-            KeyError: if no task executes that model.
-        """
-        for task in self.tasks:
-            if any(graph.name == model_name for graph in task.model_variants):
-                return task
-        raise KeyError(f"scenario {self.name!r} has no model {model_name!r}")
-
-    def total_demand_macs_per_second(self) -> float:
-        """Steady-state compute demand assuming default variants and no gating."""
-        demand = 0.0
-        for task in self.tasks:
-            probability = 1.0 if task.is_head else task.trigger_probability
-            demand += task.default_model.total_macs * task.fps * probability
-        return demand
-
     def describe(self) -> str:
         """Multi-line summary of the scenario (used by examples)."""
         header = f"Scenario {self.name}: {len(self.tasks)} tasks"

@@ -12,9 +12,7 @@ Processes
 ---------
 ``periodic``
     Strictly periodic with uniform jitter — the historical default, and
-    bit-for-bit identical to the pre-streaming materialized path (it *is*
-    the canonical implementation behind
-    :class:`~repro.workloads.frames.FrameSource`).
+    bit-for-bit identical to the pre-streaming materialized path.
 ``poisson``
     Memoryless arrivals with exponential inter-arrival gaps whose mean is
     the task period over ``rate_scale`` (``rate_scale=1`` preserves the

@@ -1,4 +1,4 @@
-"""The ``repro`` console CLI: grid, figure, bench, list, generate, fuzz, fleet."""
+"""The ``repro`` console CLI: list, grid, figure, generate, fuzz, fleet."""
 
 import json
 
@@ -98,6 +98,27 @@ class TestFigure:
         assert payload["name"] == "figure2"
         assert len(payload["rows"]) == 4
 
+    def test_figure12_cells_reach_the_store(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments.jobs import CellJob
+        from repro.experiments.store import ResultStore
+        from repro.sim import SimulationEngine
+
+        store = tmp_path / "store"
+        args = ["figure", "12", "--duration-ms", "50", "--store", str(store)]
+        assert main(args) == 0
+        # The first line is the header with the wall time; the table follows.
+        first = capsys.readouterr().out.split("\n", 1)[1]
+        # 2 scenarios x 2 platforms x 4 cascade probabilities x 5 schedulers.
+        assert len(ResultStore(store)) == 80
+
+        def must_not_run(self):
+            raise AssertionError("a cell was computed, not loaded from the store")
+
+        monkeypatch.setattr(CellJob, "run", must_not_run)
+        monkeypatch.setattr(SimulationEngine, "run", must_not_run)
+        assert main(args) == 0
+        assert capsys.readouterr().out.split("\n", 1)[1] == first
+
 
 class TestGenerate:
     def test_generate_prints_and_writes_spec(self, tmp_path, capsys):
@@ -127,6 +148,17 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "UXCost" in out
         assert "gen-0-0/4k_1ws_2os" in out
+
+    def test_count_below_one_is_a_usage_error(self, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("generated cells ran despite a bad --count")
+
+        monkeypatch.setattr("repro.cli.execute_jobs", must_not_run)
+        for count in ("0", "-2"):
+            assert main(["generate", "--count", count, "--run"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--count must be positive" in captured.err
 
     def test_invalid_generator_bounds_fail_cleanly(self, capsys):
         code = main(["generate", "--count", "1", "--min-tasks", "5", "--max-tasks", "2"])
@@ -347,60 +379,6 @@ class TestFuzz:
         code = main(["fuzz", "--replay", str(path)])
         assert code == 0
         assert "gen-13-0" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_emits_machine_readable_json(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_grid.json"
-        code = main(
-            [
-                "bench",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic,planaria",
-                "--duration-ms", "200",
-                "--workers", "2",
-                "--out", str(out_file),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["benchmark"] == "grid_throughput"
-        assert payload["cells"] == 2
-        assert payload["parity"] is True
-        assert payload["serial"]["cells_per_sec"] > 0
-        assert payload["process"]["cells_per_sec"] > 0
-
-    def test_bench_min_speedup_gate(self, tmp_path, capsys):
-        # An impossible bar must fail the command (parity still checked first).
-        code = main(
-            [
-                "bench",
-                "--scenarios", "ar_call",
-                "--platforms", "4k_1ws_2os",
-                "--schedulers", "fcfs_dynamic",
-                "--duration-ms", "150",
-                "--workers", "2",
-                "--out", str(tmp_path / "b.json"),
-                "--min-speedup", "1000",
-            ]
-        )
-        assert code == 1
-        assert "below required" in capsys.readouterr().err
-
-    def test_bench_rejects_nonpositive_workers_before_running(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # A bad --workers must fail before the serial pass times every
-        # cell, not after it.
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("the grid ran before --workers was checked")
-
-        monkeypatch.setattr("repro.cli.run_grid", must_not_run)
-        out_file = tmp_path / "b.json"
-        code = main(["bench", "--workers", "0", "--out", str(out_file)])
-        assert code == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
-        assert not out_file.exists()
 
 
 class TestFleet:

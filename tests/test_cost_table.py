@@ -39,13 +39,6 @@ class TestAggregates:
             total = tiny_cost_table.total_latency(model, layer_index)
             assert best <= avg <= total
 
-    def test_best_accelerator_is_argmin(self, tiny_cost_table):
-        model = "beta"
-        acc_id = tiny_cost_table.best_accelerator(model, 0)
-        best = tiny_cost_table.latency(model, 0, acc_id)
-        for other in range(tiny_cost_table.num_accelerators):
-            assert best <= tiny_cost_table.latency(model, 0, other)
-
     def test_remaining_latency_sums(self, tiny_cost_table):
         model = "alpha"
         layers = list(range(tiny_cost_table.num_layers(model)))
@@ -140,7 +133,6 @@ class TestReferenceViewEquivalence:
                     "total_energy",
                     "best_latency",
                     "worst_layer_energy",
-                    "best_accelerator",
                 ):
                     assert getattr(tiny_cost_table, fn)(model, layer) == getattr(
                         reference, fn

@@ -47,7 +47,7 @@ class TestCliReference:
     def test_reference_covers_every_subcommand(self):
         content = (DOCS / "cli.md").read_text(encoding="utf-8")
         for command in [
-            "repro list", "repro grid", "repro figure", "repro bench",
+            "repro list", "repro grid", "repro figure",
             "repro generate", "repro fuzz",
             "repro fleet", "repro fleet run", "repro fleet describe",
         ]:

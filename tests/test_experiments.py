@@ -4,18 +4,17 @@ The full figures are exercised by the benchmarks; these tests run heavily
 shortened versions to guarantee the harness plumbing stays correct.
 """
 
-import pytest
-
-from repro.experiments.harness import ExperimentCell, run_cell, run_grid
 from repro.experiments.figures import figure2
-from repro.experiments.sweeps import cascade_probability_sweep, uxcost_objective
-from repro.metrics.reporting import summarize_results
+from repro.experiments.harness import run_grid
+from repro.experiments.jobs import CellJob
+from repro.experiments.sweeps import uxcost_objective
 
 
 class TestHarness:
     def test_run_cell(self):
-        cell = ExperimentCell("ar_call", "4k_1ws_2os", "fcfs_dynamic")
-        result = run_cell(cell, duration_ms=300.0, seed=0)
+        result = CellJob.create(
+            "ar_call", "4k_1ws_2os", "fcfs_dynamic", duration_ms=300.0, seed=0
+        ).run()
         assert result.scenario_name == "ar_call"
         assert result.platform_name == "4k_1ws_2os"
         assert result.total_frames > 0
@@ -35,28 +34,12 @@ class TestHarness:
         assert -5.0 < reduction <= 1.0
         assert grid.geomean_uxcost("fcfs_dynamic") > 0
 
-    def test_summarize_results_helper(self):
-        uxcosts = {"cfg": {"base": 2.0, "mine": 1.0}}
-        summary = summarize_results(uxcosts, ["base"], "mine")
-        assert summary["base"] == pytest.approx(0.5)
-
 
 class TestSweeps:
     def test_uxcost_objective_returns_positive_costs(self):
         objective = uxcost_objective("ar_call", "4k_1ws_2os", duration_ms=200.0, seed=0)
         cost = objective(1.0, 1.0)
         assert cost > 0.0
-
-    def test_cascade_sweep_structure(self):
-        sweep = cascade_probability_sweep(
-            "ar_call",
-            "4k_1ws_2os",
-            ["fcfs_dynamic"],
-            probabilities=(0.5, 0.9),
-            duration_ms=250.0,
-        )
-        assert set(sweep) == {0.5, 0.9}
-        assert "fcfs_dynamic" in sweep[0.5]
 
 
 class TestFigures:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.workloads import GeneratorSpec, ScenarioGenerator, generate_scenarios
+from repro.workloads import GeneratorSpec, ScenarioGenerator
 from repro.workloads.generator import MODEL_POOL
 from repro.workloads.scenario import Scenario
 
@@ -99,7 +99,7 @@ class TestGeneratedScenarios:
 
     def test_cascades_disabled_when_depth_zero(self):
         spec = GeneratorSpec(seed=1, min_tasks=1, max_tasks=3, max_cascade_depth=0)
-        for scenario in generate_scenarios(spec, self.COUNT):
+        for scenario in ScenarioGenerator(spec).scenarios(self.COUNT):
             assert all(task.is_head for task in scenario)
 
     def test_model_names_unique_across_tasks(self):
@@ -109,7 +109,7 @@ class TestGeneratedScenarios:
 
     def test_population_is_diverse(self):
         spec = GeneratorSpec(seed=2, max_tasks=6, chain_probability=0.9)
-        scenarios = generate_scenarios(spec, 12)
+        scenarios = list(ScenarioGenerator(spec).scenarios(12))
         task_counts = {len(scenario) for scenario in scenarios}
         assert len(task_counts) > 1, "task counts should vary across indices"
         assert any(

@@ -23,11 +23,9 @@ from repro.experiments import (
     get_execution_defaults,
     grid_jobs,
     make_backend,
-    run_cell,
     run_grid,
     run_phased_workload,
 )
-from repro.experiments.jobs import ExperimentCell
 from repro.workloads import build_scenario
 from repro.workloads.dynamicity import PhasedWorkload, WorkloadPhase
 
@@ -58,23 +56,6 @@ class TestCellJob:
     def test_engine_kwargs_must_be_scalars(self):
         with pytest.raises(TypeError):
             CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic", tracer=object())
-
-    def test_run_cell_matches_job_run(self):
-        cell = ExperimentCell("ar_call", "4k_1ws_2os", "fcfs_dynamic")
-        via_helper = run_cell(cell, duration_ms=250.0, seed=0)
-        via_job = CellJob.create(
-            cell.scenario, cell.platform, cell.scheduler, duration_ms=250.0, seed=0
-        ).run()
-        assert via_helper.to_dict() == via_job.to_dict()
-
-    def test_run_cell_override_path_accepts_non_preset_objects(self):
-        # The escape hatch must not resolve overridden pieces by name:
-        # a custom scenario under a label that is not a preset still runs.
-        custom = build_scenario("ar_call")
-        cell = ExperimentCell("my_custom_label", "4k_1ws_2os", "fcfs_dynamic")
-        result = run_cell(cell, duration_ms=200.0, seed=0, scenario=custom)
-        assert result.scenario_name == custom.name
-        assert result.total_frames > 0
 
     def test_generated_job_is_picklable_and_content_addressed(self):
         from repro.experiments.jobs import generated_cell_jobs
@@ -274,10 +255,10 @@ class TestCrossSessionDeterminism:
                           env.get("PYTHONPATH", "")])
         )
         script = (
-            "from repro.experiments import run_cell\n"
-            "from repro.experiments.jobs import ExperimentCell\n"
-            "cell = ExperimentCell('ar_call', '4k_1ws_2os', 'dream_mapscore')\n"
-            "print(repr(run_cell(cell, duration_ms=200.0, seed=0).uxcost))\n"
+            "from repro.experiments import CellJob\n"
+            "job = CellJob.create('ar_call', '4k_1ws_2os', 'dream_mapscore',\n"
+            "                     duration_ms=200.0, seed=0)\n"
+            "print(repr(job.run().uxcost))\n"
         )
         output = subprocess.run(
             [sys.executable, "-c", script], env=env, check=True,

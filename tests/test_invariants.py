@@ -302,49 +302,6 @@ class TestCorruptedTraces:
         }
 
 
-class TestTracerCapacity:
-    """Regression: bounded tracers keep the NEWEST records (oldest dropped)
-    and report the truncation, so the oracle can refuse partial traces."""
-
-    def test_keeps_newest_records(self):
-        tracer = Tracer(capacity=4)
-        for i in range(10):
-            tracer.record(float(i), "arrival", "t", i, "m")
-        assert len(tracer) == 4
-        assert [record.request_id for record in tracer.records] == [6, 7, 8, 9]
-        assert tracer.dropped_records == 6
-        assert tracer.truncated
-
-    def test_unbounded_never_truncates(self):
-        tracer = Tracer()
-        for i in range(10):
-            tracer.record(float(i), "arrival", "t", i, "m")
-        assert len(tracer) == 10
-        assert tracer.dropped_records == 0
-        assert not tracer.truncated
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-    def test_oracle_refuses_truncated_trace(self):
-        tracer = Tracer(capacity=2)
-        for i in range(3):
-            tracer.record(float(i), "arrival", "t", i, "m")
-        with pytest.raises(ValueError, match="truncated"):
-            audit_trace(tracer)
-
-    def test_oracle_accepts_bounded_but_untruncated_trace(self):
-        tracer = Tracer(capacity=16)
-        for record in _lifecycle():
-            tracer.record(
-                record.time_ms, record.event, record.task_name, record.request_id,
-                record.model_name, acc_id=record.acc_id, frame_id=record.frame_id,
-                pe_fraction=record.pe_fraction, deadline_ms=record.deadline_ms,
-            )
-        assert audit_trace(tracer) == []
-
-
 class TestStructuredTraceFields:
     """The engine populates the structured fields the oracle consumes."""
 

@@ -94,10 +94,6 @@ class TestLayerValidation:
         with pytest.raises(ValueError):
             Layer("bad", "conv", 1, 1, 1, 1, 0, 1)
 
-    def test_arithmetic_intensity_positive(self):
-        layer = conv2d("c", 16, 16, 8, 8)
-        assert layer.arithmetic_intensity > 0
-
     def test_scaled_layer_shrinks(self):
         layer = fc("fc", 1024, 1024)
         smaller = layer.scaled(0.5)

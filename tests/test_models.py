@@ -30,11 +30,6 @@ class TestModelGraph:
         model = tiny_models["alpha"]
         assert model.sample_execution_path(rng) == list(range(model.num_layers))
 
-    def test_renamed_copy(self, tiny_models):
-        renamed = tiny_models["alpha"].renamed("alpha2")
-        assert renamed.name == "alpha2"
-        assert renamed.layers == tiny_models["alpha"].layers
-
     def test_describe_mentions_layer_count(self, tiny_models):
         text = tiny_models["beta"].describe()
         assert str(tiny_models["beta"].num_layers) in text
@@ -97,18 +92,9 @@ class TestSupernet:
         with pytest.raises(ValueError):
             Supernet(name="bad", variants=tuple(reversed(tiny_supernet.variants)))
 
-    def test_lighter_variant_clamps(self, tiny_supernet):
-        lightest = tiny_supernet.lightest_variant
-        assert tiny_supernet.lighter_variant(lightest.name, steps=5) is lightest
-
     def test_variant_index_unknown(self, tiny_supernet):
         with pytest.raises(KeyError):
             tiny_supernet.variant_index("missing")
-
-    def test_select_for_load_monotone(self, tiny_supernet):
-        low = tiny_supernet.select_for_load(0.0)
-        high = tiny_supernet.select_for_load(1.0)
-        assert low.total_macs >= high.total_macs
 
 
 class TestZoo:

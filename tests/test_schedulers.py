@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.schedulers import (
-    baseline_scheduler_names,
-    dream_scheduler_names,
-    make_scheduler,
-    scheduler_names,
-)
+from repro.schedulers import make_scheduler, scheduler_names
 from repro.sim import SimulationEngine, Tracer, run_simulation
 
 
@@ -20,9 +15,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             make_scheduler("round_robin_3000")
-
-    def test_baselines_and_dream_disjoint(self):
-        assert set(baseline_scheduler_names()).isdisjoint(dream_scheduler_names())
 
     def test_factories_return_fresh_instances(self):
         first, second = make_scheduler("dream_full"), make_scheduler("dream_full")
@@ -69,7 +61,7 @@ class TestSchedulerBehaviour:
         spec = tiny_scenario.task("heavy")
         request = InferenceRequest(spec.name, spec.default_model, 0, 0.0, 100.0, rng=random.Random(0))
         assert small.block_size(request) <= large.block_size(request)
-        assert large.block_size(request) == request.total_layers
+        assert large.block_size(request) == len(request.path)
 
     def test_dream_tracks_parameters(self, tiny_scenario, tiny_platform):
         scheduler = make_scheduler("dream_mapscore")
@@ -82,8 +74,8 @@ class TestSchedulerBehaviour:
     def test_dream_fixed_never_moves_parameters(self, tiny_scenario, tiny_platform):
         scheduler = make_scheduler("dream_fixed")
         run_simulation(tiny_scenario, tiny_platform, scheduler, duration_ms=500.0, seed=3)
-        assert scheduler.current_alpha == pytest.approx(1.0)
-        assert scheduler.current_beta == pytest.approx(1.0)
+        assert scheduler.adaptivity_engine.alpha == pytest.approx(1.0)
+        assert scheduler.adaptivity_engine.beta == pytest.approx(1.0)
 
 
 class TestEngineInvariants:

@@ -16,7 +16,6 @@ from repro.workloads import (
     generate_frames,
     make_arrival_process,
 )
-from repro.workloads.frames import FrameSource
 from repro.workloads.generator import DEFAULT_TRAFFIC_MODELS
 from repro.workloads.traffic import (
     BurstyArrival,
@@ -89,18 +88,6 @@ class TestProcessSemantics:
         first = list(process.frames(task, 0.0, 1000.0, random.Random(9), 0.5))
         second = list(process.frames(task, 0.0, 1000.0, random.Random(9), 0.5))
         assert first == second
-
-    def test_periodic_matches_frame_source_bit_for_bit(self, tiny_scenario):
-        """PeriodicArrival IS the canonical FrameSource implementation."""
-        task = self._task(tiny_scenario)
-        source = FrameSource(task, start_ms=3.0, jitter_ms=0.7, rng=random.Random(42))
-        via_source = list(source.frames_until(500.0))
-        via_process = list(
-            PeriodicArrival().frames(
-                task, 3.0, 500.0, random.Random(42), default_jitter_ms=0.7
-            )
-        )
-        assert via_source == via_process
 
     def test_periodic_override_beats_engine_default_jitter(self, tiny_scenario):
         task = self._task(tiny_scenario)
