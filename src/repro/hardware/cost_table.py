@@ -38,6 +38,8 @@ retained "pre-optimization" path of the reference engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from repro.hardware.cost_model import AnalyticalCostModel, LayerCost, LayerLike
@@ -134,17 +136,20 @@ class _ModelArrays:
         self.latency_prefix = tuple(_prefix_sums(self.latency[acc]) for acc in range(num_accelerators))
         self.energy_prefix = tuple(_prefix_sums(self.energy[acc]) for acc in range(num_accelerators))
         # Cross-accelerator aggregates, built with the exact expressions the
-        # per-call scans used (generator sum / min / max over the row).
-        self.total_latency = tuple(sum(c.latency_ms for c in row) for row in rows)
+        # per-call scans used (left-to-right sum / min / max over the row).
+        # Every float sum here and below is reduce(add, ..., 0.0): from
+        # CPython 3.12 on, sum() compensates rounding, so its totals would
+        # differ between interpreter versions.
+        self.total_latency = tuple(reduce(add, [c.latency_ms for c in row], 0.0) for row in rows)
         self.average_latency = tuple(
-            sum(c.latency_ms for c in row) / len(row) for row in rows
+            reduce(add, [c.latency_ms for c in row], 0.0) / len(row) for row in rows
         )
-        self.total_energy = tuple(sum(c.energy_mj for c in row) for row in rows)
+        self.total_energy = tuple(reduce(add, [c.energy_mj for c in row], 0.0) for row in rows)
         self.best_latency = tuple(min(c.latency_ms for c in row) for row in rows)
         self.worst_energy = tuple(max(c.energy_mj for c in row) for row in rows)
         self.worst_energy_prefix = _prefix_sums(self.worst_energy)
         self.full_average_latency = (
-            sum(self.total_latency) / num_accelerators if num_accelerators else 0.0
+            reduce(add, self.total_latency, 0.0) / num_accelerators if num_accelerators else 0.0
         )
         self.acc_rows = tuple(
             tuple((cost.latency_ms, cost.energy_mj) for cost in row) for row in rows
@@ -216,13 +221,15 @@ class CostTable:
     def _summarize(
         model: ModelGraphLike, rows: Sequence[Sequence[LayerCost]]
     ) -> ModelCostSummary:
-        best_lat = sum(min(c.latency_ms for c in row) for row in rows) if rows else 0.0
-        worst_lat = sum(max(c.latency_ms for c in row) for row in rows) if rows else 0.0
-        avg_lat = (
-            sum(sum(c.latency_ms for c in row) / len(row) for row in rows) if rows else 0.0
+        best_lat = reduce(add, [min(c.latency_ms for c in row) for row in rows], 0.0)
+        worst_lat = reduce(add, [max(c.latency_ms for c in row) for row in rows], 0.0)
+        avg_lat = reduce(
+            add,
+            [reduce(add, [c.latency_ms for c in row], 0.0) / len(row) for row in rows],
+            0.0,
         )
-        best_energy = sum(min(c.energy_mj for c in row) for row in rows) if rows else 0.0
-        worst_energy = sum(max(c.energy_mj for c in row) for row in rows) if rows else 0.0
+        best_energy = reduce(add, [min(c.energy_mj for c in row) for row in rows], 0.0)
+        worst_energy = reduce(add, [max(c.energy_mj for c in row) for row in rows], 0.0)
         footprint = max(
             (layer.input_bytes + layer.output_bytes for layer in model.layers),
             default=0,
@@ -378,7 +385,10 @@ class CostTable:
         if not layer_indices:
             return 0.0
         totals = self._arrays[model_name].total_latency
-        return sum(map(totals.__getitem__, layer_indices)) / self._platform.num_accelerators
+        return (
+            reduce(add, map(totals.__getitem__, layer_indices), 0.0)
+            / self._platform.num_accelerators
+        )
 
     def remaining_best_latency(
         self, model_name: str, layer_indices: Sequence[int]
@@ -388,7 +398,7 @@ class CostTable:
         Used by the smart frame drop engine (Section 4.2.1, Condition 1).
         """
         best = self._arrays[model_name].best_latency
-        return sum(map(best.__getitem__, layer_indices))
+        return reduce(add, map(best.__getitem__, layer_indices), 0.0)
 
     def context_switch_energy(
         self, new_model: str, previous_model: str | None, acc_id: int
@@ -453,15 +463,15 @@ class ReferenceCostTable(CostTable):
 
     def average_latency(self, model_name: str, layer_index: int) -> float:
         row = self._entries[model_name][layer_index]
-        return sum(c.latency_ms for c in row) / len(row)
+        return reduce(add, [c.latency_ms for c in row], 0.0) / len(row)
 
     def total_latency(self, model_name: str, layer_index: int) -> float:
         row = self._entries[model_name][layer_index]
-        return sum(c.latency_ms for c in row)
+        return reduce(add, [c.latency_ms for c in row], 0.0)
 
     def total_energy(self, model_name: str, layer_index: int) -> float:
         row = self._entries[model_name][layer_index]
-        return sum(c.energy_mj for c in row)
+        return reduce(add, [c.energy_mj for c in row], 0.0)
 
     def worst_layer_energy(self, model_name: str, layer_index: int) -> float:
         row = self._entries[model_name][layer_index]
@@ -476,13 +486,17 @@ class ReferenceCostTable(CostTable):
     ) -> float:
         if not layer_indices:
             return 0.0
-        total = sum(self.total_latency(model_name, idx) for idx in layer_indices)
+        total = reduce(
+            add, [self.total_latency(model_name, idx) for idx in layer_indices], 0.0
+        )
         return total / self.num_accelerators
 
     def remaining_best_latency(
         self, model_name: str, layer_indices: Sequence[int]
     ) -> float:
-        return sum(self.best_latency(model_name, idx) for idx in layer_indices)
+        return reduce(
+            add, [self.best_latency(model_name, idx) for idx in layer_indices], 0.0
+        )
 
     def full_average_latency(self, model_name: str) -> float:
         return self.remaining_average_latency(

@@ -15,6 +15,8 @@ miss and are implemented here exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable
 
 
@@ -96,8 +98,10 @@ def compute_uxcost(outcomes: Iterable[ModelOutcome]) -> UXCostBreakdown:
     """
     outcomes = tuple(outcomes)
     active = [outcome for outcome in outcomes if outcome.total_frames > 0]
-    overall_rate = sum(outcome.violation_rate for outcome in active)
-    overall_energy = sum(outcome.normalized_energy for outcome in active)
+    # Summed left to right: sum() compensates from CPython 3.12 on, which
+    # would make UXCost depend on the interpreter version.
+    overall_rate = reduce(add, [outcome.violation_rate for outcome in active], 0.0)
+    overall_energy = reduce(add, [outcome.normalized_energy for outcome in active], 0.0)
     return UXCostBreakdown(
         uxcost=overall_rate * overall_energy,
         overall_violation_rate=overall_rate,

@@ -19,6 +19,9 @@ Two variants are modelled, matching Section 2.3:
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from repro.schedulers.base import Scheduler, WakeHint
 from repro.sim.decisions import Assignment, SchedulingDecision, SystemView
 
@@ -124,10 +127,15 @@ class StaticFcfsScheduler(Scheduler):
             # The reservation blocks the accelerator for the worst-case path
             # of the model on its pinned accelerator (true duration — the
             # plan must cover the longest path, Section 2.2).
+            # Summed left to right: sum() compensates from CPython 3.12 on.
             model = task.default_model
-            self._worst_case_ms[task.name] = sum(
-                cost_table.latency(model.name, layer_index, acc_id)
-                for layer_index in model.worst_case_path()
+            self._worst_case_ms[task.name] = reduce(
+                add,
+                [
+                    cost_table.latency(model.name, layer_index, acc_id)
+                    for layer_index in model.worst_case_path()
+                ],
+                0.0,
             )
 
     def schedule(self, view: SystemView) -> SchedulingDecision:

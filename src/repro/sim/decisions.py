@@ -4,19 +4,26 @@ Schedulers observe the system through a :class:`SystemView` (accelerator
 availability, pending requests, cost tables, current time) and respond with
 a :class:`SchedulingDecision`: a list of :class:`Assignment` objects plus,
 optionally, requests to drop (smart frame drop) — exactly the "scheduler
-inputs" / "scheduler output" boxes of Figure 4.
+inputs" / "scheduler output" boxes of Figure 4.  The views are read-only
+and live: one per engine run, reading the pool and the executors when a
+scheduler accesses them, so nothing is rebuilt per scheduling point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.hardware.cost_table import CostTable
 from repro.hardware.platform import Platform
 from repro.models.graph import ModelGraph
 from repro.sim.request import InferenceRequest
 from repro.workloads.scenario import Scenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.executor import AcceleratorExecutor
+    from repro.sim.queues import ReferenceRequestPool, RequestPool
 
 
 @dataclass(frozen=True)
@@ -82,41 +89,58 @@ class SchedulingDecision:
 _EMPTY_DECISION = SchedulingDecision()
 
 
-@dataclass(frozen=True)
 class AcceleratorView:
-    """Read-only snapshot of one accelerator's state at a scheduling point.
+    """Read-only view of one accelerator, read live from its executor.
+
+    The engine builds one view per executor per run.  Every attribute is a
+    property without a setter that reads the executor when it is accessed.
 
     Attributes:
         acc_id: accelerator id.
-        free_fraction: unallocated PE fraction (1.0 = fully idle).
-        busy_until_ms: earliest time all current work finishes.
+        free_fraction: unallocated usable PE fraction (1.0 = fully idle),
+            the executor's own ``free_fraction``.
         resident_model: model whose activations are resident (context-switch
             state), or ``None`` right after reset.
-        running_tasks: task names currently executing on the accelerator.
+        is_idle: True when the accelerator has no running work at all.
     """
 
-    acc_id: int
-    free_fraction: float
-    busy_until_ms: float
-    resident_model: Optional[str]
-    running_tasks: tuple[str, ...] = ()
+    __slots__ = ("_executor",)
+
+    def __init__(self, executor: "AcceleratorExecutor") -> None:
+        self._executor = executor
+
+    # C-level getters: schedulers read these on every consultation.
+    acc_id = property(attrgetter("_executor.accelerator.acc_id"), doc="Accelerator id.")
+    free_fraction = property(
+        attrgetter("_executor.free_fraction"),
+        doc="Unallocated usable PE fraction (1.0 = fully idle).",
+    )
+    resident_model = property(
+        attrgetter("_executor.resident_model"),
+        doc="Model whose activations are resident, or ``None`` after reset.",
+    )
 
     @property
     def is_idle(self) -> bool:
         """True when the accelerator has no running work at all."""
-        return self.free_fraction >= 1.0
+        return self._executor.free_fraction >= 1.0
 
 
-@dataclass(frozen=True)
 class SystemView:
-    """Snapshot of everything a scheduler may observe at a scheduling point.
+    """Read-only view of everything a scheduler may observe.
+
+    The engine builds one view per run and advances :attr:`now_ms` before
+    each ``schedule()`` call.  The request tuples and ``queue_depths`` are
+    the pool's snapshots, built when read: the fast pool memoizes each on
+    its version counter, so a snapshot no scheduler asks for is never
+    built; the reference pool re-derives them with a full scan per read.
 
     Lifetime contract: a view (and everything reachable from it — the
     accelerator views, the request tuples, ``queue_depths``) is valid only
     for the duration of the ``schedule()`` call it was passed to.  The
-    engine's fast path reuses and refreshes these objects between
-    scheduling points, so schedulers must neither retain them across calls
-    nor mutate them (treat ``queue_depths`` as read-only).
+    same objects serve every scheduling point of the run, so schedulers
+    must neither retain them across calls nor mutate them (treat
+    ``queue_depths`` as read-only).
 
     Attributes:
         now_ms: current simulation time.
@@ -124,26 +148,53 @@ class SystemView:
         cost_table: offline per-(layer, accelerator) latency/energy table.
         scenario: the active workload scenario.
         accelerators: one view per accelerator, ordered by id.
-        pending_requests: schedulable requests (not running, not terminal).
+        pending_requests: schedulable requests (not running, not terminal),
+            ordered by ``(arrival_ms, request_id)``.
         running_requests: requests currently occupying accelerators.
-        queue_depths: number of live requests per task.
+        queue_depths: number of live requests per task, in scenario order.
     """
 
-    now_ms: float
-    platform: Platform
-    cost_table: CostTable
-    scenario: Scenario
-    accelerators: tuple[AcceleratorView, ...]
-    pending_requests: tuple[InferenceRequest, ...]
-    running_requests: tuple[InferenceRequest, ...]
-    queue_depths: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "_now_ms", "_platform", "_cost_table", "_scenario", "_accelerators",
+        "_pool", "_task_names",
+    )
 
-    def idle_accelerators(self, min_free_fraction: float = 1.0) -> list[AcceleratorView]:
-        """Accelerators with at least ``min_free_fraction`` of PEs free."""
-        return [
-            acc for acc in self.accelerators if acc.free_fraction >= min_free_fraction - 1e-9
-        ]
+    def __init__(
+        self,
+        platform: Platform,
+        cost_table: CostTable,
+        scenario: Scenario,
+        pool: "RequestPool | ReferenceRequestPool",
+        executors: Sequence["AcceleratorExecutor"],
+    ) -> None:
+        self._now_ms = 0.0
+        self._platform = platform
+        self._cost_table = cost_table
+        self._scenario = scenario
+        self._accelerators = tuple(AcceleratorView(executor) for executor in executors)
+        self._pool = pool
+        # A tuple, so the pool's depth memo matches it without a copy.
+        self._task_names = tuple(task.name for task in scenario.tasks)
 
-    def accelerator(self, acc_id: int) -> AcceleratorView:
-        """View of one accelerator by id."""
-        return self.accelerators[acc_id]
+    now_ms = property(attrgetter("_now_ms"), doc="Current simulation time (ms).")
+    platform = property(attrgetter("_platform"), doc="The hardware platform.")
+    cost_table = property(attrgetter("_cost_table"), doc="The offline cost table.")
+    scenario = property(attrgetter("_scenario"), doc="The active workload scenario.")
+    accelerators = property(
+        attrgetter("_accelerators"), doc="One view per accelerator, ordered by id."
+    )
+
+    @property
+    def pending_requests(self) -> tuple[InferenceRequest, ...]:
+        """Schedulable requests, ordered by ``(arrival_ms, request_id)``."""
+        return self._pool.pending_snapshot()
+
+    @property
+    def running_requests(self) -> tuple[InferenceRequest, ...]:
+        """Requests currently occupying accelerators."""
+        return self._pool.running_snapshot()
+
+    @property
+    def queue_depths(self) -> dict[str, int]:
+        """Number of live requests per task, in scenario task order."""
+        return self._pool.queue_depths(self._task_names)

@@ -34,9 +34,9 @@ methods ``bind``, ``on_request_arrival``, ``schedule``,
 
 Performance architecture
 ------------------------
-Because the scheduler runs at every state change, the event loop and the
-:class:`~repro.sim.decisions.SystemView` it builds for ``schedule()`` *are*
-the simulation hot path.  The engine has two loops with one behaviour:
+Because the scheduler runs at every state change, the event loop and what
+``schedule()`` reads through its :class:`~repro.sim.decisions.SystemView`
+*are* the simulation hot path.  The engine has two loops with one behaviour:
 
 * ``mode="fast"`` (the default) runs :class:`~repro.sim.fastloop.FastLoop`,
   the production loop: arrival slot arrays instead of heap entries, an
@@ -50,17 +50,18 @@ Both loops share every cold path (finalization, cascades, expiry, tracing,
 fault transitions, aborts and retries), so that logic exists once, and
 they produce bit-for-bit identical results, traces and event counts.
 
-In fast mode everything the scheduler reads is kept incrementally up to
-date instead of re-derived per dispatch round:
+Each run builds one read-only :class:`~repro.sim.decisions.SystemView`
+over the live pool and executors, and advances its clock before every
+``schedule()`` call; nothing is snapshotted per scheduling point.  In
+fast mode everything the view reads is kept incrementally up to date
+instead of re-derived per read:
 
 * the :class:`~repro.sim.queues.RequestPool` maintains a sorted pending
   index, per-task buckets and a deadline min-heap (the loop notifies it
-  on dispatch/progress via ``note_dispatched``/``note_progress``);
-* executors answer capacity queries from incremental caches, and the loop
-  memoizes each accelerator's frozen view keyed on the executor's
-  ``state_version``; the :class:`~repro.sim.decisions.SystemView` itself
-  is memoized the same way and reused, with ``now_ms`` refreshed in
-  place, whenever none of its components changed;
+  on dispatch/progress via ``note_dispatched``/``note_progress``), and
+  memoizes the pending, running and depth snapshots on version counters,
+  so a snapshot is built only when a scheduler reads it after a change;
+* executors answer capacity queries from a running allocation sum;
 * cost queries hit the :class:`~repro.hardware.cost_table.CostTable`'s
   precomputed flat arrays.
 
@@ -84,7 +85,8 @@ differential testing.
 
 ``mode="reference"`` also retains the pre-optimization components
 (scan-based pool, per-call executor aggregation, a scan-based
-:class:`~repro.hardware.cost_table.ReferenceCostTable`) and the exact
+:class:`~repro.hardware.cost_table.ReferenceCostTable`), so every read
+through its view re-derives the value with a full scan, and the exact
 per-event dispatch sequence (no elision); the parity tests enforce that
 both modes agree.  The engine counts :attr:`events_processed` and
 :attr:`dispatch_rounds` (actual ``schedule()`` invocations) so throughput
@@ -102,7 +104,7 @@ from typing import Iterator, Optional, TYPE_CHECKING
 from repro.hardware.cost_table import CostTable
 from repro.hardware.platform import Platform
 from repro.metrics.quantiles import StreamingQuantiles
-from repro.sim.decisions import AcceleratorView, SchedulingDecision, SystemView
+from repro.sim.decisions import SchedulingDecision, SystemView
 from repro.sim.executor import AcceleratorExecutor
 from repro.sim.fastloop import MAX_DISPATCH_ROUNDS, FastLoop
 from repro.sim.faults import FaultsInput, parse_faults
@@ -273,6 +275,8 @@ class SimulationEngine:
         #: fault-free runs, so the completion hot path pays one falsy check).
         self._cancelled_slots: set[int] = set()
         self._pool = RequestPool() if fast else ReferenceRequestPool()
+        #: The one view every ``schedule()`` call of the run receives.
+        self._view = SystemView(platform, self.cost_table, scenario, self._pool, self._executors)
         self._stats: dict[str, TaskStats] = {
             task.name: TaskStats(task_name=task.name) for task in scenario.tasks
         }
@@ -283,7 +287,6 @@ class SimulationEngine:
         self._events: list[tuple[float, int, object, str, object]] = []
         self._event_seq = itertools.count()
         self._now = 0.0
-        self._task_names = [task.name for task in scenario.tasks]
         self._grace_ms_by_task = {
             task.name: (expire_after_periods or 0.0) * task.period_ms
             for task in scenario.tasks
@@ -511,9 +514,8 @@ class SimulationEngine:
 
         Concurrent degrades compose by ``min`` (most degraded wins),
         stalls by ``max`` (slowest wins), and any open outage zeroes the
-        whole platform.  Capacity moves bump executor ``state_version``,
-        so the fast loop's cached accelerator views rebuild and its
-        elision predicates keep reading exact live free fractions.
+        whole platform.  The views and the fast loop's elision predicates
+        read the executors live, so they see the new free fractions at once.
         """
         active = [self.faults[i] for i in sorted(self._active_faults)]
         outage = any(spec.kind == "platform_outage" for spec in active)
@@ -634,9 +636,11 @@ class SimulationEngine:
     def _dispatch(self, now: float) -> None:
         """Expire, then consult the scheduler until it has nothing to apply."""
         self._expire_stale(now)
+        view = self._view
         for _ in range(MAX_DISPATCH_ROUNDS):
             self.dispatch_rounds += 1
-            decision = self.scheduler.schedule(self._system_view(now))
+            view._now_ms = now
+            decision = self.scheduler.schedule(view)
             if decision.is_empty or self._apply_decision(decision, now) == 0:
                 return
         raise RuntimeError(
@@ -686,28 +690,6 @@ class SimulationEngine:
             self._push_event(record.slot.end_ms, _EVENT_COMPLETE, (assignment.acc_id, record.slot.slot_id))
             applied += 1
         return applied
-
-    def _system_view(self, now: float) -> SystemView:
-        """A fresh system view with every accelerator view built from scratch."""
-        return SystemView(
-            now_ms=now,
-            platform=self.platform,
-            cost_table=self.cost_table,
-            scenario=self.scenario,
-            accelerators=tuple(
-                AcceleratorView(
-                    acc_id=executor.acc_id,
-                    free_fraction=executor.free_fraction,
-                    busy_until_ms=executor.busy_until_ms(now),
-                    resident_model=executor.resident_model,
-                    running_tasks=executor.running_tasks(),
-                )
-                for executor in self._executors
-            ),
-            pending_requests=self._pool.pending_snapshot(),
-            running_requests=self._pool.running_snapshot(),
-            queue_depths=self._pool.queue_depths(self._task_names),
-        )
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -8,23 +8,21 @@ from the cost model's compute/memory breakdown.
 
 Performance architecture
 ------------------------
-In fast mode (the default) the executor answers capacity queries from
-incrementally maintained caches instead of re-aggregating its slots on
-every call: ``allocated_fraction`` is a running sum updated on
-``start``/``complete`` (reset to exactly 0.0 whenever the accelerator
-drains, so binary PE fractions never accumulate error), and
-``busy_until_ms`` keeps the running max of slot end times.  ``start()``
-prices layer ranges from the cost table's precomputed flat arrays and
-memoized per-``pe_fraction`` effective-latency tables; a whole-model
-dispatch with no context switch is priced O(1) from prefix sums (which are
-bit-for-bit equal to the sequential accumulation they replace, because the
-range starts at layer 0).  The engine's cached per-accelerator views are
-invalidated via :attr:`state_version` — the monotonic counter bumped on
-every ``start``/``complete``.  The same property anchors the engine's
-dispatch-elision layer: an executor's free fraction can only move through
-those two operations (never through the mere passage of time), so
-capacity-based wake-hint predicates evaluated against live executors are
-always exact.
+In fast mode (the default) the executor answers capacity queries from a
+running sum instead of re-aggregating its slots on every call: the
+allocated PE fraction is updated on ``start``/``complete`` (reset to
+exactly 0.0 whenever the accelerator drains, so binary PE fractions never
+accumulate error).  ``start()`` prices layer ranges from the cost table's
+precomputed flat arrays and memoized per-``pe_fraction`` effective-latency
+tables; a whole-model dispatch with no context switch is priced O(1) from
+prefix sums (which are bit-for-bit equal to the sequential accumulation
+they replace, because the range starts at layer 0).  Schedulers read the
+executor live through its :class:`~repro.sim.decisions.AcceleratorView`,
+so nothing is cached for them.  The engine's dispatch-elision layer rests
+on one property: an executor's free fraction moves only through
+``start``/``complete`` and fault transitions (never through the mere
+passage of time), so capacity-based wake-hint predicates evaluated
+against live executors are always exact.
 
 ``fast=False`` retains the historical implementation — per-call slot
 scans and a per-layer Python pricing loop — for the reference simulation
@@ -75,7 +73,7 @@ class AcceleratorExecutor:
     Args:
         accelerator: the hardware description.
         cost_table: offline latency/energy table for all models in play.
-        fast: use the incremental capacity caches and flat-array pricing
+        fast: use the running allocation sum and flat-array pricing
             (results are bit-for-bit identical either way; ``False`` keeps
             the historical per-call scans for the reference path).
         resource_model: optional non-default
@@ -83,9 +81,9 @@ class AcceleratorExecutor:
             admission and pricing; ``None`` (and the ``pe_fraction`` name)
             keep the executor's inlined historical arithmetic, so the
             default path stays bit-for-bit identical.  All bookkeeping
-            (``allocated_fraction`` over *charged* fractions, busy
-            horizons, drain resets) is model-independent, so every event
-            loop shares this one accounting implementation.
+            (the allocated fraction over *charged* fractions, drain
+            resets) is model-independent, so every event loop shares this
+            one accounting implementation.
     """
 
     def __init__(
@@ -110,11 +108,7 @@ class AcceleratorExecutor:
         self.total_busy_pe_ms: float = 0.0
         self.layers_executed: int = 0
         self.context_switches: int = 0
-        #: Bumped on every start/complete; the engine keys its cached
-        #: accelerator views on it.
-        self.state_version: int = 0
         self._allocated: float = 0.0
-        self._busy_until: float = 0.0
         #: Usable capacity fraction (1.0 = healthy).  Only fault injection
         #: moves it (accel_degrade / platform_outage windows); every
         #: fault-free run keeps the constant 1.0, so the historical
@@ -132,33 +126,18 @@ class AcceleratorExecutor:
         return self.accelerator.acc_id
 
     @property
-    def allocated_fraction(self) -> float:
-        """Sum of PE fractions of all in-flight assignments."""
-        if self.fast:
-            return self._allocated
-        return sum(slot.pe_fraction for slot in self.slots.values())
-
-    @property
     def free_fraction(self) -> float:
         """Unallocated *usable* PE fraction (1.0 = idle and healthy).
 
         Degraded capacity subtracts from the headroom new admissions see;
         in-flight slots keep running, so the clamp at 0.0 absorbs windows
-        where allocations exceed the freshly degraded capacity.
+        where allocations exceed the freshly degraded capacity.  Fast mode
+        reads the running allocation sum; the reference path sums the
+        slots' PE fractions on every call.
         """
-        return max(0.0, self._capacity - self.allocated_fraction)
-
-    def busy_until_ms(self, now: float) -> float:
-        """Latest end time of in-flight work (``now`` when idle)."""
-        if not self.slots:
-            return now
         if self.fast:
-            return self._busy_until
-        return max(slot.end_ms for slot in self.slots.values())
-
-    def running_tasks(self) -> tuple[str, ...]:
-        """Task names currently executing on this accelerator."""
-        return tuple([slot.request.task_name for slot in self.slots.values()])
+            return max(0.0, self._capacity - self._allocated)
+        return max(0.0, self._capacity - sum(slot.pe_fraction for slot in self.slots.values()))
 
     def can_accept(self, pe_fraction: float) -> bool:
         """Whether a new assignment of ``pe_fraction`` fits right now."""
@@ -338,10 +317,7 @@ class AcceleratorExecutor:
         )
         self.slots[slot.slot_id] = slot
         self.resident_model = request.model_name
-        self.state_version += 1
         self._allocated += assignment.pe_fraction
-        if slot.end_ms > self._busy_until or len(self.slots) == 1:
-            self._busy_until = slot.end_ms
 
         request.mark_running()
         request.energy_mj += energy
@@ -364,11 +340,12 @@ class AcceleratorExecutor:
         Admission, the charged fraction and the layer pricing come from the
         model; slot bookkeeping is byte-identical to the default path, with
         the slot's ``pe_fraction`` field holding the *charged* capacity
-        fraction — the quantity ``allocated_fraction`` sums and the frozen
-        views report — so the engine's wake hints and dispatch-elision
-        predicates stay sound without any model-specific branches.  Pricing
-        runs *before* the slot is inserted, so a batch-aware model sees
-        ``len(slots)`` peers at dispatch time (``B = len(slots) + 1``).
+        fraction — the quantity the allocated fraction sums and the
+        accelerator views report — so the engine's wake hints and
+        dispatch-elision predicates stay sound without any model-specific
+        branches.  Pricing runs *before* the slot is inserted, so a
+        batch-aware model sees ``len(slots)`` peers at dispatch time
+        (``B = len(slots) + 1``).
         """
         model = self.resource_model
         request = assignment.request
@@ -419,10 +396,7 @@ class AcceleratorExecutor:
         )
         self.slots[slot.slot_id] = slot
         self.resident_model = request.model_name
-        self.state_version += 1
         self._allocated += charge
-        if slot.end_ms > self._busy_until or len(self.slots) == 1:
-            self._busy_until = slot.end_ms
 
         request.mark_running()
         request.energy_mj += energy
@@ -446,15 +420,12 @@ class AcceleratorExecutor:
             KeyError: if the slot is unknown (already completed).
         """
         slot = self.slots.pop(slot_id)
-        self.state_version += 1
         if not self.slots:
             # Draining resets the running sum to exactly 0.0, so incremental
             # float error can never accumulate across busy periods.
             self._allocated = 0.0
         else:
             self._allocated -= slot.pe_fraction
-            if slot.end_ms >= self._busy_until:
-                self._busy_until = max(s.end_ms for s in self.slots.values())
         # The engine is the only caller and always passes the exact slice
         # taken at start() (the request stayed RUNNING in between), so the
         # prefix validation is skipped on the fast path.
@@ -469,22 +440,18 @@ class AcceleratorExecutor:
     def set_capacity(self, capacity: float) -> None:
         """Change the usable capacity fraction (fault begin/end).
 
-        Bumps ``state_version`` so cached accelerator views rebuild — the
-        free fraction the scheduler sees moves even though no slot changed.
+        The free fraction the scheduler sees moves even though no slot
+        changed.
         """
         if not 0.0 <= capacity <= 1.0:
             raise ValueError(f"capacity must be in [0, 1], got {capacity}")
-        if capacity != self._capacity:
-            self._capacity = capacity
-            self.state_version += 1
+        self._capacity = capacity
 
     def set_latency_factor(self, factor: float) -> None:
         """Change the latency inflation factor (transient_stall begin/end)."""
         if factor < 1.0:
             raise ValueError(f"latency factor must be >= 1, got {factor}")
-        if factor != self._latency_factor:
-            self._latency_factor = factor
-            self.state_version += 1
+        self._latency_factor = factor
 
     def abort_all(self, now: float) -> list[RunningSlot]:
         """Kill every in-flight slot (platform outage); returns the victims.
@@ -499,9 +466,7 @@ class AcceleratorExecutor:
             return []
         aborted = sorted(self.slots.values(), key=lambda slot: slot.slot_id)
         self.slots.clear()
-        self.state_version += 1
         self._allocated = 0.0
-        self._busy_until = now
         for slot in aborted:
             remaining = slot.end_ms - now
             if remaining > 0.0:

@@ -40,14 +40,16 @@ Design
   runs a dispatch.
 * **Inlined transitions.**  The arrival → dispatch → progress → finalize
   transitions, the wake-hint elision predicate (fully unrolled against
-  hoisted hint fields and the pool's raw pending list), the decision
-  application (terminal state and capacity checks inlined) and the
-  memoized accelerator/system view refresh (snapshot version guards
-  inlined, parallel key arrays) all live in one monomorphic ``run()``
-  with hot state in locals.  Every inlined capacity read is
-  ``executor._capacity - executor._allocated``, the executor's own free
-  fraction.  Scheduler lifecycle hooks that are not overridden (the
-  base-class no-ops) are detected once and never called.
+  hoisted hint fields and the pool's raw pending list) and the decision
+  application (terminal state and capacity checks inlined) all live in
+  one monomorphic ``run()`` with hot state in locals.  Every inlined
+  capacity read is ``executor._capacity - executor._allocated``, the
+  executor's own free fraction.  Scheduler lifecycle hooks that are not
+  overridden (the base-class no-ops) are detected once and never called.
+* **One live view.**  Every ``schedule()`` call receives the engine's one
+  read-only :class:`~repro.sim.decisions.SystemView`; the loop only
+  advances its clock, and the view reads the pool's memoized snapshots
+  and the executors when the scheduler asks.
 * **Coalescing is a count, not a drain.**  An event that follows an
   elided first-round dispatch at the same instant — nothing stale, and
   not itself a fault edge or a retry — is counted in
@@ -66,7 +68,6 @@ import heapq
 from dataclasses import replace
 from typing import Any, Iterator, List, Optional
 
-from repro.sim.decisions import AcceleratorView, SystemView
 from repro.sim.request import InferenceRequest, RequestState
 from repro.workloads.frames import head_arrival_plan, task_frame_stream
 
@@ -83,14 +84,11 @@ _INF = float("inf")
 #: buggy scheduler implementations instead of hanging the simulation.
 MAX_DISPATCH_ROUNDS = 64
 
-#: ``AcceleratorView.__new__`` — hoisted for the fast view constructor.
-_view_new = AcceleratorView.__new__
-
 
 class FastLoop:
     """One engine run through the production loop.
 
-    The loop borrows the engine's live components (pool, executors,
+    The loop borrows the engine's live components (pool, executors, view,
     scheduler, RNG, stats) and owns only the event storage; counters are
     written back to the engine when the run drains, so
     ``SimulationResult.engine_counters`` report them as for any run.
@@ -163,29 +161,6 @@ class FastLoop:
         # High-water mark of queued + completion-heap events (written back).
         self.peak_event_heap: int = 0
 
-        # Memoized view state, cache keys split into parallel scalar arrays
-        # (see _accelerator_views).
-        n_exec = len(self.executors)
-        self.acc_views: List[Optional[Any]] = [None] * n_exec
-        self.acc_view_versions: List[int] = [-1] * n_exec
-        self.acc_view_busys: List[float] = [0.0] * n_exec
-        self.acc_views_tuple: Any = None
-        self.view: Any = None
-        # Set on every executor mutation (start, complete, fault edge);
-        # with clean executors that are all busy the view tuple cannot
-        # have changed, so the scan is skipped.
-        self.execs_dirty: bool = True
-        self.acc_all_busy: bool = False
-
-        # Inlined pool-snapshot memo guards (one int compare instead of a
-        # method call per dispatch round when nothing changed).
-        self.seen_pending_version: int = -1
-        self.seen_running_version: int = -1
-        self.seen_depth_version: int = -1
-        self.pending_snapshot: Any = None
-        self.running_snapshot: Any = None
-        self.depth_snapshot: Any = None
-
         for i in range(n):
             task = self.slot_tasks[i]
             self.slot_iters[i] = iter(
@@ -254,6 +229,7 @@ class FastLoop:
         """Drain all events; mirrors the engine's reference heap loop."""
         engine = self.engine
         scheduler = self.scheduler
+        view = engine._view
         pool = self.pool
         executors = self.executors
         tracer = self.tracer
@@ -315,9 +291,8 @@ class FastLoop:
                 occupancy = self.queued + len(comp_heap)
                 if occupancy > self.peak_event_heap:
                     self.peak_event_heap = occupancy
-                # Capacity moved without a slot change: rescan the views,
-                # and let no same-instant hint elide the next consultation.
-                self.execs_dirty = True
+                # Capacity moved without a slot change: let no same-instant
+                # hint elide the next consultation.
                 last_schedule_membership = -1
             elif best_at <= comp_at:
                 # Arrival wins ties: _PRIO_ARRIVAL < _PRIO_COMPLETE.
@@ -361,7 +336,6 @@ class FastLoop:
                 else:
                     executor = executors[code >> _ACC_SHIFT]
                     slot = executor.complete(code & _SLOT_MASK, now)
-                    self.execs_dirty = True
                     request = slot.request
                     if tracer is not None:
                         engine._trace(
@@ -432,7 +406,8 @@ class FastLoop:
                         break
                 rounds += 1
                 dispatch_rounds += 1
-                decision = scheduler.schedule(self._system_view(now))
+                view._now_ms = now
+                decision = scheduler.schedule(view)
                 if have_hint:
                     # Captured before the decision is applied, so drops and
                     # finalizations bump the membership version past this
@@ -478,7 +453,6 @@ class FastLoop:
                                 detail=f"{old_name} -> {request.model_name}",
                             )
                     record = executor.start(assignment, now)
-                    self.execs_dirty = True
                     pool.note_dispatched(request)
                     if tracer is not None:
                         engine._trace_dispatch(assignment, record)
@@ -503,119 +477,6 @@ class FastLoop:
         engine.dispatches_elided += dispatches_elided
         engine.events_coalesced += events_coalesced
         engine.peak_event_heap = max(engine.peak_event_heap, self.peak_event_heap)
-
-    # ------------------------------------------------------------------ #
-    # memoized views
-    # ------------------------------------------------------------------ #
-    def _accelerator_views(self, now: float) -> Any:
-        """All accelerator views, reusing cached view objects and their tuple.
-
-        A view object is rebuilt only when its executor's ``state_version``
-        moved; if merely the idle-time clock advanced, ``busy_until_ms`` is
-        refreshed in place (schedulers never retain views across scheduling
-        points, so the mutation of the frozen dataclass is unobservable to
-        them).  The enclosing tuple is reused whenever no view object was
-        replaced — and when no executor was touched since the last call
-        *and* every accelerator is busy, the cached tuple is returned
-        without even scanning: a busy executor's ``busy_until_ms`` is the
-        static maximum of its slot end times.
-        """
-        if not self.execs_dirty and self.acc_all_busy and self.acc_views_tuple is not None:
-            return self.acc_views_tuple
-        views = self.acc_views
-        versions = self.acc_view_versions
-        busys = self.acc_view_busys
-        replaced = False
-        all_busy = True
-        executors = self.executors
-        for index in range(len(executors)):
-            executor = executors[index]
-            if executor.slots:
-                busy: float = executor._busy_until
-            else:
-                busy = now
-                all_busy = False
-            version: int = executor.state_version
-            cached = views[index]
-            if cached is not None and versions[index] == version:
-                if busys[index] != busy:
-                    object.__setattr__(cached, "busy_until_ms", busy)
-                    busys[index] = busy
-                continue
-            free: float = executor._capacity - executor._allocated
-            if free < 0.0:
-                free = 0.0
-            # Bypass the frozen dataclass __init__ (object.__setattr__ per
-            # field); field values are identical, so views are bit-for-bit.
-            fresh = _view_new(AcceleratorView)
-            fresh.__dict__.update(
-                acc_id=executor.acc_id,
-                free_fraction=free,
-                busy_until_ms=busy,
-                resident_model=executor.resident_model,
-                running_tasks=executor.running_tasks(),
-            )
-            views[index] = fresh
-            versions[index] = version
-            busys[index] = busy
-            replaced = True
-        self.execs_dirty = False
-        self.acc_all_busy = all_busy
-        if replaced or self.acc_views_tuple is None:
-            self.acc_views_tuple = tuple(views)
-        return self.acc_views_tuple
-
-    def _system_view(self, now: float) -> Any:
-        """The memoized system view.
-
-        Every component snapshot is memoized on its own state version, so
-        the enclosing :class:`SystemView` is keyed on component identity:
-        when nothing was replaced, the previous view object is reused with
-        ``now_ms`` refreshed in place.
-        """
-        engine = self.engine
-        pool = self.pool
-        accelerators = self._accelerator_views(now)
-        # Inlined snapshot memo guards: one int compare per component when
-        # nothing changed, the pool's own memoized builder otherwise.
-        version: int = pool._pending_version
-        if version != self.seen_pending_version:
-            self.pending_snapshot = pool.pending_snapshot()
-            self.seen_pending_version = version
-        pending = self.pending_snapshot
-        version = pool._running_version
-        if version != self.seen_running_version:
-            self.running_snapshot = pool.running_snapshot()
-            self.seen_running_version = version
-        running = self.running_snapshot
-        version = pool._depth_version
-        if version != self.seen_depth_version:
-            self.depth_snapshot = pool.queue_depths(engine._task_names)
-            self.seen_depth_version = version
-        depths = self.depth_snapshot
-        view = self.view
-        if (
-            view is not None
-            and view.accelerators is accelerators
-            and view.pending_requests is pending
-            and view.running_requests is running
-            and view.queue_depths is depths
-        ):
-            if view.now_ms != now:
-                object.__setattr__(view, "now_ms", now)
-            return view
-        view = SystemView(
-            now_ms=now,
-            platform=engine.platform,
-            cost_table=engine.cost_table,
-            scenario=engine.scenario,
-            accelerators=accelerators,
-            pending_requests=pending,
-            running_requests=running,
-            queue_depths=depths,
-        )
-        self.view = view
-        return view
 
 
 def _plan_name(entry: Any) -> str:

@@ -228,8 +228,14 @@ class SimulationResult:
 
     @property
     def normalized_energy(self) -> float:
-        """Sum of per-task normalized energies (the UXCost energy factor)."""
-        return sum(stats.normalized_energy for stats in self.task_stats.values())
+        """Sum of per-task normalized energies (the UXCost energy factor).
+
+        Added left to right, like :attr:`total_energy_mj`.
+        """
+        total = 0.0
+        for stats in self.task_stats.values():
+            total += stats.normalized_energy
+        return total
 
     @property
     def total_frames(self) -> int:

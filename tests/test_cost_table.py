@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware import CostTable
+from repro.hardware.cost_model import LayerCost
 
 
 class TestLookups:
@@ -63,6 +64,37 @@ class TestAggregates:
         assert summary.activation_footprint_bytes > 0
 
 
+class TestLeftToRightSums:
+    """Float totals must not depend on the interpreter's sum().
+
+    From CPython 3.12 on, sum() compensates rounding: it gives
+    1.0000000000000002 for [1.0, 1e-16, 1e-16], where 3.10 and 3.11 (and
+    every left-to-right addition) give 1.0.
+    """
+
+    @staticmethod
+    def _table(tiny_platform):
+        def cost(latency):
+            return LayerCost(latency, 1.0, latency, 0.0, 0.0, 1.0)
+
+        # Per layer, both accelerators share the latency, so each layer's
+        # best latency is its half-total: 1.0, 1e-16, 1e-16 and totals
+        # 2.0, 2e-16, 2e-16.
+        rows = [[cost(1.0), cost(1.0)], [cost(1e-16), cost(1e-16)], [cost(1e-16), cost(1e-16)]]
+        return CostTable(tiny_platform, {"hand": rows}, {})
+
+    def test_remaining_best_latency(self, tiny_platform):
+        table = self._table(tiny_platform)
+        for view in (table, table.reference_view()):
+            assert view.remaining_best_latency("hand", [0, 1, 2]) == 1.0
+
+    def test_remaining_average_latency(self, tiny_platform):
+        table = self._table(tiny_platform)
+        for view in (table, table.reference_view()):
+            assert view.remaining_average_latency("hand", [0, 1, 2]) == 1.0
+        assert table.full_average_latency("hand") == 1.0
+
+
 class TestContextSwitch:
     def test_same_model_is_free(self, tiny_cost_table):
         assert tiny_cost_table.context_switch_energy("alpha", "alpha", 0) == 0.0
@@ -89,14 +121,29 @@ class TestSummarize:
         rows = [[cost_model.cost(layer, acc) for acc in tiny_platform] for layer in model.layers]
         summary = CostTable._summarize(model, rows)
 
+        def left_to_right(values):
+            # Not sum(): it compensates rounding from CPython 3.12 on.
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
         assert summary.total_macs == sum(layer.macs for layer in model.layers)
-        assert summary.best_case_latency_ms == sum(min(c.latency_ms for c in row) for row in rows)
-        assert summary.worst_case_latency_ms == sum(max(c.latency_ms for c in row) for row in rows)
-        assert summary.average_latency_ms == sum(
-            sum(c.latency_ms for c in row) / len(row) for row in rows
+        assert summary.best_case_latency_ms == left_to_right(
+            min(c.latency_ms for c in row) for row in rows
         )
-        assert summary.best_case_energy_mj == sum(min(c.energy_mj for c in row) for row in rows)
-        assert summary.worst_case_energy_mj == sum(max(c.energy_mj for c in row) for row in rows)
+        assert summary.worst_case_latency_ms == left_to_right(
+            max(c.latency_ms for c in row) for row in rows
+        )
+        assert summary.average_latency_ms == left_to_right(
+            left_to_right(c.latency_ms for c in row) / len(row) for row in rows
+        )
+        assert summary.best_case_energy_mj == left_to_right(
+            min(c.energy_mj for c in row) for row in rows
+        )
+        assert summary.worst_case_energy_mj == left_to_right(
+            max(c.energy_mj for c in row) for row in rows
+        )
 
     def test_activation_footprint_is_exact_int(self, tiny_models, tiny_platform):
         from repro.hardware import AnalyticalCostModel

@@ -21,7 +21,6 @@ import pytest
 from repro.core.dispatch import JobDispatchEngine
 from repro.core.mapscore import MapScoreEngine
 from repro.experiments.jobs import shared_context
-from repro.sim.decisions import AcceleratorView
 from repro.sim.request import InferenceRequest
 
 SCENARIO = "ar_call"
@@ -34,6 +33,15 @@ class _View:
 
     def __init__(self, now_ms):
         self.now_ms = now_ms
+
+
+class _Acc:
+    """The slice of AcceleratorView the scoring loops actually read."""
+
+    def __init__(self, acc_id, resident_model):
+        self.acc_id = acc_id
+        self.free_fraction = 1.0
+        self.resident_model = resident_model
 
 
 def _context():
@@ -105,11 +113,7 @@ def _population(rng, scenario, size):
 def _acc_views(rng, platform, scenario):
     residents = [None] + _model_names(scenario)
     return tuple(
-        AcceleratorView(
-            acc_id=acc.acc_id, free_fraction=1.0, busy_until_ms=0.0,
-            resident_model=rng.choice(residents),
-        )
-        for acc in platform.accelerators
+        _Acc(acc.acc_id, rng.choice(residents)) for acc in platform.accelerators
     )
 
 
@@ -188,8 +192,7 @@ def test_exact_ties_break_to_first_in_snapshot_order():
     second = _make_request(rng, task, 1, 10.0, 50.0, path_seed=7)
     second.path = first.path
     snapshot = (first, second)
-    acc = AcceleratorView(acc_id=0, free_fraction=1.0, busy_until_ms=0.0,
-                          resident_model=None)
+    acc = _Acc(0, None)
 
     map_engine = MapScoreEngine(cost_table)
     dispatch = JobDispatchEngine(cost_table, scenario, map_engine, fast=True)

@@ -358,6 +358,16 @@ class TestUXCost:
         breakdown = compute_uxcost([ModelOutcome("idle", 0, 0, 0.0, 0.0)])
         assert breakdown.uxcost == 0.0
 
+    def test_factors_are_summed_left_to_right(self):
+        # sum() compensates from CPython 3.12 on and would give
+        # 1.0000000000000002 here; 3.10 and 3.11 give 1.0.
+        outcomes = [
+            ModelOutcome("a", 10, 0, 1.0, 1.0),
+            ModelOutcome("b", 10, 0, 1e-16, 1.0),
+            ModelOutcome("c", 10, 0, 1e-16, 1.0),
+        ]
+        assert compute_uxcost(outcomes).overall_normalized_energy == 1.0
+
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ModelOutcome("m", total_frames=1, violated_frames=2, actual_energy_mj=0, worst_case_energy_mj=0)
