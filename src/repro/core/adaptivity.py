@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.core.config import OptimizationObjective
+from repro.metrics.uxcost import ModelOutcome, compute_uxcost
 
 
 @dataclass(frozen=True)
@@ -289,23 +290,21 @@ class OnlineAdaptivityEngine:
         stats.worst_energy_mj += worst_energy_mj
 
     def window_cost(self) -> float:
-        """Windowed objective value from the frames observed so far."""
-        violation_factor = 0.0
-        energy_factor = 0.0
-        for stats in self._window_stats.values():
-            if stats.frames == 0:
-                continue
-            if stats.violations == 0:
-                violation_factor += 1.0 / (2.0 * stats.frames)
-            else:
-                violation_factor += stats.violations / stats.frames
-            if stats.worst_energy_mj > 0:
-                energy_factor += stats.energy_mj / stats.worst_energy_mj
+        """Windowed objective value from the frames observed so far.
+
+        UXCost (Algorithm 2) over one :class:`ModelOutcome` per task, or
+        one of its two factors under a single-term objective.
+        """
+        breakdown = compute_uxcost(
+            ModelOutcome(name, stats.frames, stats.violations,
+                         stats.energy_mj, stats.worst_energy_mj)
+            for name, stats in self._window_stats.items()
+        )
         if self.objective is OptimizationObjective.DEADLINE_ONLY:
-            return violation_factor
+            return breakdown.overall_violation_rate
         if self.objective is OptimizationObjective.ENERGY_ONLY:
-            return energy_factor
-        return violation_factor * energy_factor
+            return breakdown.overall_normalized_energy
+        return breakdown.uxcost
 
     def _observed_frames(self) -> int:
         return sum(stats.frames for stats in self._window_stats.values())

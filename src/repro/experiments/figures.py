@@ -22,6 +22,8 @@ without the backend or the store, on the memoized
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from repro.core.adaptivity import IterativeParameterOptimizer, OptimizationTrace, ParameterPoint
@@ -91,7 +93,7 @@ def figure2(duration_ms: float = 800.0, seed: int = 0) -> FigureResult:
         name="figure2",
         description="Deadline violation rate of static vs dynamic FCFS on AR_Call (paper: ~53% average reduction)",
         rows=rows,
-        summary={"mean_reduction": sum(reductions) / len(reductions)},
+        summary={"mean_reduction": reduce(add, reductions, 0.0) / len(reductions)},
         text=text,
     )
 
@@ -257,7 +259,7 @@ def figure10(
         name="figure10",
         description="Parameter search under workload changes (paper: converges within ~2% of the global optimum)",
         rows=rows,
-        summary={"mean_gap": sum(r["gap_to_global"] for r in rows) / len(rows)},
+        summary={"mean_gap": reduce(add, [r["gap_to_global"] for r in rows], 0.0) / len(rows)},
         text=text,
     )
     result.summary["traces"] = traces

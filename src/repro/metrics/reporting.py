@@ -9,6 +9,8 @@ plotting dependency.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -22,8 +24,9 @@ def geometric_mean(values: Iterable[float]) -> float:
     values = list(values)
     if not values:
         raise ValueError("geometric_mean of an empty sequence")
-    clamped = [max(value, 1e-12) for value in values]
-    return math.exp(sum(math.log(value) for value in clamped) / len(clamped))
+    # Summed left to right: sum() compensates from CPython 3.12 on.
+    logs = [math.log(max(value, 1e-12)) for value in values]
+    return math.exp(reduce(add, logs, 0.0) / len(logs))
 
 
 def format_table(

@@ -57,7 +57,6 @@ from repro.sim.engine import ENGINE_MODES, SimulationEngine, run_simulation
 from repro.sim.resource_models import (
     RESOURCE_MODEL_NAMES,
     KvBatchModel,
-    ResourceModel,
     make_resource_model,
     resource_model_names,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "RESOURCE_MODEL_NAMES",
     "resource_model_names",
     "make_resource_model",
-    "ResourceModel",
     "KvBatchModel",
     "Assignment",
     "SchedulingDecision",

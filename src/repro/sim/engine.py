@@ -38,13 +38,13 @@ Because the scheduler runs at every state change, the event loop and what
 ``schedule()`` reads through its :class:`~repro.sim.decisions.SystemView`
 *are* the simulation hot path.  The engine has two loops with one behaviour:
 
-* ``mode="fast"`` (the default) runs :class:`~repro.sim.fastloop.FastLoop`,
+* ``mode="fast"`` (the default) runs :meth:`SimulationEngine._run_fast_loop`,
   the production loop: arrival slot arrays instead of heap entries, an
   integer-coded completion heap, and the arrival, dispatch and completion
   transitions inlined with their hot state in locals;
-* ``mode="reference"`` runs the engine's own heap loop, the executable
-  spec: one ``(time, kind priority, tie key, kind, payload)`` heap, one
-  handler call and one full dispatch per event.
+* ``mode="reference"`` runs :meth:`SimulationEngine._run_heap_loop`, the
+  executable spec: one ``(time, kind priority, tie key, kind, payload)``
+  heap, one handler call and one full dispatch per event.
 
 Both loops share every cold path (finalization, cascades, expiry, tracing,
 fault transitions, aborts and retries), so that logic exists once, and
@@ -106,7 +106,6 @@ from repro.hardware.platform import Platform
 from repro.metrics.quantiles import StreamingQuantiles
 from repro.sim.decisions import SchedulingDecision, SystemView
 from repro.sim.executor import AcceleratorExecutor
-from repro.sim.fastloop import MAX_DISPATCH_ROUNDS, FastLoop
 from repro.sim.faults import FaultsInput, parse_faults
 from repro.sim.queues import ReferenceRequestPool, RequestPool
 from repro.sim.request import InferenceRequest, RequestState
@@ -114,11 +113,23 @@ from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
 from repro.sim.results import AcceleratorStats, SimulationResult, TaskStats
 from repro.sim.tracer import Tracer
 from repro.workloads.frames import head_arrival_plan, task_frame_stream
-from repro.workloads.scenario import Scenario
+from repro.workloads.scenario import Scenario, TaskSpec
 from repro.workloads.traffic import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.base import Scheduler
+
+#: Safety bound on scheduler invocations per event, to surface livelocks in
+#: buggy scheduler implementations instead of hanging the simulation.
+MAX_DISPATCH_ROUNDS = 64
+
+#: Fast-loop completion codes pack ``(acc_id << 48) | slot_id`` into one int;
+#: a retry entry carries the code ``-1`` instead.
+_ACC_SHIFT = 48
+_SLOT_MASK = (1 << _ACC_SHIFT) - 1
+_RETRY = -1
+
+_INF = float("inf")
 
 _EVENT_ARRIVAL = "arrival"
 _EVENT_COMPLETE = "complete"
@@ -166,10 +177,10 @@ class SimulationEngine:
             executed but excluded from the measured statistics.
         tracer: optional :class:`~repro.sim.tracer.Tracer` for per-event records.
         mode: ``"fast"`` (default) runs the production event loop
-            (:mod:`repro.sim.fastloop`) over the incremental components;
-            ``"reference"`` runs the heap loop below over the
-            pre-optimization scan-based components.  Results, traces and
-            event counts are bit-for-bit identical across modes.
+            (:meth:`_run_fast_loop`) over the incremental components;
+            ``"reference"`` runs the heap loop (:meth:`_run_heap_loop`)
+            over the pre-optimization scan-based components.  Results,
+            traces and event counts are bit-for-bit identical across modes.
         dispatch_elision: honour scheduler :class:`~repro.schedulers.base
             .WakeHint`\\ s to skip provably-inert ``schedule()`` calls (fast
             mode only; the reference mode always keeps the exact per-event
@@ -298,6 +309,18 @@ class SimulationEngine:
         # at most one pending arrival event each (O(tasks) heap occupancy).
         self._arrival_iters: dict[str, Iterator[Frame]] = {}
         self._last_arrival_ms: dict[str, float] = {}
+        # Fast-loop event state: one arrival slot per head task as parallel
+        # arrays in task-name order (filled by _start_arrival_slots), the
+        # completion heap of (end_ms, seq, code) entries, and the count of
+        # pending events outside that heap (primed slots, unfired fault
+        # edges) for the spec's heap-occupancy high-water mark.
+        self._slot_tasks: list[TaskSpec] = []
+        self._slot_iters: list[Optional[Iterator[Frame]]] = []
+        self._slot_times: list[float] = []
+        self._slot_frames: list[Optional[Frame]] = []
+        self._slot_last: list[float] = []
+        self._comp_heap: list[tuple[float, int, int]] = []
+        self._queued = 0
         self._latency_quantiles = {
             task.name: StreamingQuantiles() for task in scenario.tasks
         }
@@ -327,9 +350,7 @@ class SimulationEngine:
         """Run the simulation to completion and return the measured result."""
         self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
         if self._fast:
-            # The production loop shares this engine's pool, executors, RNG,
-            # stats and cold-path helpers, so everything below is shared.
-            FastLoop(self).run()
+            self._run_fast_loop()
         else:
             self._run_heap_loop()
         self._finalize_leftovers()
@@ -357,6 +378,302 @@ class SimulationEngine:
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind!r}")
             self._dispatch(time_ms)
+
+    def _run_fast_loop(self) -> None:
+        """The production loop: the heap loop's events, order and counters.
+
+        * Arrivals live in the ``_slot_*`` arrays, one slot per head task
+          in task-name order; streaming keeps at most one arrival per task
+          pending.  The next arrival is the first strict minimum of the
+          slot times (:meth:`_best_arrival`), which reproduces the spec's
+          ``(arrival_ms, task_name)`` tie-break because two arrivals of
+          one task never coexist.
+        * ``_comp_heap`` holds ``(end_ms, seq, (acc_id << 48) | slot_id)``.
+          Outage retries ride it with code ``-1`` (the request is found by
+          ``seq``), so completions and retries share one push order, like
+          the spec's completion-class entries.  Fault edges, then
+          arrivals, win ties against it, as the spec's priorities order
+          them; a swallowed completion of an outage-killed slot still
+          counts as an event and still runs a dispatch.
+        * Arrival, completion, the wake-hint elision predicate and decision
+          application are inlined with hot state in locals; every inlined
+          capacity read is ``executor._capacity - executor._allocated``.
+          Scheduler hooks left as the base-class no-ops are never called.
+        * Coalescing is a count, not a drain: an event that follows an
+          elided first-round dispatch at the same instant — nothing stale,
+          and not itself a fault edge or a retry — is counted in
+          ``events_coalesced``, since the instant ran one effective
+          dispatch for both.
+
+        Cold paths are the engine methods the heap loop calls, with
+        ``_now`` kept in step.
+        """
+        from repro.schedulers.base import Scheduler
+
+        # Fault edges: (time_ms, phase, index), already in firing order.
+        fault_edges = self._fault_edges()
+        n_edges = len(fault_edges)
+        self._queued = n_edges
+        self._start_arrival_slots()
+        if self._queued > self.peak_event_heap:
+            self.peak_event_heap = self._queued
+
+        scheduler = self.scheduler
+        view = self._view
+        pool = self._pool
+        executors = self._executors
+        tracer = self.tracer
+        rng = self._rng
+        comp_heap = self._comp_heap
+        slot_times = self._slot_times
+        slot_frames = self._slot_frames
+        slot_tasks = self._slot_tasks
+        # The pool's raw pending list is identity-stable (mutated in place),
+        # so its truth value is the has-pending predicate.
+        pending_values = pool._pending_values
+        cancelled = self._cancelled_slots
+        # Retry entries' requests, keyed by their completion-heap seq.
+        retries: dict[int, InferenceRequest] = {}
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        expiry_enabled = self.expire_after_periods is not None
+        pending_state = RequestState.PENDING
+        completed_state = RequestState.COMPLETED
+        default_resources = self._default_resources
+
+        # Wake-hint elision state (the scheduler is already bound).
+        hint = scheduler.wake_hint() if self.dispatch_elision else None
+        have_hint = hint is not None
+        hint_same_instant = have_hint and bool(hint.same_instant_only)
+        hint_elide_no_pending = have_hint and bool(hint.elide_when_no_pending)
+        min_free = hint.min_free_fraction if have_hint else None
+        hint_has_min_free = min_free is not None
+        hint_threshold = min_free - 1e-9 if hint_has_min_free else 0.0
+        cls = type(scheduler)
+        call_arrival_hook = cls.on_request_arrival is not Scheduler.on_request_arrival
+        call_layers_hook = cls.on_layers_complete is not Scheduler.on_layers_complete
+
+        events_processed = 0
+        events_coalesced = 0
+        dispatches_elided = 0
+        dispatch_rounds = 0
+        comp_seq = 0
+        # Same-instant elision state (gates same_instant_only hints).
+        last_schedule_ms = -_INF
+        last_schedule_membership = -1
+
+        next_edge = 0
+        fault_at = fault_edges[0][0] if n_edges else _INF
+        # Cached earliest arrival; only a slot refill can change it, so it
+        # is recomputed after arrival pops and never after completions.
+        best_i = self._best_arrival()
+        best_at = slot_times[best_i] if best_i >= 0 else _INF
+
+        while True:
+            comp_at = comp_heap[0][0] if comp_heap else _INF
+            if fault_at <= best_at and fault_at <= comp_at:
+                # Fault edges win ties: _PRIO_FAULT < _PRIO_ARRIVAL.
+                if fault_at == _INF:
+                    break
+                now = fault_at
+                self._now = now
+                events_processed += 1
+                _t, phase, index = fault_edges[next_edge]
+                next_edge += 1
+                fault_at = fault_edges[next_edge][0] if next_edge < n_edges else _INF
+                self._queued -= 1
+                for retry_at, request in self._handle_fault(phase, index):
+                    heappush(comp_heap, (retry_at, comp_seq, _RETRY))
+                    retries[comp_seq] = request
+                    comp_seq += 1
+                occupancy = self._queued + len(comp_heap)
+                if occupancy > self.peak_event_heap:
+                    self.peak_event_heap = occupancy
+                # Capacity moved without a slot change: let no same-instant
+                # hint elide the next consultation.
+                last_schedule_membership = -1
+            elif best_at <= comp_at:
+                # Arrival wins ties: _PRIO_ARRIVAL < _PRIO_COMPLETE.
+                now = best_at
+                self._now = now
+                events_processed += 1
+                frame = slot_frames[best_i]
+                slot_times[best_i] = _INF
+                slot_frames[best_i] = None
+                self._queued -= 1
+                self._refill_slot(best_i)
+                task = slot_tasks[best_i]
+                best_i = self._best_arrival()
+                best_at = slot_times[best_i] if best_i >= 0 else _INF
+                request = InferenceRequest(
+                    task_name=task.name,
+                    model=task.default_model,
+                    frame_id=frame.frame_id,
+                    arrival_ms=frame.arrival_ms,
+                    deadline_ms=frame.deadline_ms,
+                    rng=rng,
+                )
+                pool.add(request)
+                if tracer is not None:
+                    self._trace(request, "arrival")
+                if call_arrival_hook:
+                    scheduler.on_request_arrival(request, now)
+            else:
+                entry = heappop(comp_heap)
+                now = entry[0]
+                self._now = now
+                events_processed += 1
+                code = entry[2]
+                if code == _RETRY:
+                    self._handle_retry(retries.pop(entry[1]))
+                elif cancelled and (code & _SLOT_MASK) in cancelled:
+                    # The slot was killed by an outage after its completion
+                    # was queued: swallow it (still an event, still a
+                    # dispatch, exactly like the spec).
+                    cancelled.discard(code & _SLOT_MASK)
+                else:
+                    executor = executors[code >> _ACC_SHIFT]
+                    slot = executor.complete(code & _SLOT_MASK, now)
+                    request = slot.request
+                    if tracer is not None:
+                        self._trace(
+                            request, "layers_complete", acc_id=code >> _ACC_SHIFT,
+                            detail=f"{len(slot.layer_indices)} layers",
+                        )
+                    if request.state is completed_state:
+                        if tracer is not None:
+                            self._trace(request, "complete", acc_id=code >> _ACC_SHIFT)
+                        self._finalize_request(request)
+                        self._spawn_cascades(request)
+                    else:
+                        pool.note_progress(request)
+                        if call_layers_hook:
+                            scheduler.on_layers_complete(request, now)
+
+            # ---------------- dispatch (the spec's _dispatch) ----------------
+            stale = expiry_enabled and pool.has_stale(now)
+            if stale:
+                self._expire_stale(now)
+            rounds = 0
+            while True:
+                # The round cap is checked before the elision predicate so a
+                # 65th scheduling point raises exactly like the spec's
+                # exhausted ``for`` loop would.
+                if rounds >= MAX_DISPATCH_ROUNDS:
+                    raise RuntimeError(
+                        f"scheduler {type(scheduler).__name__} did not converge "
+                        f"after {MAX_DISPATCH_ROUNDS} dispatch rounds at "
+                        f"t={now:.3f} ms"
+                    )
+                if have_hint:
+                    # --- does the wake hint prove schedule() inert? ---
+                    if hint_same_instant and (
+                        last_schedule_ms != now
+                        or last_schedule_membership != pool._depth_version
+                    ):
+                        eligible = False
+                    elif not pending_values:
+                        eligible = hint_elide_no_pending
+                    elif not hint_has_min_free:
+                        eligible = False
+                    else:
+                        eligible = True
+                        for executor in executors:
+                            free = executor._capacity - executor._allocated
+                            if free < 0.0:
+                                free = 0.0
+                            if free >= hint_threshold:
+                                eligible = False
+                                break
+                    if eligible:
+                        dispatches_elided += 1
+                        if (
+                            rounds == 0
+                            and not stale
+                            and fault_at != now
+                            and (
+                                best_at == now
+                                or (
+                                    comp_heap
+                                    and comp_heap[0][0] == now
+                                    and comp_heap[0][2] != _RETRY
+                                )
+                            )
+                        ):
+                            events_coalesced += 1
+                        break
+                rounds += 1
+                dispatch_rounds += 1
+                view._now_ms = now
+                decision = scheduler.schedule(view)
+                if have_hint:
+                    # Captured before the decision is applied, so drops and
+                    # finalizations bump the membership version past this
+                    # snapshot and correctly re-arm the next round.
+                    last_schedule_ms = now
+                    last_schedule_membership = pool._depth_version
+                assignments = decision.assignments
+                drops = decision.drops
+                if not assignments and not drops:
+                    break
+                # ------------- apply decision (inlined) -------------
+                applied = 0
+                for request in drops:
+                    # Skip unless PENDING == the spec's "finished or
+                    # RUNNING" guard (the state space has no other values).
+                    if request.state is not pending_state:
+                        continue
+                    request.mark_dropped(now)
+                    if tracer is not None:
+                        self._trace(request, "dropped")
+                    self._finalize_request(request)
+                    applied += 1
+                for assignment in assignments:
+                    request = assignment.request
+                    if request.state is not pending_state:
+                        continue
+                    executor = executors[assignment.acc_id]
+                    if default_resources:
+                        # Inlined pe_fraction admission (can_accept_assignment).
+                        free = executor._capacity - executor._allocated
+                        if free < 0.0:
+                            free = 0.0
+                        if assignment.pe_fraction > free + 1e-9:
+                            continue
+                    elif not executor.can_accept_assignment(assignment):
+                        continue
+                    if assignment.switch_to_variant is not None and not request.started:
+                        old_name = request.model_name
+                        request.switch_variant(assignment.switch_to_variant)
+                        if request.model_name != old_name and tracer is not None:
+                            self._trace(
+                                request, "variant_switch",
+                                detail=f"{old_name} -> {request.model_name}",
+                            )
+                    record = executor.start(assignment, now)
+                    pool.note_dispatched(request)
+                    if tracer is not None:
+                        self._trace_dispatch(assignment, record)
+                    heappush(
+                        comp_heap,
+                        (
+                            record.slot.end_ms,
+                            comp_seq,
+                            (assignment.acc_id << _ACC_SHIFT) | record.slot.slot_id,
+                        ),
+                    )
+                    comp_seq += 1
+                    occupancy = self._queued + len(comp_heap)
+                    if occupancy > self.peak_event_heap:
+                        self.peak_event_heap = occupancy
+                    applied += 1
+                if applied == 0:
+                    break
+
+        self.events_processed += events_processed
+        self.dispatch_rounds += dispatch_rounds
+        self.dispatches_elided += dispatches_elided
+        self.events_coalesced += events_coalesced
 
     # ------------------------------------------------------------------ #
     # event handling
@@ -417,6 +734,69 @@ class SimulationEngine:
                 frame,
             )
         )
+
+    def _start_arrival_slots(self) -> None:
+        """Give each head task an arrival slot, in task-name order, and prime it."""
+        plan = sorted(head_arrival_plan(self.scenario), key=lambda entry: entry[0].name)
+        self._slot_tasks = [task for task, _offset_ms in plan]
+        self._slot_iters = [
+            iter(
+                task_frame_stream(
+                    task,
+                    offset_ms=offset_ms,
+                    end_ms=self.duration_ms,
+                    seed=self.seed,
+                    default_jitter_ms=self.jitter_ms,
+                )
+            )
+            for task, offset_ms in plan
+        ]
+        self._slot_times = [_INF] * len(plan)
+        self._slot_frames = [None] * len(plan)
+        self._slot_last = [-_INF] * len(plan)
+        for index in range(len(plan)):
+            self._refill_slot(index)
+
+    def _refill_slot(self, index: int) -> None:
+        """Pull one frame into arrival slot ``index`` (the fast loop's
+        :meth:`_push_next_arrival`, with the same out-of-order clamp)."""
+        iterator = self._slot_iters[index]
+        if iterator is None:
+            return
+        frame = next(iterator, None)
+        if frame is None:
+            self._slot_iters[index] = None
+            self._slot_times[index] = _INF
+            self._slot_frames[index] = None
+            return
+        arrival = frame.arrival_ms
+        last = self._slot_last[index]
+        if arrival < last:
+            frame = replace(
+                frame, arrival_ms=last, deadline_ms=max(frame.deadline_ms, last)
+            )
+            arrival = last
+        self._slot_last[index] = arrival
+        self._slot_times[index] = arrival
+        self._slot_frames[index] = frame
+        self._queued += 1
+        occupancy = self._queued + len(self._comp_heap)
+        if occupancy > self.peak_event_heap:
+            self.peak_event_heap = occupancy
+
+    def _best_arrival(self) -> int:
+        """Index of the earliest arrival slot (-1 when none is pending).
+
+        The first strict minimum in task-name order is the heap's
+        ``(arrival_ms, task_name)`` ordering.
+        """
+        best = _INF
+        best_i = -1
+        for i, t in enumerate(self._slot_times):
+            if t < best:
+                best = t
+                best_i = i
+        return best_i
 
     def _handle_arrival(self, frame) -> None:
         self._push_next_arrival(frame.task_name)

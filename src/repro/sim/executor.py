@@ -39,7 +39,7 @@ from repro.hardware.accelerator import Accelerator
 from repro.hardware.cost_table import CostTable
 from repro.sim.decisions import Assignment
 from repro.sim.request import InferenceRequest
-from repro.sim.resource_models import ResourceModel
+from repro.sim.resource_models import KvBatchModel
 
 _SLOT_COUNTER = itertools.count()
 
@@ -76,14 +76,12 @@ class AcceleratorExecutor:
         fast: use the running allocation sum and flat-array pricing
             (results are bit-for-bit identical either way; ``False`` keeps
             the historical per-call scans for the reference path).
-        resource_model: optional non-default
-            :class:`~repro.sim.resource_models.ResourceModel` defining
-            admission and pricing; ``None`` (and the ``pe_fraction`` name)
-            keep the executor's inlined historical arithmetic, so the
-            default path stays bit-for-bit identical.  All bookkeeping
-            (the allocated fraction over *charged* fractions, drain
-            resets) is model-independent, so every event loop shares this
-            one accounting implementation.
+        resource_model: ``None`` for the default ``pe_fraction`` model,
+            or the engine's shared
+            :class:`~repro.sim.resource_models.KvBatchModel`, which decides
+            admission, the charged fraction and the layer pricing.  All
+            bookkeeping (the allocated fraction over *charged* fractions,
+            drain resets) is model-independent and lives here once.
     """
 
     def __init__(
@@ -91,17 +89,12 @@ class AcceleratorExecutor:
         accelerator: Accelerator,
         cost_table: CostTable,
         fast: bool = True,
-        resource_model: Optional[ResourceModel] = None,
+        resource_model: Optional[KvBatchModel] = None,
     ) -> None:
         self.accelerator = accelerator
         self.cost_table = cost_table
         self.fast = fast
         self.resource_model = resource_model
-        #: True on the historical PE-fraction path; the hot loops test this
-        #: single attribute instead of dispatching through the protocol.
-        self.default_resources = (
-            resource_model is None or resource_model.name == "pe_fraction"
-        )
         self.slots: dict[int, RunningSlot] = {}
         self.resident_model: Optional[str] = None
         self.total_energy_mj: float = 0.0
@@ -136,21 +129,18 @@ class AcceleratorExecutor:
         slots' PE fractions on every call.
         """
         if self.fast:
-            return max(0.0, self._capacity - self._allocated)
+            free = self._capacity - self._allocated
+            return free if free > 0.0 else 0.0
         return max(0.0, self._capacity - sum(slot.pe_fraction for slot in self.slots.values()))
 
-    def can_accept(self, pe_fraction: float) -> bool:
-        """Whether a new assignment of ``pe_fraction`` fits right now."""
-        return pe_fraction <= self.free_fraction + 1e-9
-
     def can_accept_assignment(self, assignment: Assignment) -> bool:
-        """Model-aware admission: delegate to the resource model.
+        """Whether ``assignment`` fits right now.
 
-        The default path is the exact arithmetic of :meth:`can_accept`
-        (bit-for-bit with the historical check); non-default models may
-        additionally cap batch sizes or charge memory fractions.
+        The default model checks the requested ``pe_fraction`` against the
+        free fraction; ``kv_batch`` also caps the batch size and charges
+        the model's memory share (:meth:`KvBatchModel.admits`).
         """
-        if self.default_resources:
+        if self.resource_model is None:
             return assignment.pe_fraction <= self.free_fraction + 1e-9
         return self.resource_model.admits(self, assignment)
 
@@ -172,22 +162,28 @@ class AcceleratorExecutor:
         return max(scaled_compute, cost.memory_ms) + overhead
 
     def _price_layers(
-        self, request: InferenceRequest, layer_indices: list[int], pe_fraction: float
+        self,
+        request: InferenceRequest,
+        layer_indices: list[int],
+        pe_fraction: float,
+        duration: float,
+        energy: float,
     ) -> tuple[float, float, float]:
         """(latency_ms, energy_mj, worst_case_energy_mj) of a layer range.
 
-        Fast path: flat-array lookups; a full-model dispatch starting at the
-        first path position is priced O(1) from the prefix-sum arrays (a
-        complete path visits layers ``0..n-1`` in order, so the prefix value
-        equals sequential accumulation bit-for-bit).  The reference path
-        keeps the historical per-layer method calls.
+        Layer costs accumulate onto ``duration`` and ``energy`` (the context
+        switch costs, or 0.0), left to right; the worst-case energy starts
+        at 0.0.  Fast path: flat-array lookups, and from 0.0 a single layer
+        is three O(1) lookups and a complete path from layer 0 is priced
+        O(1) from the prefix-sum arrays (a complete path visits layers
+        ``0..n-1`` in order, so the prefix value equals sequential
+        accumulation bit-for-bit).  The reference path keeps the historical
+        per-layer method calls.
         """
         model_name = request.model_name
         acc_id = self.acc_id
+        worst = 0.0
         if not self.fast:
-            duration = 0.0
-            energy = 0.0
-            worst = 0.0
             for layer_index in layer_indices:
                 duration += self.effective_layer_latency_ms(model_name, layer_index, pe_fraction)
                 energy += self.cost_table.energy(model_name, layer_index, acc_id)
@@ -196,28 +192,23 @@ class AcceleratorExecutor:
 
         arrays = self.cost_table.layer_arrays(model_name)
         eff, eff_prefix = self.cost_table.effective_latency_table(model_name, acc_id, pe_fraction)
-        count = len(layer_indices)
-        if count == 1:
-            # Layer-granularity dispatch: three O(1) lookups (accumulating
-            # from 0.0 is exact, so this matches the loop bit-for-bit).
-            layer_index = layer_indices[0]
-            return (
-                eff[layer_index],
-                arrays.energy[acc_id][layer_index],
-                arrays.worst_energy[layer_index],
-            )
-        if request.next_position == 0 and count == arrays.num_layers:
-            # Complete path from layer 0: O(1) prefix-sum pricing.
-            return (
-                eff_prefix[count],
-                arrays.energy_prefix[acc_id][count],
-                arrays.worst_energy_prefix[count],
-            )
+        if duration == 0.0 and energy == 0.0:
+            count = len(layer_indices)
+            if count == 1:
+                layer_index = layer_indices[0]
+                return (
+                    eff[layer_index],
+                    arrays.energy[acc_id][layer_index],
+                    arrays.worst_energy[layer_index],
+                )
+            if request.next_position == 0 and count == arrays.num_layers:
+                return (
+                    eff_prefix[count],
+                    arrays.energy_prefix[acc_id][count],
+                    arrays.worst_energy_prefix[count],
+                )
         energy_arr = arrays.energy[acc_id]
         worst_arr = arrays.worst_energy
-        duration = 0.0
-        energy = 0.0
-        worst = 0.0
         for layer_index in layer_indices:
             duration += eff[layer_index]
             energy += energy_arr[layer_index]
@@ -227,24 +218,33 @@ class AcceleratorExecutor:
     def start(self, assignment: Assignment, now: float) -> ExecutionRecord:
         """Begin executing an assignment; returns the created slot record.
 
+        The resource model decides admission, the charged capacity fraction
+        and the layer pricing.  The default model charges the requested
+        ``pe_fraction`` and accumulates the layer costs onto the context
+        switch costs.  ``kv_batch`` charges its memory share, prices the
+        layers at a batch size of ``len(slots) + 1`` (pricing runs before
+        the slot is inserted) and then adds the switch costs.  The slot's
+        ``pe_fraction`` holds the *charged* fraction, which the allocated
+        sum, the views and the wake-hint predicates read, so they need no
+        model-specific branches.
+
         Raises:
-            ValueError: if the accelerator does not have enough free PEs or
+            ValueError: if the assignment is not admissible right now or
                 the request has no remaining layers.
         """
         request = assignment.request
-        if not self.default_resources:
-            return self._start_modelled(assignment, now)
-        # Inlined can_accept: one attribute read instead of three chained
-        # property calls on the per-dispatch hot path (fast mode only).
-        if self.fast:
-            free = self._capacity - self._allocated
-            acceptable = assignment.pe_fraction <= (free if free > 0.0 else 0.0) + 1e-9
+        model = self.resource_model
+        if model is None:
+            charge = assignment.pe_fraction
+            admitted = charge <= self.free_fraction + 1e-9
         else:
-            acceptable = self.can_accept(assignment.pe_fraction)
-        if not acceptable:
+            charge = model.charge_fraction(assignment)
+            admitted = model.admits(self, assignment)
+        if not admitted:
             raise ValueError(
-                f"accelerator {self.acc_id} has only {self.free_fraction:.2f} free, "
-                f"cannot accept pe_fraction={assignment.pe_fraction}"
+                f"accelerator {self.acc_id} cannot accept request "
+                f"{request.request_id} (charge={charge:g}, "
+                f"free={self.free_fraction:.3f}, slots={len(self.slots)})"
             )
         layer_indices = request.next_layers(assignment.layer_count)
         if not layer_indices:
@@ -267,122 +267,19 @@ class AcceleratorExecutor:
             )
             self.context_switches += 1
 
-        if switch_latency == 0.0 and switch_energy == 0.0:
-            # Accumulating from 0.0 is exact, so the prefix-sum fast path in
-            # _price_layers stays bit-for-bit with the historical loop that
-            # started from the (zero) switch costs.
+        if model is None:
             duration, energy, worst_energy = self._price_layers(
-                request, layer_indices, assignment.pe_fraction
+                request, layer_indices, charge, switch_latency, switch_energy
             )
         else:
-            duration = switch_latency
-            energy = switch_energy
-            worst_energy = 0.0
-            if self.fast:
-                arrays = self.cost_table.layer_arrays(request.model_name)
-                eff, _ = self.cost_table.effective_latency_table(
-                    request.model_name, self.acc_id, assignment.pe_fraction
-                )
-                energy_arr = arrays.energy[self.acc_id]
-                worst_arr = arrays.worst_energy
-                for layer_index in layer_indices:
-                    duration += eff[layer_index]
-                    energy += energy_arr[layer_index]
-                    worst_energy += worst_arr[layer_index]
-            else:
-                for layer_index in layer_indices:
-                    duration += self.effective_layer_latency_ms(
-                        request.model_name, layer_index, assignment.pe_fraction
-                    )
-                    energy += self.cost_table.energy(
-                        request.model_name, layer_index, self.acc_id
-                    )
-                    worst_energy += self.cost_table.worst_layer_energy(
-                        request.model_name, layer_index
-                    )
-
+            duration, energy, worst_energy = model.price_layers(
+                self, request, layer_indices, assignment
+            )
+            duration += switch_latency
+            energy += switch_energy
         if self._latency_factor != 1.0:
             # transient_stall window: work runs slower but burns the same
             # energy (throttling, not extra computation).
-            duration *= self._latency_factor
-
-        slot = RunningSlot(
-            slot_id=next(_SLOT_COUNTER),
-            request=request,
-            layer_indices=layer_indices,
-            pe_fraction=assignment.pe_fraction,
-            start_ms=now,
-            end_ms=now + duration,
-            energy_mj=energy,
-        )
-        self.slots[slot.slot_id] = slot
-        self.resident_model = request.model_name
-        self._allocated += assignment.pe_fraction
-
-        request.mark_running()
-        request.energy_mj += energy
-        request.worst_case_energy_mj += worst_energy + switch_energy
-
-        self.total_energy_mj += energy
-        self.total_busy_pe_ms += duration * assignment.pe_fraction
-        self.layers_executed += len(layer_indices)
-
-        return ExecutionRecord(
-            slot=slot,
-            context_switch=switch,
-            context_switch_latency_ms=switch_latency,
-            context_switch_energy_mj=switch_energy,
-        )
-
-    def _start_modelled(self, assignment: Assignment, now: float) -> ExecutionRecord:
-        """The :meth:`start` path for non-default resource models.
-
-        Admission, the charged fraction and the layer pricing come from the
-        model; slot bookkeeping is byte-identical to the default path, with
-        the slot's ``pe_fraction`` field holding the *charged* capacity
-        fraction — the quantity the allocated fraction sums and the
-        accelerator views report — so the engine's wake hints and
-        dispatch-elision predicates stay sound without any model-specific
-        branches.  Pricing runs *before* the slot is inserted, so a
-        batch-aware model sees ``len(slots)`` peers at dispatch time
-        (``B = len(slots) + 1``).
-        """
-        model = self.resource_model
-        request = assignment.request
-        if not model.admits(self, assignment):
-            raise ValueError(
-                f"accelerator {self.acc_id} cannot accept request "
-                f"{request.request_id} under resource model {model.name!r} "
-                f"(free={self.free_fraction:.3f}, slots={len(self.slots)})"
-            )
-        charge = model.charge_fraction(assignment)
-        layer_indices = request.next_layers(assignment.layer_count)
-        if not layer_indices:
-            raise ValueError(
-                f"request {request.request_id} has no remaining layers to schedule"
-            )
-
-        switch = (
-            self.resident_model is not None
-            and self.resident_model != request.model_name
-        )
-        switch_latency = 0.0
-        switch_energy = 0.0
-        if switch:
-            switch_latency = self.cost_table.context_switch_latency(
-                request.model_name, self.resident_model, self.acc_id
-            )
-            switch_energy = self.cost_table.context_switch_energy(
-                request.model_name, self.resident_model, self.acc_id
-            )
-            self.context_switches += 1
-
-        duration, energy, worst_energy = model.price_layers(
-            self, request, layer_indices, assignment
-        )
-        duration += switch_latency
-        energy += switch_energy
-        if self._latency_factor != 1.0:
             duration *= self._latency_factor
 
         slot = RunningSlot(

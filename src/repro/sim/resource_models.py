@@ -1,16 +1,12 @@
-"""Pluggable execution-resource models: what accelerator capacity *means*.
+"""Execution-resource models: what accelerator capacity *means*.
 
 Every layer above the executor reasons about capacity through a single
 scalar per accelerator — the "free fraction" in ``[0, 1]`` that schedulers
-read from their frozen views and that the engine's wake hints predicate
-on.  A :class:`ResourceModel` defines the semantics of that scalar:
-
-* what fraction of the accelerator one assignment *charges* while it is
-  in flight (:meth:`ResourceModel.charge_fraction`),
-* whether a new assignment is admissible right now
-  (:meth:`ResourceModel.admits`), and
-* how long the assigned layers take given the accelerator's current
-  occupancy (:meth:`ResourceModel.price_layers`).
+read from their views and that the engine's wake hints predicate on.  A
+resource model defines the semantics of that scalar: what fraction of the
+accelerator one assignment charges while in flight, whether a new
+assignment is admissible right now, and how long the assigned layers take
+given the accelerator's current occupancy.
 
 Two models are registered:
 
@@ -18,26 +14,30 @@ Two models are registered:
     The paper's spatial-sharing model.  An assignment charges exactly its
     requested ``pe_fraction`` and per-layer latency is
     ``max(compute / pe_fraction, memory) + overhead``.  It has no class:
-    :func:`make_resource_model` returns ``None`` for it and the executor
-    keeps its historical inlined arithmetic, so results are bit-for-bit
-    identical to a build without this module (enforced by the
-    engine-parity sweep).
+    :func:`make_resource_model` returns ``None`` for it, and
+    :meth:`~repro.sim.executor.AcceleratorExecutor.start` keeps its own
+    arithmetic for it.
 
 ``kv_batch``
     A vLLM-style continuous-batching executor with a shared KV-cache
-    memory budget per accelerator.  An assignment charges
-    ``min(1.0, activation_footprint_bytes / budget_bytes)`` of the
-    accelerator (the clamp guarantees even a model larger than the budget
-    can run alone rather than starve), admission additionally caps the
-    number of concurrent slots at ``max_batch``, and latency follows the
-    documented batch-dilation formula
+    memory budget per accelerator, implemented by :class:`KvBatchModel`,
+    whose three methods the executor calls:
+
+    * :meth:`~KvBatchModel.charge_fraction` — an assignment charges
+      ``min(1.0, activation_footprint_bytes / budget_bytes)`` of the
+      accelerator (the clamp guarantees even a model larger than the
+      budget can run alone rather than starve);
+    * :meth:`~KvBatchModel.admits` — the charge must fit the free fraction
+      and the number of concurrent slots is capped at ``max_batch``;
+    * :meth:`~KvBatchModel.price_layers` — latency follows the documented
+      batch-dilation formula
 
         ``latency = sum(layer latency at full PE) * (1 + alpha * (B - 1))``
 
-    where ``B = len(slots) + 1`` is the batch size *at dispatch time* —
-    in-flight slots are never re-priced, which keeps the event loop
-    deterministic and monotone.  Context-switch costs add on top exactly
-    as in the default model.
+      where ``B = len(slots) + 1`` is the batch size *at dispatch time* —
+      in-flight slots are never re-priced, which keeps the event loop
+      deterministic and monotone.  The executor adds the context-switch
+      costs on top, as for the default model.
 
 Determinism rules
 -----------------
@@ -108,44 +108,12 @@ def default_kv_budget_bytes(scenario: "Scenario") -> float:
     return DEFAULT_KV_BUDGET_RATIO * max(1, largest)
 
 
-class ResourceModel:
-    """Protocol for execution-resource models (see the module docstring).
-
-    Subclasses must be deterministic pure functions of their constructor
-    arguments; the executor consults them on admission and pricing but
-    keeps all bookkeeping (running charge sums, busy horizons, slot maps)
-    itself, so every event loop shares one accounting implementation.
-    """
-
-    #: Registry name; ``"pe_fraction"`` short-circuits to the executor's
-    #: inlined historical arithmetic.
-    name: str = "pe_fraction"
-
-    def charge_fraction(self, assignment: Assignment) -> float:
-        """Capacity fraction this assignment occupies while in flight."""
-        return assignment.pe_fraction
-
-    def admits(self, executor: "AcceleratorExecutor", assignment: Assignment) -> bool:
-        """Whether ``executor`` can accept ``assignment`` right now."""
-        return self.charge_fraction(assignment) <= executor.free_fraction + 1e-9
-
-    def price_layers(
-        self,
-        executor: "AcceleratorExecutor",
-        request,
-        layer_indices: list[int],
-        assignment: Assignment,
-    ) -> tuple[float, float, float]:
-        """(latency_ms, energy_mj, worst_case_energy_mj) of a layer range.
-
-        Context-switch costs are **not** included; the executor prices and
-        accounts those identically for every model.
-        """
-        raise NotImplementedError
-
-
-class KvBatchModel(ResourceModel):
+class KvBatchModel:
     """Continuous batching under a shared KV-cache memory budget.
+
+    A deterministic pure function of its constructor arguments: the
+    executor consults it on admission and pricing but keeps all
+    bookkeeping (running charge sums, slot maps) itself.
 
     Args:
         cost_table: the platform's cost table (full-PE latency arrays).
@@ -157,8 +125,6 @@ class KvBatchModel(ResourceModel):
         max_batch: maximum concurrent slots per accelerator.
         alpha: per-peer latency dilation of the batch formula.
     """
-
-    name = "kv_batch"
 
     def __init__(
         self,
@@ -194,14 +160,21 @@ class KvBatchModel(ResourceModel):
         """KV share of the requested model (clamped so it can run alone)."""
         return self._charges[assignment.request.model_name]
 
-    def admits(self, executor, assignment) -> bool:
+    def admits(self, executor: "AcceleratorExecutor", assignment: Assignment) -> bool:
         """Fits the memory budget AND the batch-size cap."""
         if len(executor.slots) >= self.max_batch:
             return False
         return self.charge_fraction(assignment) <= executor.free_fraction + 1e-9
 
-    def price_layers(self, executor, request, layer_indices, assignment):
-        """Batch-dilated full-PE latency of the layer range.
+    def price_layers(
+        self,
+        executor: "AcceleratorExecutor",
+        request,
+        layer_indices: list[int],
+        assignment: Assignment,
+    ) -> tuple[float, float, float]:
+        """(latency_ms, energy_mj, worst_case_energy_mj): batch-dilated
+        full-PE latency of the layer range, without the context switch.
 
         ``B = len(slots) + 1`` is the batch size the accelerator will run
         at once this slot starts; the dilation is applied once, at
@@ -231,12 +204,12 @@ def make_resource_model(
     name: str,
     cost_table: CostTable,
     scenario: "Scenario",
-) -> Optional[ResourceModel]:
+) -> Optional[KvBatchModel]:
     """Build the shared resource-model instance for one engine.
 
-    Returns ``None`` for ``pe_fraction`` — the executor's inlined default
-    path — so the hot loop can test a single attribute instead of
-    dispatching through the protocol.
+    Returns ``None`` for ``pe_fraction``, the executor's own default
+    arithmetic, so the executors and the fast loop test one attribute
+    for it.
 
     Raises:
         ValueError: for unknown names, listing the sorted registry.
@@ -255,7 +228,6 @@ __all__ = [
     "DEFAULT_MAX_BATCH",
     "KvBatchModel",
     "RESOURCE_MODEL_NAMES",
-    "ResourceModel",
     "activation_footprint_bytes",
     "default_kv_budget_bytes",
     "make_resource_model",

@@ -1,7 +1,8 @@
 """The production event loop against the heap-loop spec: counters, hooks, heap.
 
-Bit-for-bit result/trace parity of fast mode (``repro.sim.fastloop``)
-against the reference mode's heap loop is asserted by the sweeps in
+Bit-for-bit result/trace parity of fast mode
+(``SimulationEngine._run_fast_loop``) against the reference mode's heap
+loop (``_run_heap_loop``) is asserted by the sweeps in
 ``test_engine_parity.py``; these tests cover everything around it — every
 engine counter matching the spec with elision off, scheduler lifecycle
 hooks firing identically, and the streaming heap bound.

@@ -16,6 +16,7 @@ Three contracts:
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +120,10 @@ class TestFaultSpec:
         assert all(0.0 <= s.start_ms and s.end_ms <= 400.0 for s in one)
 
     def test_sampling_ignores_hash_seed(self):
+        # The subprocess imports the checkout this file belongs to, and
+        # writes no bytecode into it.
+        repo_root = Path(__file__).resolve().parents[1]
         script = (
-            "import sys; sys.path.insert(0, 'src');"
             "from repro.sim import sample_fault_plan, faults_to_json;"
             "print(faults_to_json(sample_fault_plan(seed=11, duration_ms=250.0,"
             " accelerators=2)))"
@@ -128,8 +131,13 @@ class TestFaultSpec:
         outputs = {
             subprocess.run(
                 [sys.executable, "-c", script],
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
-                check=True, capture_output=True, text=True, cwd="/root/repo",
+                env={
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": str(repo_root / "src"),
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                },
+                check=True, capture_output=True, text=True, cwd=repo_root,
             ).stdout
             for hash_seed in ("1", "2")
         }

@@ -1,6 +1,6 @@
 """The pluggable execution-resource models (``repro.sim.resource_models``).
 
-Covers the protocol registry, the ``kv_batch`` physics (charge table,
+Covers the registry, the ``kv_batch`` physics (charge table,
 budget/batch admission, batch-dilated pricing), engine integration with the
 trace-invariant oracle, cross-mode parity under ``kv_batch``,
 the generator's kv sampling (budgets + interaction turns, with draw

@@ -8,6 +8,7 @@ from repro.metrics.uxcost import ModelOutcome, compute_uxcost
 from repro.metrics.reporting import format_table, geometric_mean
 from repro.sim import Assignment, ReferenceRequestPool, RequestPool
 from repro.sim.executor import AcceleratorExecutor
+from repro.sim.resource_models import KvBatchModel, activation_footprint_bytes
 from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.results import AcceleratorStats, SimulationResult
 
@@ -324,6 +325,77 @@ class TestExecutor:
         assert request.worst_case_energy_mj >= request.energy_mj - 1e-9
         assert executor.total_energy_mj == pytest.approx(record.slot.energy_mj)
 
+    @pytest.mark.parametrize("latency_factor", [1.0, 2.0])
+    @pytest.mark.parametrize("pe_fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("switch", [False, True], ids=["resident", "switch"])
+    @pytest.mark.parametrize("block", ["single", "whole_path", "mid_path"])
+    def test_fast_and_reference_price_identically(
+        self, tiny_platform, tiny_cost_table, tiny_scenario,
+        block, switch, pe_fraction, latency_factor,
+    ):
+        # The fast executor's shortcuts (single layer, prefix sums from
+        # layer 0) and its accumulation onto the switch costs must match
+        # the reference executor's per-layer calls bit for bit.
+        def priced(fast):
+            table = tiny_cost_table if fast else tiny_cost_table.reference_view()
+            executor = AcceleratorExecutor(tiny_platform[0], table, fast=fast)
+            executor.set_latency_factor(latency_factor)
+            request = _request(tiny_scenario, task="vision", rng_seed=7)
+            now = 0.0
+            if block == "mid_path":
+                head = executor.start(Assignment(request=request, acc_id=0), now)
+                now = head.slot.end_ms
+                executor.complete(head.slot.slot_id, now)
+            if switch:
+                other = _request(tiny_scenario, task="heavy", rng_seed=8)
+                first = executor.start(Assignment(request=other, acc_id=0), now)
+                now = first.slot.end_ms
+                executor.complete(first.slot.slot_id, now)
+            layer_count = {"single": 1, "whole_path": len(request.path), "mid_path": 2}[block]
+            record = executor.start(
+                Assignment(request=request, acc_id=0, layer_count=layer_count,
+                           pe_fraction=pe_fraction),
+                now,
+            )
+            assert record.context_switch is switch
+            assert len(record.slot.layer_indices) == layer_count
+            return record.slot.end_ms, record.slot.energy_mj, request.worst_case_energy_mj
+
+        assert priced(fast=True) == priced(fast=False)
+
+    def test_kv_batch_caps_the_batch(self, tiny_platform, tiny_cost_table, tiny_scenario):
+        # A budget far above every footprint: only max_batch binds.
+        model = KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=1e15, max_batch=2)
+        executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
+        for seed in (1, 2):
+            executor.start(Assignment(request=_request(tiny_scenario, rng_seed=seed), acc_id=0), 0.0)
+        third = Assignment(request=_request(tiny_scenario, rng_seed=3), acc_id=0)
+        assert executor.free_fraction > 0.9
+        assert not executor.can_accept_assignment(third)
+        with pytest.raises(ValueError, match="cannot accept"):
+            executor.start(third, 0.0)
+
+    def test_kv_batch_charges_its_memory_share(
+        self, tiny_platform, tiny_cost_table, tiny_scenario
+    ):
+        # A budget that makes "vision" charge 0.6 of the accelerator: a
+        # second one does not fit, whatever pe_fraction it requests.
+        footprint = activation_footprint_bytes(tiny_scenario.task("vision").default_model)
+        model = KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=footprint / 0.6)
+        executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
+        first = Assignment(request=_request(tiny_scenario, rng_seed=1), acc_id=0, pe_fraction=0.25)
+        charge = model.charge_fraction(first)
+        record = executor.start(first, 0.0)
+        assert record.slot.pe_fraction == charge
+        assert executor.free_fraction == 1.0 - charge
+        second = Assignment(request=_request(tiny_scenario, rng_seed=2), acc_id=0, pe_fraction=0.25)
+        assert not executor.can_accept_assignment(second)
+        with pytest.raises(ValueError, match="cannot accept"):
+            executor.start(second, 0.0)
+        executor.complete(record.slot.slot_id, record.slot.end_ms)
+        assert executor.free_fraction == 1.0
+        assert executor.can_accept_assignment(second)
+
 
 class TestAssignmentValidation:
     def test_layer_count_positive(self, tiny_scenario):
@@ -380,6 +452,11 @@ class TestReporting:
     def test_geometric_mean_empty_rejected(self):
         with pytest.raises(ValueError):
             geometric_mean([])
+
+    def test_geometric_mean_sums_logs_left_to_right(self):
+        # sum() compensates from CPython 3.12 on and would give
+        # 0.7047298732064893 here; 3.10 and 3.11 give ...892.
+        assert geometric_mean([0.5, 0.1, 7.0]) == 0.7047298732064892
 
     def test_total_energy_is_added_left_to_right(self):
         # sum() compensates float rounding from Python 3.12 on and gives
