@@ -103,10 +103,11 @@ class DreamScheduler(Scheduler):
         )
 
     def bind(self, platform, cost_table, scenario, rng) -> None:
-        # Re-binding happens when the usage scenario changes (task-level
-        # dynamicity, Figures 10/11): the tuned (alpha, beta) carry over as
-        # the starting point of the next adaptation, mirroring how DREAM
-        # keeps scheduling while re-adapting after a workload change.
+        # Re-binding happens when the usage scenario changes (the paper's
+        # "Lv 2" task-level dynamicity, run by phased workloads): the tuned
+        # (alpha, beta) carry over as the starting point of the next
+        # adaptation, mirroring how DREAM keeps scheduling while
+        # re-adapting after a workload change.
         carried_alpha = self.config.alpha
         carried_beta = self.config.beta
         if self.adaptivity_engine is not None:

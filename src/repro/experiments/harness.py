@@ -280,14 +280,17 @@ def run_phased_workload(
     seed: int = 0,
     **engine_kwargs,
 ) -> list[SimulationResult]:
-    """Run a multi-phase workload (task-level dynamicity, Figures 10/11).
+    """Run a multi-phase workload (the paper's "Lv 2" task-level dynamicity).
 
     Delegates to :class:`~repro.experiments.jobs.PhasedJob`, which creates
     the scheduler once through the same ``make_scheduler`` path grid cells
     use and documents the seed contract: phase ``i`` runs with seed
     ``seed + i`` while the scheduler instance (and therefore DREAM's tuned
-    (alpha, beta)) carries over the usage-scenario change — exactly the
-    adaptation the paper studies.
+    (alpha, beta)) carries over the usage-scenario change, modelling DREAM's
+    re-adaptation after a scenario switch.  No paper figure runs a phased
+    workload (Figures 10 and 11 run the parameter optimizer with a fresh
+    scheduler per evaluation);
+    ``tests/test_harness_parallel.py::TestPhasedDeterminism`` exercises it.
 
     Phase-boundary semantics: each phase is an independent
     :class:`~repro.sim.SimulationEngine` run, so requests still in flight

@@ -10,14 +10,14 @@ The scheduler-facing artefact is the :class:`~repro.hardware.cost_table.CostTabl
 the per-(layer, accelerator) latency/energy table that the paper generates
 offline with MAESTRO and feeds to every scheduler (the red box in Figure 4).
 Here the table is produced by :class:`~repro.hardware.cost_model.AnalyticalCostModel`,
-an analytical WS/OS roofline model (see DESIGN.md for the substitution
-rationale).
+an analytical WS/OS roofline model (the :mod:`repro.hardware.cost_model`
+module docstring gives the rationale for substituting it for MAESTRO).
 """
 
 from repro.hardware.dataflow import Dataflow
 from repro.hardware.accelerator import Accelerator, ContextSwitchCost
 from repro.hardware.cost_model import AnalyticalCostModel, LayerCost
-from repro.hardware.cost_table import CostTable, ModelCostSummary, ReferenceCostTable
+from repro.hardware.cost_table import CostTable, ReferenceCostTable
 from repro.hardware.platform import (
     Platform,
     PLATFORM_PRESETS,
@@ -35,7 +35,6 @@ __all__ = [
     "AnalyticalCostModel",
     "LayerCost",
     "CostTable",
-    "ModelCostSummary",
     "ReferenceCostTable",
     "Platform",
     "PLATFORM_PRESETS",

@@ -17,15 +17,11 @@ precomputes them once at build time into flat per-model arrays:
   ``compute_ms`` / ``memory_ms`` / launch overhead,
 * per-(model, layer) cross-accelerator aggregates (total / average / best
   latency, total energy, worst-layer energy),
-* left-to-right prefix sums of each array, so any cost of layers
-  ``[0, k)`` is a single O(1) lookup that is *bit-for-bit identical* to
-  the sequential accumulation it replaces (prefix differences with a
-  non-zero start are only ulp-accurate and are not used on the parity
-  path),
 * lazily memoized per-``pe_fraction`` effective-latency arrays (spatial
   fission scales only the compute-bound component), and
 * memoized context-switch latency/energy per (model, previous model,
-  accelerator) triple.
+  accelerator) triple, priced from each model's
+  :func:`activation_footprint_bytes`.
 
 Every precomputed value is produced by the *same arithmetic expression* as
 the scan it replaces, so optimized and reference simulations agree
@@ -37,7 +33,6 @@ retained "pre-optimization" path of the reference engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -53,65 +48,40 @@ class ModelGraphLike:
     layers: Sequence[LayerLike]
 
 
-@dataclass(frozen=True)
-class ModelCostSummary:
-    """Aggregate costs of one model on one platform.
+def activation_footprint_bytes(model: ModelGraphLike) -> int:
+    """Largest live activation footprint of any layer of ``model``.
 
-    Attributes:
-        total_macs: total multiply-accumulates of the model.
-        best_case_latency_ms: sum over layers of the best per-layer latency.
-        worst_case_latency_ms: sum over layers of the worst per-layer latency.
-        average_latency_ms: sum over layers of the mean per-layer latency.
-        best_case_energy_mj: sum over layers of the lowest per-layer energy.
-        worst_case_energy_mj: sum over layers of the highest per-layer energy.
-        activation_footprint_bytes: largest live activation footprint of any
-            layer (used to price context switches).  Layer byte counts are
-            integers, so the footprint is an exact integer byte count.
+    Prices context switches (the bytes flushed and fetched) and the
+    ``kv_batch`` memory charge.  It needs no table, because the scenario
+    generator samples KV budgets before any platform is chosen.  Layer byte
+    counts are integers, so the footprint is an exact integer byte count; a
+    model with no layers has footprint 0.
     """
-
-    total_macs: int
-    best_case_latency_ms: float
-    worst_case_latency_ms: float
-    average_latency_ms: float
-    best_case_energy_mj: float
-    worst_case_energy_mj: float
-    activation_footprint_bytes: int
-
-
-def _prefix_sums(values: Sequence[float]) -> tuple[float, ...]:
-    """Left-to-right running sums: result[k] = sum(values[:k]) sequentially."""
-    sums = [0.0]
-    acc = 0.0
-    for value in values:
-        acc += value
-        sums.append(acc)
-    return tuple(sums)
+    return max(
+        (layer.input_bytes + layer.output_bytes for layer in model.layers),
+        default=0,
+    )
 
 
 class _ModelArrays:
     """Flat per-model cost arrays (internal; see the module docstring)."""
 
     __slots__ = (
-        "num_layers",
         "latency",            # [acc_id][layer] -> latency_ms
         "energy",             # [acc_id][layer] -> energy_mj
         "compute",            # [acc_id][layer] -> compute_ms
         "memory",             # [acc_id][layer] -> memory_ms
         "overhead",           # [acc_id][layer] -> latency - max(compute, memory)
-        "latency_prefix",     # [acc_id][k] -> sum of latency[:k]
-        "energy_prefix",      # [acc_id][k] -> sum of energy[:k]
         "total_latency",      # [layer] -> sum across accelerators
         "average_latency",    # [layer] -> mean across accelerators
         "total_energy",       # [layer] -> sum across accelerators
         "best_latency",       # [layer] -> min across accelerators
         "worst_energy",       # [layer] -> max across accelerators
-        "worst_energy_prefix",  # [k] -> sum of worst_energy[:k]
         "full_average_latency",  # sum(total_latency) / num_accelerators
         "acc_rows",             # [layer][acc_id] -> (latency_ms, energy_mj)
     )
 
     def __init__(self, rows: Sequence[Sequence[LayerCost]], num_accelerators: int) -> None:
-        self.num_layers = len(rows)
         self.latency = tuple(
             tuple(row[acc].latency_ms for row in rows) for acc in range(num_accelerators)
         )
@@ -133,8 +103,6 @@ class _ModelArrays:
             )
             for acc in range(num_accelerators)
         )
-        self.latency_prefix = tuple(_prefix_sums(self.latency[acc]) for acc in range(num_accelerators))
-        self.energy_prefix = tuple(_prefix_sums(self.energy[acc]) for acc in range(num_accelerators))
         # Cross-accelerator aggregates, built with the exact expressions the
         # per-call scans used (left-to-right sum / min / max over the row).
         # Every float sum here and below is reduce(add, ..., 0.0): from
@@ -147,7 +115,6 @@ class _ModelArrays:
         self.total_energy = tuple(reduce(add, [c.energy_mj for c in row], 0.0) for row in rows)
         self.best_latency = tuple(min(c.latency_ms for c in row) for row in rows)
         self.worst_energy = tuple(max(c.energy_mj for c in row) for row in rows)
-        self.worst_energy_prefix = _prefix_sums(self.worst_energy)
         self.full_average_latency = (
             reduce(add, self.total_latency, 0.0) / num_accelerators if num_accelerators else 0.0
         )
@@ -169,22 +136,21 @@ class CostTable:
         self,
         platform: Platform,
         entries: Mapping[str, Sequence[Sequence[LayerCost]]],
-        summaries: Mapping[str, ModelCostSummary],
+        footprints: Mapping[str, int],
     ) -> None:
         self._platform = platform
         # entries[model_name][layer_index][acc_id] -> LayerCost
         self._entries = {name: tuple(tuple(row) for row in rows) for name, rows in entries.items()}
-        self._summaries = dict(summaries)
+        # model_name -> activation_footprint_bytes (context-switch pricing)
+        self._footprints = dict(footprints)
         num_acc = platform.num_accelerators
         self._arrays = {
             name: _ModelArrays(rows, num_acc) for name, rows in self._entries.items()
         }
         # (model, previous_model, acc_id) -> (latency_ms, energy_mj)
         self._switch_cache: dict[tuple[str, str, int], tuple[float, float]] = {}
-        # (model, acc_id, pe_fraction) -> (eff_latency array, its prefix sums)
-        self._effective_cache: dict[
-            tuple[str, int, float], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
+        # (model, acc_id, pe_fraction) -> effective latency per layer
+        self._effective_cache: dict[tuple[str, int, float], tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -206,48 +172,20 @@ class CostTable:
         """
         cost_model = cost_model or AnalyticalCostModel()
         entries: dict[str, list[list[LayerCost]]] = {}
-        summaries: dict[str, ModelCostSummary] = {}
+        footprints: dict[str, int] = {}
         for model in models:
             if model.name in entries:
                 raise ValueError(f"duplicate model name in cost table: {model.name!r}")
-            rows: list[list[LayerCost]] = []
-            for layer in model.layers:
-                rows.append([cost_model.cost(layer, acc) for acc in platform])
-            entries[model.name] = rows
-            summaries[model.name] = cls._summarize(model, rows)
-        return cls(platform, entries, summaries)
-
-    @staticmethod
-    def _summarize(
-        model: ModelGraphLike, rows: Sequence[Sequence[LayerCost]]
-    ) -> ModelCostSummary:
-        best_lat = reduce(add, [min(c.latency_ms for c in row) for row in rows], 0.0)
-        worst_lat = reduce(add, [max(c.latency_ms for c in row) for row in rows], 0.0)
-        avg_lat = reduce(
-            add,
-            [reduce(add, [c.latency_ms for c in row], 0.0) / len(row) for row in rows],
-            0.0,
-        )
-        best_energy = reduce(add, [min(c.energy_mj for c in row) for row in rows], 0.0)
-        worst_energy = reduce(add, [max(c.energy_mj for c in row) for row in rows], 0.0)
-        footprint = max(
-            (layer.input_bytes + layer.output_bytes for layer in model.layers),
-            default=0,
-        )
-        return ModelCostSummary(
-            total_macs=sum(layer.macs for layer in model.layers),
-            best_case_latency_ms=best_lat,
-            worst_case_latency_ms=worst_lat,
-            average_latency_ms=avg_lat,
-            best_case_energy_mj=best_energy,
-            worst_case_energy_mj=worst_energy,
-            activation_footprint_bytes=footprint,
-        )
+            entries[model.name] = [
+                [cost_model.cost(layer, acc) for acc in platform] for layer in model.layers
+            ]
+            footprints[model.name] = activation_footprint_bytes(model)
+        return cls(platform, entries, footprints)
 
     def reference_view(self) -> "ReferenceCostTable":
         """A view answering every aggregate with the original per-call scans.
 
-        The view shares this table's entries and summaries (values are
+        The view shares this table's entries and footprints (values are
         bit-for-bit identical either way); only the *cost* of answering a
         query differs.  The reference simulation path uses it, so its
         timings are those of the pre-optimization scans.
@@ -255,7 +193,7 @@ class CostTable:
         view = ReferenceCostTable.__new__(ReferenceCostTable)
         view._platform = self._platform
         view._entries = self._entries
-        view._summaries = self._summaries
+        view._footprints = self._footprints
         view._arrays = self._arrays
         view._switch_cache = {}
         view._effective_cache = {}
@@ -298,10 +236,6 @@ class CostTable:
         """EstEnergy(layer, acc) in millijoules (Algorithm 1 input)."""
         return self._arrays[model_name].energy[acc_id][layer_index]
 
-    def summary(self, model_name: str) -> ModelCostSummary:
-        """Aggregate cost summary for ``model_name``."""
-        return self._summaries[model_name]
-
     # ------------------------------------------------------------------ #
     # flat-array accessors (the optimized executor's hot path)
     # ------------------------------------------------------------------ #
@@ -311,17 +245,15 @@ class CostTable:
 
     def effective_latency_table(
         self, model_name: str, acc_id: int, pe_fraction: float
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Per-layer effective latency under spatial fission, with prefix sums.
+    ) -> tuple[float, ...]:
+        """Per-layer effective latency under spatial fission.
 
         ``eff[layer] = max(compute / pe_fraction, memory) + overhead`` — the
         exact expression of
         :meth:`repro.sim.executor.AcceleratorExecutor.effective_layer_latency_ms`
         — memoized per (model, accelerator, fraction).  Schedulers only use
         a handful of fractions (1.0 and the fission halves), so the cache
-        stays tiny.  The second element holds left-to-right prefix sums, so
-        the latency of layers ``[0, k)`` is ``prefix[k]`` with bit-for-bit
-        the same value as sequentially accumulating from 0.0.
+        stays tiny.
         """
         key = (model_name, acc_id, pe_fraction)
         cached = self._effective_cache.get(key)
@@ -334,9 +266,8 @@ class CostTable:
                 arrays.compute[acc_id], arrays.memory[acc_id], arrays.overhead[acc_id]
             )
         )
-        value = (eff, _prefix_sums(eff))
-        self._effective_cache[key] = value
-        return value
+        self._effective_cache[key] = eff
+        return eff
 
     def full_average_latency(self, model_name: str) -> float:
         """Average-across-accelerators latency of the *whole* model.
@@ -437,8 +368,8 @@ class CostTable:
         if cached is not None:
             return cached
         acc = self._platform[acc_id]
-        flush = min(self._summaries[previous_model].activation_footprint_bytes, acc.sram_bytes)
-        fetch = min(self._summaries[new_model].activation_footprint_bytes, acc.sram_bytes)
+        flush = min(self._footprints[previous_model], acc.sram_bytes)
+        fetch = min(self._footprints[new_model], acc.sram_bytes)
         cost = acc.context_switch_cost(flush, fetch)
         value = (cost.latency_ms, cost.energy_mj)
         self._switch_cache[key] = value
@@ -509,8 +440,8 @@ class ReferenceCostTable(CostTable):
         if previous_model is None or previous_model == new_model:
             return 0.0
         acc = self._platform[acc_id]
-        flush = min(self._summaries[previous_model].activation_footprint_bytes, acc.sram_bytes)
-        fetch = min(self._summaries[new_model].activation_footprint_bytes, acc.sram_bytes)
+        flush = min(self._footprints[previous_model], acc.sram_bytes)
+        fetch = min(self._footprints[new_model], acc.sram_bytes)
         return acc.context_switch_cost(flush, fetch).energy_mj
 
     def context_switch_latency(
@@ -519,6 +450,6 @@ class ReferenceCostTable(CostTable):
         if previous_model is None or previous_model == new_model:
             return 0.0
         acc = self._platform[acc_id]
-        flush = min(self._summaries[previous_model].activation_footprint_bytes, acc.sram_bytes)
-        fetch = min(self._summaries[new_model].activation_footprint_bytes, acc.sram_bytes)
+        flush = min(self._footprints[previous_model], acc.sram_bytes)
+        fetch = min(self._footprints[new_model], acc.sram_bytes)
         return acc.context_switch_cost(flush, fetch).latency_ms

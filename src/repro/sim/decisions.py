@@ -49,6 +49,10 @@ class Assignment:
     switch_to_variant: Optional[ModelGraph] = None
 
     def __post_init__(self) -> None:
+        if self.acc_id < 0:
+            # A negative id would index the executor list from the end and
+            # silently alias another accelerator.
+            raise ValueError("acc_id must be non-negative")
         if self.layer_count <= 0:
             raise ValueError("layer_count must be positive")
         if not 0.0 < self.pe_fraction <= 1.0:

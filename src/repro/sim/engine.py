@@ -57,7 +57,7 @@ fast mode everything the view reads is kept incrementally up to date
 instead of re-derived per read:
 
 * the :class:`~repro.sim.queues.RequestPool` maintains a sorted pending
-  index, per-task buckets and a deadline min-heap (the loop notifies it
+  index, per-task counts and a deadline min-heap (the loop notifies it
   on dispatch/progress via ``note_dispatched``/``note_progress``), and
   memoizes the pending, running and depth snapshots on version counters,
   so a snapshot is built only when a scheduler reads it after a change;
@@ -569,7 +569,7 @@ class SimulationEngine:
                     # --- does the wake hint prove schedule() inert? ---
                     if hint_same_instant and (
                         last_schedule_ms != now
-                        or last_schedule_membership != pool._depth_version
+                        or last_schedule_membership != pool.membership_version
                     ):
                         eligible = False
                     elif not pending_values:
@@ -611,7 +611,7 @@ class SimulationEngine:
                     # finalizations bump the membership version past this
                     # snapshot and correctly re-arm the next round.
                     last_schedule_ms = now
-                    last_schedule_membership = pool._depth_version
+                    last_schedule_membership = pool.membership_version
                 assignments = decision.assignments
                 drops = decision.drops
                 if not assignments and not drops:

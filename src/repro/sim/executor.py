@@ -12,12 +12,12 @@ In fast mode (the default) the executor answers capacity queries from a
 running sum instead of re-aggregating its slots on every call: the
 allocated PE fraction is updated on ``start``/``complete`` (reset to
 exactly 0.0 whenever the accelerator drains, so binary PE fractions never
-accumulate error).  ``start()`` prices layer ranges from the cost table's
-precomputed flat arrays and memoized per-``pe_fraction`` effective-latency
-tables; a whole-model dispatch with no context switch is priced O(1) from
-prefix sums (which are bit-for-bit equal to the sequential accumulation
-they replace, because the range starts at layer 0).  Schedulers read the
-executor live through its :class:`~repro.sim.decisions.AcceleratorView`,
+accumulate error).  ``start()`` prices every layer range — one layer, a
+whole path or a mid-path block, under either resource model — with one
+left-to-right loop over three rows of the cost table: the memoized
+per-``pe_fraction`` effective latencies (the full-PE latencies under
+``kv_batch``), the energies and the worst-case energies.  Schedulers read
+the executor live through its :class:`~repro.sim.decisions.AcceleratorView`,
 so nothing is cached for them.  The engine's dispatch-elision layer rests
 on one property: an executor's free fraction moves only through
 ``start``/``complete`` and fault transitions (never through the mere
@@ -63,8 +63,6 @@ class ExecutionRecord:
 
     slot: RunningSlot
     context_switch: bool
-    context_switch_latency_ms: float
-    context_switch_energy_mj: float
 
 
 class AcceleratorExecutor:
@@ -79,7 +77,7 @@ class AcceleratorExecutor:
         resource_model: ``None`` for the default ``pe_fraction`` model,
             or the engine's shared
             :class:`~repro.sim.resource_models.KvBatchModel`, which decides
-            admission, the charged fraction and the layer pricing.  All
+            admission, the charged fraction and the batch dilation.  All
             bookkeeping (the allocated fraction over *charged* fractions,
             drain resets) is model-independent and lives here once.
     """
@@ -171,59 +169,53 @@ class AcceleratorExecutor:
     ) -> tuple[float, float, float]:
         """(latency_ms, energy_mj, worst_case_energy_mj) of a layer range.
 
-        Layer costs accumulate onto ``duration`` and ``energy`` (the context
-        switch costs, or 0.0), left to right; the worst-case energy starts
-        at 0.0.  Fast path: flat-array lookups, and from 0.0 a single layer
-        is three O(1) lookups and a complete path from layer 0 is priced
-        O(1) from the prefix-sum arrays (a complete path visits layers
-        ``0..n-1`` in order, so the prefix value equals sequential
-        accumulation bit-for-bit).  The reference path keeps the historical
-        per-layer method calls.
+        Layer costs accumulate onto ``duration`` and ``energy``, left to
+        right; the worst-case energy starts at 0.0.  The default model
+        prices each layer at ``pe_fraction``; ``kv_batch`` prices it at
+        full PE (the batch dilation is applied by :meth:`start`).  Fast
+        path: one loop over the cost table's flat rows.  The reference path
+        keeps the historical per-layer method calls.
         """
         model_name = request.model_name
         acc_id = self.acc_id
+        table = self.cost_table
+        full_pe = self.resource_model is not None
         worst = 0.0
         if not self.fast:
             for layer_index in layer_indices:
-                duration += self.effective_layer_latency_ms(model_name, layer_index, pe_fraction)
-                energy += self.cost_table.energy(model_name, layer_index, acc_id)
-                worst += self.cost_table.worst_layer_energy(model_name, layer_index)
+                if full_pe:
+                    duration += table.latency(model_name, layer_index, acc_id)
+                else:
+                    duration += self.effective_layer_latency_ms(
+                        model_name, layer_index, pe_fraction
+                    )
+                energy += table.energy(model_name, layer_index, acc_id)
+                worst += table.worst_layer_energy(model_name, layer_index)
             return duration, energy, worst
 
-        arrays = self.cost_table.layer_arrays(model_name)
-        eff, eff_prefix = self.cost_table.effective_latency_table(model_name, acc_id, pe_fraction)
-        if duration == 0.0 and energy == 0.0:
-            count = len(layer_indices)
-            if count == 1:
-                layer_index = layer_indices[0]
-                return (
-                    eff[layer_index],
-                    arrays.energy[acc_id][layer_index],
-                    arrays.worst_energy[layer_index],
-                )
-            if request.next_position == 0 and count == arrays.num_layers:
-                return (
-                    eff_prefix[count],
-                    arrays.energy_prefix[acc_id][count],
-                    arrays.worst_energy_prefix[count],
-                )
-        energy_arr = arrays.energy[acc_id]
-        worst_arr = arrays.worst_energy
+        arrays = table.layer_arrays(model_name)
+        if full_pe:
+            latency_row = arrays.latency[acc_id]
+        else:
+            latency_row = table.effective_latency_table(model_name, acc_id, pe_fraction)
+        energy_row = arrays.energy[acc_id]
+        worst_row = arrays.worst_energy
         for layer_index in layer_indices:
-            duration += eff[layer_index]
-            energy += energy_arr[layer_index]
-            worst += worst_arr[layer_index]
+            duration += latency_row[layer_index]
+            energy += energy_row[layer_index]
+            worst += worst_row[layer_index]
         return duration, energy, worst
 
     def start(self, assignment: Assignment, now: float) -> ExecutionRecord:
         """Begin executing an assignment; returns the created slot record.
 
-        The resource model decides admission, the charged capacity fraction
-        and the layer pricing.  The default model charges the requested
-        ``pe_fraction`` and accumulates the layer costs onto the context
-        switch costs.  ``kv_batch`` charges its memory share, prices the
-        layers at a batch size of ``len(slots) + 1`` (pricing runs before
-        the slot is inserted) and then adds the switch costs.  The slot's
+        The resource model decides admission and the charged capacity
+        fraction.  The default model charges the requested ``pe_fraction``
+        and accumulates the layer costs onto the context switch costs.
+        ``kv_batch`` charges its memory share, sums the full-PE layer costs
+        from 0.0, scales the latency by the dilation at a batch size of
+        ``len(slots) + 1`` (pricing runs before the slot is inserted) and
+        then adds the switch costs.  The slot's
         ``pe_fraction`` holds the *charged* fraction, which the allocated
         sum, the views and the wake-hint predicates read, so they need no
         model-specific branches.
@@ -272,10 +264,10 @@ class AcceleratorExecutor:
                 request, layer_indices, charge, switch_latency, switch_energy
             )
         else:
-            duration, energy, worst_energy = model.price_layers(
-                self, request, layer_indices, assignment
+            duration, energy, worst_energy = self._price_layers(
+                request, layer_indices, 1.0, 0.0, 0.0
             )
-            duration += switch_latency
+            duration = duration * model.dilation(len(self.slots) + 1) + switch_latency
             energy += switch_energy
         if self._latency_factor != 1.0:
             # transient_stall window: work runs slower but burns the same
@@ -303,12 +295,7 @@ class AcceleratorExecutor:
         self.total_busy_pe_ms += duration * charge
         self.layers_executed += len(layer_indices)
 
-        return ExecutionRecord(
-            slot=slot,
-            context_switch=switch,
-            context_switch_latency_ms=switch_latency,
-            context_switch_energy_mj=switch_energy,
-        )
+        return ExecutionRecord(slot=slot, context_switch=switch)
 
     def complete(self, slot_id: int, now: float) -> RunningSlot:
         """Finish the slot's layers and release its PEs.

@@ -1,8 +1,9 @@
 """Request bookkeeping: the inference request queues of Figure 4.
 
-The :class:`RequestPool` tracks every live request, grouped by task, and
-answers the queries the engine and schedulers need: which requests are
-schedulable right now, which are stale, and per-task queue depths.
+The :class:`RequestPool` tracks every live request and answers the queries
+the engine and the schedulers' :class:`~repro.sim.decisions.SystemView`
+make: which requests are schedulable right now, which are running, which
+are stale, and per-task queue depths.
 
 Performance architecture
 ------------------------
@@ -10,30 +11,26 @@ The engine consults the pool on *every* dispatch round, so the pool keeps
 incremental indices instead of re-scanning and re-sorting on each query:
 
 * a sorted pending index keyed ``(arrival_ms, request_id)`` (maintained
-  with :mod:`bisect`), so :meth:`pending_sorted` — the order the engine
-  previously obtained by sorting the whole pending scan every round — is a
-  straight materialization;
-* per-task ``dict`` buckets, making the per-task side of :meth:`remove`
-  O(1) (the historical implementation paid a Python-level O(n)
-  ``list.remove`` with per-element equality checks; the sorted pending
-  index still pays a bisect plus a compact C-level tail shift) and
-  :meth:`queue_depth` a ``len()``;
-* a memoized oldest-first view per task, so :meth:`for_task` no longer
-  re-sorts on every call;
+  with :mod:`bisect`), so :meth:`~RequestPool.pending_snapshot` is a
+  straight materialization, memoized until the pending set changes;
 * a running-request index maintained by the engine's
-  :meth:`note_dispatched` / :meth:`note_progress` notifications; and
+  :meth:`~RequestPool.note_dispatched` / :meth:`~RequestPool.note_progress`
+  notifications;
+* a live request count per task, so :meth:`~RequestPool.queue_depths`
+  never scans the pool;
 * a deadline min-heap keyed ``deadline + grace`` (lazy deletion), so
-  :meth:`collect_stale` touches only requests whose expiry actually came
-  due instead of scanning the whole pool per event; and
-* cheap monotonic version counters (:attr:`state_version`,
-  :attr:`membership_version`) plus O(1) predicates (:attr:`has_pending`,
-  :meth:`has_stale`), which the engine's dispatch-elision layer keys on to
-  prove that a scheduler consultation cannot change the outcome.
+  :meth:`~RequestPool.collect_stale` touches only requests whose expiry
+  actually came due instead of scanning the whole pool per event; and
+* a monotonic :attr:`~RequestPool.membership_version` counter plus the
+  O(1) :meth:`~RequestPool.has_stale` peek, which the engine's
+  dispatch-elision layer keys on to prove that a scheduler consultation
+  cannot change the outcome.
 
 :class:`ReferenceRequestPool` retains the original scan-everything
-implementation behind the same interface; the reference simulation mode
-uses it, and the regression tests drive both pools through interleaved
-add/remove/expire sequences to prove they stay observationally identical.
+implementation behind the queries the reference event loop makes; the
+reference simulation mode uses it, and the regression tests drive both
+pools through interleaved add/remove/expire sequences to prove they stay
+observationally identical.
 """
 
 from __future__ import annotations
@@ -47,11 +44,12 @@ from repro.sim.request import InferenceRequest, RequestState
 
 
 class RequestPool:
-    """All live (non-terminal) inference requests, grouped by task."""
+    """All live (non-terminal) inference requests, counted per task."""
 
     def __init__(self) -> None:
-        self._by_task: dict[str, dict[int, InferenceRequest]] = defaultdict(dict)
         self._all: dict[int, InferenceRequest] = {}
+        # task_name -> number of live requests of the task
+        self._task_counts: dict[str, int] = {}
         # Sorted pending index: keys list kept ordered with a parallel,
         # identically-ordered list of the requests themselves (so snapshots
         # are a single C-level tuple() call) plus the member-id set.
@@ -59,9 +57,6 @@ class RequestPool:
         self._pending_values: list[InferenceRequest] = []
         self._pending_ids: set[int] = set()
         self._running_map: dict[int, InferenceRequest] = {}
-        # Oldest-first per-task views, invalidated by per-task version bumps.
-        self._task_versions: dict[str, int] = defaultdict(int)
-        self._for_task_cache: dict[str, tuple[int, list[InferenceRequest]]] = {}
         # Expiry heap: (deadline + grace, request_id), lazily pruned.
         self._grace_ms_by_task: Optional[Mapping[str, float]] = None
         self._expiry_heap: list[tuple[float, int]] = []
@@ -73,7 +68,14 @@ class RequestPool:
         self._running_version = 0
         self._running_snapshot: Optional[tuple[InferenceRequest, ...]] = None
         self._running_snapshot_version = -1
-        self._depth_version = 0
+        #: Monotonic counter bumped whenever a request joins or leaves the
+        #: pool.  Dispatch/progress transitions of requests already in the
+        #: pool do *not* bump it: the engine's same-instant elision rule
+        #: (see :class:`~repro.schedulers.base.WakeHint`) keys on exactly
+        #: this distinction — arrivals, expirations and finalizations
+        #: invalidate a stateful scheduler's within-instant quiescence,
+        #: assignments do not.
+        self.membership_version = 0
         self._depth_snapshot: Optional[dict[str, int]] = None
         self._depth_snapshot_version = -1
         self._depth_snapshot_names: Optional[tuple[str, ...]] = None
@@ -92,9 +94,8 @@ class RequestPool:
         if request.request_id in self._all:
             raise ValueError(f"request {request.request_id} is already in the pool")
         self._all[request.request_id] = request
-        self._by_task[request.task_name][request.request_id] = request
-        self._task_versions[request.task_name] += 1
-        self._depth_version += 1
+        self._task_counts[request.task_name] = self._task_counts.get(request.task_name, 0) + 1
+        self.membership_version += 1
         if request.state is RequestState.PENDING:
             self._insert_pending(request)
         if self._grace_ms_by_task is not None and not request.started:
@@ -104,15 +105,13 @@ class RequestPool:
     def remove(self, request: InferenceRequest) -> None:
         """Remove a terminal request from the pool.
 
-        Dict bookkeeping is O(1); dropping the request from the sorted
+        Count bookkeeping is O(1); dropping the request from the sorted
         pending index is an O(log n) bisect plus a C-level tail shift of
         the keys/values lists (no Python-level scan).
         """
-        self._all.pop(request.request_id, None)
-        task_queue = self._by_task.get(request.task_name)
-        if task_queue is not None and task_queue.pop(request.request_id, None) is not None:
-            self._task_versions[request.task_name] += 1
-            self._depth_version += 1
+        if self._all.pop(request.request_id, None) is not None:
+            self._task_counts[request.task_name] -= 1
+            self.membership_version += 1
         self._discard_pending(request)
         if self._running_map.pop(request.request_id, None) is not None:
             self._running_version += 1
@@ -149,51 +148,9 @@ class RequestPool:
         if request.state is RequestState.PENDING and request.request_id not in self._pending_ids:
             self._insert_pending(request)
 
-    def prune_terminal(self) -> list[InferenceRequest]:
-        """Drop every request that reached a terminal state; return them."""
-        finished = [request for request in self._all.values() if request.is_finished]
-        for request in finished:
-            self.remove(request)
-        return finished
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def has_pending(self) -> bool:
-        """Whether any request is schedulable right now (O(1))."""
-        return bool(self._pending_values)
-
-    @property
-    def membership_version(self) -> int:
-        """Monotonic counter bumped whenever a request joins or leaves the pool.
-
-        Dispatch/progress transitions of requests already in the pool do
-        *not* bump it — the engine's same-instant elision rule (see
-        :class:`~repro.schedulers.base.WakeHint`) keys on exactly this
-        distinction: arrivals, expirations and finalizations invalidate a
-        stateful scheduler's within-instant quiescence, assignments do not.
-        """
-        return self._depth_version
-
-    @property
-    def state_version(self) -> int:
-        """Monotonic counter bumped on every observable pool mutation.
-
-        Covers membership changes *and* pending/running transitions; any
-        state a scheduler could observe through the system view is stale
-        once this moves.
-        """
-        return self._pending_version + self._running_version + self._depth_version
-
-    def pending(self) -> list[InferenceRequest]:
-        """Requests that are schedulable right now (not running, not done)."""
-        return [
-            request
-            for request in self._all.values()
-            if request.state is RequestState.PENDING
-        ]
-
     def pending_snapshot(self) -> tuple[InferenceRequest, ...]:
         """Pending requests ordered by ``(arrival_ms, request_id)``, memoized.
 
@@ -213,18 +170,6 @@ class RequestPool:
         self._pending_snapshot_version = self._pending_version
         return snapshot
 
-    def pending_sorted(self) -> list[InferenceRequest]:
-        """Pending requests ordered by ``(arrival_ms, request_id)``."""
-        return list(self.pending_snapshot())
-
-    def running(self) -> list[InferenceRequest]:
-        """Requests with layers currently executing."""
-        return [
-            request
-            for request in self._all.values()
-            if request.state is RequestState.RUNNING
-        ]
-
     def running_snapshot(self) -> tuple[InferenceRequest, ...]:
         """Running requests in ``request_id`` (= pool insertion) order, memoized."""
         if self._running_snapshot_version == self._running_version:
@@ -241,44 +186,24 @@ class RequestPool:
         self._running_snapshot_version = self._running_version
         return snapshot
 
-    def running_sorted(self) -> list[InferenceRequest]:
-        """Running requests in ``request_id`` (= pool insertion) order."""
-        return list(self.running_snapshot())
-
-    def for_task(self, task_name: str) -> list[InferenceRequest]:
-        """Live requests of one task, oldest first (memoized until changed)."""
-        version = self._task_versions[task_name]
-        cached = self._for_task_cache.get(task_name)
-        if cached is not None and cached[0] == version:
-            return list(cached[1])
-        ordered = sorted(
-            self._by_task.get(task_name, {}).values(), key=lambda r: r.arrival_ms
-        )
-        self._for_task_cache[task_name] = (version, ordered)
-        return list(ordered)
-
-    def queue_depth(self, task_name: str) -> int:
-        """Number of live requests of one task."""
-        return len(self._by_task.get(task_name, ()))
-
     def queue_depths(self, task_names: Sequence[str]) -> dict[str, int]:
         """Per-task live request counts for the given tasks, memoized.
 
-        The returned dict is shared until the next add/remove (callers — the
-        frozen system views — treat it as read-only).
+        The returned dict is shared until the next add/remove (its caller,
+        the live system view, treats it as read-only).
         """
         names = tuple(task_names)
         if (
-            self._depth_snapshot_version == self._depth_version
+            self._depth_snapshot_version == self.membership_version
             and self._depth_snapshot_names == names
         ):
             snapshot = self._depth_snapshot
             assert snapshot is not None
             return snapshot
-        by_task = self._by_task
-        snapshot = {name: len(by_task.get(name, ())) for name in names}
+        counts = self._task_counts
+        snapshot = {name: counts.get(name, 0) for name in names}
         self._depth_snapshot = snapshot
-        self._depth_snapshot_version = self._depth_version
+        self._depth_snapshot_version = self.membership_version
         self._depth_snapshot_names = names
         return snapshot
 
@@ -320,6 +245,12 @@ class RequestPool:
     def collect_stale(self, now: float) -> list[InferenceRequest]:
         """Stale requests per the configured grace periods, oldest-id first.
 
+        A pending, never-started request is stale once ``now > deadline +
+        grace`` for its task.  The engine expires such requests (their frame
+        is useless by then: the next frame has already arrived), which
+        bounds queue growth under overload for schedulers that have no
+        frame-drop mechanism of their own.
+
         Pops the expiry heap up to ``now``; entries whose request has since
         started, finished, or left the pool are discarded (a request that
         executed at least one layer can never expire, so dropping its entry
@@ -349,33 +280,14 @@ class RequestPool:
         stale.sort(key=lambda request: request.request_id)
         return stale
 
-    def stale(self, now: float, grace_ms_by_task: dict[str, float]) -> list[InferenceRequest]:
-        """Pending, never-started requests whose deadline passed too long ago.
-
-        A request is stale when ``now > deadline + grace`` for its task; the
-        engine expires such requests (their frame is useless by then — the
-        next frame has already arrived), which bounds queue growth under
-        overload for schedulers that have no frame-drop mechanism of their
-        own.  This explicit-grace form scans the pool; the engine's hot path
-        uses :meth:`collect_stale`.
-        """
-        result = []
-        for request in self._all.values():
-            if request.state is not RequestState.PENDING or request.started:
-                continue
-            grace = grace_ms_by_task.get(request.task_name, 0.0)
-            if now > request.deadline_ms + grace:
-                result.append(request)
-        return result
-
 
 class ReferenceRequestPool:
     """The pre-optimization pool: every query is a fresh scan or sort.
 
-    Retained verbatim (behind the same interface as :class:`RequestPool`)
-    so the reference simulation mode reproduces the historical cost profile
-    and the regression tests can differential-test the incremental pool
-    against it.
+    Retained verbatim (behind the queries the reference event loop and the
+    system view make) so the reference simulation mode reproduces the
+    historical cost profile and the regression tests can differential-test
+    the incremental pool against it.
     """
 
     def __init__(self) -> None:
@@ -409,18 +321,6 @@ class ReferenceRequestPool:
     def note_progress(self, request: InferenceRequest) -> None:
         """No-op: the reference pool re-derives state on every query."""
 
-    def prune_terminal(self) -> list[InferenceRequest]:
-        """Drop every request that reached a terminal state; return them."""
-        finished = [request for request in self._all.values() if request.is_finished]
-        for request in finished:
-            self.remove(request)
-        return finished
-
-    @property
-    def has_pending(self) -> bool:
-        """Whether any request is schedulable right now (full scan)."""
-        return bool(self.pending())
-
     def pending(self) -> list[InferenceRequest]:
         """Requests that are schedulable right now (not running, not done)."""
         return [
@@ -447,17 +347,9 @@ class ReferenceRequestPool:
             if request.state is RequestState.RUNNING
         ]
 
-    def running_sorted(self) -> list[InferenceRequest]:
-        """Running requests in pool insertion order (the historical order)."""
-        return self.running()
-
     def running_snapshot(self) -> tuple[InferenceRequest, ...]:
         """Running requests in pool insertion order, materialized per call."""
         return tuple(self.running())
-
-    def for_task(self, task_name: str) -> list[InferenceRequest]:
-        """Live requests of one task, oldest first (re-sorted per call)."""
-        return sorted(self._by_task.get(task_name, []), key=lambda r: r.arrival_ms)
 
     def queue_depth(self, task_name: str) -> int:
         """Number of live requests of one task."""
@@ -470,10 +362,6 @@ class ReferenceRequestPool:
     def configure_expiry(self, grace_ms_by_task: Optional[Mapping[str, float]]) -> None:
         """Store grace periods for :meth:`collect_stale`."""
         self._grace_ms_by_task = grace_ms_by_task
-
-    def has_stale(self, now: float) -> bool:
-        """Whether :meth:`collect_stale` would return anything (full scan)."""
-        return bool(self.collect_stale(now))
 
     def collect_stale(self, now: float) -> list[InferenceRequest]:
         """Stale requests per the configured grace periods, oldest-id first.

@@ -29,8 +29,9 @@ Two models are registered:
       budget can run alone rather than starve);
     * :meth:`~KvBatchModel.admits` — the charge must fit the free fraction
       and the number of concurrent slots is capped at ``max_batch``;
-    * :meth:`~KvBatchModel.price_layers` — latency follows the documented
-      batch-dilation formula
+    * :meth:`~KvBatchModel.dilation` — the executor prices the layers at
+      full PE with the same loop as the default model and scales the sum
+      by the documented batch-dilation formula
 
         ``latency = sum(layer latency at full PE) * (1 + alpha * (B - 1))``
 
@@ -38,6 +39,10 @@ Two models are registered:
       in-flight slots are never re-priced, which keeps the event loop
       deterministic and monotone.  The executor adds the context-switch
       costs on top, as for the default model.
+
+The footprint is
+:func:`~repro.hardware.cost_table.activation_footprint_bytes`, the one
+definition the cost table also prices context switches with.
 
 Determinism rules
 -----------------
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.hardware.cost_table import CostTable
+from repro.hardware.cost_table import CostTable, activation_footprint_bytes
 from repro.sim.decisions import Assignment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,20 +83,6 @@ DEFAULT_BATCH_ALPHA = 0.25
 def resource_model_names() -> list[str]:
     """Names of every registered execution-resource model."""
     return list(RESOURCE_MODEL_NAMES)
-
-
-def activation_footprint_bytes(model) -> int:
-    """Largest live activation footprint of any layer of ``model``.
-
-    The same expression as the cost table's
-    :class:`~repro.hardware.cost_table.ModelCostSummary` footprint, usable
-    without building a table (the scenario generator samples KV budgets
-    before any platform is chosen).
-    """
-    return max(
-        (layer.input_bytes + layer.output_bytes for layer in model.layers),
-        default=0,
-    )
 
 
 def default_kv_budget_bytes(scenario: "Scenario") -> float:
@@ -166,38 +157,9 @@ class KvBatchModel:
             return False
         return self.charge_fraction(assignment) <= executor.free_fraction + 1e-9
 
-    def price_layers(
-        self,
-        executor: "AcceleratorExecutor",
-        request,
-        layer_indices: list[int],
-        assignment: Assignment,
-    ) -> tuple[float, float, float]:
-        """(latency_ms, energy_mj, worst_case_energy_mj): batch-dilated
-        full-PE latency of the layer range, without the context switch.
-
-        ``B = len(slots) + 1`` is the batch size the accelerator will run
-        at once this slot starts; the dilation is applied once, at
-        dispatch time, and in-flight slots keep their priced end times.
-        One code path serves both engine modes (``layer_arrays`` is shared
-        by the fast table and its reference view), so fast/reference
-        parity holds under ``kv_batch`` by construction.
-        """
-        arrays = executor.cost_table.layer_arrays(request.model_name)
-        acc_id = executor.acc_id
-        latency_arr = arrays.latency[acc_id]
-        energy_arr = arrays.energy[acc_id]
-        worst_arr = arrays.worst_energy
-        duration = 0.0
-        energy = 0.0
-        worst = 0.0
-        for layer_index in layer_indices:
-            duration += latency_arr[layer_index]
-            energy += energy_arr[layer_index]
-            worst += worst_arr[layer_index]
-        batch = len(executor.slots) + 1
-        duration *= 1.0 + self.alpha * (batch - 1)
-        return duration, energy, worst
+    def dilation(self, batch: int) -> float:
+        """Latency multiplier of a dispatch that brings the accelerator to ``batch`` slots."""
+        return 1.0 + self.alpha * (batch - 1)
 
 
 def make_resource_model(
@@ -228,7 +190,6 @@ __all__ = [
     "DEFAULT_MAX_BATCH",
     "KvBatchModel",
     "RESOURCE_MODEL_NAMES",
-    "activation_footprint_bytes",
     "default_kv_budget_bytes",
     "make_resource_model",
     "resource_model_names",

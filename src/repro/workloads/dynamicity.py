@@ -5,8 +5,11 @@ scenarios — e.g. a VR gaming session interrupted by an incoming AR call
 (Figure 1b).  A :class:`PhasedWorkload` describes such a timeline as an
 ordered list of :class:`WorkloadPhase` entries; the experiment harness runs
 the phases back-to-back, carrying scheduler state (most importantly DREAM's
-tuned ``alpha`` / ``beta`` parameters) across the phase boundary, which is
-exactly the adaptation scenario of Figures 10 and 11.
+tuned ``alpha`` / ``beta`` parameters) across the phase boundary.  That
+models DREAM re-adapting after a usage-scenario switch.  No paper figure
+runs a phased workload (Figures 10 and 11 run the parameter optimizer
+with a fresh scheduler per evaluation);
+``tests/test_harness_parallel.py::TestPhasedDeterminism`` exercises them.
 """
 
 from __future__ import annotations

@@ -25,11 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Tuple
 
+from repro.hardware.cost_table import activation_footprint_bytes
 from repro.models import zoo
-from repro.sim.resource_models import (
-    RESOURCE_MODEL_NAMES,
-    activation_footprint_bytes,
-)
+from repro.sim.resource_models import RESOURCE_MODEL_NAMES
 from repro.workloads.scenario import ModelOrSupernet, Scenario, TaskSpec
 from repro.workloads.traffic import arrival_process_names, make_arrival_process
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware import CostTable
 from repro.hardware.cost_model import LayerCost
+from repro.hardware.cost_table import activation_footprint_bytes
 
 
 class TestLookups:
@@ -56,12 +57,16 @@ class TestAggregates:
         for acc_id in range(tiny_cost_table.num_accelerators):
             assert worst >= tiny_cost_table.energy("alpha", 0, acc_id)
 
-    def test_summary_consistency(self, tiny_cost_table):
-        summary = tiny_cost_table.summary("beta")
-        assert summary.best_case_latency_ms <= summary.average_latency_ms
-        assert summary.average_latency_ms <= summary.worst_case_latency_ms
-        assert summary.best_case_energy_mj <= summary.worst_case_energy_mj
-        assert summary.activation_footprint_bytes > 0
+    def test_summary_consistency(self, tiny_cost_table, tiny_models):
+        # Whole-model aggregates: the best-case total never exceeds the
+        # average total, which the O(1) full-model lookup reproduces.
+        model = "beta"
+        layers = list(range(tiny_cost_table.num_layers(model)))
+        best = tiny_cost_table.remaining_best_latency(model, layers)
+        average = tiny_cost_table.remaining_average_latency(model, layers)
+        assert best <= average
+        assert average == tiny_cost_table.full_average_latency(model)
+        assert activation_footprint_bytes(tiny_models[model]) > 0
 
 
 class TestLeftToRightSums:
@@ -111,60 +116,23 @@ class TestContextSwitch:
 
 
 class TestSummarize:
-    """Direct unit coverage of CostTable._summarize (satellite task)."""
+    """Direct unit coverage of activation_footprint_bytes."""
 
-    def test_summarize_matches_hand_computation(self, tiny_models, tiny_platform):
-        from repro.hardware import AnalyticalCostModel
-
+    def test_activation_footprint_is_exact_int(self, tiny_models):
         model = tiny_models["alpha"]
-        cost_model = AnalyticalCostModel()
-        rows = [[cost_model.cost(layer, acc) for acc in tiny_platform] for layer in model.layers]
-        summary = CostTable._summarize(model, rows)
+        footprint = activation_footprint_bytes(model)
+        assert footprint == max(layer.input_bytes + layer.output_bytes for layer in model.layers)
+        assert isinstance(footprint, int)
 
-        def left_to_right(values):
-            # Not sum(): it compensates rounding from CPython 3.12 on.
-            total = 0.0
-            for value in values:
-                total += value
-            return total
-
-        assert summary.total_macs == sum(layer.macs for layer in model.layers)
-        assert summary.best_case_latency_ms == left_to_right(
-            min(c.latency_ms for c in row) for row in rows
-        )
-        assert summary.worst_case_latency_ms == left_to_right(
-            max(c.latency_ms for c in row) for row in rows
-        )
-        assert summary.average_latency_ms == left_to_right(
-            left_to_right(c.latency_ms for c in row) / len(row) for row in rows
-        )
-        assert summary.best_case_energy_mj == left_to_right(
-            min(c.energy_mj for c in row) for row in rows
-        )
-        assert summary.worst_case_energy_mj == left_to_right(
-            max(c.energy_mj for c in row) for row in rows
-        )
-
-    def test_activation_footprint_is_exact_int(self, tiny_models, tiny_platform):
-        from repro.hardware import AnalyticalCostModel
-
-        model = tiny_models["alpha"]
-        cost_model = AnalyticalCostModel()
-        rows = [[cost_model.cost(layer, acc) for acc in tiny_platform] for layer in model.layers]
-        summary = CostTable._summarize(model, rows)
-        expected = max(layer.input_bytes + layer.output_bytes for layer in model.layers)
-        assert summary.activation_footprint_bytes == expected
-        assert isinstance(summary.activation_footprint_bytes, int)
-
-    def test_empty_model_summarizes_to_zero(self):
+    def test_empty_model_summarizes_to_zero(self, tiny_platform):
         class Empty:
             name = "empty"
             layers = ()
 
-        summary = CostTable._summarize(Empty(), [])
-        assert summary.total_macs == 0
-        assert summary.best_case_latency_ms == 0.0
-        assert summary.activation_footprint_bytes == 0
+        assert activation_footprint_bytes(Empty()) == 0
+        table = CostTable.build(tiny_platform, [Empty()])
+        assert table.num_layers("empty") == 0
+        assert table.full_average_latency("empty") == 0.0
 
 
 class TestReferenceViewEquivalence:
@@ -228,20 +196,11 @@ class TestReferenceViewEquivalence:
 
         executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table)
         for fraction in (1.0, 0.5, 0.25):
-            eff, prefix = tiny_cost_table.effective_latency_table("alpha", 0, fraction)
-            assert len(prefix) == len(eff) + 1
+            eff = tiny_cost_table.effective_latency_table("alpha", 0, fraction)
+            assert len(eff) == tiny_cost_table.num_layers("alpha")
             for layer_index, value in enumerate(eff):
                 assert value == executor.effective_layer_latency_ms(
                     "alpha", layer_index, fraction
                 )
             # Memoized: the exact same tuple comes back.
-            again, _ = tiny_cost_table.effective_latency_table("alpha", 0, fraction)
-            assert again is eff
-
-    def test_prefix_sums_match_sequential_accumulation(self, tiny_cost_table):
-        arrays = tiny_cost_table.layer_arrays("alpha")
-        acc = 0.0
-        for k, value in enumerate(arrays.worst_energy):
-            assert arrays.worst_energy_prefix[k] == acc
-            acc += value
-        assert arrays.worst_energy_prefix[len(arrays.worst_energy)] == acc
+            assert tiny_cost_table.effective_latency_table("alpha", 0, fraction) is eff

@@ -21,7 +21,7 @@ import pytest
 from repro.experiments.jobs import generated_context, shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.base import WakeHint
-from repro.sim import ReferenceRequestPool, RequestPool, SimulationEngine, Tracer
+from repro.sim import RequestPool, SimulationEngine, Tracer
 from repro.sim.request import InferenceRequest
 from repro.workloads import GeneratorSpec
 from repro.workloads.scenario import Scenario, TaskSpec
@@ -304,43 +304,31 @@ def _request(task="t", arrival=0.0, deadline=100.0):
 
 def test_pool_has_pending_and_versions_track_membership():
     pool = RequestPool()
-    assert not pool.has_pending
+    assert pool.pending_snapshot() == ()
     membership = pool.membership_version
-    state = pool.state_version
 
     request = _request()
     pool.add(request)
-    assert pool.has_pending
+    assert pool.pending_snapshot() == (request,)
     assert pool.membership_version > membership
-    assert pool.state_version > state
 
     membership = pool.membership_version
-    state = pool.state_version
+    request.mark_running()
     pool.note_dispatched(request)
     # Dispatch transitions are not membership changes...
     assert pool.membership_version == membership
-    # ...but they are observable state changes.
-    assert pool.state_version > state
-    assert not pool.has_pending
+    # ...but they move the request from the pending to the running view.
+    assert pool.pending_snapshot() == ()
+    assert pool.running_snapshot() == (request,)
 
     pool.remove(request)
     assert pool.membership_version > membership
-    assert not pool.has_pending
+    assert pool.pending_snapshot() == ()
+    assert pool.running_snapshot() == ()
 
 
-def test_reference_pool_exposes_the_same_predicates():
-    pool = ReferenceRequestPool()
-    assert not pool.has_pending
-    request = _request()
-    pool.add(request)
-    assert pool.has_pending
-    pool.remove(request)
-    assert not pool.has_pending
-
-
-@pytest.mark.parametrize("pool_cls", [RequestPool, ReferenceRequestPool])
-def test_has_stale_agrees_with_collect_stale(pool_cls):
-    pool = pool_cls()
+def test_has_stale_agrees_with_collect_stale():
+    pool = RequestPool()
     pool.configure_expiry({"t": 5.0})
     request = _request(deadline=10.0)
     pool.add(request)

@@ -14,12 +14,12 @@ import sys
 
 import pytest
 
+from repro.hardware.cost_table import activation_footprint_bytes
 from repro.sim import SimulationEngine, Tracer, audit_trace, make_resource_model
 from repro.sim.resource_models import (
     DEFAULT_KV_BUDGET_RATIO,
     KvBatchModel,
     RESOURCE_MODEL_NAMES,
-    activation_footprint_bytes,
     default_kv_budget_bytes,
     resource_model_names,
 )

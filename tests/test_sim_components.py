@@ -6,9 +6,10 @@ import pytest
 
 from repro.metrics.uxcost import ModelOutcome, compute_uxcost
 from repro.metrics.reporting import format_table, geometric_mean
+from repro.hardware.cost_table import activation_footprint_bytes
 from repro.sim import Assignment, ReferenceRequestPool, RequestPool
 from repro.sim.executor import AcceleratorExecutor
-from repro.sim.resource_models import KvBatchModel, activation_footprint_bytes
+from repro.sim.resource_models import DEFAULT_BATCH_ALPHA, KvBatchModel
 from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.results import AcceleratorStats, SimulationResult
 
@@ -23,6 +24,39 @@ def _request(tiny_scenario, task="vision", deadline=100.0, arrival=0.0, rng_seed
         deadline_ms=deadline,
         rng=random.Random(rng_seed),
     )
+
+
+def _start_block(executor, tiny_scenario, block, switch, pe_fraction=1.0, peer=False):
+    """Start one priced block of a ``vision`` request on accelerator 0.
+
+    ``block`` is one layer, the whole path, or two layers after the first
+    layer ran.  ``switch`` runs a ``heavy`` request first, so the block pays
+    a context switch.  ``peer`` leaves one request of the resident model in
+    flight, so the block starts beside another slot.  Returns the block's
+    record and its start time.
+    """
+    request = _request(tiny_scenario, task="vision", rng_seed=7)
+    now = 0.0
+    if block == "mid_path":
+        head = executor.start(Assignment(request=request, acc_id=0), now)
+        now = head.slot.end_ms
+        executor.complete(head.slot.slot_id, now)
+    if switch:
+        other = _request(tiny_scenario, task="heavy", rng_seed=8)
+        first = executor.start(Assignment(request=other, acc_id=0), now)
+        now = first.slot.end_ms
+        executor.complete(first.slot.slot_id, now)
+    if peer:
+        resident = _request(tiny_scenario, task="heavy" if switch else "vision", rng_seed=9)
+        executor.start(Assignment(request=resident, acc_id=0), now)
+    layer_count = {"single": 1, "whole_path": len(request.path), "mid_path": 2}[block]
+    record = executor.start(
+        Assignment(request=request, acc_id=0, layer_count=layer_count, pe_fraction=pe_fraction),
+        now,
+    )
+    assert record.context_switch is switch
+    assert len(record.slot.layer_indices) == layer_count
+    return record, now
 
 
 class TestRequestLifecycle:
@@ -99,9 +133,10 @@ class TestRequestPool:
         request = _request(tiny_scenario)
         pool.add(request)
         assert len(pool) == 1
-        assert pool.queue_depth("vision") == 1
+        assert pool.queue_depths(["vision", "heavy"]) == {"vision": 1, "heavy": 0}
         pool.remove(request)
         assert len(pool) == 0
+        assert pool.queue_depths(["vision", "heavy"]) == {"vision": 0, "heavy": 0}
 
     def test_duplicate_add_rejected(self, tiny_scenario):
         pool = RequestPool()
@@ -115,15 +150,19 @@ class TestRequestPool:
         request = _request(tiny_scenario)
         pool.add(request)
         request.mark_running()
-        assert pool.pending() == []
-        assert pool.running() == [request]
+        pool.note_dispatched(request)
+        assert pool.pending_snapshot() == ()
+        assert pool.running_snapshot() == (request,)
 
     def test_stale_detection(self, tiny_scenario):
         pool = RequestPool()
+        pool.configure_expiry({"vision": 5.0})
         request = _request(tiny_scenario, deadline=10.0)
         pool.add(request)
-        assert pool.stale(now=50.0, grace_ms_by_task={"vision": 5.0}) == [request]
-        assert pool.stale(now=11.0, grace_ms_by_task={"vision": 5.0}) == []
+        assert not pool.has_stale(11.0)
+        assert pool.collect_stale(11.0) == []
+        assert pool.has_stale(50.0)
+        assert pool.collect_stale(50.0) == [request]
 
 
 class TestRequestPoolIncremental:
@@ -141,16 +180,13 @@ class TestRequestPoolIncremental:
     @staticmethod
     def _assert_same(fast, reference, task_names):
         assert len(fast) == len(reference)
-        assert fast.pending_sorted() == reference.pending_sorted()
-        assert tuple(fast.pending_snapshot()) == tuple(reference.pending_snapshot())
-        assert sorted(r.request_id for r in fast.running()) == sorted(
-            r.request_id for r in reference.running()
+        assert fast.pending_snapshot() == reference.pending_snapshot()
+        # The fast pool orders running requests by id, the reference pool
+        # by pool insertion; a fault retry makes the two differ.
+        assert sorted(r.request_id for r in fast.running_snapshot()) == sorted(
+            r.request_id for r in reference.running_snapshot()
         )
         assert fast.queue_depths(task_names) == reference.queue_depths(task_names)
-        for name in task_names:
-            assert [r.request_id for r in fast.for_task(name)] == [
-                r.request_id for r in reference.for_task(name)
-            ]
 
     def test_interleaved_operations_match_reference(self, tiny_scenario):
         rng = random.Random(42)
@@ -197,8 +233,9 @@ class TestRequestPoolIncremental:
                 reference.remove(request)
                 live.remove(request)
             else:
-                fast_stale = fast.collect_stale(now)
                 ref_stale = reference.collect_stale(now)
+                assert fast.has_stale(now) == bool(ref_stale)
+                fast_stale = fast.collect_stale(now)
                 assert [r.request_id for r in fast_stale] == [
                     r.request_id for r in ref_stale
                 ]
@@ -220,10 +257,10 @@ class TestRequestPoolIncremental:
         # Remove from the middle, front and back; indices must stay coherent.
         for request in (requests[25], requests[0], requests[-1]):
             pool.remove(request)
-        survivors = pool.pending_sorted()
+        survivors = pool.pending_snapshot()
         assert len(survivors) == 47
         assert [r.request_id for r in survivors] == sorted(r.request_id for r in survivors)
-        assert pool.queue_depth("vision") == 47
+        assert pool.queue_depths(["vision"]) == {"vision": 47}
 
     def test_remove_absent_request_is_noop(self, tiny_scenario):
         pool = RequestPool()
@@ -295,7 +332,14 @@ class TestExecutor:
         )
         assert record1.context_switch is False
         assert record2.context_switch is True
-        assert record2.context_switch_energy_mj > 0.0
+        assert executor.context_switches == 1
+        switch_energy = tiny_cost_table.context_switch_energy(
+            second.model_name, first.model_name, 0
+        )
+        assert switch_energy > 0.0
+        assert record2.slot.energy_mj == switch_energy + tiny_cost_table.energy(
+            second.model_name, 0, 0
+        )
 
     def test_fission_scales_latency(self, tiny_platform, tiny_cost_table, tiny_scenario):
         executor_full = AcceleratorExecutor(tiny_platform[0], tiny_cost_table)
@@ -333,35 +377,51 @@ class TestExecutor:
         self, tiny_platform, tiny_cost_table, tiny_scenario,
         block, switch, pe_fraction, latency_factor,
     ):
-        # The fast executor's shortcuts (single layer, prefix sums from
-        # layer 0) and its accumulation onto the switch costs must match
-        # the reference executor's per-layer calls bit for bit.
+        # The fast executor's one loop over the cost table's rows, which
+        # accumulates the layers onto the switch costs, must match the
+        # reference executor's per-layer calls bit for bit.
         def priced(fast):
             table = tiny_cost_table if fast else tiny_cost_table.reference_view()
             executor = AcceleratorExecutor(tiny_platform[0], table, fast=fast)
             executor.set_latency_factor(latency_factor)
-            request = _request(tiny_scenario, task="vision", rng_seed=7)
-            now = 0.0
-            if block == "mid_path":
-                head = executor.start(Assignment(request=request, acc_id=0), now)
-                now = head.slot.end_ms
-                executor.complete(head.slot.slot_id, now)
-            if switch:
-                other = _request(tiny_scenario, task="heavy", rng_seed=8)
-                first = executor.start(Assignment(request=other, acc_id=0), now)
-                now = first.slot.end_ms
-                executor.complete(first.slot.slot_id, now)
-            layer_count = {"single": 1, "whole_path": len(request.path), "mid_path": 2}[block]
-            record = executor.start(
-                Assignment(request=request, acc_id=0, layer_count=layer_count,
-                           pe_fraction=pe_fraction),
-                now,
-            )
-            assert record.context_switch is switch
-            assert len(record.slot.layer_indices) == layer_count
-            return record.slot.end_ms, record.slot.energy_mj, request.worst_case_energy_mj
+            record, _ = _start_block(executor, tiny_scenario, block, switch, pe_fraction)
+            return record.slot.end_ms, record.slot.energy_mj, record.slot.request.worst_case_energy_mj
 
         assert priced(fast=True) == priced(fast=False)
+
+    @pytest.mark.parametrize("switch", [False, True], ids=["resident", "switch"])
+    @pytest.mark.parametrize("block", ["single", "whole_path", "mid_path"])
+    def test_fast_and_reference_price_identically_under_kv_batch(
+        self, tiny_platform, tiny_cost_table, tiny_scenario, block, switch,
+    ):
+        # kv_batch sums the full-PE layer costs from 0.0, dilates the
+        # latency by the batch size (one peer slot stays in flight, so the
+        # factor is 1 + alpha) and only then adds the switch costs.
+        def priced(fast):
+            table = tiny_cost_table if fast else tiny_cost_table.reference_view()
+            model = KvBatchModel(table, tiny_scenario, budget_bytes=1e15)
+            executor = AcceleratorExecutor(tiny_platform[0], table, fast=fast, resource_model=model)
+            record, now = _start_block(executor, tiny_scenario, block, switch, peer=True)
+            slot = record.slot
+            return now, slot.end_ms, slot.energy_mj, slot.request.worst_case_energy_mj
+
+        fast, reference = priced(fast=True), priced(fast=False)
+        assert fast[1:] == reference[1:]
+        now, end_ms, energy_mj, _ = fast
+
+        name = tiny_scenario.task("vision").default_model.name
+        previous = tiny_scenario.task("heavy").default_model.name if switch else None
+        layers = {"single": [0], "whole_path": [0, 1, 2], "mid_path": [1, 2]}[block]
+        latency = energy = 0.0
+        for layer_index in layers:
+            latency += tiny_cost_table.latency(name, layer_index, 0)
+            energy += tiny_cost_table.energy(name, layer_index, 0)
+        latency = latency * (1.0 + DEFAULT_BATCH_ALPHA) + tiny_cost_table.context_switch_latency(
+            name, previous, 0
+        )
+        energy += tiny_cost_table.context_switch_energy(name, previous, 0)
+        assert end_ms == now + latency
+        assert energy_mj == energy
 
     def test_kv_batch_caps_the_batch(self, tiny_platform, tiny_cost_table, tiny_scenario):
         # A budget far above every footprint: only max_batch binds.
@@ -405,6 +465,11 @@ class TestAssignmentValidation:
     def test_pe_fraction_range(self, tiny_scenario):
         with pytest.raises(ValueError):
             Assignment(request=_request(tiny_scenario), acc_id=0, pe_fraction=1.5)
+
+    def test_negative_acc_id_rejected(self, tiny_scenario):
+        # executors[-1] would silently alias the last accelerator.
+        with pytest.raises(ValueError, match="acc_id"):
+            Assignment(request=_request(tiny_scenario), acc_id=-1)
 
 
 class TestUXCost:
