@@ -300,11 +300,7 @@ class OnlineAdaptivityEngine:
                          stats.energy_mj, stats.worst_energy_mj)
             for name, stats in self._window_stats.items()
         )
-        if self.objective is OptimizationObjective.DEADLINE_ONLY:
-            return breakdown.overall_violation_rate
-        if self.objective is OptimizationObjective.ENERGY_ONLY:
-            return breakdown.overall_normalized_energy
-        return breakdown.uxcost
+        return self.objective.cost(breakdown)
 
     def _observed_frames(self) -> int:
         return sum(stats.frames for stats in self._window_stats.values())

@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.uxcost import UXCostBreakdown
 
 
 class OptimizationObjective(enum.Enum):
@@ -25,6 +29,14 @@ class OptimizationObjective(enum.Enum):
     UXCOST = "uxcost"
     DEADLINE_ONLY = "deadline_only"
     ENERGY_ONLY = "energy_only"
+
+    def cost(self, breakdown: "UXCostBreakdown") -> float:
+        """The value this objective minimizes: UXCost or one of its two factors."""
+        if self is OptimizationObjective.DEADLINE_ONLY:
+            return breakdown.overall_violation_rate
+        if self is OptimizationObjective.ENERGY_ONLY:
+            return breakdown.overall_normalized_energy
+        return breakdown.uxcost
 
 
 @dataclass(frozen=True)

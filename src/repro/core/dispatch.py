@@ -15,7 +15,7 @@ one fits (or the lightest is reached), as illustrated in Figure 6.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.mapscore import MapScoreEngine
 from repro.hardware.cost_table import CostTable
@@ -117,7 +117,7 @@ class JobDispatchEngine:
         ``(position, model, to_go, average, total_latency, total_energy,
         acc_row)`` — all pure functions of (model, next position), so the
         entry is valid until the request makes progress.  Only the cache
-        *miss* path lives here; the hot loops inline the lookup itself.
+        *miss* path lives here; :meth:`_best_request` inlines the lookup.
         """
         model = request.model.name
         arrays = self.cost_table.layer_arrays(model)
@@ -134,35 +134,27 @@ class JobDispatchEngine:
         self._statics_cache[request.request_id] = entry
         return entry
 
-    def _request_statics(self, request: InferenceRequest) -> tuple:
-        """Memoized accelerator-independent MapScore inputs of one request."""
-        position = request.next_position
-        entry = self._statics_cache.get(request.request_id)
-        if entry is not None and entry[0] == position:
-            return entry
-        return self._build_statics(request, position)
-
-    def _best_pair_single_idle(
+    def _best_request(
         self,
         view: SystemView,
-        pending: tuple,
+        pending: Sequence[InferenceRequest],
         acc,
         alpha: float,
         beta: float,
-    ) -> Optional[InferenceRequest]:
-        """Highest-MapScore schedulable request for ONE idle accelerator.
+    ) -> tuple[float, Optional[InferenceRequest]]:
+        """Highest-MapScore schedulable request for one idle accelerator.
 
-        The common steady-state round — a completion frees one accelerator
-        and the scheduler refills it — needs only the argmax over pending,
-        so this running-max scan replaces building, scoring and sorting the
-        full pair list.  It walks the raw pending snapshot (the
-        remaining-layers guard is folded into the scan, so no filtered list
-        is materialized) with the statics cache inlined, because at one
-        consultation per event over deep queues even a method call per
-        request dominates.  Score expressions are identical to
-        :meth:`_score_pairs_fast` (which mirrors ``map_score``), and the
-        strict ``>`` comparison keeps the first-seen maximum on ties —
-        exactly the pair the stable descending sort put first.  Returns
+        The fast path's only scorer: a running-max scan over ``pending``
+        that computes exactly the expressions of
+        :meth:`~repro.core.mapscore.MapScoreEngine.map_score` (Algorithm 1,
+        lines 7-15), bit for bit, with the accelerator-independent inputs
+        taken from the statics cache and the context-switch energy memoized
+        per model.  Requests whose path is exhausted are skipped in the scan
+        (no filtered list is built), and the cache lookup is inlined,
+        because at one consultation per event over deep queues even a
+        method call per request dominates.  The strict ``>`` keeps the
+        first maximum on exact ties, the pair the spec's stable descending
+        sort puts first.  Returns ``(score, request)``, with ``request``
         ``None`` when nothing is schedulable.
         """
         now_ms = view.now_ms
@@ -205,94 +197,77 @@ class JobDispatchEngine:
             if best_request is None or score > best_score:
                 best_score = score
                 best_request = request
-        return best_request
-
-    def _score_pairs_fast(
-        self,
-        view: SystemView,
-        pending: list[InferenceRequest],
-        idle: list,
-        resident: dict[int, Optional[str]],
-        alpha: float,
-        beta: float,
-    ) -> list[tuple[float, InferenceRequest, int]]:
-        """MapScore for every (pending, idle) pair, hot-loop form.
-
-        Computes exactly the expressions of
-        :meth:`~repro.core.mapscore.MapScoreEngine.map_score` (Algorithm 1,
-        lines 7-15) — every intermediate value is bit-for-bit identical —
-        but hoists the accelerator-independent terms (urgency, starvation,
-        cross-accelerator sums) out of the inner loop via
-        :meth:`_request_statics`, and memoizes context-switch energies per
-        (model, accelerator) within the round.
-        """
-        cost_table = self.cost_table
-        now_ms = view.now_ms
-        idle_ids = [acc.acc_id for acc in idle]
-        statics = self._request_statics
-        # Per-(model) row of context-switch energies aligned with idle_ids;
-        # resident models are fixed within the round, so one row serves every
-        # request of the same model.
-        switch_rows: dict[str, list[float]] = {}
-        pair_list: list[tuple[float, InferenceRequest, int]] = []
-        append = pair_list.append
-        for request in pending:
-            _pos, model, to_go, average, total_latency, total_energy, acc_row = statics(
-                request
-            )
-            slack = request.deadline_ms - now_ms
-            urgency = to_go / (slack if slack > 1e-3 else 1e-3)
-            queue_time = now_ms - request.last_progress_ms
-            if queue_time < 0.0:
-                queue_time = 0.0
-            alpha_starv = alpha * (queue_time / (average if average > 1e-12 else 1e-12))
-            switch_row = switch_rows.get(model)
-            if switch_row is None:
-                switch_row = [
-                    cost_table.context_switch_energy(model, resident[acc_id], acc_id)
-                    for acc_id in idle_ids
-                ]
-                switch_rows[model] = switch_row
-            for acc_id, switch_energy in zip(idle_ids, switch_row):
-                this_latency, layer_energy = acc_row[acc_id]
-                lat_pref = total_latency / (this_latency if this_latency > 1e-12 else 1e-12)
-                if layer_energy < 1e-12:
-                    layer_energy = 1e-12
-                energy = total_energy / layer_energy - switch_energy / layer_energy
-                append((urgency * lat_pref + alpha_starv + beta * energy, request, acc_id))
-        return pair_list
+        return best_score, best_request
 
     def build_assignments(
         self, view: SystemView, alpha: float, beta: float
     ) -> list[Assignment]:
-        """Greedy highest-MapScore matching of pending requests to idle accelerators."""
+        """Greedy highest-MapScore matching of pending requests to idle accelerators.
+
+        Each pick takes the highest-scoring remaining (request, accelerator)
+        pair — exact ties to the earlier pending request, then to the
+        earlier accelerator — and removes both.  The reference path is the
+        spec: it scores every pair with ``map_score`` and walks them in a
+        stable descending sort.  The fast path runs :meth:`_best_request`
+        once per remaining idle accelerator per pick.
+        """
         if self.fast:
             # Inline is_idle (a property call per accelerator adds up at
             # one consultation per event).
             idle = [acc for acc in view.accelerators if acc.free_fraction >= 1.0]
             if not idle:
                 return []
+            pending = view.pending_requests
+            if not pending:
+                return []
             if len(idle) == 1:
-                snapshot = view.pending_requests
-                if not snapshot:
-                    return []
-                if len(snapshot) == 1:
+                acc_id = idle[0].acc_id
+                if len(pending) == 1:
                     # A single (request, accelerator) pair needs no scoring
                     # at all — MapScore only *orders* pairs, and there is
-                    # nothing to order.  The greedy loop below would emit
-                    # exactly this assignment.
-                    request = snapshot[0]
+                    # nothing to order.
+                    request = pending[0]
                     if request.next_position >= len(request.path):
                         return []
-                    return [self._make_assignment(request, idle[0].acc_id, view)]
-                best = self._best_pair_single_idle(view, snapshot, idle[0], alpha, beta)
+                    return [self._make_assignment(request, acc_id, view)]
+                _score, best = self._best_request(view, pending, idle[0], alpha, beta)
                 if best is None:
                     return []
-                return [self._make_assignment(best, idle[0].acc_id, view)]
-        else:
-            idle = [acc for acc in view.accelerators if acc.is_idle]
-            if not idle:
-                return []
+                return [self._make_assignment(best, acc_id, view)]
+            # Several idle accelerators: each pick scans every remaining
+            # accelerator and keeps the spec's first pair.  A scan keeps its
+            # accelerator's first maximum; across accelerators an exact tie
+            # goes to the earlier pending request, and a tie on the same
+            # request stays with the earlier accelerator.
+            remaining = list(pending)
+            assignments: list[Assignment] = []
+            while idle and remaining:
+                best_score = 0.0
+                best_request = best_acc = None
+                for acc in idle:
+                    score, request = self._best_request(view, remaining, acc, alpha, beta)
+                    if request is None:
+                        return assignments  # only exhausted paths are left
+                    if (
+                        best_request is None
+                        or score > best_score
+                        or (
+                            score == best_score
+                            and remaining.index(request) < remaining.index(best_request)
+                        )
+                    ):
+                        best_score, best_request, best_acc = score, request, acc
+                assignments.append(self._make_assignment(best_request, best_acc.acc_id, view))
+                remaining.remove(best_request)
+                idle.remove(best_acc)
+            return assignments
+
+        # The spec: score every (pending request, idle accelerator) pair,
+        # then greedily take the best remaining pair in a stable descending
+        # sort until accelerators or requests run out.
+        idle = [acc for acc in view.accelerators if acc.is_idle]
+        if not idle:
+            return []
         pending = [
             request
             for request in view.pending_requests
@@ -300,29 +275,22 @@ class JobDispatchEngine:
         ]
         if not pending:
             return []
-
         resident = {acc.acc_id: acc.resident_model for acc in idle}
-
-        # Score every (pending request, idle accelerator) pair, then greedily
-        # take the globally best remaining pair until accelerators run out.
-        if self.fast:
-            pair_list = self._score_pairs_fast(view, pending, idle, resident, alpha, beta)
-        else:
-            pair_list = []
-            for request in pending:
-                for acc in idle:
-                    breakdown = self.map_score_engine.map_score(
-                        request,
-                        acc.acc_id,
-                        view.now_ms,
-                        alpha,
-                        beta,
-                        resident.get(acc.acc_id),
-                    )
-                    pair_list.append((breakdown.total, request, acc.acc_id))
+        pair_list = []
+        for request in pending:
+            for acc in idle:
+                breakdown = self.map_score_engine.map_score(
+                    request,
+                    acc.acc_id,
+                    view.now_ms,
+                    alpha,
+                    beta,
+                    resident.get(acc.acc_id),
+                )
+                pair_list.append((breakdown.total, request, acc.acc_id))
         pair_list.sort(key=lambda item: item[0], reverse=True)
 
-        assignments: list[Assignment] = []
+        assignments = []
         used_accs: set[int] = set()
         used_requests: set[int] = set()
         for score, request, acc_id in pair_list:

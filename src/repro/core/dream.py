@@ -96,11 +96,7 @@ class DreamScheduler(Scheduler):
         stateful = (
             self.config.enable_parameter_optimization or self.config.enable_frame_drop
         )
-        return WakeHint(
-            min_free_fraction=1.0,
-            elide_when_no_pending=True,
-            same_instant_only=stateful,
-        )
+        return WakeHint(min_free_fraction=1.0, same_instant_only=stateful)
 
     def bind(self, platform, cost_table, scenario, rng) -> None:
         # Re-binding happens when the usage scenario changes (the paper's

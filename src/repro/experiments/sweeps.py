@@ -53,12 +53,7 @@ def uxcost_objective(
             seed=seed,
             cost_table=cost_table,
         )
-        breakdown = result.uxcost_breakdown
-        if objective is OptimizationObjective.DEADLINE_ONLY:
-            return breakdown.overall_violation_rate
-        if objective is OptimizationObjective.ENERGY_ONLY:
-            return breakdown.overall_normalized_energy
-        return breakdown.uxcost
+        return objective.cost(result.uxcost_breakdown)
 
     return objective_fn
 

@@ -59,16 +59,15 @@ class WakeHint:
     results, traces and stats with elision on vs off.
 
     Attributes:
-        min_free_fraction: if set, ``schedule()`` is inert whenever at
-            least one request is pending but **no** accelerator has
+        min_free_fraction: ``schedule()`` is inert whenever the pool holds
+            no pending request at all, and whenever requests are pending
+            but **no** accelerator has
             ``free_fraction >= min_free_fraction - 1e-9`` (an accelerator's
             free fraction only changes through dispatch/completion, never
             through the mere passage of time, so the engine cannot miss a
-            capacity change).  ``None`` disables capacity-based elision —
+            capacity change).  ``0.0`` keeps only the first condition —
             required for schedulers that may act without capacity, e.g. by
             dropping frames.
-        elide_when_no_pending: if True, ``schedule()`` is inert whenever
-            the pool holds no pending request at all.
         same_instant_only: if True, the promises above additionally require
             that a real ``schedule()`` call already happened at the *same*
             simulated timestamp with no request arrival, expiry or
@@ -79,8 +78,7 @@ class WakeHint:
             observation window the first time it sees a new timestamp.
     """
 
-    min_free_fraction: Optional[float] = None
-    elide_when_no_pending: bool = False
+    min_free_fraction: float
     same_instant_only: bool = False
 
 

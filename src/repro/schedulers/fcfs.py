@@ -34,7 +34,7 @@ class DynamicFcfsScheduler(Scheduler):
     def wake_hint(self) -> WakeHint:
         """Pure function of the view: inert without pending work or a fully
         idle accelerator (assignments are the only thing it ever emits)."""
-        return WakeHint(min_free_fraction=1.0, elide_when_no_pending=True)
+        return WakeHint(min_free_fraction=1.0)
 
     def schedule(self, view: SystemView) -> SchedulingDecision:
         assignments = []
@@ -89,7 +89,7 @@ class StaticFcfsScheduler(Scheduler):
         no pending request) returns empty without touching it, so the hint
         holds at any instant.
         """
-        return WakeHint(min_free_fraction=1.0, elide_when_no_pending=True)
+        return WakeHint(min_free_fraction=1.0)
 
     def bind(self, platform, cost_table, scenario, rng) -> None:
         super().bind(platform, cost_table, scenario, rng)

@@ -65,7 +65,7 @@ class PlanariaScheduler(Scheduler):
         remaining-work memo cache (a pure function of request progress,
         exempt by the :class:`~repro.schedulers.base.WakeHint` contract).
         """
-        return WakeHint(min_free_fraction=self.min_fraction, elide_when_no_pending=True)
+        return WakeHint(min_free_fraction=self.min_fraction)
 
     # ------------------------------------------------------------------ #
     # internal estimates (deliberately dataflow-agnostic)

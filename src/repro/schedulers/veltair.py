@@ -51,7 +51,7 @@ class VeltairScheduler(Scheduler):
         both the idle and the pending check pass — exactly the calls the
         hint never elides — so the promise holds at any instant.
         """
-        return WakeHint(min_free_fraction=1.0, elide_when_no_pending=True)
+        return WakeHint(min_free_fraction=1.0)
 
     # ------------------------------------------------------------------ #
     # block formation

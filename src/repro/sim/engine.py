@@ -267,7 +267,7 @@ class SimulationEngine:
         self._rng = random.Random(seed)
         # One shared model instance per engine (None on the default path,
         # so executors and loops branch on a single flag, not a dispatch).
-        model = make_resource_model(resource_model, self.cost_table, scenario)
+        model = make_resource_model(resource_model, scenario)
         self._default_resources = model is None
         self._executors = [
             AcceleratorExecutor(acc, self.cost_table, fast=fast, resource_model=model)
@@ -444,11 +444,8 @@ class SimulationEngine:
         # Wake-hint elision state (the scheduler is already bound).
         hint = scheduler.wake_hint() if self.dispatch_elision else None
         have_hint = hint is not None
-        hint_same_instant = have_hint and bool(hint.same_instant_only)
-        hint_elide_no_pending = have_hint and bool(hint.elide_when_no_pending)
-        min_free = hint.min_free_fraction if have_hint else None
-        hint_has_min_free = min_free is not None
-        hint_threshold = min_free - 1e-9 if hint_has_min_free else 0.0
+        hint_same_instant = have_hint and hint.same_instant_only
+        hint_threshold = hint.min_free_fraction - 1e-9 if have_hint else 0.0
         cls = type(scheduler)
         call_arrival_hook = cls.on_request_arrival is not Scheduler.on_request_arrival
         call_layers_hook = cls.on_layers_complete is not Scheduler.on_layers_complete
@@ -572,19 +569,16 @@ class SimulationEngine:
                         or last_schedule_membership != pool.membership_version
                     ):
                         eligible = False
-                    elif not pending_values:
-                        eligible = hint_elide_no_pending
-                    elif not hint_has_min_free:
-                        eligible = False
                     else:
                         eligible = True
-                        for executor in executors:
-                            free = executor._capacity - executor._allocated
-                            if free < 0.0:
-                                free = 0.0
-                            if free >= hint_threshold:
-                                eligible = False
-                                break
+                        if pending_values:
+                            for executor in executors:
+                                free = executor._capacity - executor._allocated
+                                if free < 0.0:
+                                    free = 0.0
+                                if free >= hint_threshold:
+                                    eligible = False
+                                    break
                     if eligible:
                         dispatches_elided += 1
                         if (

@@ -46,7 +46,7 @@ definition the cost table also prices context switches with.
 
 Determinism rules
 -----------------
-Model instances are pure functions of ``(scenario, cost_table, params)``:
+Model instances are pure functions of ``(scenario, params)``:
 no RNG, no wall clock, and charge tables are precomputed over the
 scenario's model list in declaration order.  The same scenario + seed
 therefore yields the same trace on every run and PYTHONHASHSEED.
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.hardware.cost_table import CostTable, activation_footprint_bytes
+from repro.hardware.cost_table import activation_footprint_bytes
 from repro.sim.decisions import Assignment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,7 +107,6 @@ class KvBatchModel:
     bookkeeping (running charge sums, slot maps) itself.
 
     Args:
-        cost_table: the platform's cost table (full-PE latency arrays).
         scenario: the workload; its model list fixes the charge table and
             (when ``scenario.kv_budget_bytes`` is unset) the derived budget.
         budget_bytes: explicit shared memory budget per accelerator;
@@ -119,7 +118,6 @@ class KvBatchModel:
 
     def __init__(
         self,
-        cost_table: CostTable,
         scenario: "Scenario",
         budget_bytes: Optional[float] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -135,7 +133,6 @@ class KvBatchModel:
             raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0 (got {alpha})")
-        self.cost_table = cost_table
         self.budget_bytes = float(budget_bytes)
         self.max_batch = max_batch
         self.alpha = alpha
@@ -162,11 +159,7 @@ class KvBatchModel:
         return 1.0 + self.alpha * (batch - 1)
 
 
-def make_resource_model(
-    name: str,
-    cost_table: CostTable,
-    scenario: "Scenario",
-) -> Optional[KvBatchModel]:
+def make_resource_model(name: str, scenario: "Scenario") -> Optional[KvBatchModel]:
     """Build the shared resource-model instance for one engine.
 
     Returns ``None`` for ``pe_fraction``, the executor's own default
@@ -179,7 +172,7 @@ def make_resource_model(
     if name == "pe_fraction":
         return None
     if name == "kv_batch":
-        return KvBatchModel(cost_table, scenario)
+        return KvBatchModel(scenario)
     known = ", ".join(sorted(RESOURCE_MODEL_NAMES))
     raise ValueError(f"unknown resource model {name!r}; available: {known}")
 

@@ -227,19 +227,11 @@ def test_coalescing_drains_simultaneous_events_bit_for_bit():
 
 
 def test_bundled_wake_hints_match_scheduler_contracts():
-    assert make_scheduler("fcfs_dynamic").wake_hint() == WakeHint(
-        min_free_fraction=1.0, elide_when_no_pending=True
-    )
-    assert make_scheduler("fcfs_static").wake_hint() == WakeHint(
-        min_free_fraction=1.0, elide_when_no_pending=True
-    )
-    assert make_scheduler("veltair").wake_hint() == WakeHint(
-        min_free_fraction=1.0, elide_when_no_pending=True
-    )
+    assert make_scheduler("fcfs_dynamic").wake_hint() == WakeHint(min_free_fraction=1.0)
+    assert make_scheduler("fcfs_static").wake_hint() == WakeHint(min_free_fraction=1.0)
+    assert make_scheduler("veltair").wake_hint() == WakeHint(min_free_fraction=1.0)
     planaria = make_scheduler("planaria")
-    assert planaria.wake_hint() == WakeHint(
-        min_free_fraction=planaria.min_fraction, elide_when_no_pending=True
-    )
+    assert planaria.wake_hint() == WakeHint(min_free_fraction=planaria.min_fraction)
     # DREAM's bookkeeping is only idempotent within one instant, and within
     # that instant no drop can newly appear after a drop-free consultation
     # (see DreamScheduler.wake_hint), so every variant — SmartDrop
@@ -247,11 +239,11 @@ def test_bundled_wake_hints_match_scheduler_contracts():
     # fixed-parameter baseline has no per-call state at all, so it also
     # drops the same-instant restriction.
     assert make_scheduler("dream_fixed").wake_hint() == WakeHint(
-        min_free_fraction=1.0, elide_when_no_pending=True, same_instant_only=False
+        min_free_fraction=1.0, same_instant_only=False
     )
     for name in ("dream_mapscore", "dream_smartdrop", "dream_full"):
         assert make_scheduler(name).wake_hint() == WakeHint(
-            min_free_fraction=1.0, elide_when_no_pending=True, same_instant_only=True
+            min_free_fraction=1.0, same_instant_only=True
         )
 
 

@@ -33,18 +33,18 @@ class TestRegistry:
         assert RESOURCE_MODEL_NAMES == ("pe_fraction", "kv_batch")
         assert resource_model_names() == ["pe_fraction", "kv_batch"]
 
-    def test_default_model_is_none(self, tiny_scenario, tiny_cost_table):
+    def test_default_model_is_none(self, tiny_scenario):
         # pe_fraction short-circuits to the executor's inlined arithmetic.
-        assert make_resource_model("pe_fraction", tiny_cost_table, tiny_scenario) is None
+        assert make_resource_model("pe_fraction", tiny_scenario) is None
 
-    def test_kv_batch_builds(self, tiny_scenario, tiny_cost_table):
-        model = make_resource_model("kv_batch", tiny_cost_table, tiny_scenario)
+    def test_kv_batch_builds(self, tiny_scenario):
+        model = make_resource_model("kv_batch", tiny_scenario)
         assert isinstance(model, KvBatchModel)
         assert model.budget_bytes == default_kv_budget_bytes(tiny_scenario)
 
-    def test_unknown_name_lists_sorted_registry(self, tiny_scenario, tiny_cost_table):
+    def test_unknown_name_lists_sorted_registry(self, tiny_scenario):
         with pytest.raises(ValueError, match="kv_batch, pe_fraction"):
-            make_resource_model("gpu_hours", tiny_cost_table, tiny_scenario)
+            make_resource_model("gpu_hours", tiny_scenario)
 
     def test_engine_rejects_unknown_model(self, tiny_scenario, tiny_platform,
                                           tiny_cost_table):
@@ -61,8 +61,8 @@ class TestRegistry:
 
 
 class TestKvBatchPhysics:
-    def test_charges_follow_footprints(self, tiny_scenario, tiny_cost_table):
-        model = KvBatchModel(tiny_cost_table, tiny_scenario)
+    def test_charges_follow_footprints(self, tiny_scenario):
+        model = KvBatchModel(tiny_scenario)
         for graph in tiny_scenario.all_model_graphs():
             expected = min(
                 1.0, activation_footprint_bytes(graph) / model.budget_bytes
@@ -76,28 +76,27 @@ class TestKvBatchPhysics:
         )
         assert default_kv_budget_bytes(tiny_scenario) == DEFAULT_KV_BUDGET_RATIO * largest
 
-    def test_oversized_model_is_clamped_to_run_alone(self, tiny_scenario,
-                                                     tiny_cost_table):
+    def test_oversized_model_is_clamped_to_run_alone(self, tiny_scenario):
         # A budget smaller than every footprint must clamp charges to 1.0,
         # not starve: the model can still run, just exclusively.
-        model = KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=1.0)
+        model = KvBatchModel(tiny_scenario, budget_bytes=1.0)
         assert all(charge == 1.0 for charge in model._charges.values())
 
-    def test_invalid_parameters_rejected(self, tiny_scenario, tiny_cost_table):
+    def test_invalid_parameters_rejected(self, tiny_scenario):
         with pytest.raises(ValueError, match="budget"):
-            KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=0.0)
+            KvBatchModel(tiny_scenario, budget_bytes=0.0)
         with pytest.raises(ValueError, match="max_batch"):
-            KvBatchModel(tiny_cost_table, tiny_scenario, max_batch=0)
+            KvBatchModel(tiny_scenario, max_batch=0)
         with pytest.raises(ValueError, match="alpha"):
-            KvBatchModel(tiny_cost_table, tiny_scenario, alpha=-0.1)
+            KvBatchModel(tiny_scenario, alpha=-0.1)
 
-    def test_scenario_budget_overrides_derived(self, tiny_models, tiny_cost_table):
+    def test_scenario_budget_overrides_derived(self, tiny_models):
         scenario = Scenario(
             name="pinned",
             tasks=(TaskSpec("vision", tiny_models["alpha"], fps=30),),
             kv_budget_bytes=12345.0,
         )
-        model = KvBatchModel(tiny_cost_table, scenario)
+        model = KvBatchModel(scenario)
         assert model.budget_bytes == 12345.0
 
 

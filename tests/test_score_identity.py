@@ -1,17 +1,20 @@
-"""Randomized score/argmax/tie-break identity across DREAM's scorers.
+"""Randomized score/argmax/tie-break identity of DREAM's two dispatch paths.
 
 The engine promises the decisions are *bit-for-bit* identical between
 
-* the reference scorer (``MapScoreEngine.map_score``, the spec), and
-* the scalar production scorers (``JobDispatchEngine._score_pairs_fast``
-  for several idle accelerators, ``_best_pair_single_idle`` for one).
+* the spec (``MapScoreEngine.map_score`` plus the sort-based greedy that a
+  ``fast=False`` ``JobDispatchEngine`` runs), and
+* the fast path, whose only scorer is the per-accelerator running-max scan
+  ``JobDispatchEngine._best_request``: one scan for one idle accelerator,
+  one scan per remaining accelerator per pick for several.
 
 Float addition/multiplication are not associative, so this only holds if
-every scorer applies the same elementwise operations in the same order
-and breaks ties (first maximum) identically.  These tests drive them with
-randomized request populations — including manufactured exact ties and
-exhausted paths — and assert identical raw scores and identical argmax
-picks.
+the scan applies the same elementwise operations in the same order and
+both paths break ties identically: the highest score first, exact ties to
+the earlier pending request, then to the earlier accelerator.  These tests
+drive both with randomized request populations — including manufactured
+exact ties and exhausted paths — and assert identical raw scores, argmax
+picks and assignment sequences.
 """
 
 import random
@@ -21,7 +24,11 @@ import pytest
 from repro.core.dispatch import JobDispatchEngine
 from repro.core.mapscore import MapScoreEngine
 from repro.experiments.jobs import shared_context
+from repro.hardware import CostTable, make_platform
+from repro.models.graph import ModelGraph
+from repro.models.layers import conv2d, fc
 from repro.sim.request import InferenceRequest
+from repro.workloads.scenario import Scenario, TaskSpec
 
 SCENARIO = "ar_call"
 PLATFORM = "4k_1ws_2os"
@@ -29,19 +36,25 @@ TRIALS = 6
 
 
 class _View:
-    """The slice of SystemView the scoring loops actually read."""
+    """The slice of SystemView the dispatch paths actually read."""
 
-    def __init__(self, now_ms):
+    def __init__(self, now_ms, accelerators=(), pending=()):
         self.now_ms = now_ms
+        self.accelerators = accelerators
+        self.pending_requests = pending
 
 
 class _Acc:
-    """The slice of AcceleratorView the scoring loops actually read."""
+    """The slice of AcceleratorView the dispatch paths actually read."""
 
-    def __init__(self, acc_id, resident_model):
+    def __init__(self, acc_id, resident_model, free_fraction=1.0):
         self.acc_id = acc_id
-        self.free_fraction = 1.0
+        self.free_fraction = free_fraction
         self.resident_model = resident_model
+
+    @property
+    def is_idle(self):
+        return self.free_fraction >= 1.0
 
 
 def _context():
@@ -112,9 +125,13 @@ def _population(rng, scenario, size):
 
 def _acc_views(rng, platform, scenario):
     residents = [None] + _model_names(scenario)
-    return tuple(
-        _Acc(acc.acc_id, rng.choice(residents)) for acc in platform.accelerators
-    )
+    accs = [_Acc(acc.acc_id, rng.choice(residents)) for acc in platform.accelerators]
+    # The two OS accelerators are identical hardware: with one resident
+    # model they score every request identically, so each pick's exact tie
+    # across accelerators must go to the earlier one.
+    if rng.random() < 0.5:
+        accs[2].resident_model = accs[1].resident_model
+    return tuple(accs)
 
 
 def _reference_scores(map_engine, schedulable, accs, now_ms, alpha, beta):
@@ -138,7 +155,7 @@ def _first_max(scored):
     for score, request_id, _acc in scored:
         if best_id is None or score > best_score:
             best_score, best_id = score, request_id
-    return best_id
+    return best_score, best_id
 
 
 def _trial(seed):
@@ -148,44 +165,44 @@ def _trial(seed):
     accs = _acc_views(rng, platform, scenario)
     now_ms = rng.uniform(0.0, 260.0)
     alpha, beta = rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
-    return scenario, cost_table, snapshot, accs, now_ms, alpha, beta
+    return rng, scenario, cost_table, snapshot, accs, now_ms, alpha, beta
+
+
+def _engines(scenario, cost_table):
+    """A fast engine and the spec engine over the reference cost table."""
+    fast = JobDispatchEngine(cost_table, scenario, MapScoreEngine(cost_table))
+    reference_table = cost_table.reference_view()
+    spec = JobDispatchEngine(
+        reference_table, scenario, MapScoreEngine(reference_table), fast=False
+    )
+    return fast, spec
+
+
+def _sequence(engine, view, alpha, beta):
+    return [
+        (assignment.request.request_id, assignment.acc_id)
+        for assignment in engine.build_assignments(view, alpha, beta)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(TRIALS))
-def test_scalar_fast_scores_equal_map_score(seed):
-    scenario, cost_table, snapshot, accs, now_ms, alpha, beta = _trial(seed)
-    map_engine = MapScoreEngine(cost_table)
-    dispatch = JobDispatchEngine(cost_table, scenario, map_engine, fast=True)
+def test_scan_keeps_the_first_maximum_of_map_score(seed):
+    _rng, scenario, cost_table, snapshot, accs, now_ms, alpha, beta = _trial(seed)
+    dispatch = JobDispatchEngine(cost_table, scenario, MapScoreEngine(cost_table))
     schedulable = [r for r in snapshot if r.next_position < len(r.path)]
-    resident = {acc.acc_id: acc.resident_model for acc in accs}
-
-    pairs = dispatch._score_pairs_fast(
-        _View(now_ms), schedulable, list(accs), resident, alpha, beta
-    )
     reference = _reference_scores(
         MapScoreEngine(cost_table), schedulable, accs, now_ms, alpha, beta
     )
-    assert len(pairs) == len(reference)
-    for (score, request, acc_id), (ref_score, ref_id, ref_acc) in zip(pairs, reference):
-        assert (request.request_id, acc_id) == (ref_id, ref_acc)
-        assert score == ref_score  # exact, not approximate
-
-    # Argmax per accelerator: the single-idle scan must keep the first
-    # maximum of the reference scores (ties included).
     for acc in accs:
-        scored = [
-            (s, rid, a) for s, rid, a in reference if a == acc.acc_id
-        ]
-        best = dispatch._best_pair_single_idle(
-            _View(now_ms), snapshot, acc, alpha, beta
-        )
+        scored = [(s, rid, a) for s, rid, a in reference if a == acc.acc_id]
+        score, best = dispatch._best_request(_View(now_ms), snapshot, acc, alpha, beta)
         assert best is not None
-        assert best.request_id == _first_max(scored)
+        assert (score, best.request_id) == _first_max(scored)  # exact, not approximate
 
 
 def test_exact_ties_break_to_first_in_snapshot_order():
-    """Two byte-identical requests: the scalar scan must pick the earlier one."""
-    scenario, platform, cost_table = _context()
+    """Two byte-identical requests: the scan must pick the earlier one."""
+    scenario, _platform, cost_table = _context()
     rng = random.Random(99)
     task = scenario.tasks[0]
     first = _make_request(rng, task, 0, 10.0, 50.0, path_seed=7)
@@ -195,9 +212,70 @@ def test_exact_ties_break_to_first_in_snapshot_order():
     acc = _Acc(0, None)
 
     map_engine = MapScoreEngine(cost_table)
-    dispatch = JobDispatchEngine(cost_table, scenario, map_engine, fast=True)
+    dispatch = JobDispatchEngine(cost_table, scenario, map_engine)
     totals = [
         map_engine.map_score(r, 0, 20.0, 1.0, 0.5, None).total for r in snapshot
     ]
     assert totals[0] == totals[1]  # the tie is real
-    assert dispatch._best_pair_single_idle(_View(20.0), snapshot, acc, 1.0, 0.5) is first
+    assert dispatch._best_request(_View(20.0), snapshot, acc, 1.0, 0.5)[1] is first
+
+
+@pytest.mark.parametrize("idle_count", [2, 3])
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_multi_idle_greedy_matches_the_spec(seed, idle_count):
+    """Several idle accelerators: the same (request, accelerator) sequence."""
+    rng, scenario, cost_table, snapshot, accs, now_ms, alpha, beta = _trial(seed)
+    for acc in rng.sample(accs, k=len(accs) - idle_count):
+        acc.free_fraction = rng.choice([0.0, 0.5])
+    fast, spec = _engines(scenario, cost_table)
+    # Deep and shallow queues: the whole population, a few requests (fewer
+    # than the idle accelerators), one request, only exhausted paths.
+    exhausted = tuple(r for r in snapshot if r.next_position >= len(r.path))
+    for pending in (snapshot, snapshot[:idle_count - 1], snapshot[:1], exhausted):
+        view = _View(now_ms, accs, pending)
+        expected = _sequence(spec, view, alpha, beta)
+        assert _sequence(fast, view, alpha, beta) == expected
+    assert len(_sequence(fast, _View(now_ms, accs, snapshot), alpha, beta)) == idle_count
+
+
+def _twin_model(name):
+    return ModelGraph(
+        name=name,
+        layers=(
+            conv2d(f"{name}.conv1", 64, 64, 8, 16, kernel=3),
+            conv2d(f"{name}.conv2", 32, 32, 16, 32, kernel=3, stride=2),
+            fc(f"{name}.fc", 2048, 256),
+        ),
+    )
+
+
+def test_cross_accelerator_tie_goes_to_the_earlier_request():
+    """Two accelerators whose best requests differ but score exactly alike.
+
+    ``twin_a`` and ``twin_b`` have identical layers, so they cost the same
+    everywhere; on the two identical OS accelerators each is resident where
+    the other is queued.  Accelerator 1 prefers the ``twin_b`` request and
+    accelerator 2 the ``twin_a`` one, at the same score (neither pays a
+    context switch).  The spec's first pair is the earlier pending request
+    on its accelerator, even though that accelerator comes second.
+    """
+    twin_a, twin_b = _twin_model("twin_a"), _twin_model("twin_b")
+    scenario = Scenario(
+        name="twins",
+        tasks=(TaskSpec("a", twin_a, fps=30), TaskSpec("b", twin_b, fps=30)),
+    )
+    cost_table = CostTable.build(make_platform(PLATFORM), [twin_a, twin_b])
+    rng = random.Random(3)
+    request_a = _make_request(rng, scenario.tasks[0], 0, 10.0, 50.0, last_progress=12.0)
+    request_b = _make_request(rng, scenario.tasks[1], 0, 10.0, 50.0, last_progress=12.0)
+    accs = (_Acc(0, None, free_fraction=0.0), _Acc(1, "twin_b"), _Acc(2, "twin_a"))
+    view = _View(20.0, accs, (request_a, request_b))
+
+    map_engine = MapScoreEngine(cost_table)
+    tie = [map_engine.map_score(r, acc, 20.0, 1.0, 0.5, resident).total
+           for r, acc, resident in ((request_a, 2, "twin_a"), (request_b, 1, "twin_b"))]
+    assert tie[0] == tie[1]  # the tie is real
+    fast, spec = _engines(scenario, cost_table)
+    expected = [(request_a.request_id, 2), (request_b.request_id, 1)]
+    assert _sequence(spec, view, 1.0, 0.5) == expected
+    assert _sequence(fast, view, 1.0, 0.5) == expected

@@ -399,7 +399,7 @@ class TestExecutor:
         # factor is 1 + alpha) and only then adds the switch costs.
         def priced(fast):
             table = tiny_cost_table if fast else tiny_cost_table.reference_view()
-            model = KvBatchModel(table, tiny_scenario, budget_bytes=1e15)
+            model = KvBatchModel(tiny_scenario, budget_bytes=1e15)
             executor = AcceleratorExecutor(tiny_platform[0], table, fast=fast, resource_model=model)
             record, now = _start_block(executor, tiny_scenario, block, switch, peer=True)
             slot = record.slot
@@ -425,7 +425,7 @@ class TestExecutor:
 
     def test_kv_batch_caps_the_batch(self, tiny_platform, tiny_cost_table, tiny_scenario):
         # A budget far above every footprint: only max_batch binds.
-        model = KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=1e15, max_batch=2)
+        model = KvBatchModel(tiny_scenario, budget_bytes=1e15, max_batch=2)
         executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
         for seed in (1, 2):
             executor.start(Assignment(request=_request(tiny_scenario, rng_seed=seed), acc_id=0), 0.0)
@@ -441,7 +441,7 @@ class TestExecutor:
         # A budget that makes "vision" charge 0.6 of the accelerator: a
         # second one does not fit, whatever pe_fraction it requests.
         footprint = activation_footprint_bytes(tiny_scenario.task("vision").default_model)
-        model = KvBatchModel(tiny_cost_table, tiny_scenario, budget_bytes=footprint / 0.6)
+        model = KvBatchModel(tiny_scenario, budget_bytes=footprint / 0.6)
         executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
         first = Assignment(request=_request(tiny_scenario, rng_seed=1), acc_id=0, pe_fraction=0.25)
         charge = model.charge_fraction(first)
