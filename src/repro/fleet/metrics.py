@@ -174,52 +174,43 @@ class FleetResult:
 
     @property
     def submitted(self) -> int:
-        """Total session requests across every user.
-
-        Fault-recovery records (evicted / rerouted / retry / failed)
-        describe sessions already submitted, so only first-decision
-        outcomes count.
-        """
-        return sum(
-            1
-            for r in self.plan.records
-            if r.outcome in (ADMITTED, REJECTED, THROTTLED)
-        )
+        """Total session requests across every user (:attr:`FleetPlan.submitted`)."""
+        return self.plan.submitted
 
     @property
     def admitted(self) -> int:
         """Sessions admitted and simulated."""
-        return sum(1 for r in self.plan.records if r.outcome == ADMITTED)
+        return self.plan.outcome_counts().get(ADMITTED, 0)
 
     @property
     def rejected(self) -> int:
         """Sessions rejected for capacity."""
-        return sum(1 for r in self.plan.records if r.outcome == REJECTED)
+        return self.plan.outcome_counts().get(REJECTED, 0)
 
     @property
     def throttled(self) -> int:
         """Sessions throttled by per-user fair share."""
-        return sum(1 for r in self.plan.records if r.outcome == THROTTLED)
+        return self.plan.outcome_counts().get(THROTTLED, 0)
 
     @property
     def evicted(self) -> int:
         """Eviction events (outage killed an active placement)."""
-        return sum(1 for r in self.plan.records if r.outcome == EVICTED)
+        return self.plan.outcome_counts().get(EVICTED, 0)
 
     @property
     def rerouted(self) -> int:
         """Failover reroutes (evicted session re-placed elsewhere)."""
-        return sum(1 for r in self.plan.records if r.outcome == REROUTED)
+        return self.plan.outcome_counts().get(REROUTED, 0)
 
     @property
     def retried(self) -> int:
         """Backoff re-offer attempts that found no capacity (and waited)."""
-        return sum(1 for r in self.plan.records if r.outcome == RETRY)
+        return self.plan.outcome_counts().get(RETRY, 0)
 
     @property
     def failed(self) -> int:
         """Sessions terminally failed by outages (budget/capacity exhausted)."""
-        return sum(1 for r in self.plan.records if r.outcome == FAILED)
+        return self.plan.outcome_counts().get(FAILED, 0)
 
     @property
     def goodput_sessions(self) -> int:
@@ -242,6 +233,27 @@ class FleetResult:
         """Frames measured across every admitted session."""
         return sum(stats.total_frames for stats in self.platform_stats)
 
+    def _totals(self) -> dict[str, int]:
+        """The fleet totals, read from :meth:`FleetPlan.outcome_counts`.
+
+        Fault accounting is included only for faulted specs, keeping
+        fault-free payloads byte-identical to historical ones.
+        """
+        counts = self.plan.outcome_counts()
+        totals = {
+            "submitted": self.plan.submitted,
+            "admitted": counts.get(ADMITTED, 0),
+            "rejected": counts.get(REJECTED, 0),
+            "throttled": counts.get(THROTTLED, 0),
+        }
+        if self.plan.spec.outages:
+            totals["evicted"] = counts.get(EVICTED, 0)
+            totals["rerouted"] = counts.get(REROUTED, 0)
+            totals["retried"] = counts.get(RETRY, 0)
+            totals["failed"] = counts.get(FAILED, 0)
+            totals["goodput_sessions"] = self.goodput_sessions
+        return totals
+
     def to_dict(self) -> dict:
         """JSON-serializable form — the backend-parity surface.
 
@@ -250,23 +262,9 @@ class FleetResult:
         order.  Nothing in the payload depends on dict iteration order of
         runtime state, so serial and process backends serialize identically.
         """
-        totals = {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "throttled": self.throttled,
-        }
-        if self.plan.spec.outages:
-            # Fault accounting is emitted only for faulted specs, keeping
-            # fault-free payloads byte-identical to historical ones.
-            totals["evicted"] = self.evicted
-            totals["rerouted"] = self.rerouted
-            totals["retried"] = self.retried
-            totals["failed"] = self.failed
-            totals["goodput_sessions"] = self.goodput_sessions
         return {
             "spec": self.plan.spec.to_dict(),
-            "totals": totals,
+            "totals": self._totals(),
             "records": [record.to_dict() for record in self.plan.records],
             "users": {
                 user_id: stats.to_dict()
@@ -282,18 +280,19 @@ class FleetResult:
     def describe(self) -> str:
         """Multi-line human-readable summary."""
         spec = self.plan.spec
+        totals = self._totals()
         lines = [
             f"fleet of {len(spec.platforms)} platforms, {spec.total_users} users, "
             f"policy={spec.policy} ({spec.duration_ms:.0f} ms, seed {spec.seed})",
-            f"  sessions: submitted={self.submitted} admitted={self.admitted} "
-            f"rejected={self.rejected} throttled={self.throttled} "
+            f"  sessions: submitted={totals['submitted']} admitted={totals['admitted']} "
+            f"rejected={totals['rejected']} throttled={totals['throttled']} "
             f"(rejection rate {self.rejection_rate:.1%})",
         ]
         if spec.outages:
             lines.append(
-                f"  faults: evicted={self.evicted} rerouted={self.rerouted} "
-                f"retried={self.retried} failed={self.failed} "
-                f"goodput={self.goodput_sessions}/{self.admitted} sessions"
+                f"  faults: evicted={totals['evicted']} rerouted={totals['rerouted']} "
+                f"retried={totals['retried']} failed={totals['failed']} "
+                f"goodput={totals['goodput_sessions']}/{totals['admitted']} sessions"
             )
         for stats in self.platform_stats:
             lines.append(

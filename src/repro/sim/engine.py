@@ -36,19 +36,15 @@ Performance architecture
 ------------------------
 Because the scheduler runs at every state change, the event loop and what
 ``schedule()`` reads through its :class:`~repro.sim.decisions.SystemView`
-*are* the simulation hot path.  The engine has two loops with one behaviour:
-
-* ``mode="fast"`` (the default) runs :meth:`SimulationEngine._run_fast_loop`,
-  the production loop: arrival slot arrays instead of heap entries, an
-  integer-coded completion heap, and the arrival, dispatch and completion
-  transitions inlined with their hot state in locals;
-* ``mode="reference"`` runs :meth:`SimulationEngine._run_heap_loop`, the
-  executable spec: one ``(time, kind priority, tie key, kind, payload)``
-  heap, one handler call and one full dispatch per event.
-
-Both loops share every cold path (finalization, cascades, expiry, tracing,
-fault transitions, aborts and retries), so that logic exists once, and
-they produce bit-for-bit identical results, traces and event counts.
+*are* the simulation hot path.  The engine has one event heap of
+``(time, kind priority, tie key, kind, payload)`` entries and one loop,
+:meth:`SimulationEngine._run_loop`, that pops it: one handler call and one
+:meth:`SimulationEngine._dispatch` per event.  The two modes share that
+loop, every handler and every cold path (arrivals, finalization, cascades,
+expiry, tracing, fault transitions, aborts and retries), so that logic
+exists once, and they produce bit-for-bit identical results, traces and
+event counts.  They differ only in the components the loop runs over and
+in wake-hint elision, which only ``mode="fast"`` (the default) turns on.
 
 Each run builds one read-only :class:`~repro.sim.decisions.SystemView`
 over the live pool and executors, and advances its clock before every
@@ -77,11 +73,11 @@ The predicates are re-derived from live pool/executor state at every
 scheduling point: an accelerator's free fraction only moves through
 dispatch, completion and fault transitions (never through the mere
 passage of time), so a capacity-freeing event can never be missed.  An
-event that follows an elided first-round dispatch at the same instant,
-with nothing stale and not itself a fault or retry, counts as
-*coalesced* (:attr:`events_coalesced`): the instant ran one effective
-dispatch for both.  ``dispatch_elision=False`` turns elision off for
-differential testing.
+elided first-round dispatch with nothing stale counts as *coalesced*
+(:attr:`events_coalesced`) when the heap's next event is an arrival or a
+completion at the same instant: the instant ran one effective dispatch
+for both.  ``dispatch_elision=False`` turns elision off for differential
+testing.
 
 ``mode="reference"`` also retains the pre-optimization components
 (scan-based pool, per-call executor aggregation, a scan-based
@@ -113,21 +109,15 @@ from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
 from repro.sim.results import AcceleratorStats, SimulationResult, TaskStats
 from repro.sim.tracer import Tracer
 from repro.workloads.frames import head_arrival_plan, task_frame_stream
-from repro.workloads.scenario import Scenario, TaskSpec
+from repro.workloads.scenario import Scenario
 from repro.workloads.traffic import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.schedulers.base import Scheduler
+    from repro.schedulers.base import Scheduler, WakeHint
 
 #: Safety bound on scheduler invocations per event, to surface livelocks in
 #: buggy scheduler implementations instead of hanging the simulation.
 MAX_DISPATCH_ROUNDS = 64
-
-#: Fast-loop completion codes pack ``(acc_id << 48) | slot_id`` into one int;
-#: a retry entry carries the code ``-1`` instead.
-_ACC_SHIFT = 48
-_SLOT_MASK = (1 << _ACC_SHIFT) - 1
-_RETRY = -1
 
 _INF = float("inf")
 
@@ -176,11 +166,11 @@ class SimulationEngine:
         warmup_ms: frames whose sensor frame arrived before this time are
             executed but excluded from the measured statistics.
         tracer: optional :class:`~repro.sim.tracer.Tracer` for per-event records.
-        mode: ``"fast"`` (default) runs the production event loop
-            (:meth:`_run_fast_loop`) over the incremental components;
-            ``"reference"`` runs the heap loop (:meth:`_run_heap_loop`)
-            over the pre-optimization scan-based components.  Results,
-            traces and event counts are bit-for-bit identical across modes.
+        mode: ``"fast"`` (default) runs the event loop over the
+            incremental components, with dispatch elision; ``"reference"``
+            runs it over the pre-optimization scan-based components and
+            consults the scheduler at every event.  Results, traces and
+            event counts are bit-for-bit identical across modes.
         dispatch_elision: honour scheduler :class:`~repro.schedulers.base
             .WakeHint`\\ s to skip provably-inert ``schedule()`` calls (fast
             mode only; the reference mode always keeps the exact per-event
@@ -259,14 +249,18 @@ class SimulationEngine:
         self.tracer = tracer
         self.mode = mode
         fast = mode == "fast"
-        self._fast = fast
         self.dispatch_elision = dispatch_elision and fast
+        #: The bound scheduler's wake hint while elision is on, else None.
+        self._hint: Optional["WakeHint"] = None
+        #: ``(time, pool membership version)`` of the last ``schedule()``
+        #: call, which gates ``same_instant_only`` hints.
+        self._last_schedule: Optional[tuple[float, int]] = None
         cost_table = cost_table or CostTable.build(platform, scenario.all_model_graphs())
         self.cost_table = cost_table if fast else cost_table.reference_view()
 
         self._rng = random.Random(seed)
         # One shared model instance per engine (None on the default path,
-        # so executors and loops branch on a single flag, not a dispatch).
+        # so executors and the dispatch trace branch on a single flag).
         model = make_resource_model(resource_model, scenario)
         self._default_resources = model is None
         self._executors = [
@@ -291,10 +285,10 @@ class SimulationEngine:
         self._stats: dict[str, TaskStats] = {
             task.name: TaskStats(task_name=task.name) for task in scenario.tasks
         }
-        # Reference-loop heap entries: (time_ms, kind priority, tie key,
-        # kind, payload) where the tie key is (task_name, frame_id) for
-        # arrivals, (phase, index) for fault edges and a monotone sequence
-        # number for completion-class events (completions and retries).
+        # Event heap entries: (time_ms, kind priority, tie key, kind,
+        # payload) where the tie key is (task_name, frame_id) for arrivals,
+        # (phase, index) for fault edges and a monotone sequence number for
+        # completion-class events (completions and retries).
         self._events: list[tuple[float, int, object, str, object]] = []
         self._event_seq = itertools.count()
         self._now = 0.0
@@ -308,19 +302,8 @@ class SimulationEngine:
         # Streaming arrival state: one lazy frame iterator per head task,
         # at most one pending arrival event each (O(tasks) heap occupancy).
         self._arrival_iters: dict[str, Iterator[Frame]] = {}
+        self._tasks_by_name = {task.name: task for task in scenario.tasks}
         self._last_arrival_ms: dict[str, float] = {}
-        # Fast-loop event state: one arrival slot per head task as parallel
-        # arrays in task-name order (filled by _start_arrival_slots), the
-        # completion heap of (end_ms, seq, code) entries, and the count of
-        # pending events outside that heap (primed slots, unfired fault
-        # edges) for the spec's heap-occupancy high-water mark.
-        self._slot_tasks: list[TaskSpec] = []
-        self._slot_iters: list[Optional[Iterator[Frame]]] = []
-        self._slot_times: list[float] = []
-        self._slot_frames: list[Optional[Frame]] = []
-        self._slot_last: list[float] = []
-        self._comp_heap: list[tuple[float, int, int]] = []
-        self._queued = 0
         self._latency_quantiles = {
             task.name: StreamingQuantiles() for task in scenario.tasks
         }
@@ -349,325 +332,31 @@ class SimulationEngine:
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the measured result."""
         self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
-        if self._fast:
-            self._run_fast_loop()
-        else:
-            self._run_heap_loop()
+        if self.dispatch_elision:
+            self._hint = self.scheduler.wake_hint()
+        self._run_loop()
         self._finalize_leftovers()
         return self._build_result()
 
-    def _run_heap_loop(self) -> None:
-        """The executable spec: pop one event, handle it, dispatch once."""
+    def _run_loop(self) -> None:
+        """Pop one event, handle it, dispatch; until the heap drains."""
         self._start_arrival_streams()
         self._arm_faults()
+        handlers = {
+            _EVENT_ARRIVAL: self._handle_arrival,
+            _EVENT_COMPLETE: self._handle_completion,
+            _EVENT_FAULT: self._handle_fault,
+            _EVENT_RETRY: self._handle_retry,
+        }
         events = self._events
         heappop = heapq.heappop
+        dispatch = self._dispatch
         while events:
             time_ms, _prio, _key, kind, payload = heappop(events)
             self._now = time_ms
             self.events_processed += 1
-            if kind == _EVENT_ARRIVAL:
-                self._handle_arrival(payload)
-            elif kind == _EVENT_COMPLETE:
-                self._handle_completion(payload)
-            elif kind == _EVENT_FAULT:
-                for retry_ms, request in self._handle_fault(*payload):
-                    self._push_event(retry_ms, _EVENT_RETRY, request)
-            elif kind == _EVENT_RETRY:
-                self._handle_retry(payload)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown event kind {kind!r}")
-            self._dispatch(time_ms)
-
-    def _run_fast_loop(self) -> None:
-        """The production loop: the heap loop's events, order and counters.
-
-        * Arrivals live in the ``_slot_*`` arrays, one slot per head task
-          in task-name order; streaming keeps at most one arrival per task
-          pending.  The next arrival is the first strict minimum of the
-          slot times (:meth:`_best_arrival`), which reproduces the spec's
-          ``(arrival_ms, task_name)`` tie-break because two arrivals of
-          one task never coexist.
-        * ``_comp_heap`` holds ``(end_ms, seq, (acc_id << 48) | slot_id)``.
-          Outage retries ride it with code ``-1`` (the request is found by
-          ``seq``), so completions and retries share one push order, like
-          the spec's completion-class entries.  Fault edges, then
-          arrivals, win ties against it, as the spec's priorities order
-          them; a swallowed completion of an outage-killed slot still
-          counts as an event and still runs a dispatch.
-        * Arrival, completion, the wake-hint elision predicate and decision
-          application are inlined with hot state in locals; every inlined
-          capacity read is ``executor._capacity - executor._allocated``.
-          Scheduler hooks left as the base-class no-ops are never called.
-        * Coalescing is a count, not a drain: an event that follows an
-          elided first-round dispatch at the same instant — nothing stale,
-          and not itself a fault edge or a retry — is counted in
-          ``events_coalesced``, since the instant ran one effective
-          dispatch for both.
-
-        Cold paths are the engine methods the heap loop calls, with
-        ``_now`` kept in step.
-        """
-        from repro.schedulers.base import Scheduler
-
-        # Fault edges: (time_ms, phase, index), already in firing order.
-        fault_edges = self._fault_edges()
-        n_edges = len(fault_edges)
-        self._queued = n_edges
-        self._start_arrival_slots()
-        if self._queued > self.peak_event_heap:
-            self.peak_event_heap = self._queued
-
-        scheduler = self.scheduler
-        view = self._view
-        pool = self._pool
-        executors = self._executors
-        tracer = self.tracer
-        rng = self._rng
-        comp_heap = self._comp_heap
-        slot_times = self._slot_times
-        slot_frames = self._slot_frames
-        slot_tasks = self._slot_tasks
-        # The pool's raw pending list is identity-stable (mutated in place),
-        # so its truth value is the has-pending predicate.
-        pending_values = pool._pending_values
-        cancelled = self._cancelled_slots
-        # Retry entries' requests, keyed by their completion-heap seq.
-        retries: dict[int, InferenceRequest] = {}
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        expiry_enabled = self.expire_after_periods is not None
-        pending_state = RequestState.PENDING
-        completed_state = RequestState.COMPLETED
-        default_resources = self._default_resources
-
-        # Wake-hint elision state (the scheduler is already bound).
-        hint = scheduler.wake_hint() if self.dispatch_elision else None
-        have_hint = hint is not None
-        hint_same_instant = have_hint and hint.same_instant_only
-        hint_threshold = hint.min_free_fraction - 1e-9 if have_hint else 0.0
-        cls = type(scheduler)
-        call_arrival_hook = cls.on_request_arrival is not Scheduler.on_request_arrival
-        call_layers_hook = cls.on_layers_complete is not Scheduler.on_layers_complete
-
-        events_processed = 0
-        events_coalesced = 0
-        dispatches_elided = 0
-        dispatch_rounds = 0
-        comp_seq = 0
-        # Same-instant elision state (gates same_instant_only hints).
-        last_schedule_ms = -_INF
-        last_schedule_membership = -1
-
-        next_edge = 0
-        fault_at = fault_edges[0][0] if n_edges else _INF
-        # Cached earliest arrival; only a slot refill can change it, so it
-        # is recomputed after arrival pops and never after completions.
-        best_i = self._best_arrival()
-        best_at = slot_times[best_i] if best_i >= 0 else _INF
-
-        while True:
-            comp_at = comp_heap[0][0] if comp_heap else _INF
-            if fault_at <= best_at and fault_at <= comp_at:
-                # Fault edges win ties: _PRIO_FAULT < _PRIO_ARRIVAL.
-                if fault_at == _INF:
-                    break
-                now = fault_at
-                self._now = now
-                events_processed += 1
-                _t, phase, index = fault_edges[next_edge]
-                next_edge += 1
-                fault_at = fault_edges[next_edge][0] if next_edge < n_edges else _INF
-                self._queued -= 1
-                for retry_at, request in self._handle_fault(phase, index):
-                    heappush(comp_heap, (retry_at, comp_seq, _RETRY))
-                    retries[comp_seq] = request
-                    comp_seq += 1
-                occupancy = self._queued + len(comp_heap)
-                if occupancy > self.peak_event_heap:
-                    self.peak_event_heap = occupancy
-                # Capacity moved without a slot change: let no same-instant
-                # hint elide the next consultation.
-                last_schedule_membership = -1
-            elif best_at <= comp_at:
-                # Arrival wins ties: _PRIO_ARRIVAL < _PRIO_COMPLETE.
-                now = best_at
-                self._now = now
-                events_processed += 1
-                frame = slot_frames[best_i]
-                slot_times[best_i] = _INF
-                slot_frames[best_i] = None
-                self._queued -= 1
-                self._refill_slot(best_i)
-                task = slot_tasks[best_i]
-                best_i = self._best_arrival()
-                best_at = slot_times[best_i] if best_i >= 0 else _INF
-                request = InferenceRequest(
-                    task_name=task.name,
-                    model=task.default_model,
-                    frame_id=frame.frame_id,
-                    arrival_ms=frame.arrival_ms,
-                    deadline_ms=frame.deadline_ms,
-                    rng=rng,
-                )
-                pool.add(request)
-                if tracer is not None:
-                    self._trace(request, "arrival")
-                if call_arrival_hook:
-                    scheduler.on_request_arrival(request, now)
-            else:
-                entry = heappop(comp_heap)
-                now = entry[0]
-                self._now = now
-                events_processed += 1
-                code = entry[2]
-                if code == _RETRY:
-                    self._handle_retry(retries.pop(entry[1]))
-                elif cancelled and (code & _SLOT_MASK) in cancelled:
-                    # The slot was killed by an outage after its completion
-                    # was queued: swallow it (still an event, still a
-                    # dispatch, exactly like the spec).
-                    cancelled.discard(code & _SLOT_MASK)
-                else:
-                    executor = executors[code >> _ACC_SHIFT]
-                    slot = executor.complete(code & _SLOT_MASK, now)
-                    request = slot.request
-                    if tracer is not None:
-                        self._trace(
-                            request, "layers_complete", acc_id=code >> _ACC_SHIFT,
-                            detail=f"{len(slot.layer_indices)} layers",
-                        )
-                    if request.state is completed_state:
-                        if tracer is not None:
-                            self._trace(request, "complete", acc_id=code >> _ACC_SHIFT)
-                        self._finalize_request(request)
-                        self._spawn_cascades(request)
-                    else:
-                        pool.note_progress(request)
-                        if call_layers_hook:
-                            scheduler.on_layers_complete(request, now)
-
-            # ---------------- dispatch (the spec's _dispatch) ----------------
-            stale = expiry_enabled and pool.has_stale(now)
-            if stale:
-                self._expire_stale(now)
-            rounds = 0
-            while True:
-                # The round cap is checked before the elision predicate so a
-                # 65th scheduling point raises exactly like the spec's
-                # exhausted ``for`` loop would.
-                if rounds >= MAX_DISPATCH_ROUNDS:
-                    raise RuntimeError(
-                        f"scheduler {type(scheduler).__name__} did not converge "
-                        f"after {MAX_DISPATCH_ROUNDS} dispatch rounds at "
-                        f"t={now:.3f} ms"
-                    )
-                if have_hint:
-                    # --- does the wake hint prove schedule() inert? ---
-                    if hint_same_instant and (
-                        last_schedule_ms != now
-                        or last_schedule_membership != pool.membership_version
-                    ):
-                        eligible = False
-                    else:
-                        eligible = True
-                        if pending_values:
-                            for executor in executors:
-                                free = executor._capacity - executor._allocated
-                                if free < 0.0:
-                                    free = 0.0
-                                if free >= hint_threshold:
-                                    eligible = False
-                                    break
-                    if eligible:
-                        dispatches_elided += 1
-                        if (
-                            rounds == 0
-                            and not stale
-                            and fault_at != now
-                            and (
-                                best_at == now
-                                or (
-                                    comp_heap
-                                    and comp_heap[0][0] == now
-                                    and comp_heap[0][2] != _RETRY
-                                )
-                            )
-                        ):
-                            events_coalesced += 1
-                        break
-                rounds += 1
-                dispatch_rounds += 1
-                view._now_ms = now
-                decision = scheduler.schedule(view)
-                if have_hint:
-                    # Captured before the decision is applied, so drops and
-                    # finalizations bump the membership version past this
-                    # snapshot and correctly re-arm the next round.
-                    last_schedule_ms = now
-                    last_schedule_membership = pool.membership_version
-                assignments = decision.assignments
-                drops = decision.drops
-                if not assignments and not drops:
-                    break
-                # ------------- apply decision (inlined) -------------
-                applied = 0
-                for request in drops:
-                    # Skip unless PENDING == the spec's "finished or
-                    # RUNNING" guard (the state space has no other values).
-                    if request.state is not pending_state:
-                        continue
-                    request.mark_dropped(now)
-                    if tracer is not None:
-                        self._trace(request, "dropped")
-                    self._finalize_request(request)
-                    applied += 1
-                for assignment in assignments:
-                    request = assignment.request
-                    if request.state is not pending_state:
-                        continue
-                    executor = executors[assignment.acc_id]
-                    if default_resources:
-                        # Inlined pe_fraction admission (can_accept_assignment).
-                        free = executor._capacity - executor._allocated
-                        if free < 0.0:
-                            free = 0.0
-                        if assignment.pe_fraction > free + 1e-9:
-                            continue
-                    elif not executor.can_accept_assignment(assignment):
-                        continue
-                    if assignment.switch_to_variant is not None and not request.started:
-                        old_name = request.model_name
-                        request.switch_variant(assignment.switch_to_variant)
-                        if request.model_name != old_name and tracer is not None:
-                            self._trace(
-                                request, "variant_switch",
-                                detail=f"{old_name} -> {request.model_name}",
-                            )
-                    record = executor.start(assignment, now)
-                    pool.note_dispatched(request)
-                    if tracer is not None:
-                        self._trace_dispatch(assignment, record)
-                    heappush(
-                        comp_heap,
-                        (
-                            record.slot.end_ms,
-                            comp_seq,
-                            (assignment.acc_id << _ACC_SHIFT) | record.slot.slot_id,
-                        ),
-                    )
-                    comp_seq += 1
-                    occupancy = self._queued + len(comp_heap)
-                    if occupancy > self.peak_event_heap:
-                        self.peak_event_heap = occupancy
-                    applied += 1
-                if applied == 0:
-                    break
-
-        self.events_processed += events_processed
-        self.dispatch_rounds += dispatch_rounds
-        self.dispatches_elided += dispatches_elided
-        self.events_coalesced += events_coalesced
+            handlers[kind](payload)
+            dispatch(time_ms)
 
     # ------------------------------------------------------------------ #
     # event handling
@@ -729,72 +418,9 @@ class SimulationEngine:
             )
         )
 
-    def _start_arrival_slots(self) -> None:
-        """Give each head task an arrival slot, in task-name order, and prime it."""
-        plan = sorted(head_arrival_plan(self.scenario), key=lambda entry: entry[0].name)
-        self._slot_tasks = [task for task, _offset_ms in plan]
-        self._slot_iters = [
-            iter(
-                task_frame_stream(
-                    task,
-                    offset_ms=offset_ms,
-                    end_ms=self.duration_ms,
-                    seed=self.seed,
-                    default_jitter_ms=self.jitter_ms,
-                )
-            )
-            for task, offset_ms in plan
-        ]
-        self._slot_times = [_INF] * len(plan)
-        self._slot_frames = [None] * len(plan)
-        self._slot_last = [-_INF] * len(plan)
-        for index in range(len(plan)):
-            self._refill_slot(index)
-
-    def _refill_slot(self, index: int) -> None:
-        """Pull one frame into arrival slot ``index`` (the fast loop's
-        :meth:`_push_next_arrival`, with the same out-of-order clamp)."""
-        iterator = self._slot_iters[index]
-        if iterator is None:
-            return
-        frame = next(iterator, None)
-        if frame is None:
-            self._slot_iters[index] = None
-            self._slot_times[index] = _INF
-            self._slot_frames[index] = None
-            return
-        arrival = frame.arrival_ms
-        last = self._slot_last[index]
-        if arrival < last:
-            frame = replace(
-                frame, arrival_ms=last, deadline_ms=max(frame.deadline_ms, last)
-            )
-            arrival = last
-        self._slot_last[index] = arrival
-        self._slot_times[index] = arrival
-        self._slot_frames[index] = frame
-        self._queued += 1
-        occupancy = self._queued + len(self._comp_heap)
-        if occupancy > self.peak_event_heap:
-            self.peak_event_heap = occupancy
-
-    def _best_arrival(self) -> int:
-        """Index of the earliest arrival slot (-1 when none is pending).
-
-        The first strict minimum in task-name order is the heap's
-        ``(arrival_ms, task_name)`` ordering.
-        """
-        best = _INF
-        best_i = -1
-        for i, t in enumerate(self._slot_times):
-            if t < best:
-                best = t
-                best_i = i
-        return best_i
-
     def _handle_arrival(self, frame) -> None:
         self._push_next_arrival(frame.task_name)
-        task = self.scenario.task(frame.task_name)
+        task = self._tasks_by_name[frame.task_name]
         request = InferenceRequest(
             task_name=task.name,
             model=task.default_model,
@@ -835,34 +461,24 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # fault injection
     # ------------------------------------------------------------------ #
-    def _fault_edges(self) -> list[tuple[float, int, int]]:
-        """Every fault window's edges as ``(time_ms, phase, index)``, in firing order.
-
-        Phase 0 is the recovery (window end) and phase 1 the activation, so
-        at equal times recoveries fire before activations — a back-to-back
-        outage hands capacity back before the next window opens — and
-        everything stays deterministic under ties.  Both loops fire fault
-        edges before arrivals and completions at the same instant.
-        """
-        return sorted(
-            edge
-            for index, spec in enumerate(self.faults)
-            for edge in ((spec.start_ms, 1, index), (spec.end_ms, 0, index))
-        )
-
     def _arm_faults(self) -> None:
-        """Push every fault edge onto the reference loop's event heap."""
-        for time_ms, phase, index in self._fault_edges():
-            self._heap_push(
-                (time_ms, _PRIO_FAULT, (phase, index), _EVENT_FAULT, (phase, index))
-            )
+        """Push both edges of every fault window onto the event heap.
 
-    def _handle_fault(self, phase: int, index: int) -> list[tuple[float, InferenceRequest]]:
-        """Fire one fault edge; returns the retries an outage scheduled.
-
-        The retries come back as ``(re-arrival time, request)`` pairs for
-        the calling loop to enqueue as completion-class events, in order.
+        Edges are keyed ``(time, _PRIO_FAULT, (phase, index))``: they fire
+        before arrivals and completions at the same instant, and phase 0
+        (the recovery, window end) fires before phase 1 (the activation),
+        so a back-to-back outage hands capacity back before the next window
+        opens and ties stay deterministic.
         """
+        for index, spec in enumerate(self.faults):
+            for time_ms, phase in ((spec.start_ms, 1), (spec.end_ms, 0)):
+                self._heap_push(
+                    (time_ms, _PRIO_FAULT, (phase, index), _EVENT_FAULT, (phase, index))
+                )
+
+    def _handle_fault(self, edge: tuple[int, int]) -> None:
+        """Fire one fault edge (an outage's begin also aborts in-flight work)."""
+        phase, index = edge
         spec = self.faults[index]
         if phase:
             self._active_faults.add(index)
@@ -879,17 +495,19 @@ class SimulationEngine:
                 detail=f"magnitude={spec.magnitude:g}",
             )
         self._refresh_fault_state()
+        # Capacity moved without a membership change: let no same-instant
+        # wake hint elide the next consultation.
+        self._last_schedule = None
         if phase and spec.kind == "platform_outage":
-            return self._abort_in_flight()
-        return []
+            self._abort_in_flight()
 
     def _refresh_fault_state(self) -> None:
         """Recompute every executor's capacity/latency from the open windows.
 
         Concurrent degrades compose by ``min`` (most degraded wins),
         stalls by ``max`` (slowest wins), and any open outage zeroes the
-        whole platform.  The views and the fast loop's elision predicates
-        read the executors live, so they see the new free fractions at once.
+        whole platform.  The views and the elision predicate read the
+        executors live, so they see the new free fractions at once.
         """
         active = [self.faults[i] for i in sorted(self._active_faults)]
         outage = any(spec.kind == "platform_outage" for spec in active)
@@ -908,17 +526,16 @@ class SimulationEngine:
             executor.set_capacity(capacity)
             executor.set_latency_factor(factor)
 
-    def _abort_in_flight(self) -> list[tuple[float, InferenceRequest]]:
+    def _abort_in_flight(self) -> None:
         """Kill every in-flight slot (outage begin) and re-queue or fail.
 
         Each aborted request is either re-queued with exponential backoff
         (``retry_backoff_ms * 2**(retries-1)``) while its bounded retry
         budget lasts, or terminally accounted as ``failed`` — exactly one
-        of the two, which the ``fault_conservation`` oracle audits.
-        Returns the ``(re-arrival time, request)`` retries in abort order.
+        of the two, which the ``fault_conservation`` oracle audits.  Each
+        retry is a completion-class event, pushed in abort order.
         """
         now = self._now
-        retries: list[tuple[float, InferenceRequest]] = []
         for executor in self._executors:
             aborted = executor.abort_all(now)
             if not aborted:
@@ -940,14 +557,13 @@ class SimulationEngine:
                 self.scheduler.on_request_finished(request, now)
                 if request.retries <= self.retry_budget:
                     backoff = self.retry_backoff_ms * (2.0 ** (request.retries - 1))
-                    retries.append((now + backoff, request))
+                    self._push_event(now + backoff, _EVENT_RETRY, request)
                 else:
                     request.mark_failed(now)
                     self.requests_failed += 1
                     if self.tracer is not None:
                         self._trace(request, "failed", detail="retry budget exhausted")
                     self._accumulate_stats(request)
-        return retries
 
     def _handle_retry(self, request: InferenceRequest) -> None:
         """Re-queue an aborted request after its backoff elapsed."""
@@ -961,60 +577,74 @@ class SimulationEngine:
         self.scheduler.on_request_arrival(request, self._now)
 
     def _spawn_cascades(self, parent: InferenceRequest) -> None:
-        parent_task = self.scenario.task(parent.task_name)
-        for child in self.scenario.children_of(parent_task.name):
+        """Spawn each child task whose trigger fires on ``parent``'s completion.
+
+        A cascade's budget is anchored to the originating sensor frame.  A
+        multi-turn interaction starts the instant the upstream request
+        completes, as a fresh frame due one period from now.
+        """
+        now = self._now
+        for child in self.scenario.children_of(parent.task_name):
             if self._rng.random() >= child.trigger_probability:
                 continue
-            if child.interaction:
-                # Multi-turn interaction: the next turn starts the instant
-                # the upstream request completes, with a fresh deadline one
-                # period from now — unlike a cascade, whose budget is
-                # anchored to the originating sensor frame.
-                request = InferenceRequest(
-                    task_name=child.name,
-                    model=child.default_model,
-                    frame_id=parent.frame_id,
-                    arrival_ms=self._now,
-                    deadline_ms=self._now + child.period_ms,
-                    frame_arrival_ms=self._now,
-                    rng=self._rng,
-                    parent_task=parent.task_name,
-                )
-                self._pool.add(request)
-                if self.tracer is not None:
-                    self._trace(
-                        request, "interaction_arrival",
-                        detail=f"turn after {parent.task_name}",
-                    )
-                self.scheduler.on_request_arrival(request, self._now)
-                continue
-            deadline = parent.frame_arrival_ms + child.period_ms
+            frame_arrival_ms = now if child.interaction else parent.frame_arrival_ms
             request = InferenceRequest(
                 task_name=child.name,
                 model=child.default_model,
                 frame_id=parent.frame_id,
-                arrival_ms=self._now,
-                deadline_ms=max(deadline, self._now),
-                frame_arrival_ms=parent.frame_arrival_ms,
+                arrival_ms=now,
+                deadline_ms=max(frame_arrival_ms + child.period_ms, now),
+                frame_arrival_ms=frame_arrival_ms,
                 rng=self._rng,
                 parent_task=parent.task_name,
             )
             self._pool.add(request)
             if self.tracer is not None:
-                self._trace(request, "cascade_arrival", detail=f"from {parent.task_name}")
-            self.scheduler.on_request_arrival(request, self._now)
+                if child.interaction:
+                    self._trace(
+                        request, "interaction_arrival",
+                        detail=f"turn after {parent.task_name}",
+                    )
+                else:
+                    self._trace(request, "cascade_arrival", detail=f"from {parent.task_name}")
+            self.scheduler.on_request_arrival(request, now)
 
     # ------------------------------------------------------------------ #
     # dispatching
     # ------------------------------------------------------------------ #
     def _dispatch(self, now: float) -> None:
-        """Expire, then consult the scheduler until it has nothing to apply."""
-        self._expire_stale(now)
+        """Expire, then consult the scheduler until it has nothing to apply.
+
+        With a wake hint (fast mode, elision on), a round the hint proves
+        inert is skipped and counted in ``dispatches_elided`` instead.  An
+        elided first round with nothing stale also counts in
+        ``events_coalesced`` if and only if the heap's next event is an
+        arrival or a completion at the same instant: the instant runs one
+        effective dispatch for both.
+        """
+        stale = self._expire_stale(now)
+        hint = self._hint
         view = self._view
-        for _ in range(MAX_DISPATCH_ROUNDS):
+        for rounds in range(MAX_DISPATCH_ROUNDS):
+            if hint is not None and self._is_inert(hint, now):
+                self.dispatches_elided += 1
+                events = self._events
+                if (
+                    rounds == 0
+                    and not stale
+                    and events
+                    and events[0][0] == now
+                    and events[0][3] in (_EVENT_ARRIVAL, _EVENT_COMPLETE)
+                ):
+                    self.events_coalesced += 1
+                return
             self.dispatch_rounds += 1
             view._now_ms = now
             decision = self.scheduler.schedule(view)
+            if hint is not None:
+                # Captured before the decision is applied, so drops and
+                # finalizations bump the membership version past it.
+                self._last_schedule = (now, self._pool.membership_version)
             if decision.is_empty or self._apply_decision(decision, now) == 0:
                 return
         raise RuntimeError(
@@ -1022,10 +652,28 @@ class SimulationEngine:
             f"{MAX_DISPATCH_ROUNDS} dispatch rounds at t={now:.3f} ms"
         )
 
-    def _expire_stale(self, now: float) -> None:
+    def _is_inert(self, hint: "WakeHint", now: float) -> bool:
+        """Whether ``hint`` proves a ``schedule()`` call at ``now`` inert.
+
+        Re-derived from the live pool and executors at every scheduling
+        point: a free fraction only moves through dispatch, completion and
+        fault transitions, never through the passage of time.
+        """
+        if hint.same_instant_only and self._last_schedule != (now, self._pool.membership_version):
+            return False
+        if self._pool._pending_values:
+            threshold = hint.min_free_fraction - 1e-9
+            for executor in self._executors:
+                if executor.free_fraction >= threshold:
+                    return False
+        return True
+
+    def _expire_stale(self, now: float) -> bool:
+        """Expire every stale request; return whether there was any."""
         if self.expire_after_periods is None:
-            return
-        for request in self._pool.collect_stale(now):
+            return False
+        stale = self._pool.collect_stale(now)
+        for request in stale:
             # Expiry is only *detected* at event times, but the request
             # became useless at deadline + grace — stamp that true instant
             # (min() guards the degenerate grace-crosses-now case) rather
@@ -1035,11 +683,13 @@ class SimulationEngine:
             request.mark_expired(min(now, request.deadline_ms + grace_ms))
             self._trace(request, "expired")
             self._finalize_request(request)
+        return bool(stale)
 
     def _apply_decision(self, decision: SchedulingDecision, now: float) -> int:
         applied = 0
         for request in decision.drops:
-            if request.is_finished or request.state is RequestState.RUNNING:
+            # Only a PENDING request can go: the rest run or have finished.
+            if request.state is not RequestState.PENDING:
                 continue
             request.mark_dropped(now)
             self._trace(request, "dropped")
@@ -1047,7 +697,7 @@ class SimulationEngine:
             applied += 1
         for assignment in decision.assignments:
             request = assignment.request
-            if request.is_finished or request.state is not RequestState.PENDING:
+            if request.state is not RequestState.PENDING:
                 continue
             executor = self._executors[assignment.acc_id]
             if not executor.can_accept_assignment(assignment):
@@ -1171,7 +821,7 @@ class SimulationEngine:
         )
 
     def _trace_dispatch(self, assignment, record) -> None:
-        """Trace one accepted dispatch (shared by every event loop).
+        """Trace one accepted dispatch.
 
         The default model records the historical detail string and the
         *requested* ``pe_fraction`` — byte-identical to the pre-refactor

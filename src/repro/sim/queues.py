@@ -20,11 +20,11 @@ incremental indices instead of re-scanning and re-sorting on each query:
   never scans the pool;
 * a deadline min-heap keyed ``deadline + grace`` (lazy deletion), so
   :meth:`~RequestPool.collect_stale` touches only requests whose expiry
-  actually came due instead of scanning the whole pool per event; and
-* a monotonic :attr:`~RequestPool.membership_version` counter plus the
-  O(1) :meth:`~RequestPool.has_stale` peek, which the engine's
-  dispatch-elision layer keys on to prove that a scheduler consultation
-  cannot change the outcome.
+  actually came due instead of scanning the whole pool per event, and
+  returns at once when none did; and
+* a monotonic :attr:`~RequestPool.membership_version` counter, which the
+  engine's dispatch-elision layer keys on to prove that a scheduler
+  consultation cannot change the outcome.
 
 :class:`ReferenceRequestPool` retains the original scan-everything
 implementation behind the queries the reference event loop makes; the
@@ -218,30 +218,6 @@ class RequestPool:
         """
         self._grace_ms_by_task = grace_ms_by_task
 
-    def has_stale(self, now: float) -> bool:
-        """Whether :meth:`collect_stale` would return anything — a cheap peek.
-
-        Prunes dead entries (started / finished / departed requests) from
-        the top of the expiry heap — exactly the entries
-        :meth:`collect_stale` would discard anyway — so lazy deletion never
-        makes the peek pessimistic.  Used by the engine's event-coalescing
-        layer: an intermediate dispatch can only be skipped when no expiry
-        is due at the current instant.
-        """
-        if self._grace_ms_by_task is None:
-            return False
-        heap = self._expiry_heap
-        while heap and heap[0][0] < now:
-            request = self._all.get(heap[0][1])
-            if (
-                request is not None
-                and request.state is RequestState.PENDING
-                and not request.started
-            ):
-                return True
-            heapq.heappop(heap)
-        return False
-
     def collect_stale(self, now: float) -> list[InferenceRequest]:
         """Stale requests per the configured grace periods, oldest-id first.
 
@@ -258,9 +234,9 @@ class RequestPool:
         ``request_id`` — creation order, matching the order the historical
         full-pool scan produced.
         """
-        if self._grace_ms_by_task is None or not self._expiry_heap:
-            return []
         heap = self._expiry_heap
+        if self._grace_ms_by_task is None or not heap or heap[0][0] >= now:
+            return []
         stale: list[InferenceRequest] = []
         seen: set[int] = set()
         while heap and heap[0][0] < now:

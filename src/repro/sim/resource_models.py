@@ -163,8 +163,7 @@ def make_resource_model(name: str, scenario: "Scenario") -> Optional[KvBatchMode
     """Build the shared resource-model instance for one engine.
 
     Returns ``None`` for ``pe_fraction``, the executor's own default
-    arithmetic, so the executors and the fast loop test one attribute
-    for it.
+    arithmetic, so the executors test one attribute for it.
 
     Raises:
         ValueError: for unknown names, listing the sorted registry.

@@ -6,8 +6,9 @@ same-timestamp events around provably-inert dispatches.  These tests
 differential-run every registered scheduler with elision forced off vs on
 (results ``to_dict()``, full traces and final stats must be identical),
 check that saturated stretches actually elide, exercise coalescing with a
-deliberately colliding traffic model, and pin down the supporting pool
-counter semantics.
+deliberately colliding traffic model, pin every engine counter where
+arrivals, completions, fault edges and retries collide, and pin down the
+supporting pool counter semantics.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.experiments.jobs import generated_context, shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.base import WakeHint
 from repro.sim import RequestPool, SimulationEngine, Tracer
+from repro.sim.faults import FaultSpec
 from repro.sim.request import InferenceRequest
 from repro.workloads import GeneratorSpec
 from repro.workloads.scenario import Scenario, TaskSpec
@@ -221,6 +223,80 @@ def test_coalescing_drains_simultaneous_events_bit_for_bit():
     assert results[True][2].events_processed == results[False][2].events_processed
 
 
+#: Fault settings of the collision pins.  ``grid_faults`` puts every edge
+#: (80, 104, 160, 200 and 240 ms) and every outage retry (88 ms, with an
+#: 8 ms backoff) on the aligned scenario's 8 ms arrival grid, so fault
+#: edges and retries collide with arrivals and completions; at 200 ms a
+#: recovery and an activation fire together.  ``stacked_faults`` opens
+#: and closes two stalls at one instant, so one fault edge is next in line
+#: after another.
+_COLLISION_FAULTS = {
+    "no_faults": None,
+    "grid_faults": (
+        FaultSpec("platform_outage", start_ms=80.0, duration_ms=24.0),
+        FaultSpec("accel_degrade", start_ms=160.0, duration_ms=40.0, acc_id=0, magnitude=0.5),
+        FaultSpec("transient_stall", start_ms=200.0, duration_ms=40.0, acc_id=1, magnitude=2.0),
+    ),
+    "stacked_faults": (
+        FaultSpec("transient_stall", start_ms=304.0, duration_ms=16.0, acc_id=1, magnitude=2.0),
+        FaultSpec("transient_stall", start_ms=304.0, duration_ms=16.0, acc_id=2, magnitude=2.0),
+    ),
+}
+
+_ENGINE_COUNTERS = (
+    "events_processed",
+    "dispatch_rounds",
+    "dispatches_elided",
+    "events_coalesced",
+    "peak_event_heap",
+    "requests_aborted",
+    "requests_retried",
+    "requests_failed",
+)
+
+#: Fast-engine counters of the aligned scenario (400 ms on 4k_1ws_2os), in
+#: ``_ENGINE_COUNTERS`` order.
+_COLLISION_COUNTERS = {
+    ("fcfs_dynamic", "no_faults"): (191, 91, 191, 48, 5, 0, 0, 0),
+    ("fcfs_dynamic", "grid_faults"): (192, 81, 192, 49, 13, 3, 3, 0),
+    ("fcfs_dynamic", "stacked_faults"): (193, 89, 193, 50, 9, 0, 0, 0),
+    ("planaria", "no_faults"): (8300, 8197, 8300, 48, 8, 0, 0, 0),
+    ("planaria", "grid_faults"): (8312, 8198, 8312, 52, 13, 3, 3, 0),
+    ("planaria", "stacked_faults"): (8304, 8197, 8304, 50, 12, 0, 0, 0),
+    ("dream_fixed", "no_faults"): (8300, 8200, 8300, 48, 5, 0, 0, 0),
+    ("dream_fixed", "grid_faults"): (8312, 8201, 8312, 52, 13, 3, 3, 0),
+    ("dream_fixed", "stacked_faults"): (8304, 8200, 8304, 50, 9, 0, 0, 0),
+    ("dream_full", "no_faults"): (7698, 7716, 7588, 0, 5, 0, 0, 0),
+    ("dream_full", "grid_faults"): (8241, 8261, 8118, 0, 13, 3, 3, 0),
+    ("dream_full", "stacked_faults"): (7701, 7720, 7588, 0, 9, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(_COLLISION_FAULTS))
+@pytest.mark.parametrize("scheduler_name", ("fcfs_dynamic", "planaria", "dream_fixed", "dream_full"))
+def test_colliding_events_pin_every_engine_counter(scheduler_name, faults):
+    """Elision and coalescing counts where arrivals, completions, fault
+    edges and retries share instants.  Only an elided first round whose
+    next event is an arrival or a completion at the same instant counts
+    as coalesced; a fault edge or a retry next in line does not."""
+    from repro.hardware import CostTable, make_platform
+
+    scenario = _aligned_scenario()
+    platform = make_platform(_PLATFORM)
+    engine = SimulationEngine(
+        scenario=scenario,
+        platform=platform,
+        scheduler=make_scheduler(scheduler_name),
+        duration_ms=400.0,
+        seed=0,
+        cost_table=CostTable.build(platform, scenario.all_model_graphs()),
+        faults=_COLLISION_FAULTS[faults],
+        retry_backoff_ms=8.0,
+    )
+    expected = dict(zip(_ENGINE_COUNTERS, _COLLISION_COUNTERS[scheduler_name, faults]))
+    assert engine.run().engine_counters == expected
+
+
 # --------------------------------------------------------------------- #
 # wake-hint declarations + counter surface
 # --------------------------------------------------------------------- #
@@ -319,15 +395,14 @@ def test_pool_has_pending_and_versions_track_membership():
     assert pool.running_snapshot() == ()
 
 
-def test_has_stale_agrees_with_collect_stale():
+def test_collect_stale_keeps_entries_that_are_not_yet_due():
     pool = RequestPool()
     pool.configure_expiry({"t": 5.0})
     request = _request(deadline=10.0)
     pool.add(request)
-    assert not pool.has_stale(10.0)
-    assert not pool.has_stale(15.0)  # deadline + grace not yet strictly passed
-    assert pool.has_stale(15.1)
-    # has_stale must not consume the entry: collect_stale still returns it.
+    assert pool.collect_stale(10.0) == []
+    assert pool.collect_stale(15.0) == []  # deadline + grace not yet strictly passed
+    # The early returns above must not consume the entry.
     assert pool.collect_stale(15.1) == [request]
 
 
@@ -356,14 +431,3 @@ def test_scheduler_memo_caches_stay_bounded_by_live_requests():
             assert len(scheduler.dispatch_engine._statics_cache) <= live_bound
             assert len(scheduler.map_score_engine._to_go_cache) <= live_bound
             assert len(scheduler.frame_drop_engine._to_go_cache) <= live_bound
-
-
-def test_has_stale_prunes_dead_entries_only():
-    pool = RequestPool()
-    pool.configure_expiry({"t": 5.0})
-    request = _request(deadline=10.0)
-    pool.add(request)
-    pool.note_dispatched(request)  # started requests can never expire
-    request.mark_running()
-    assert not pool.has_stale(20.0)
-    assert pool.collect_stale(20.0) == []

@@ -165,7 +165,7 @@ class TestKvBatchEngine:
 
     def test_mode_and_loop_parity_under_kv(self, tiny_scenario, tiny_platform,
                                            tiny_cost_table):
-        # Fast mode runs the production loop, reference mode the heap loop.
+        # Both modes run one loop, over different components.
         canonical, _ = _EngineRunner.run(
             tiny_scenario, tiny_platform, tiny_cost_table, with_tracer=False
         )
