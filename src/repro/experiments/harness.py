@@ -58,18 +58,6 @@ class GridResult:
 
     results: dict[ExperimentCell, SimulationResult] = field(default_factory=dict)
 
-    def uxcost(self, cell: ExperimentCell) -> float:
-        """UXCost of one cell."""
-        return self.results[cell].uxcost
-
-    def by_scheduler(self, scenario: str, platform: str) -> dict[str, SimulationResult]:
-        """Results of all schedulers for one (scenario, platform) pair."""
-        return {
-            cell.scheduler: result
-            for cell, result in self.results.items()
-            if cell.scenario == scenario and cell.platform == platform
-        }
-
     def uxcost_table(self) -> dict[str, dict[str, float]]:
         """Nested mapping ``"scenario/platform" -> scheduler -> UXCost``."""
         table: dict[str, dict[str, float]] = {}
@@ -77,15 +65,6 @@ class GridResult:
             config = f"{cell.scenario}/{cell.platform}"
             table.setdefault(config, {})[cell.scheduler] = result.uxcost
         return table
-
-    def geomean_uxcost(self, scheduler: str) -> float:
-        """Geometric-mean UXCost of one scheduler across all its cells."""
-        values = [
-            result.uxcost
-            for cell, result in self.results.items()
-            if cell.scheduler == scheduler
-        ]
-        return geometric_mean(values)
 
     def geomean_reduction(self, target: str, baseline: str) -> float:
         """Geomean fractional UXCost reduction of ``target`` vs ``baseline``.

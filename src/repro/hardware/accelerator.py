@@ -53,11 +53,6 @@ class ContextSwitchCost:
     latency_ms: float
     energy_mj: float
 
-    @staticmethod
-    def zero() -> "ContextSwitchCost":
-        """A free context switch (same task stays resident)."""
-        return ContextSwitchCost(latency_ms=0.0, energy_mj=0.0)
-
 
 @dataclass(frozen=True)
 class Accelerator:
@@ -104,32 +99,6 @@ class Accelerator:
     def peak_macs_per_ms(self) -> float:
         """Peak MAC throughput (one MAC per PE per cycle) per millisecond."""
         return self.num_pes * self.clock_hz / 1e3
-
-    def scaled(self, pe_fraction: float, acc_id: int | None = None) -> "Accelerator":
-        """Return a logically partitioned copy with a fraction of the PEs.
-
-        Used by the Planaria baseline, which spatially fissions an
-        accelerator among concurrent DNNs.  SRAM and bandwidth shares scale
-        with the PE fraction.
-
-        Args:
-            pe_fraction: fraction of PEs allocated to the partition (0, 1].
-            acc_id: id of the partition; defaults to this accelerator's id.
-
-        Raises:
-            ValueError: if ``pe_fraction`` is not in (0, 1].
-        """
-        if not 0.0 < pe_fraction <= 1.0:
-            raise ValueError(f"pe_fraction must be in (0, 1], got {pe_fraction}")
-        return Accelerator(
-            acc_id=self.acc_id if acc_id is None else acc_id,
-            name=f"{self.name}/x{pe_fraction:.2f}",
-            dataflow=self.dataflow,
-            num_pes=max(1, int(round(self.num_pes * pe_fraction))),
-            sram_bytes=max(1, int(round(self.sram_bytes * pe_fraction))),
-            dram_bandwidth_gbps=self.dram_bandwidth_gbps * pe_fraction,
-            clock_hz=self.clock_hz,
-        )
 
     def context_switch_cost(
         self, flush_bytes: float, fetch_bytes: float

@@ -35,10 +35,6 @@ class DynamicBehavior(abc.ABC):
         """The longest possible path (what a static scheduler must assume)."""
         return list(range(num_layers))
 
-    def best_case_path(self, num_layers: int) -> list[int]:
-        """The shortest possible path (used by smart frame drop bounds)."""
-        return list(range(num_layers))
-
 
 @dataclass(frozen=True)
 class StaticExecution(DynamicBehavior):
@@ -72,10 +68,6 @@ class LayerSkipping(DynamicBehavior):
                 skipped.update(block)
         return [idx for idx in range(num_layers) if idx not in skipped]
 
-    def best_case_path(self, num_layers: int) -> list[int]:
-        skippable = {idx for block in self.blocks for idx in block}
-        return [idx for idx in range(num_layers) if idx not in skippable]
-
 
 @dataclass(frozen=True)
 class EarlyExit(DynamicBehavior):
@@ -105,9 +97,3 @@ class EarlyExit(DynamicBehavior):
             if probability is not None and rng.random() < probability:
                 break
         return path
-
-    def best_case_path(self, num_layers: int) -> list[int]:
-        if not self.exit_points:
-            return list(range(num_layers))
-        first_exit = min(layer_index for layer_index, _ in self.exit_points)
-        return list(range(min(first_exit + 1, num_layers)))

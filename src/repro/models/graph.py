@@ -81,12 +81,6 @@ class ModelGraph:
         self._validate_path(path)
         return path
 
-    def best_case_path(self) -> list[int]:
-        """Shortest possible execution path (frame-drop lower bound)."""
-        path = self.dynamic_behavior.best_case_path(self.num_layers)
-        self._validate_path(path)
-        return path
-
     def _validate_path(self, path: Sequence[int]) -> None:
         if not path:
             raise ValueError(f"model {self.name!r}: execution path is empty")

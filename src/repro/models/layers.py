@@ -61,29 +61,6 @@ class Layer:
                 f"layer {self.name!r}: parallelism measures must be positive"
             )
 
-    @property
-    def total_bytes(self) -> int:
-        """Total operand footprint (weights + input + output)."""
-        return self.weight_bytes + self.input_bytes + self.output_bytes
-
-    def scaled(self, mac_scale: float, name: str | None = None) -> "Layer":
-        """Return a copy with MACs, traffic and parallelism scaled.
-
-        Used to derive lighter Supernet variants from a base layer.
-        """
-        if mac_scale <= 0:
-            raise ValueError("mac_scale must be positive")
-        return Layer(
-            name=name or self.name,
-            op_type=self.op_type,
-            macs=max(1, int(self.macs * mac_scale)),
-            weight_bytes=max(1, int(self.weight_bytes * mac_scale)),
-            input_bytes=max(1, int(self.input_bytes * mac_scale)),
-            output_bytes=max(1, int(self.output_bytes * mac_scale)),
-            output_elements=max(1, int(self.output_elements * mac_scale)),
-            weight_elements=max(1, int(self.weight_elements * mac_scale)),
-        )
-
 
 def _out_dim(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution / pooling window."""

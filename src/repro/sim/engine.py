@@ -27,6 +27,17 @@ break on push order) and simultaneous arrivals order by task name (the
 materialized path sorted frames by ``(arrival_ms, task_name)``), so
 results are bit-for-bit unchanged.
 
+Measurement policy
+------------------
+The engine has one policy and no option to change it; the glossary
+(``docs/glossary.md``: "measured frame", "expiry", "sensor jitter")
+states it.  A request is measured iff its deadline falls inside the
+window (:meth:`SimulationEngine._is_measured`); a never-started request
+expires one task period after its deadline and is stamped at that
+instant (:meth:`SimulationEngine._expire_stale`); and head-task frames
+get :data:`~repro.workloads.frames.SENSOR_JITTER_MS` of uniform jitter
+unless their traffic model sets its own.
+
 Schedulers must implement the small protocol documented in
 :class:`repro.schedulers.base.Scheduler`; the engine only relies on the
 methods ``bind``, ``on_request_arrival``, ``schedule``,
@@ -108,7 +119,7 @@ from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
 from repro.sim.results import AcceleratorStats, SimulationResult, TaskStats
 from repro.sim.tracer import Tracer
-from repro.workloads.frames import head_arrival_plan, task_frame_stream
+from repro.workloads.frames import SENSOR_JITTER_MS, head_arrival_plan, task_frame_stream
 from repro.workloads.scenario import Scenario
 from repro.workloads.traffic import Frame
 
@@ -158,13 +169,6 @@ class SimulationEngine:
         cost_table: optional pre-built cost table (rebuilt otherwise); pass
             one in when running many simulations of the same scenario and
             platform to avoid recomputation.
-        expire_after_periods: grace (in task periods) after the deadline
-            before a never-started request is abandoned; ``None`` disables
-            expiry entirely.
-        jitter_ms: uniform frame arrival jitter for tasks whose traffic
-            model does not override it (see ``TaskSpec.traffic``).
-        warmup_ms: frames whose sensor frame arrived before this time are
-            executed but excluded from the measured statistics.
         tracer: optional :class:`~repro.sim.tracer.Tracer` for per-event records.
         mode: ``"fast"`` (default) runs the event loop over the
             incremental components, with dispatch elision; ``"reference"``
@@ -206,9 +210,6 @@ class SimulationEngine:
         duration_ms: float = 2000.0,
         seed: int = 0,
         cost_table: Optional[CostTable] = None,
-        expire_after_periods: Optional[float] = 1.0,
-        jitter_ms: float = 0.5,
-        warmup_ms: float = 0.0,
         tracer: Optional[Tracer] = None,
         mode: str = "fast",
         dispatch_elision: bool = True,
@@ -219,8 +220,6 @@ class SimulationEngine:
     ) -> None:
         if duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
-        if warmup_ms < 0 or warmup_ms >= duration_ms:
-            raise ValueError("warmup_ms must be in [0, duration_ms)")
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; available: {', '.join(sorted(ENGINE_MODES))}"
@@ -243,9 +242,6 @@ class SimulationEngine:
         self.scheduler = scheduler
         self.duration_ms = duration_ms
         self.seed = seed
-        self.jitter_ms = jitter_ms
-        self.warmup_ms = warmup_ms
-        self.expire_after_periods = expire_after_periods
         self.tracer = tracer
         self.mode = mode
         fast = mode == "fast"
@@ -279,7 +275,10 @@ class SimulationEngine:
         #: the heap; their completions are swallowed lazily (always empty in
         #: fault-free runs, so the completion hot path pays one falsy check).
         self._cancelled_slots: set[int] = set()
-        self._pool = RequestPool() if fast else ReferenceRequestPool()
+        #: A never-started request expires one task period after its deadline.
+        self._grace_ms_by_task = {task.name: task.period_ms for task in scenario.tasks}
+        pool_class = RequestPool if fast else ReferenceRequestPool
+        self._pool = pool_class(self._grace_ms_by_task)
         #: The one view every ``schedule()`` call of the run receives.
         self._view = SystemView(platform, self.cost_table, scenario, self._pool, self._executors)
         self._stats: dict[str, TaskStats] = {
@@ -292,13 +291,6 @@ class SimulationEngine:
         self._events: list[tuple[float, int, object, str, object]] = []
         self._event_seq = itertools.count()
         self._now = 0.0
-        self._grace_ms_by_task = {
-            task.name: (expire_after_periods or 0.0) * task.period_ms
-            for task in scenario.tasks
-        }
-        self._pool.configure_expiry(
-            self._grace_ms_by_task if expire_after_periods is not None else None
-        )
         # Streaming arrival state: one lazy frame iterator per head task,
         # at most one pending arrival event each (O(tasks) heap occupancy).
         self._arrival_iters: dict[str, Iterator[Frame]] = {}
@@ -379,7 +371,7 @@ class SimulationEngine:
                     offset_ms=offset_ms,
                     end_ms=self.duration_ms,
                     seed=self.seed,
-                    default_jitter_ms=self.jitter_ms,
+                    default_jitter_ms=SENSOR_JITTER_MS,
                 )
             )
             self._push_next_arrival(task.name)
@@ -596,7 +588,6 @@ class SimulationEngine:
                 deadline_ms=max(frame_arrival_ms + child.period_ms, now),
                 frame_arrival_ms=frame_arrival_ms,
                 rng=self._rng,
-                parent_task=parent.task_name,
             )
             self._pool.add(request)
             if self.tracer is not None:
@@ -670,8 +661,6 @@ class SimulationEngine:
 
     def _expire_stale(self, now: float) -> bool:
         """Expire every stale request; return whether there was any."""
-        if self.expire_after_periods is None:
-            return False
         stale = self._pool.collect_stale(now)
         for request in stale:
             # Expiry is only *detected* at event times, but the request
@@ -679,7 +668,7 @@ class SimulationEngine:
             # (min() guards the degenerate grace-crosses-now case) rather
             # than whatever event happened to run next.  The trace record
             # keeps the detection time so trace time stays monotonic.
-            grace_ms = self._grace_ms_by_task.get(request.task_name, 0.0)
+            grace_ms = self._grace_ms_by_task[request.task_name]
             request.mark_expired(min(now, request.deadline_ms + grace_ms))
             self._trace(request, "expired")
             self._finalize_request(request)
@@ -719,11 +708,8 @@ class SimulationEngine:
     # statistics
     # ------------------------------------------------------------------ #
     def _is_measured(self, request: InferenceRequest) -> bool:
-        """Only frames with a full chance inside the window are measured."""
-        return (
-            request.deadline_ms <= self.duration_ms
-            and request.frame_arrival_ms >= self.warmup_ms
-        )
+        """A frame is measured iff its deadline falls inside the window."""
+        return request.deadline_ms <= self.duration_ms
 
     def _finalize_request(self, request: InferenceRequest) -> None:
         self._pool.remove(request)
@@ -731,11 +717,12 @@ class SimulationEngine:
         self._accumulate_stats(request)
 
     def _accumulate_stats(self, request: InferenceRequest) -> None:
-        """Fold one terminal request into the task statistics.
+        """Fold one terminal or leftover request into the task statistics.
 
         Split from :meth:`_finalize_request` because outage-failed requests
         left the pool (and fired the finished hook) at abort time, before
-        their terminal accounting.
+        their terminal accounting.  A request still live when the event
+        heap drained counts as an unfinished violation.
         """
         if not self._is_measured(request):
             return
@@ -761,6 +748,10 @@ class SimulationEngine:
             stats.expired_frames += 1
         elif request.state is RequestState.FAILED:
             stats.failed_frames += 1
+        else:  # still live when the event heap drained: a violation
+            stats.unfinished_frames += 1
+            stats.violated_frames += 1
+            return
         if request.violated_deadline:
             stats.violated_frames += 1
 
@@ -770,16 +761,8 @@ class SimulationEngine:
             if request.is_finished:
                 continue
             self._trace(request, "unfinished")
-            if not self._is_measured(request):
-                self._pool.remove(request)
-                continue
-            stats = self._stats[request.task_name]
-            stats.total_frames += 1
-            stats.unfinished_frames += 1
-            stats.violated_frames += 1
-            stats.actual_energy_mj += request.energy_mj
-            stats.worst_case_energy_mj += request.worst_case_energy_mj
             self._pool.remove(request)
+            self._accumulate_stats(request)
 
     def _build_result(self) -> SimulationResult:
         for task_name, stats in self._stats.items():

@@ -313,9 +313,7 @@ class AcceleratorExecutor:
         # The engine is the only caller and always passes the exact slice
         # taken at start() (the request stayed RUNNING in between), so the
         # prefix validation is skipped on the fast path.
-        slot.request.record_layers(
-            slot.layer_indices, self.acc_id, now, validate=not self.fast
-        )
+        slot.request.record_layers(slot.layer_indices, now, validate=not self.fast)
         return slot
 
     # ------------------------------------------------------------------ #

@@ -242,7 +242,9 @@ def sample_fault_plan(
 
 
 # --------------------------------------------------------------------- #
-# timeline queries (shared by the engine and the trace oracles)
+# timeline queries over a whole plan (the trace oracles call capacity_at
+# and outage_active; the engine composes fault state from its open-window
+# set in SimulationEngine._refresh_fault_state instead)
 # --------------------------------------------------------------------- #
 
 

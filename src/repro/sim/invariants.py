@@ -31,8 +31,8 @@ of any scenario, platform and scheduler must satisfy:
 
 ``conservation``
     Every request that arrives reaches *exactly one* terminal outcome
-    (complete, dropped, expired, or unfinished-at-window-end): nothing is
-    double-finished and nothing leaks.
+    (complete, dropped, expired, failed, or unfinished-at-window-end):
+    nothing is double-finished and nothing leaks.
 
 ``stats_consistency``
     The per-task counters of the returned
@@ -529,17 +529,13 @@ def check_interaction_causality(
 
 
 def check_stats_consistency(
-    records: Sequence[TraceRecord],
-    result: SimulationResult,
-    warmup_ms: float = 0.0,
+    records: Sequence[TraceRecord], result: SimulationResult
 ) -> list[Violation]:
     """Per-task result counters match the trace's measured-request outcomes.
 
     A request is *measured* when its deadline falls inside the simulated
-    window (the engine's accounting rule with ``warmup_ms=0``).  With a
-    non-zero warmup the trace does not carry enough information to re-derive
-    measured-ness exactly (a cascade's sensor-frame arrival predates its own
-    arrival record), so the check degrades to inequalities.
+    window, the engine's accounting rule, so every counter must match the
+    trace exactly.
     """
     violations: list[Violation] = []
     duration_ms = result.duration_ms
@@ -566,15 +562,12 @@ def check_stats_consistency(
         for event, field_name in stat_fields.items():
             reported = getattr(stats, field_name)
             observed = traced[event]
-            exact = warmup_ms <= 0.0
-            mismatch = reported != observed if exact else reported > observed
-            if mismatch:
-                relation = "!=" if exact else ">"
+            if reported != observed:
                 violations.append(
                     Violation(
                         "stats_consistency",
                         f"task {task_name!r}: result reports "
-                        f"{field_name}={reported} {relation} {observed} measured "
+                        f"{field_name}={reported} != {observed} measured "
                         f"{event!r} events in the trace",
                         duration_ms,
                     )
@@ -747,7 +740,6 @@ def audit_trace(
     trace: "Tracer | Iterable[TraceRecord]",
     scenario: Optional[Scenario] = None,
     result: Optional[SimulationResult] = None,
-    warmup_ms: float = 0.0,
     invariants: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
 ) -> list[Violation]:
@@ -758,7 +750,6 @@ def audit_trace(
             :class:`~repro.sim.tracer.TraceRecord`.
         scenario: required for ``cascade_after_parent`` (skipped otherwise).
         result: required for ``stats_consistency`` (skipped otherwise).
-        warmup_ms: the engine's warmup window, if one was used.
         invariants: optional subset of :data:`INVARIANT_NAMES` to run.
         faults: the declared fault plan; required for
             ``no_dispatch_while_faulted`` and ``degraded_capacity_respected``
@@ -794,7 +785,7 @@ def audit_trace(
         ),
         "conservation": lambda: check_conservation(records),
         "stats_consistency": (
-            (lambda: check_stats_consistency(records, result, warmup_ms))
+            (lambda: check_stats_consistency(records, result))
             if result is not None
             else lambda: []
         ),
@@ -820,7 +811,6 @@ def assert_trace_invariants(
     trace: "Tracer | Iterable[TraceRecord]",
     scenario: Optional[Scenario] = None,
     result: Optional[SimulationResult] = None,
-    warmup_ms: float = 0.0,
     invariants: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
 ) -> None:
@@ -829,7 +819,6 @@ def assert_trace_invariants(
         trace,
         scenario=scenario,
         result=result,
-        warmup_ms=warmup_ms,
         invariants=invariants,
         faults=faults,
     )

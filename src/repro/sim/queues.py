@@ -44,9 +44,14 @@ from repro.sim.request import InferenceRequest, RequestState
 
 
 class RequestPool:
-    """All live (non-terminal) inference requests, counted per task."""
+    """All live (non-terminal) inference requests, counted per task.
 
-    def __init__(self) -> None:
+    Args:
+        grace_ms_by_task: every task's grace after the deadline before a
+            never-started request is stale (see :meth:`collect_stale`).
+    """
+
+    def __init__(self, grace_ms_by_task: Mapping[str, float]) -> None:
         self._all: dict[int, InferenceRequest] = {}
         # task_name -> number of live requests of the task
         self._task_counts: dict[str, int] = {}
@@ -58,7 +63,7 @@ class RequestPool:
         self._pending_ids: set[int] = set()
         self._running_map: dict[int, InferenceRequest] = {}
         # Expiry heap: (deadline + grace, request_id), lazily pruned.
-        self._grace_ms_by_task: Optional[Mapping[str, float]] = None
+        self._grace_ms_by_task = grace_ms_by_task
         self._expiry_heap: list[tuple[float, int]] = []
         # Snapshot caches for the engine's per-round system view, keyed by
         # version counters bumped on every relevant mutation.
@@ -98,8 +103,8 @@ class RequestPool:
         self.membership_version += 1
         if request.state is RequestState.PENDING:
             self._insert_pending(request)
-        if self._grace_ms_by_task is not None and not request.started:
-            grace = self._grace_ms_by_task.get(request.task_name, 0.0)
+        if not request.started:
+            grace = self._grace_ms_by_task[request.task_name]
             heapq.heappush(self._expiry_heap, (request.deadline_ms + grace, request.request_id))
 
     def remove(self, request: InferenceRequest) -> None:
@@ -210,16 +215,8 @@ class RequestPool:
     # ------------------------------------------------------------------ #
     # expiry
     # ------------------------------------------------------------------ #
-    def configure_expiry(self, grace_ms_by_task: Optional[Mapping[str, float]]) -> None:
-        """Enable :meth:`collect_stale` with per-task grace periods.
-
-        Must be called before requests are added (the engine configures the
-        pool right after construction); ``None`` disables expiry tracking.
-        """
-        self._grace_ms_by_task = grace_ms_by_task
-
     def collect_stale(self, now: float) -> list[InferenceRequest]:
-        """Stale requests per the configured grace periods, oldest-id first.
+        """Stale requests per the pool's grace periods, oldest-id first.
 
         A pending, never-started request is stale once ``now > deadline +
         grace`` for its task.  The engine expires such requests (their frame
@@ -235,7 +232,7 @@ class RequestPool:
         full-pool scan produced.
         """
         heap = self._expiry_heap
-        if self._grace_ms_by_task is None or not heap or heap[0][0] >= now:
+        if not heap or heap[0][0] >= now:
             return []
         stale: list[InferenceRequest] = []
         seen: set[int] = set()
@@ -263,13 +260,14 @@ class ReferenceRequestPool:
     Retained verbatim (behind the queries the reference event loop and the
     system view make) so the reference simulation mode reproduces the
     historical cost profile and the regression tests can differential-test
-    the incremental pool against it.
+    the incremental pool against it.  It takes the same per-task grace map
+    as :class:`RequestPool`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, grace_ms_by_task: Mapping[str, float]) -> None:
         self._by_task: dict[str, list[InferenceRequest]] = defaultdict(list)
         self._all: dict[int, InferenceRequest] = {}
-        self._grace_ms_by_task: Optional[Mapping[str, float]] = None
+        self._grace_ms_by_task = grace_ms_by_task
 
     def __len__(self) -> int:
         return len(self._all)
@@ -335,30 +333,19 @@ class ReferenceRequestPool:
         """Per-task live request counts for the given tasks."""
         return {name: self.queue_depth(name) for name in task_names}
 
-    def configure_expiry(self, grace_ms_by_task: Optional[Mapping[str, float]]) -> None:
-        """Store grace periods for :meth:`collect_stale`."""
-        self._grace_ms_by_task = grace_ms_by_task
-
     def collect_stale(self, now: float) -> list[InferenceRequest]:
-        """Stale requests per the configured grace periods, oldest-id first.
+        """Stale requests per the pool's grace periods, oldest-id first.
 
         Sorted by ``request_id`` like :meth:`RequestPool.collect_stale`:
         pool order is not creation order once a fault retry re-adds a
         request at the back of the pool.
         """
-        if self._grace_ms_by_task is None:
-            return []
-        stale = self.stale(now, dict(self._grace_ms_by_task))
-        stale.sort(key=lambda request: request.request_id)
-        return stale
-
-    def stale(self, now: float, grace_ms_by_task: dict[str, float]) -> list[InferenceRequest]:
-        """Pending, never-started requests whose deadline passed too long ago."""
-        result = []
+        stale = []
         for request in self._all.values():
             if request.state is not RequestState.PENDING or request.started:
                 continue
-            grace = grace_ms_by_task.get(request.task_name, 0.0)
+            grace = self._grace_ms_by_task[request.task_name]
             if now > request.deadline_ms + grace:
-                result.append(request)
-        return result
+                stale.append(request)
+        stale.sort(key=lambda request: request.request_id)
+        return stale

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.models.graph import ModelGraph
@@ -41,15 +40,6 @@ class RequestState(enum.Enum):
         )
 
 
-@dataclass(slots=True)
-class CompletedLayer:
-    """Record of one executed layer (the paper's Stack_task entries)."""
-
-    layer_index: int
-    acc_id: int
-    completion_ms: float
-
-
 class InferenceRequest:
     """One inference of one model for one frame.
 
@@ -63,7 +53,6 @@ class InferenceRequest:
         frame_arrival_ms: arrival of the originating sensor frame (equals
             ``arrival_ms`` for head tasks; earlier for cascaded requests).
         rng: generator used to sample the dynamic execution path.
-        parent_task: upstream task name for cascaded requests.
     """
 
     def __init__(
@@ -75,7 +64,6 @@ class InferenceRequest:
         deadline_ms: float,
         frame_arrival_ms: Optional[float] = None,
         rng: Optional[random.Random] = None,
-        parent_task: Optional[str] = None,
     ) -> None:
         if deadline_ms < arrival_ms:
             raise ValueError("deadline_ms must not precede arrival_ms")
@@ -86,17 +74,14 @@ class InferenceRequest:
         self.arrival_ms = arrival_ms
         self.deadline_ms = deadline_ms
         self.frame_arrival_ms = arrival_ms if frame_arrival_ms is None else frame_arrival_ms
-        self.parent_task = parent_task
         self._rng = rng or random.Random(0)
         self.path: list[int] = model.sample_execution_path(self._rng)
         self.next_position: int = 0
         self.state: RequestState = RequestState.PENDING
-        self.completed_layers: list[CompletedLayer] = []
         self.last_progress_ms: float = arrival_ms
         self.completion_ms: Optional[float] = None
         self.energy_mj: float = 0.0
         self.worst_case_energy_mj: float = 0.0
-        self.drop_reason: Optional[str] = None
         self.retries: int = 0
 
     # ------------------------------------------------------------------ #
@@ -157,11 +142,10 @@ class InferenceRequest:
     def record_layers(
         self,
         layer_indices: list[int],
-        acc_id: int,
         completion_ms: float,
         validate: bool = True,
     ) -> None:
-        """Record completion of the given layers on ``acc_id``.
+        """Record completion of the given layers.
 
         ``validate=False`` skips the path-prefix check for callers that
         provably pass the exact slice returned by :meth:`next_layers` (the
@@ -174,10 +158,6 @@ class InferenceRequest:
                     f"request {self.request_id}: completed layers {layer_indices} do not "
                     f"match the expected path prefix {expected}"
                 )
-        for layer_index in layer_indices:
-            self.completed_layers.append(
-                CompletedLayer(layer_index=layer_index, acc_id=acc_id, completion_ms=completion_ms)
-            )
         self.next_position += len(layer_indices)
         self.last_progress_ms = completion_ms
         if self.next_position >= len(self.path):
@@ -186,13 +166,12 @@ class InferenceRequest:
         else:
             self.state = RequestState.PENDING
 
-    def mark_dropped(self, now: float, reason: str = "frame_drop") -> None:
+    def mark_dropped(self, now: float) -> None:
         """Drop the request (smart frame drop); counts as a deadline violation."""
         self._require_active()
         self.state = RequestState.DROPPED
         self.completion_ms = None
         self.last_progress_ms = now
-        self.drop_reason = reason
 
     def mark_expired(self, now: float) -> None:
         """Abandon a stale request whose deadline has long passed."""
@@ -256,7 +235,7 @@ class InferenceRequest:
         Only legal before any layer has executed; the execution path is
         re-sampled from the new variant's dynamic behaviour.
         """
-        if self.next_position != 0 or self.completed_layers:
+        if self.next_position != 0:
             raise ValueError(
                 f"request {self.request_id}: cannot switch variant after execution started"
             )

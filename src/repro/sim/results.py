@@ -60,13 +60,6 @@ class TaskStats:
         return self.violated_frames / self.total_frames
 
     @property
-    def drop_rate(self) -> float:
-        """Fraction of frames proactively dropped."""
-        if self.total_frames == 0:
-            return 0.0
-        return self.dropped_frames / self.total_frames
-
-    @property
     def normalized_energy(self) -> float:
         """Actual energy over worst-case energy for the executed frames."""
         if self.worst_case_energy_mj <= 0:

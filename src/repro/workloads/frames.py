@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.scenario import Scenario, TaskSpec
 
 __all__ = [
+    "SENSOR_JITTER_MS",
     "Frame",
     "generate_frames",
     "head_arrival_plan",
@@ -78,6 +79,12 @@ def task_arrival_rng(seed: int, task_name: str) -> random.Random:
     return random.Random(f"{seed}:{task_name}")
 
 
+#: Uniform arrival jitter (ms) the engine gives every head-task frame whose
+#: traffic model sets none of its own (see "sensor jitter" in
+#: docs/glossary.md).
+SENSOR_JITTER_MS = 0.5
+
+
 def task_frame_stream(
     task: "TaskSpec",
     offset_ms: float,
@@ -87,7 +94,7 @@ def task_frame_stream(
 ) -> Iterator[Frame]:
     """One head task's frame iterator — the single stream construction.
 
-    Resolves the task's traffic model (default: periodic + engine jitter),
+    Resolves the task's traffic model (default: periodic + ``default_jitter_ms``),
     seeds the per-task RNG and opens the frame iterator.  Both the engine's
     streaming arrival sources and the materialized :func:`generate_frames`
     build their streams here, so process selection, RNG seeding and window

@@ -106,8 +106,9 @@ class ArrivalProcess:
             end_ms: end of the generation window.
             rng: random generator owned by the caller; all stochasticity
                 flows through it.
-            default_jitter_ms: the engine-level uniform jitter amplitude,
-                used by processes that do not override it per-task.
+            default_jitter_ms: the caller's uniform jitter amplitude, used
+                by processes that do not override it per task (the engine
+                passes :data:`~repro.workloads.frames.SENSOR_JITTER_MS`).
         """
         raise NotImplementedError
 
@@ -124,8 +125,8 @@ class PeriodicArrival(ArrivalProcess):
     """Strictly periodic frames with uniform arrival jitter (the default).
 
     Attributes:
-        jitter_ms: jitter amplitude; ``None`` inherits the engine's
-            ``jitter_ms`` setting (the historical behaviour).
+        jitter_ms: jitter amplitude; ``None`` inherits the sensor jitter
+            (:data:`~repro.workloads.frames.SENSOR_JITTER_MS` in the engine).
     """
 
     jitter_ms: Optional[float] = None
@@ -281,7 +282,7 @@ class LoadScaledArrival(ArrivalProcess):
     Attributes:
         start_scale: FPS multiple at the window start.
         end_scale: FPS multiple at the window end.
-        jitter_ms: jitter amplitude; ``None`` inherits the engine setting.
+        jitter_ms: jitter amplitude; ``None`` inherits the sensor jitter.
     """
 
     start_scale: float = 1.0

@@ -371,7 +371,7 @@ def _request(task="t", arrival=0.0, deadline=100.0):
 
 
 def test_pool_has_pending_and_versions_track_membership():
-    pool = RequestPool()
+    pool = RequestPool({"t": 5.0})
     assert pool.pending_snapshot() == ()
     membership = pool.membership_version
 
@@ -396,8 +396,7 @@ def test_pool_has_pending_and_versions_track_membership():
 
 
 def test_collect_stale_keeps_entries_that_are_not_yet_due():
-    pool = RequestPool()
-    pool.configure_expiry({"t": 5.0})
+    pool = RequestPool({"t": 5.0})
     request = _request(deadline=10.0)
     pool.add(request)
     assert pool.collect_stale(10.0) == []

@@ -28,17 +28,6 @@ class TestAccelerator:
         acc = Accelerator(0, "a", Dataflow.WEIGHT_STATIONARY, num_pes=1000, clock_hz=1e9)
         assert acc.peak_macs_per_ms == pytest.approx(1e9)
 
-    def test_scaled_partition(self):
-        acc = Accelerator(0, "a", Dataflow.WEIGHT_STATIONARY, num_pes=1024)
-        half = acc.scaled(0.5)
-        assert half.num_pes == 512
-        assert half.dataflow is acc.dataflow
-
-    def test_scaled_rejects_bad_fraction(self):
-        acc = Accelerator(0, "a", Dataflow.WEIGHT_STATIONARY, num_pes=1024)
-        with pytest.raises(ValueError):
-            acc.scaled(0.0)
-
     def test_context_switch_cost_scales_with_bytes(self):
         acc = Accelerator(0, "a", Dataflow.WEIGHT_STATIONARY, num_pes=1024)
         small = acc.context_switch_cost(1000, 1000)

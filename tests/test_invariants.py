@@ -5,6 +5,7 @@ invariant with a precise message — that precision is what makes oracle
 output actionable when the fuzzer finds a real scheduler bug.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -206,6 +207,34 @@ class TestCorruptedTraces:
             records, "stats_consistency", result=result, invariants=["stats_consistency"]
         )
         assert "completed_frames=2 != 1" in violations[0].message
+
+    def test_stats_must_match_the_measured_trace_exactly(self):
+        """An under-count trips the check as an over-count does, and a
+        completion whose deadline lies past the window counts for neither."""
+        late = [
+            dataclasses.replace(record, deadline_ms=250.0)
+            for record in _lifecycle(rid=2, frame=1, start=10.0)
+        ]
+        records = _lifecycle(rid=1) + late
+        for completed in (0, 1, 2):
+            stats = TaskStats(
+                task_name="vision", total_frames=completed, completed_frames=completed
+            )
+            result = SimulationResult(
+                scenario_name="tiny",
+                platform_name="tiny_het",
+                scheduler_name="fcfs_dynamic",
+                duration_ms=200.0,
+                seed=0,
+                task_stats={"vision": stats},
+                accelerator_stats=(),
+            )
+            violations = audit_trace(records, result=result, invariants=["stats_consistency"])
+            if completed == 1:
+                assert violations == []
+            else:
+                (violation,) = violations
+                assert f"completed_frames={completed} != 1" in violation.message
 
     def test_assert_form_raises_with_all_messages(self):
         records = [_rec(3.0, "dropped", rid=5)]

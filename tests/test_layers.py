@@ -93,17 +93,3 @@ class TestLayerValidation:
     def test_zero_parallelism_rejected(self):
         with pytest.raises(ValueError):
             Layer("bad", "conv", 1, 1, 1, 1, 0, 1)
-
-    def test_scaled_layer_shrinks(self):
-        layer = fc("fc", 1024, 1024)
-        smaller = layer.scaled(0.5)
-        assert smaller.macs == layer.macs // 2
-        assert smaller.name == layer.name
-
-    def test_scaled_requires_positive_factor(self):
-        with pytest.raises(ValueError):
-            fc("fc", 8, 8).scaled(0.0)
-
-    def test_total_bytes_sum(self):
-        layer = fc("fc", 16, 4)
-        assert layer.total_bytes == layer.weight_bytes + layer.input_bytes + layer.output_bytes

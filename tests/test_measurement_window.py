@@ -1,15 +1,18 @@
 """Measurement-window edge cases and timing/accounting bugfix regressions.
 
-Covers the satellite sweep of ISSUE 4:
+Covers:
 
 * expired requests are stamped with their true ``deadline + grace``
   instant, not the time of whichever event happened to detect them;
 * a legitimate 0.0 ms latency is accounted as a real sample (the
   ``latency_ms or 0.0`` falsy-zero bug);
 * cascade deadlines are clamped to the spawn time (``max(deadline, now)``);
-* ``warmup_ms`` excludes frames by their *sensor* arrival time;
 * ``_finalize_leftovers`` accounts live-at-drain requests exactly once,
-  and only measured ones.
+  and only measured ones;
+* the fixed measurement policy (``docs/glossary.md``: "measured frame",
+  "sensor jitter"): a frame is measured iff its deadline falls inside the
+  window, and head frames get ``SENSOR_JITTER_MS`` of jitter unless their
+  traffic model sets their own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from repro.sim import SimulationEngine, Tracer
 from repro.sim.decisions import SchedulingDecision
 from repro.sim.request import InferenceRequest, RequestState
 from repro.workloads import Scenario, TaskSpec, generate_frames
+from repro.workloads.frames import SENSOR_JITTER_MS, head_arrival_plan
+from repro.workloads.traffic import PeriodicArrival
 
 
 class NullScheduler(Scheduler):
@@ -69,6 +74,26 @@ def single_head_scenario(tiny_models) -> Scenario:
     )
 
 
+def _arrival_lags(scenario, platform, duration_ms):
+    """How far after its nominal ``phase + frame_id * period`` instant each
+    head frame of a traced FCFS run arrived."""
+    tracer = Tracer()
+    SimulationEngine(
+        scenario=scenario,
+        platform=platform,
+        scheduler=make_scheduler("fcfs_dynamic"),
+        duration_ms=duration_ms,
+        tracer=tracer,
+    ).run()
+    phase = {task.name: offset for task, offset in head_arrival_plan(scenario)}
+    return [
+        record.time_ms
+        - (phase[record.task_name] + record.frame_id * scenario.task(record.task_name).period_ms)
+        for record in tracer.records
+        if record.event == "arrival"
+    ]
+
+
 class TestExpiryTimestamps:
     def test_expired_requests_stamp_their_true_expiry_instant(
         self, single_head_scenario, het_4k_platform
@@ -84,8 +109,6 @@ class TestExpiryTimestamps:
             platform=het_4k_platform,
             scheduler=scheduler,
             duration_ms=1000.0,
-            expire_after_periods=1.0,
-            jitter_ms=0.5,
         )
         engine.run()
         period = single_head_scenario.task("vision").period_ms
@@ -145,7 +168,7 @@ class TestZeroLatencyAccounting:
             arrival_ms=10.0,
             deadline_ms=10.0 + task.period_ms,
         )
-        request.record_layers(list(request.path), acc_id=0, completion_ms=10.0)
+        request.record_layers(list(request.path), completion_ms=10.0)
         assert request.latency_ms == 0.0  # legitimate, not missing
         engine.scheduler.bind(
             engine.platform, engine.cost_table, engine.scenario, None
@@ -209,71 +232,38 @@ class TestCascadeDeadlineClamping:
         assert clamped > 0, "expected at least one clamped (late) cascade deadline"
 
 
-class TestWarmupWindow:
-    def test_warmup_excludes_frames_by_sensor_arrival(
-        self, single_head_scenario, het_4k_platform
-    ):
-        duration, warmup = 1000.0, 300.0
-        engine = SimulationEngine(
-            scenario=single_head_scenario,
-            platform=het_4k_platform,
-            scheduler=make_scheduler("fcfs_dynamic"),
-            duration_ms=duration,
-            warmup_ms=warmup,
-            jitter_ms=0.5,
-        )
-        result = engine.run()
-        frames = generate_frames(
-            single_head_scenario, duration_ms=duration, jitter_ms=0.5, seed=0
-        )
-        expected = [
-            frame
-            for frame in frames
-            if frame.arrival_ms >= warmup and frame.deadline_ms <= duration
-        ]
-        assert result.task_stats["vision"].total_frames == len(expected)
-        assert 0 < len(expected) < len(frames)
-
-    def test_warmup_bounds_validated(self, single_head_scenario, het_4k_platform):
-        for warmup in (-1.0, 1000.0, 1500.0):
-            with pytest.raises(ValueError, match="warmup_ms"):
-                SimulationEngine(
-                    scenario=single_head_scenario,
-                    platform=het_4k_platform,
-                    scheduler=NullScheduler(),
-                    duration_ms=1000.0,
-                    warmup_ms=warmup,
-                )
-
-
 class TestLeftoverAccounting:
-    def test_starved_requests_drain_as_unfinished_violations(
-        self, single_head_scenario, het_4k_platform
+    @pytest.mark.parametrize("duration", [777.0, 1000.0, 1234.0])
+    def test_starved_requests_expire_or_drain_as_unfinished(
+        self, single_head_scenario, het_4k_platform, duration
     ):
-        """With expiry disabled and a scheduler that never dispatches,
-        every *measured* frame must drain as exactly one unfinished
-        violation — and unmeasured (deadline past the window) ones as
-        none."""
-        duration = 1000.0
-        engine = SimulationEngine(
+        """With a scheduler that never dispatches, the only events are head
+        arrivals, so a measured frame expires if and only if some arrival
+        falls strictly after its ``deadline + period``; every other
+        measured frame drains as one unfinished violation, and unmeasured
+        ones (deadline past the window) count as neither."""
+        result = SimulationEngine(
             scenario=single_head_scenario,
             platform=het_4k_platform,
             scheduler=NullScheduler(),
             duration_ms=duration,
-            expire_after_periods=None,
-            jitter_ms=0.5,
-        )
-        result = engine.run()
+        ).run()
         frames = generate_frames(
-            single_head_scenario, duration_ms=duration, jitter_ms=0.5, seed=0
+            single_head_scenario, duration_ms=duration, jitter_ms=SENSOR_JITTER_MS, seed=0
         )
+        period = single_head_scenario.task("vision").period_ms
+        last_arrival = max(frame.arrival_ms for frame in frames)
         measured = [frame for frame in frames if frame.deadline_ms <= duration]
+        expired = [frame for frame in measured if last_arrival > frame.deadline_ms + period]
         stats = result.task_stats["vision"]
         assert stats.total_frames == len(measured) < len(frames)
-        assert stats.unfinished_frames == len(measured)
+        assert stats.expired_frames == len(expired) > 0
+        assert stats.unfinished_frames == len(measured) - len(expired) > 0
         assert stats.violated_frames == len(measured)
         assert stats.completed_frames == 0
         assert stats.latency_quantiles is None
+        if duration == 1000.0:
+            assert (stats.expired_frames, stats.unfinished_frames) == (7, 2)
 
     def test_terminal_accounting_is_exhaustive(self, tiny_scenario, het_4k_platform):
         """total == completed + dropped + expired + unfinished per task."""
@@ -290,6 +280,82 @@ class TestLeftoverAccounting:
                 + stats.expired_frames
                 + stats.unfinished_frames
             )
+
+
+class TestMeasurementPolicy:
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_measured_frames_are_those_whose_deadline_is_in_the_window(
+        self, tiny_scenario, het_4k_platform, mode
+    ):
+        """Every head frame from the window start on counts (there is no
+        warm-up), and exactly the frames whose deadline is at or before the
+        window end do."""
+        duration = 1000.0
+        result = SimulationEngine(
+            scenario=tiny_scenario,
+            platform=het_4k_platform,
+            scheduler=make_scheduler("fcfs_dynamic"),
+            duration_ms=duration,
+            mode=mode,
+        ).run()
+        frames = generate_frames(
+            tiny_scenario, duration_ms=duration, jitter_ms=SENSOR_JITTER_MS, seed=0
+        )
+        for task in tiny_scenario.head_tasks:
+            own = [frame for frame in frames if frame.task_name == task.name]
+            measured = [frame for frame in own if frame.deadline_ms <= duration]
+            assert 0 < len(measured) < len(own)
+            assert result.task_stats[task.name].total_frames == len(measured)
+
+    @pytest.mark.parametrize(("duration", "measured"), [(1000.0, 10), (999.0, 9)])
+    def test_a_deadline_on_the_window_end_is_measured(
+        self, tiny_models, het_4k_platform, duration, measured
+    ):
+        """Unjittered 10 FPS frames arrive at 0, 100, ..., 900 ms, so the
+        last one's deadline is exactly 1000 ms: measured in a 1000 ms
+        window, not in a 999 ms one."""
+        scenario = Scenario(
+            name="unjittered",
+            tasks=(
+                TaskSpec(
+                    "vision", tiny_models["alpha"], fps=10, traffic=PeriodicArrival(jitter_ms=0.0)
+                ),
+            ),
+        )
+        result = SimulationEngine(
+            scenario=scenario,
+            platform=het_4k_platform,
+            scheduler=make_scheduler("fcfs_dynamic"),
+            duration_ms=duration,
+        ).run()
+        assert result.task_stats["vision"].total_frames == measured
+
+    def test_head_frames_get_the_sensor_jitter(self, tiny_scenario, het_4k_platform):
+        """A head task without a jitter of its own arrives up to
+        ``SENSOR_JITTER_MS`` after each nominal instant."""
+        lags = _arrival_lags(tiny_scenario, het_4k_platform, 500.0)
+        assert lags
+        assert all(0.0 <= lag <= SENSOR_JITTER_MS + 1e-9 for lag in lags)
+        assert max(lags) > SENSOR_JITTER_MS / 2
+
+    def test_a_traffic_model_jitter_replaces_the_sensor_jitter(
+        self, tiny_models, het_4k_platform
+    ):
+        jitter = 4.0
+        scenario = Scenario(
+            name="wide_jitter",
+            tasks=(
+                TaskSpec(
+                    "vision",
+                    tiny_models["alpha"],
+                    fps=10,
+                    traffic=PeriodicArrival(jitter_ms=jitter),
+                ),
+            ),
+        )
+        lags = _arrival_lags(scenario, het_4k_platform, 2000.0)
+        assert all(0.0 <= lag <= jitter + 1e-9 for lag in lags)
+        assert max(lags) > SENSOR_JITTER_MS
 
 
 class TestQuantileSurfacing:

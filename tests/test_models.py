@@ -44,10 +44,6 @@ class TestDynamicBehaviors:
         behavior = LayerSkipping(blocks=((1, 2),), skip_probability=0.0)
         assert behavior.sample_path(4, rng) == [0, 1, 2, 3]
 
-    def test_skipping_best_case_excludes_all_blocks(self):
-        behavior = LayerSkipping(blocks=((1,), (3,)), skip_probability=0.5)
-        assert behavior.best_case_path(5) == [0, 2, 4]
-
     def test_early_exit_always_prefix(self, rng):
         behavior = EarlyExit(exit_points=((2, 1.0),))
         assert behavior.sample_path(10, rng) == [0, 1, 2]
@@ -118,7 +114,7 @@ class TestZoo:
     def test_rapid_rl_has_early_exits(self):
         model = zoo.build_rapid_rl()
         assert isinstance(model.dynamic_behavior, EarlyExit)
-        assert len(model.best_case_path()) < model.num_layers
+        assert model.dynamic_behavior.exit_points
 
     def test_once_for_all_has_four_ordered_variants(self):
         supernet = zoo.build_once_for_all()

@@ -14,6 +14,10 @@ from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.results import AcceleratorStats, SimulationResult
 
 
+#: Per-task expiry grace for pools whose test does not exercise expiry.
+_GRACE = {"vision": 5.0, "heavy": 10.0}
+
+
 def _request(tiny_scenario, task="vision", deadline=100.0, arrival=0.0, rng_seed=0):
     task_spec = tiny_scenario.task(task)
     return InferenceRequest(
@@ -69,21 +73,20 @@ class TestRequestLifecycle:
     def test_record_layers_advances(self, tiny_scenario):
         request = _request(tiny_scenario)
         request.mark_running()
-        request.record_layers([0], acc_id=0, completion_ms=5.0)
+        request.record_layers([0], completion_ms=5.0)
         assert request.next_position == 1
-        assert request.completed_layers[-1].acc_id == 0
         assert request.last_progress_ms == 5.0
 
     def test_record_wrong_layers_rejected(self, tiny_scenario):
         request = _request(tiny_scenario)
         request.mark_running()
         with pytest.raises(ValueError):
-            request.record_layers([2], acc_id=0, completion_ms=1.0)
+            request.record_layers([2], completion_ms=1.0)
 
     def test_completion_and_violation(self, tiny_scenario):
         request = _request(tiny_scenario, deadline=10.0)
         request.mark_running()
-        request.record_layers(request.path, acc_id=1, completion_ms=12.0)
+        request.record_layers(request.path, completion_ms=12.0)
         assert request.state is RequestState.COMPLETED
         assert request.violated_deadline
         assert request.latency_ms == pytest.approx(12.0)
@@ -113,7 +116,7 @@ class TestRequestLifecycle:
         request.switch_variant(tiny_supernet.variants[-1])
         assert request.model_name == "super_light"
         request.mark_running()
-        request.record_layers([0], acc_id=0, completion_ms=1.0)
+        request.record_layers([0], completion_ms=1.0)
         with pytest.raises(ValueError):
             request.switch_variant(tiny_supernet.default_variant)
 
@@ -129,7 +132,7 @@ class TestRequestLifecycle:
 
 class TestRequestPool:
     def test_add_remove(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         request = _request(tiny_scenario)
         pool.add(request)
         assert len(pool) == 1
@@ -139,14 +142,14 @@ class TestRequestPool:
         assert pool.queue_depths(["vision", "heavy"]) == {"vision": 0, "heavy": 0}
 
     def test_duplicate_add_rejected(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         request = _request(tiny_scenario)
         pool.add(request)
         with pytest.raises(ValueError):
             pool.add(request)
 
     def test_pending_excludes_running(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         request = _request(tiny_scenario)
         pool.add(request)
         request.mark_running()
@@ -155,12 +158,24 @@ class TestRequestPool:
         assert pool.running_snapshot() == (request,)
 
     def test_stale_detection(self, tiny_scenario):
-        pool = RequestPool()
-        pool.configure_expiry({"vision": 5.0})
+        pool = RequestPool({"vision": 5.0})
         request = _request(tiny_scenario, deadline=10.0)
         pool.add(request)
         assert pool.collect_stale(11.0) == []
         assert pool.collect_stale(50.0) == [request]
+
+    @pytest.mark.parametrize("pool_class", [RequestPool, ReferenceRequestPool])
+    def test_each_task_expires_after_its_own_grace(self, tiny_scenario, pool_class):
+        pool = pool_class({"vision": 5.0, "heavy": 10.0})
+        vision = _request(tiny_scenario, task="vision", deadline=10.0)
+        heavy = _request(tiny_scenario, task="heavy", deadline=10.0, rng_seed=1)
+        pool.add(vision)
+        pool.add(heavy)
+        assert pool.collect_stale(15.0) == []  # not strictly past 10 + 5
+        assert pool.collect_stale(16.0) == [vision]
+        pool.remove(vision)  # the engine finalizes what it expires
+        assert pool.collect_stale(20.0) == []
+        assert pool.collect_stale(21.0) == [heavy]
 
 
 class TestRequestPoolIncremental:
@@ -169,11 +184,8 @@ class TestRequestPoolIncremental:
 
     @staticmethod
     def _pools():
-        fast, reference = RequestPool(), ReferenceRequestPool()
         grace = {"vision": 5.0, "heavy": 10.0, "cascade": 0.0, "context": 2.0}
-        fast.configure_expiry(grace)
-        reference.configure_expiry(grace)
-        return fast, reference
+        return RequestPool(grace), ReferenceRequestPool(grace)
 
     @staticmethod
     def _assert_same(fast, reference, task_names):
@@ -216,7 +228,7 @@ class TestRequestPoolIncremental:
             elif op < 0.75:
                 request = rng.choice(live)
                 if request.state is RequestState.RUNNING:
-                    request.record_layers([request.next_layer()], acc_id=0, completion_ms=now)
+                    request.record_layers([request.next_layer()], completion_ms=now)
                     fast.note_progress(request)
                     reference.note_progress(request)
                     if request.is_finished:
@@ -244,7 +256,7 @@ class TestRequestPoolIncremental:
             self._assert_same(fast, reference, task_names)
 
     def test_remove_is_constant_time_bookkeeping(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         requests = [
             _request(tiny_scenario, arrival=float(i), deadline=float(i) + 50.0, rng_seed=i)
             for i in range(50)
@@ -260,27 +272,25 @@ class TestRequestPoolIncremental:
         assert pool.queue_depths(["vision"]) == {"vision": 47}
 
     def test_remove_absent_request_is_noop(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         request = _request(tiny_scenario)
         pool.remove(request)  # never added: must not raise or corrupt
         pool.add(request)
         assert len(pool) == 1
 
     def test_collect_stale_skips_started_requests(self, tiny_scenario):
-        pool = RequestPool()
-        pool.configure_expiry({"vision": 0.0})
+        pool = RequestPool({"vision": 0.0})
         request = _request(tiny_scenario, deadline=10.0)
         pool.add(request)
         request.mark_running()
         pool.note_dispatched(request)
-        request.record_layers([request.next_layer()], acc_id=0, completion_ms=5.0)
+        request.record_layers([request.next_layer()], completion_ms=5.0)
         pool.note_progress(request)
         # Started requests can never expire, even long past the deadline.
         assert pool.collect_stale(now=1000.0) == []
 
     def test_collect_stale_orders_by_request_id(self, tiny_scenario):
-        pool = RequestPool()
-        pool.configure_expiry({"vision": 0.0, "heavy": 0.0})
+        pool = RequestPool({"vision": 0.0, "heavy": 0.0})
         # Older request expires later than the newer one: the batch must
         # still come back in creation (request_id) order, matching the
         # reference pool's scan order.
@@ -292,7 +302,7 @@ class TestRequestPoolIncremental:
         assert [r.request_id for r in stale] == [older.request_id, newer.request_id]
 
     def test_snapshots_are_reused_until_mutation(self, tiny_scenario):
-        pool = RequestPool()
+        pool = RequestPool(_GRACE)
         request = _request(tiny_scenario)
         pool.add(request)
         first = pool.pending_snapshot()

@@ -15,10 +15,11 @@ from repro.workloads import (
     generate_frames,
     scenario_names,
 )
+from repro.workloads.frames import SENSOR_JITTER_MS
 from repro.workloads.traffic import BurstyArrival, PeriodicArrival, PoissonArrival
 
 
-def _streamed_arrivals(scenario, platform, cost_table, duration_ms, seed=0, jitter_ms=0.5):
+def _streamed_arrivals(scenario, platform, cost_table, duration_ms, seed=0):
     """(task, frame, time) head-arrival stream observed by a real engine run."""
     tracer = Tracer()
     engine = SimulationEngine(
@@ -27,7 +28,6 @@ def _streamed_arrivals(scenario, platform, cost_table, duration_ms, seed=0, jitt
         scheduler=make_scheduler("fcfs_dynamic"),
         duration_ms=duration_ms,
         seed=seed,
-        jitter_ms=jitter_ms,
         cost_table=cost_table,
         tracer=tracer,
     )
@@ -49,7 +49,9 @@ class TestStreamingParity:
         _, streamed = _streamed_arrivals(scenario, platform, cost_table, 400.0)
         materialized = [
             (frame.task_name, frame.frame_id, frame.arrival_ms)
-            for frame in generate_frames(scenario, duration_ms=400.0, jitter_ms=0.5, seed=0)
+            for frame in generate_frames(
+                scenario, duration_ms=400.0, jitter_ms=SENSOR_JITTER_MS, seed=0
+            )
         ]
         # Frames arriving at the very end may still be streamed after the
         # last completion drains; the engine processes every frame the
@@ -64,7 +66,7 @@ class TestStreamingParity:
             materialized = [
                 (frame.task_name, frame.frame_id, frame.arrival_ms)
                 for frame in generate_frames(
-                    scenario, duration_ms=300.0, jitter_ms=0.5, seed=0
+                    scenario, duration_ms=300.0, jitter_ms=SENSOR_JITTER_MS, seed=0
                 )
             ]
             assert streamed == materialized, scenario.name
