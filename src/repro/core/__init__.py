@@ -25,7 +25,7 @@ from repro.core.config import (
     dream_full,
 )
 from repro.core.mapscore import MapScoreBreakdown, MapScoreEngine
-from repro.core.frame_drop import FrameDropConfig, SmartFrameDropEngine
+from repro.core.frame_drop import SmartFrameDropEngine
 from repro.core.adaptivity import (
     ParameterPoint,
     OptimizationStep,
@@ -45,7 +45,6 @@ __all__ = [
     "dream_full",
     "MapScoreBreakdown",
     "MapScoreEngine",
-    "FrameDropConfig",
     "SmartFrameDropEngine",
     "ParameterPoint",
     "OptimizationStep",

@@ -26,8 +26,22 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from repro.core.config import OptimizationObjective
+from repro.core.config import PARAMETER_RANGE, OptimizationObjective
 from repro.metrics.uxcost import ModelOutcome, compute_uxcost
+
+#: First sampling radius of both searches, and the radius a workload
+#: change resets the online search to.
+INITIAL_RADIUS = 0.5
+#: A search stops (offline) or pauses until the next workload change
+#: (online) once its radius falls below this.
+MIN_RADIUS = 0.05
+#: Multiplicative radius shrink after each search step or online round.
+RADIUS_DECAY = 0.5
+#: The offline search's distant samples lie at ``DISTANT_SCALE * radius``.
+DISTANT_SCALE = 2.0
+#: Observation window (ms) of the online engine: each candidate (alpha,
+#: beta) runs for at least this long before its windowed cost is read.
+WINDOW_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -37,8 +51,9 @@ class ParameterPoint:
     alpha: float
     beta: float
 
-    def clamped(self, low: float, high: float) -> "ParameterPoint":
-        """Clamp both coordinates into [low, high]."""
+    def clamped(self) -> "ParameterPoint":
+        """Clamp both coordinates into :data:`PARAMETER_RANGE`."""
+        low, high = PARAMETER_RANGE
         return ParameterPoint(
             alpha=min(max(self.alpha, low), high),
             beta=min(max(self.beta, low), high),
@@ -69,14 +84,6 @@ class OptimizationTrace:
     """Full record of one optimization run (Figures 10 and 11)."""
 
     steps: list[OptimizationStep] = field(default_factory=list)
-    evaluations: list[tuple[ParameterPoint, float]] = field(default_factory=list)
-
-    @property
-    def best(self) -> tuple[ParameterPoint, float]:
-        """Lowest-cost evaluated point."""
-        if not self.evaluations:
-            raise ValueError("optimization trace has no evaluations")
-        return min(self.evaluations, key=lambda item: item[1])
 
     @property
     def final_point(self) -> ParameterPoint:
@@ -101,46 +108,21 @@ class IterativeParameterOptimizer:
     Args:
         objective: callable evaluating a parameter pair (lower is better);
             each call typically runs one short simulation.
-        parameter_range: inclusive search range for both parameters.
-        initial_radius: first sampling radius.
-        min_radius: stop once the radius falls below this threshold.
-        radius_decay: multiplicative radius shrink per step.
-        distant_scale: distant samples are placed at ``distant_scale * radius``.
     """
 
-    def __init__(
-        self,
-        objective: Callable[[float, float], float],
-        parameter_range: tuple[float, float] = (0.0, 2.0),
-        initial_radius: float = 0.5,
-        min_radius: float = 0.05,
-        radius_decay: float = 0.5,
-        distant_scale: float = 2.0,
-    ) -> None:
-        low, high = parameter_range
-        if high <= low:
-            raise ValueError("parameter_range must satisfy low < high")
-        if initial_radius <= 0 or min_radius <= 0:
-            raise ValueError("radii must be positive")
-        if not 0.0 < radius_decay < 1.0:
-            raise ValueError("radius_decay must be in (0, 1)")
+    def __init__(self, objective: Callable[[float, float], float]) -> None:
         self.objective = objective
-        self.low, self.high = low, high
-        self.initial_radius = initial_radius
-        self.min_radius = min_radius
-        self.radius_decay = radius_decay
-        self.distant_scale = distant_scale
 
     # ------------------------------------------------------------------ #
     def candidate_points(self, center: ParameterPoint, radius: float) -> list[ParameterPoint]:
-        """Neighbouring (at ``radius``) and distant (at ``distant_scale*radius``) samples."""
+        """Neighbouring (at ``radius``) and distant (at ``DISTANT_SCALE*radius``) samples."""
         offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
         points = [center]
         for dx, dy in offsets:
             points.append(center.offset(dx * radius, dy * radius))
         for dx, dy in [(-1, 0), (1, 0), (0, -1), (0, 1)]:
-            points.append(center.offset(dx * radius * self.distant_scale, dy * radius * self.distant_scale))
-        clamped = [point.clamped(self.low, self.high) for point in points]
+            points.append(center.offset(dx * radius * DISTANT_SCALE, dy * radius * DISTANT_SCALE))
+        clamped = [point.clamped() for point in points]
         unique: dict[tuple[float, float], ParameterPoint] = {}
         for point in clamped:
             unique[(round(point.alpha, 6), round(point.beta, 6))] = point
@@ -166,20 +148,18 @@ class IterativeParameterOptimizer:
     def optimize(self, start: ParameterPoint) -> OptimizationTrace:
         """Run the search from ``start`` and return the full trace."""
         trace = OptimizationTrace()
-        center = start.clamped(self.low, self.high)
-        radius = self.initial_radius
+        center = start.clamped()
+        radius = INITIAL_RADIUS
         step_index = 0
-        while radius >= self.min_radius:
-            samples = []
-            for point in self.candidate_points(center, radius):
-                cost = self.objective(point.alpha, point.beta)
-                samples.append((point, cost))
-                trace.evaluations.append((point, cost))
+        while radius >= MIN_RADIUS:
+            samples = [
+                (point, self.objective(point.alpha, point.beta))
+                for point in self.candidate_points(center, radius)
+            ]
             samples.sort(key=lambda item: item[1])
             best, second = samples[0], samples[1] if len(samples) > 1 else samples[0]
-            center = self.interpolate(best, second).clamped(self.low, self.high)
+            center = self.interpolate(best, second).clamped()
             center_cost = self.objective(center.alpha, center.beta)
-            trace.evaluations.append((center, center_cost))
             # Keep the better of (interpolated center, best raw sample) so a
             # bad interpolation cannot make the trajectory regress.
             if best[1] < center_cost:
@@ -193,7 +173,7 @@ class IterativeParameterOptimizer:
                     samples=tuple(samples),
                 )
             )
-            radius *= self.radius_decay
+            radius *= RADIUS_DECAY
             step_index += 1
         return trace
 
@@ -217,10 +197,6 @@ class OnlineAdaptivityEngine:
     Args:
         alpha: initial starvation weight.
         beta: initial energy weight.
-        parameter_range: search range (the paper uses [0, 2]).
-        window_ms: observation window length per candidate.
-        initial_radius: sampling radius right after a (re)start.
-        min_radius: radius below which tuning pauses.
         objective: windowed metric to minimize (UXCost by default;
             deadline-only / energy-only for the Figure 13 ablation).
         enabled: when False the engine keeps the initial parameters forever
@@ -231,22 +207,14 @@ class OnlineAdaptivityEngine:
         self,
         alpha: float = 1.0,
         beta: float = 1.0,
-        parameter_range: tuple[float, float] = (0.0, 2.0),
-        window_ms: float = 100.0,
-        initial_radius: float = 0.5,
-        min_radius: float = 0.05,
         objective: OptimizationObjective = OptimizationObjective.UXCOST,
         enabled: bool = True,
     ) -> None:
-        self.low, self.high = parameter_range
-        self.window_ms = window_ms
-        self.initial_radius = initial_radius
-        self.min_radius = min_radius
         self.objective = objective
         self.enabled = enabled
 
-        self.current = ParameterPoint(alpha, beta).clamped(self.low, self.high)
-        self._radius = initial_radius
+        self.current = ParameterPoint(alpha, beta).clamped()
+        self._radius = INITIAL_RADIUS
         self._candidates: list[ParameterPoint] = []
         self._candidate_results: list[tuple[ParameterPoint, float]] = []
         self._active_candidate: Optional[ParameterPoint] = None
@@ -319,7 +287,7 @@ class OnlineAdaptivityEngine:
         if not tasks:
             return
         if self._known_tasks and tasks != self._known_tasks:
-            self._radius = self.initial_radius
+            self._radius = INITIAL_RADIUS
             self._candidates = []
             self._candidate_results = []
             self._active_candidate = None
@@ -333,7 +301,7 @@ class OnlineAdaptivityEngine:
             self._window_start_ms = now_ms
             return
         window_elapsed = now_ms - self._window_start_ms
-        if window_elapsed < self.window_ms or self._observed_frames() == 0:
+        if window_elapsed < WINDOW_MS or self._observed_frames() == 0:
             return
 
         cost = self.window_cost()
@@ -342,7 +310,7 @@ class OnlineAdaptivityEngine:
         self._window_stats = {}
         self._window_start_ms = now_ms
 
-        if self._radius < self.min_radius:
+        if self._radius < MIN_RADIUS:
             # Converged: keep measuring, only restart on workload change.
             return
 
@@ -363,7 +331,7 @@ class OnlineAdaptivityEngine:
         candidates = []
         for dx, dy in offsets:
             candidate = self.current.offset(dx * self._radius, dy * self._radius)
-            candidate = candidate.clamped(self.low, self.high)
+            candidate = candidate.clamped()
             if candidate.distance(self.current) > 1e-9:
                 candidates.append(candidate)
         return candidates
@@ -379,13 +347,11 @@ class OnlineAdaptivityEngine:
         results = sorted(self._candidate_results, key=lambda item: item[1])
         if len(results) >= 2:
             best, second = results[0], results[1]
-            self.current = IterativeParameterOptimizer.interpolate(best, second).clamped(
-                self.low, self.high
-            )
+            self.current = IterativeParameterOptimizer.interpolate(best, second).clamped()
         elif results:
             self.current = results[0][0]
         self._candidate_results = []
-        self._radius *= 0.5
+        self._radius *= RADIUS_DECAY
         self.updates += 1
 
     def info(self) -> dict[str, object]:

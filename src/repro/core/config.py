@@ -16,7 +16,7 @@ energy-only, controlled by :class:`OptimizationObjective`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,9 +39,19 @@ class OptimizationObjective(enum.Enum):
         return breakdown.uxcost
 
 
+#: Inclusive search range of both MapScore parameters (alpha, beta); the
+#: paper constrains them to [0, 2] (Sections 3.6 and 4.4).  The offline
+#: optimizer and the online adaptivity engine both clamp into it.
+PARAMETER_RANGE = (0.0, 2.0)
+
+
 @dataclass(frozen=True)
 class DreamConfig:
-    """Tunable knobs of the DREAM scheduler.
+    """One DREAM configuration: which engines run, from which (alpha, beta).
+
+    The search range, radii and drop budget are policy constants
+    (:data:`PARAMETER_RANGE`, :mod:`repro.core.adaptivity`,
+    :mod:`repro.core.frame_drop`), not fields.
 
     Attributes:
         enable_parameter_optimization: let the adaptivity engine tune
@@ -50,18 +60,7 @@ class DreamConfig:
         enable_supernet_switching: enable runtime Supernet variant switching.
         alpha: initial starvation weight (Algorithm 1, line 15).
         beta: initial energy weight (Algorithm 1, line 15).
-        parameter_range: inclusive search range for both parameters
-            (the paper constrains them to [0, 2]).
-        adaptation_window_ms: length of the observation window after which
-            the online adaptivity engine evaluates the current parameters.
-        initial_search_radius: first sampling radius of the online tuner.
-        min_search_radius: radius below which tuning pauses until a
-            workload change re-triggers it.
         objective: metric minimized by the tuner (Figure 13 ablation).
-        max_drop_rate: maximum fraction of droppable frames per task over
-            the drop window (evaluation uses 20%).
-        drop_window_frames: number of recent frames over which the drop
-            rate is bounded (the paper's default: 2 drops per 10 frames).
     """
 
     enable_parameter_optimization: bool = True
@@ -69,32 +68,12 @@ class DreamConfig:
     enable_supernet_switching: bool = False
     alpha: float = 1.0
     beta: float = 1.0
-    parameter_range: tuple[float, float] = (0.0, 2.0)
-    adaptation_window_ms: float = 50.0
-    initial_search_radius: float = 0.5
-    min_search_radius: float = 0.05
     objective: OptimizationObjective = OptimizationObjective.UXCOST
-    max_drop_rate: float = 0.2
-    drop_window_frames: int = 10
 
     def __post_init__(self) -> None:
-        low, high = self.parameter_range
-        if low < 0 or high <= low:
-            raise ValueError("parameter_range must satisfy 0 <= low < high")
+        low, high = PARAMETER_RANGE
         if not low <= self.alpha <= high or not low <= self.beta <= high:
-            raise ValueError("alpha and beta must lie within parameter_range")
-        if self.adaptation_window_ms <= 0:
-            raise ValueError("adaptation_window_ms must be positive")
-        if self.initial_search_radius <= 0 or self.min_search_radius <= 0:
-            raise ValueError("search radii must be positive")
-        if not 0.0 <= self.max_drop_rate <= 1.0:
-            raise ValueError("max_drop_rate must be in [0, 1]")
-        if self.drop_window_frames <= 0:
-            raise ValueError("drop_window_frames must be positive")
-
-    def with_objective(self, objective: OptimizationObjective) -> "DreamConfig":
-        """Copy of the config with a different optimization objective."""
-        return replace(self, objective=objective)
+            raise ValueError("alpha and beta must lie within PARAMETER_RANGE")
 
 
 def dream_fixed(alpha: float = 1.0, beta: float = 1.0) -> DreamConfig:

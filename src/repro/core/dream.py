@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 from repro.core.adaptivity import OnlineAdaptivityEngine
 from repro.core.config import DreamConfig, dream_full
 from repro.core.dispatch import JobDispatchEngine
-from repro.core.frame_drop import FrameDropConfig, SmartFrameDropEngine
+from repro.core.frame_drop import SmartFrameDropEngine
 from repro.core.mapscore import MapScoreEngine
 from repro.hardware.cost_table import ReferenceCostTable
 from repro.schedulers.base import Scheduler, WakeHint
@@ -115,24 +115,11 @@ class DreamScheduler(Scheduler):
         # paths so benchmark comparisons measure the pre-optimization cost
         # profile (decisions are identical either way).
         fast = not isinstance(cost_table, ReferenceCostTable)
-        frame_drop_config = FrameDropConfig(
-            max_drop_rate=self.config.max_drop_rate,
-            window_frames=self.config.drop_window_frames,
-        )
         self.map_score_engine = MapScoreEngine(cost_table)
-        self.frame_drop_engine = SmartFrameDropEngine(
-            cost_table,
-            scenario,
-            frame_drop_config,
-            fast=fast,
-        )
+        self.frame_drop_engine = SmartFrameDropEngine(cost_table, scenario, fast=fast)
         self.adaptivity_engine = OnlineAdaptivityEngine(
             alpha=carried_alpha,
             beta=carried_beta,
-            parameter_range=self.config.parameter_range,
-            window_ms=self.config.adaptation_window_ms,
-            initial_radius=self.config.initial_search_radius,
-            min_radius=self.config.min_search_radius,
             objective=self.config.objective,
             enabled=self.config.enable_parameter_optimization,
         )

@@ -17,8 +17,8 @@ A frame is dropped only when all four conditions hold:
    pressure.
 3. **Dependency-free** — the frame's task is the tail of its dependency
    chain; dropping an upstream model would implicitly kill its dependants.
-4. **Maximum drop rate** — at most ``max_drop_rate`` of the task's recent
-   frames (sliding window) may be dropped.
+4. **Maximum drop rate** — at most :data:`MAX_DROPS_PER_WINDOW` of the
+   task's last :data:`DROP_WINDOW_FRAMES` frames may be dropped.
 
 Among all candidates, the frame with the largest ``minimum_to_go / slack``
 ratio is dropped (the most hopeless one).
@@ -33,7 +33,6 @@ of the live requests only as far as Condition 2 needs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Deque, Optional, Sequence
 
@@ -44,35 +43,11 @@ from repro.workloads.scenario import Scenario
 #: Slack floor used when ranking candidates whose deadline already passed.
 _MIN_SLACK_MS = 1e-3
 
-
-@dataclass(frozen=True)
-class FrameDropConfig:
-    """Tunables of the smart frame drop engine.
-
-    Attributes:
-        max_drop_rate: maximum fraction of frames that may be dropped within
-            the sliding window (paper default: 2 per 10 frames; the
-            evaluation uses 20%).
-        window_frames: size of the per-task sliding window, in frames.
-    """
-
-    max_drop_rate: float = 0.2
-    window_frames: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.max_drop_rate <= 1.0:
-            raise ValueError("max_drop_rate must be in [0, 1]")
-        if self.window_frames <= 0:
-            raise ValueError("window_frames must be positive")
-
-    @property
-    def max_drops_per_window(self) -> int:
-        """Absolute drop budget within one window.
-
-        The tolerance keeps products such as ``0.29 * 100`` (28.999...)
-        from truncating to one drop fewer than the configured rate.
-        """
-        return int(self.max_drop_rate * self.window_frames + 1e-9)
+#: Condition 4's drop budget: at most this many drops per task within its
+#: sliding window (the paper's default, 2 drops per 10 frames).
+MAX_DROPS_PER_WINDOW = 2
+#: Length, in frames, of each task's sliding drop window.
+DROP_WINDOW_FRAMES = 10
 
 
 class SmartFrameDropEngine:
@@ -81,26 +56,18 @@ class SmartFrameDropEngine:
     Args:
         cost_table: offline latency table (for ``minimum_to_go``).
         scenario: the workload scenario (for the dependency-chain check).
-        config: drop-rate limits.
     """
 
-    def __init__(
-        self,
-        cost_table: CostTable,
-        scenario: Scenario,
-        config: Optional[FrameDropConfig] = None,
-        fast: bool = True,
-    ) -> None:
+    def __init__(self, cost_table: CostTable, scenario: Scenario, fast: bool = True) -> None:
         self.cost_table = cost_table
         self.scenario = scenario
-        self.config = config or FrameDropConfig()
         #: Hot-loop form of select_drop (droppable-task set, inlined cache,
         #: early exits); the reference simulation mode disables it to keep
         #: the historical cost profile.  Selected drops are identical.
         self.fast = fast
         # Sliding window of per-task frame outcomes: True = dropped.
         self._windows: dict[str, Deque[bool]] = defaultdict(
-            lambda: deque(maxlen=self.config.window_frames)
+            lambda: deque(maxlen=DROP_WINDOW_FRAMES)
         )
         # Incremental per-task drop count within the window (== sum(window)).
         self._window_drops: dict[str, int] = defaultdict(int)
@@ -111,12 +78,9 @@ class SmartFrameDropEngine:
         self._chain_tail: dict[str, bool] = {
             task.name: scenario.is_chain_tail(task.name) for task in scenario.tasks
         }
-        self._max_drops = self.config.max_drops_per_window
         # Tasks passing Conditions 3 and 4: chain tails with budget left.
         # Budgets only move in record_outcome, which keeps this current.
-        self._droppable: set[str] = {
-            name for name, tail in self._chain_tail.items() if tail and self._max_drops > 0
-        }
+        self._droppable: set[str] = {name for name, tail in self._chain_tail.items() if tail}
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -131,7 +95,7 @@ class SmartFrameDropEngine:
             self._window_drops[task_name] += 1
             self.total_drops += 1
         if self._chain_tail.get(task_name):
-            if self._window_drops[task_name] < self._max_drops:
+            if self._window_drops[task_name] < MAX_DROPS_PER_WINDOW:
                 self._droppable.add(task_name)
             else:
                 self._droppable.discard(task_name)
@@ -142,7 +106,7 @@ class SmartFrameDropEngine:
 
     def drop_budget_available(self, task_name: str) -> bool:
         """Condition 4: the task is below its maximum drop rate."""
-        return self.drops_in_window(task_name) < self._max_drops
+        return self.drops_in_window(task_name) < MAX_DROPS_PER_WINDOW
 
     def forget(self, request_id: int) -> None:
         """Drop a finished request's cache entry (bounds memory on long runs)."""

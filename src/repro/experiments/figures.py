@@ -376,7 +376,8 @@ def figure13(
                     enable_parameter_optimization=True,
                     enable_frame_drop=True,
                     enable_supernet_switching=True,
-                ).with_objective(objective)
+                    objective=objective,
+                )
                 scheduler = DreamScheduler(config, name=f"dream_{objective.value}")
                 result = run_simulation(
                     scenario=scenario,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.config import DreamConfig, OptimizationObjective
+from repro.core.config import OptimizationObjective, dream_fixed
 from repro.core.dream import DreamScheduler
 from repro.experiments.jobs import shared_context
 from repro.sim import run_simulation
@@ -38,17 +38,12 @@ def uxcost_objective(
     )
 
     def objective_fn(alpha: float, beta: float) -> float:
-        config = DreamConfig(
-            enable_parameter_optimization=False,
-            enable_frame_drop=False,
-            enable_supernet_switching=False,
-            alpha=alpha,
-            beta=beta,
-        )
         result = run_simulation(
             scenario=scenario,
             platform=platform,
-            scheduler=DreamScheduler(config, name=f"dream_a{alpha:.2f}_b{beta:.2f}"),
+            scheduler=DreamScheduler(
+                dream_fixed(alpha, beta), name=f"dream_a{alpha:.2f}_b{beta:.2f}"
+            ),
             duration_ms=duration_ms,
             seed=seed,
             cost_table=cost_table,

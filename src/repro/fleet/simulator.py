@@ -420,7 +420,7 @@ class FleetSimulator:
         self,
         active: list[int],
         user_active: dict[str, int],
-        outage_open: Optional[list[int]] = None,
+        outage_open: list[int],
     ) -> FleetLoadView:
         """Immutable load snapshot handed to the routing policy."""
         spec = self.spec
@@ -431,7 +431,7 @@ class FleetSimulator:
                     name=platform.name,
                     max_sessions=platform.max_sessions,
                     active=active[index],
-                    healthy=outage_open is None or outage_open[index] == 0,
+                    healthy=outage_open[index] == 0,
                 )
                 for index, platform in enumerate(spec.platforms)
             ),

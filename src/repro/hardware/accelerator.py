@@ -39,6 +39,10 @@ STATIC_POWER_W_PER_PE = 1.2e-4
 #: microseconds per operator dispatch.
 LAYER_LAUNCH_OVERHEAD_MS = 0.010
 
+#: Partial-sum traffic charged per MAC on top of operand traffic, as a
+#: fraction of a byte of on-chip SRAM traffic.
+PSUM_TRAFFIC_BYTES_PER_MAC = 0.125
+
 
 @dataclass(frozen=True)
 class ContextSwitchCost:

@@ -38,6 +38,7 @@ from repro.hardware.accelerator import (
     Accelerator,
     DRAM_ENERGY_PJ_PER_BYTE,
     LAYER_LAUNCH_OVERHEAD_MS,
+    PSUM_TRAFFIC_BYTES_PER_MAC,
     SRAM_ENERGY_PJ_PER_BYTE,
     STATIC_POWER_W_PER_PE,
 )
@@ -125,23 +126,9 @@ class LayerCost:
 class AnalyticalCostModel:
     """Deterministic analytical cost model for WS/OS accelerators.
 
-    Args:
-        launch_overhead_ms: fixed per-layer launch overhead.
-        psum_traffic_fraction: fraction of a byte of partial-sum traffic
-            charged per MAC on top of operand traffic.
+    Every layer pays :data:`~repro.hardware.accelerator.LAYER_LAUNCH_OVERHEAD_MS`
+    and :data:`~repro.hardware.accelerator.PSUM_TRAFFIC_BYTES_PER_MAC`.
     """
-
-    def __init__(
-        self,
-        launch_overhead_ms: float = LAYER_LAUNCH_OVERHEAD_MS,
-        psum_traffic_fraction: float = 0.125,
-    ) -> None:
-        if launch_overhead_ms < 0:
-            raise ValueError("launch_overhead_ms must be non-negative")
-        if psum_traffic_fraction < 0:
-            raise ValueError("psum_traffic_fraction must be non-negative")
-        self.launch_overhead_ms = launch_overhead_ms
-        self.psum_traffic_fraction = psum_traffic_fraction
 
     # ------------------------------------------------------------------ #
     # utilization
@@ -180,7 +167,7 @@ class AnalyticalCostModel:
         operand_bytes_per_mac = (
             1.0 / dataflow.weight_reuse + 1.0 / dataflow.activation_reuse
         )
-        return layer.macs * (operand_bytes_per_mac + self.psum_traffic_fraction)
+        return layer.macs * (operand_bytes_per_mac + PSUM_TRAFFIC_BYTES_PER_MAC)
 
     # ------------------------------------------------------------------ #
     # latency / energy
@@ -194,7 +181,7 @@ class AnalyticalCostModel:
         dram_bytes = self.dram_traffic_bytes(layer, accelerator)
         memory_ms = dram_bytes / accelerator.bandwidth_bytes_per_ms
 
-        latency_ms = max(compute_ms, memory_ms) + self.launch_overhead_ms
+        latency_ms = max(compute_ms, memory_ms) + LAYER_LAUNCH_OVERHEAD_MS
 
         sram_bytes = self.sram_traffic_bytes(layer, accelerator)
         energy_pj = (

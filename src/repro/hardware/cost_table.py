@@ -160,17 +160,14 @@ class CostTable:
         cls,
         platform: Platform,
         models: Iterable[ModelGraphLike],
-        cost_model: AnalyticalCostModel | None = None,
     ) -> "CostTable":
         """Build the table for ``models`` on ``platform``.
 
         Args:
             platform: the multi-accelerator system.
             models: model graphs; each must have a unique ``name``.
-            cost_model: the analytical cost model (a default instance is
-                created when omitted).
         """
-        cost_model = cost_model or AnalyticalCostModel()
+        cost_model = AnalyticalCostModel()
         entries: dict[str, list[list[LayerCost]]] = {}
         footprints: dict[str, int] = {}
         for model in models:

@@ -64,19 +64,14 @@ class DynamicFcfsScheduler(Scheduler):
 class StaticFcfsScheduler(Scheduler):
     """Statically pinned FCFS with worst-case reservations.
 
-    Args:
-        reservation_slack: multiplier on the worst-case reservation length;
-            1.0 reserves exactly the worst-case path latency of the model on
-            its pinned accelerator.
+    A dispatch reserves its accelerator for exactly the worst-case path
+    latency of the model on that accelerator.
     """
 
     name = "fcfs_static"
 
-    def __init__(self, reservation_slack: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if reservation_slack <= 0:
-            raise ValueError("reservation_slack must be positive")
-        self.reservation_slack = reservation_slack
         self._task_to_acc: dict[str, int] = {}
         self._reserved_until: dict[int, float] = {}
         self._worst_case_ms: dict[str, float] = {}
@@ -168,7 +163,7 @@ class StaticFcfsScheduler(Scheduler):
                 )
             )
             assigned_ids.add(request.request_id)
-            reservation = self._worst_case_ms.get(request.task_name, 0.0) * self.reservation_slack
+            reservation = self._worst_case_ms.get(request.task_name, 0.0)
             self._reserved_until[acc.acc_id] = view.now_ms + reservation
         return SchedulingDecision.of(assignments)
 

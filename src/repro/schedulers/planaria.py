@@ -29,26 +29,21 @@ from repro.schedulers.base import Scheduler, WakeHint
 from repro.sim.decisions import Assignment, SchedulingDecision, SystemView
 from repro.sim.request import InferenceRequest
 
+#: Minimum number of at-risk pending requests before a fully idle
+#: accelerator is split in half.
+FISSION_THRESHOLD = 2
+#: PE fraction of each fission partition, and the least free fraction an
+#: accelerator needs to receive any assignment.
+MIN_FRACTION = 0.5
+
 
 class PlanariaScheduler(Scheduler):
-    """Slack-driven, PE-count-aware, fission-capable layer scheduler.
-
-    Args:
-        fission_threshold: minimum number of at-risk pending requests before
-            a fully idle accelerator is split in half.
-        min_fraction: PE fraction of each fission partition.
-    """
+    """Slack-driven, PE-count-aware, fission-capable layer scheduler."""
 
     name = "planaria"
 
-    def __init__(self, fission_threshold: int = 2, min_fraction: float = 0.5) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if fission_threshold < 2:
-            raise ValueError("fission_threshold must be at least 2")
-        if not 0.0 < min_fraction <= 0.5:
-            raise ValueError("min_fraction must be in (0, 0.5]")
-        self.fission_threshold = fission_threshold
-        self.min_fraction = min_fraction
         # Remaining-work estimates only change when a request makes progress.
         self._remaining_cache: dict[int, tuple[int, float]] = {}
 
@@ -57,15 +52,15 @@ class PlanariaScheduler(Scheduler):
         self._remaining_cache.pop(request.request_id, None)
 
     def wake_hint(self) -> WakeHint:
-        """Inert without pending work or ``min_fraction`` of free PEs somewhere.
+        """Inert without pending work or ``MIN_FRACTION`` of free PEs somewhere.
 
-        An accelerator below ``min_fraction`` free is skipped by the
+        An accelerator below ``MIN_FRACTION`` free is skipped by the
         assignment loop, so with every accelerator below the threshold the
         decision is empty; the only state written on that path is the
         remaining-work memo cache (a pure function of request progress,
         exempt by the :class:`~repro.schedulers.base.WakeHint` contract).
         """
-        return WakeHint(min_free_fraction=self.min_fraction)
+        return WakeHint(min_free_fraction=MIN_FRACTION)
 
     # ------------------------------------------------------------------ #
     # internal estimates (deliberately dataflow-agnostic)
@@ -127,16 +122,14 @@ class PlanariaScheduler(Scheduler):
             if len(assigned_ids) == len(pending):
                 break
             free = acc.free_fraction
-            if free < self.min_fraction - 1e-9:
+            if free < MIN_FRACTION - 1e-9:
                 continue
             fission = False
             if acc.is_idle and len(pending) >= 2:
                 if at_risk_count is None:
                     at_risk_count = sum(1 for score, _request in scored if score < 0.0)
-                fission = at_risk_count >= self.fission_threshold
-            fractions = (
-                [self.min_fraction, self.min_fraction] if fission else [min(1.0, free)]
-            )
+                fission = at_risk_count >= FISSION_THRESHOLD
+            fractions = [MIN_FRACTION, MIN_FRACTION] if fission else [min(1.0, free)]
             for fraction in fractions:
                 request = self._pick_for_accelerator(acc, pending, assigned_ids)
                 if request is None:
@@ -167,12 +160,12 @@ class PlanariaScheduler(Scheduler):
         slack-driven priority order materially.
 
         ``queue`` is the urgency-sorted pending list; the scan walks it
-        once, looking only at the first ``fission_threshold + 1`` unassigned
+        once, looking only at the first ``FISSION_THRESHOLD + 1`` unassigned
         entries (the "head" the stickiness rule may prefer), so deep queues
         are never materialized into a per-call candidate list.
         """
         resident = acc.resident_model
-        head_limit = self.fission_threshold + 1
+        head_limit = FISSION_THRESHOLD + 1
         first: Optional[InferenceRequest] = None
         seen = 0
         for request in queue:
@@ -188,7 +181,4 @@ class PlanariaScheduler(Scheduler):
         return first
 
     def info(self):
-        return {
-            "fission_threshold": self.fission_threshold,
-            "min_fraction": self.min_fraction,
-        }
+        return {"fission_threshold": FISSION_THRESHOLD, "min_fraction": MIN_FRACTION}

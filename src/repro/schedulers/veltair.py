@@ -18,30 +18,24 @@ Two properties matter for the comparison with DREAM:
 
 from __future__ import annotations
 
-
 from repro.schedulers.base import Scheduler, WakeHint
 from repro.sim.decisions import Assignment, SchedulingDecision, SystemView
 from repro.sim.request import InferenceRequest
 
+#: Target (average-across-accelerators) latency of one layer block, in ms:
+#: consecutive layers are grouped until the block reaches it.  Veltair
+#: adapts its block size to the conflict rate; a fixed, sub-millisecond
+#: budget reproduces its "medium granularity" operating point.
+BLOCK_LATENCY_MS = 0.75
+
 
 class VeltairScheduler(Scheduler):
-    """Layer-block EDF scheduler, heterogeneity-blind.
-
-    Args:
-        block_latency_ms: target (average-across-accelerators) latency of
-            one layer block; consecutive layers are grouped until the block
-            reaches this budget.  Veltair adapts its block size to the
-            conflict rate; a fixed, sub-millisecond budget reproduces its
-            "medium granularity" operating point.
-    """
+    """Layer-block EDF scheduler, heterogeneity-blind."""
 
     name = "veltair"
 
-    def __init__(self, block_latency_ms: float = 0.75) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if block_latency_ms <= 0:
-            raise ValueError("block_latency_ms must be positive")
-        self.block_latency_ms = block_latency_ms
         self._next_acc_index = 0
 
     def wake_hint(self) -> WakeHint:
@@ -64,7 +58,7 @@ class VeltairScheduler(Scheduler):
         for layer_index in request.remaining_path():
             accumulated += cost_table.average_latency(request.model_name, layer_index)
             count += 1
-            if accumulated >= self.block_latency_ms:
+            if accumulated >= BLOCK_LATENCY_MS:
                 break
         return max(1, count)
 
@@ -110,4 +104,4 @@ class VeltairScheduler(Scheduler):
         return idle_accelerators[start:] + idle_accelerators[:start]
 
     def info(self):
-        return {"block_latency_ms": self.block_latency_ms}
+        return {"block_latency_ms": BLOCK_LATENCY_MS}

@@ -39,7 +39,6 @@ from repro.sim.faults import (
     outage_active,
     parse_faults,
     sample_fault_plan,
-    stall_factor_at,
 )
 from repro.sim.queues import ReferenceRequestPool, RequestPool
 from repro.sim.decisions import Assignment, SchedulingDecision, AcceleratorView, SystemView
@@ -80,7 +79,6 @@ __all__ = [
     "outage_active",
     "parse_faults",
     "sample_fault_plan",
-    "stall_factor_at",
     "RequestPool",
     "ReferenceRequestPool",
     "ENGINE_MODES",

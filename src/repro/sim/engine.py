@@ -119,7 +119,7 @@ from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
 from repro.sim.results import AcceleratorStats, SimulationResult, TaskStats
 from repro.sim.tracer import Tracer
-from repro.workloads.frames import SENSOR_JITTER_MS, head_arrival_plan, task_frame_stream
+from repro.workloads.frames import head_arrival_plan, task_frame_stream
 from repro.workloads.scenario import Scenario
 from repro.workloads.traffic import Frame
 
@@ -371,7 +371,6 @@ class SimulationEngine:
                     offset_ms=offset_ms,
                     end_ms=self.duration_ms,
                     seed=self.seed,
-                    default_jitter_ms=SENSOR_JITTER_MS,
                 )
             )
             self._push_next_arrival(task.name)

@@ -194,13 +194,13 @@ def sample_fault_plan(
     duration_ms: float,
     accelerators: int,
     kinds: Sequence[str] = FAULT_KINDS,
-    faults_per_kind: int = 1,
 ) -> tuple[FaultSpec, ...]:
     """Sample a deterministic fault plan for one simulated window.
 
-    Every draw comes from ``random.Random(f"faults:{seed}:{kind}:{index}")``
-    — never wall-clock, never ``hash()`` — so the same arguments always
-    yield the same plan, in the same canonical order, on every machine.
+    One fault per kind.  Every draw comes from
+    ``random.Random(f"faults:{seed}:{kind}:0")`` — never wall-clock, never
+    ``hash()`` — so the same arguments always yield the same plan, in the
+    same canonical order, on every machine.
 
     Windows land inside ``[0.05, 0.9) * duration_ms`` and last 10–30% of
     the window, so faults always begin after some healthy traffic and
@@ -218,25 +218,26 @@ def sample_fault_plan(
                 f"unknown fault kind {kind!r}; "
                 f"available: {', '.join(fault_kind_names())}"
             )
-        for index in range(faults_per_kind):
-            rng = random.Random(f"faults:{seed}:{kind}:{index}")
-            start_ms = rng.uniform(0.05, 0.6) * duration_ms
-            fault_ms = rng.uniform(0.1, 0.3) * duration_ms
-            acc_id = rng.randrange(accelerators) if model.targets_accelerator else None
-            if model.magnitude_range is not None:
-                low, high = model.magnitude_range
-                magnitude = rng.uniform(low, high)
-            else:
-                magnitude = 1.0
-            specs.append(
-                FaultSpec(
-                    kind=kind,
-                    start_ms=start_ms,
-                    duration_ms=fault_ms,
-                    acc_id=acc_id,
-                    magnitude=magnitude,
-                )
+        # The ":0" suffix is part of the key stored plans and fuzz artifacts
+        # were sampled under; removing it would move every sampled fault.
+        rng = random.Random(f"faults:{seed}:{kind}:0")
+        start_ms = rng.uniform(0.05, 0.6) * duration_ms
+        fault_ms = rng.uniform(0.1, 0.3) * duration_ms
+        acc_id = rng.randrange(accelerators) if model.targets_accelerator else None
+        if model.magnitude_range is not None:
+            low, high = model.magnitude_range
+            magnitude = rng.uniform(low, high)
+        else:
+            magnitude = 1.0
+        specs.append(
+            FaultSpec(
+                kind=kind,
+                start_ms=start_ms,
+                duration_ms=fault_ms,
+                acc_id=acc_id,
+                magnitude=magnitude,
             )
+        )
     specs.sort(key=lambda spec: (spec.start_ms, spec.kind, -1 if spec.acc_id is None else spec.acc_id))
     return tuple(specs)
 
@@ -265,18 +266,6 @@ def capacity_at(specs: Sequence[FaultSpec], acc_id: int, time_ms: float) -> floa
         if spec.kind == "accel_degrade" and spec.acc_id == acc_id:
             capacity = min(capacity, spec.magnitude)
     return capacity
-
-
-def stall_factor_at(specs: Sequence[FaultSpec], acc_id: int, time_ms: float) -> float:
-    """Latency inflation factor of ``acc_id`` at ``time_ms`` (>= 1.0).
-
-    Concurrent stalls compose by ``max`` — the slowest declaration wins.
-    """
-    factor = 1.0
-    for spec in specs:
-        if spec.kind == "transient_stall" and spec.acc_id == acc_id and spec.active_at(time_ms):
-            factor = max(factor, spec.magnitude)
-    return factor
 
 
 def outage_active(specs: Sequence[FaultSpec], time_ms: float) -> bool:

@@ -90,14 +90,14 @@ def task_frame_stream(
     offset_ms: float,
     end_ms: float,
     seed: int,
-    default_jitter_ms: float,
 ) -> Iterator[Frame]:
     """One head task's frame iterator — the single stream construction.
 
-    Resolves the task's traffic model (default: periodic + ``default_jitter_ms``),
-    seeds the per-task RNG and opens the frame iterator.  Both the engine's
-    streaming arrival sources and the materialized :func:`generate_frames`
-    build their streams here, so process selection, RNG seeding and window
+    Resolves the task's traffic model (default: periodic), seeds the
+    per-task RNG and opens the frame iterator, with :data:`SENSOR_JITTER_MS`
+    for a model that sets no jitter of its own.  Both the engine's streaming
+    arrival sources and the materialized :func:`generate_frames` build their
+    streams here, so process selection, RNG seeding, jitter and window
     wiring cannot drift apart between the two paths.
     """
     process = task.traffic if task.traffic is not None else DEFAULT_PROCESS
@@ -106,29 +106,26 @@ def task_frame_stream(
         start_ms=offset_ms,
         end_ms=end_ms,
         rng=task_arrival_rng(seed, task.name),
-        default_jitter_ms=default_jitter_ms,
+        default_jitter_ms=SENSOR_JITTER_MS,
     )
 
 
 def generate_frames(
     scenario: "Scenario",
     duration_ms: float,
-    jitter_ms: float = 0.0,
     seed: int = 0,
     start_ms: float = 0.0,
 ) -> list[Frame]:
     """Materialize all head-task frames of a scenario for a simulation window.
 
     Each head task is fed by its own traffic model (``TaskSpec.traffic``,
-    defaulting to periodic + uniform jitter) with a per-task RNG, exactly
-    like the engine's streaming path — this function is the materialized
-    reference for tests.
+    defaulting to periodic + :data:`SENSOR_JITTER_MS` of uniform jitter)
+    with a per-task RNG, exactly like the engine's streaming path — this
+    function is the materialized reference for tests.
 
     Args:
         scenario: the workload scenario.
         duration_ms: length of the simulated window.
-        jitter_ms: per-frame uniform arrival jitter (for tasks whose
-            traffic model does not override it).
         seed: seed for the per-task arrival random generators.
         start_ms: start of the window (frames arrive at or after this time).
 
@@ -145,7 +142,6 @@ def generate_frames(
                 offset_ms=offset_ms,
                 end_ms=start_ms + duration_ms,
                 seed=seed,
-                default_jitter_ms=jitter_ms,
             )
         )
     frames.sort(key=lambda frame: (frame.arrival_ms, frame.task_name))

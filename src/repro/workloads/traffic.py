@@ -107,8 +107,10 @@ class ArrivalProcess:
             rng: random generator owned by the caller; all stochasticity
                 flows through it.
             default_jitter_ms: the caller's uniform jitter amplitude, used
-                by processes that do not override it per task (the engine
-                passes :data:`~repro.workloads.frames.SENSOR_JITTER_MS`).
+                by processes that do not override it per task (head-task
+                streams, built by
+                :func:`~repro.workloads.frames.task_frame_stream`, pass
+                :data:`~repro.workloads.frames.SENSOR_JITTER_MS`).
         """
         raise NotImplementedError
 

@@ -5,12 +5,15 @@ protection as code:
 
 * ``docs/cli.md`` is generated from the live argument parser and must be
   byte-identical to an in-process regeneration;
+* the glossary's policy-constants table lists every scheduling-policy
+  constant with the value the code holds;
 * the documentation pages exist and their relative links resolve;
 * every module under ``src/`` carries a module docstring (the local
   equivalent of the ruff D100/D104 gate CI runs).
 """
 
 import ast
+import importlib
 import importlib.util
 import re
 import sys
@@ -61,6 +64,52 @@ class TestCliReference:
         assert gen.main(["--check"]) == 1
         assert gen.main([]) == 0
         assert gen.main(["--check"]) == 0
+
+
+#: Modules whose public upper-case constants are scheduling policy.
+POLICY_MODULES = ["repro.core.config", "repro.core.adaptivity", "repro.core.frame_drop",
+                  "repro.schedulers.planaria", "repro.schedulers.veltair"]
+
+
+def policy_constant_rows():
+    """``{dotted name: value}`` from the glossary's policy-constants table."""
+    text = (DOCS / "glossary.md").read_text(encoding="utf-8")
+    section = text.split("### Policy constants", 1)[1].split("\n## ", 1)[0]
+    return {
+        name: ast.literal_eval(value)
+        for name, value in re.findall(r"^\| `(repro\.[\w.]+)` \| `([^`]+)` \|", section, re.M)
+    }
+
+
+class TestPolicyConstants:
+    def test_table_values_match_the_code(self):
+        rows = policy_constant_rows()
+        assert rows
+        for dotted, value in rows.items():
+            module_name, _, name = dotted.rpartition(".")
+            actual = getattr(importlib.import_module(module_name), name)
+            assert (type(actual), actual) == (type(value), value), dotted
+
+    def test_every_policy_constant_has_a_row(self):
+        rows = policy_constant_rows()
+        missing = []
+        for module_name in POLICY_MODULES:
+            path = REPO_ROOT / "src" / (module_name.replace(".", "/") + ".py")
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # Module-level assignments only: imported names belong to their
+            # own module's row.
+            names = [
+                target.id
+                for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)
+            ]
+            missing += [
+                f"{module_name}.{name}" for name in names
+                if name.isupper() and not name.startswith("_")
+                and f"{module_name}.{name}" not in rows
+            ]
+        assert not missing, "policy constants missing from docs/glossary.md:\n" + "\n".join(missing)
 
 
 class TestDocPages:

@@ -22,6 +22,7 @@ import pytest
 from repro.experiments.jobs import generated_context, shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.base import WakeHint
+from repro.schedulers.planaria import MIN_FRACTION
 from repro.sim import RequestPool, SimulationEngine, Tracer
 from repro.sim.faults import FaultSpec
 from repro.sim.request import InferenceRequest
@@ -306,8 +307,7 @@ def test_bundled_wake_hints_match_scheduler_contracts():
     assert make_scheduler("fcfs_dynamic").wake_hint() == WakeHint(min_free_fraction=1.0)
     assert make_scheduler("fcfs_static").wake_hint() == WakeHint(min_free_fraction=1.0)
     assert make_scheduler("veltair").wake_hint() == WakeHint(min_free_fraction=1.0)
-    planaria = make_scheduler("planaria")
-    assert planaria.wake_hint() == WakeHint(min_free_fraction=planaria.min_fraction)
+    assert make_scheduler("planaria").wake_hint() == WakeHint(min_free_fraction=MIN_FRACTION)
     # DREAM's bookkeeping is only idempotent within one instant, and within
     # that instant no drop can newly appear after a drop-free consultation
     # (see DreamScheduler.wake_hint), so every variant — SmartDrop

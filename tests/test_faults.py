@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.schedulers import make_scheduler
+from repro.schedulers.fcfs import DynamicFcfsScheduler
 from repro.sim import (
     FAULT_KINDS,
     FaultSpec,
@@ -34,7 +35,6 @@ from repro.sim import (
     outage_active,
     parse_faults,
     sample_fault_plan,
-    stall_factor_at,
 )
 
 
@@ -153,8 +153,6 @@ class TestFaultSpec:
         assert capacity_at(plan, acc_id=0, time_ms=2.0) == 0.5
         assert capacity_at(plan, acc_id=0, time_ms=6.0) == 0.0  # outage wins
         assert capacity_at(plan, acc_id=1, time_ms=2.0) == 1.0
-        assert stall_factor_at(plan, acc_id=0, time_ms=2.0) == 2.0
-        assert stall_factor_at(plan, acc_id=1, time_ms=2.0) == 1.0
         assert not outage_active(plan, 4.999)
         assert outage_active(plan, 5.0)
 
@@ -193,6 +191,52 @@ class TestEngineFaults:
                                 faults=plan)
             runs.append(engine.run().to_dict())
         assert runs[0] == runs[1]
+
+    def test_overlapping_windows_compose_on_the_executor(self, tiny_scenario,
+                                                         tiny_platform,
+                                                         tiny_cost_table):
+        """Open stalls give the largest factor and open degrades the
+        smallest capacity, not the latest-opened ones; both return to 1.0
+        once every window on the accelerator has closed."""
+        windows = tuple(
+            FaultSpec(kind=kind, start_ms=start, duration_ms=100.0, acc_id=0,
+                      magnitude=magnitude)
+            for kind, start, magnitude in (
+                ("transient_stall", 100.0, 3.0),
+                ("transient_stall", 150.0, 2.0),
+                ("accel_degrade", 100.0, 0.25),
+                ("accel_degrade", 150.0, 0.5),
+            )
+        )
+        # (now, per-accelerator (stall factor, capacity)) after each event;
+        # the edges of one instant fire one at a time.
+        samples = []
+
+        class Probe(DynamicFcfsScheduler):
+            def wake_hint(self):
+                return None  # consulted after every event, fault edges included
+
+            def schedule(self, view):
+                samples.append((view.now_ms, [
+                    (executor._latency_factor, executor._capacity)
+                    for executor in engine._executors
+                ]))
+                return super().schedule(view)
+
+        engine = SimulationEngine(
+            scenario=tiny_scenario, platform=tiny_platform, scheduler=Probe(),
+            duration_ms=400.0, cost_table=tiny_cost_table, faults=windows,
+        )
+        engine.run()
+        state = dict(samples)  # the last sample of each instant
+        healthy = (1.0, 1.0)
+        assert state[100.0] == [(3.0, 0.25), healthy]
+        both_open = [acc for now, acc in samples if 150.0 <= now < 200.0]
+        assert both_open and all(acc == [(3.0, 0.25), healthy] for acc in both_open)
+        assert state[200.0] == [(2.0, 0.5), healthy]
+        assert state[250.0] == [healthy, healthy]
+        after = [acc for now, acc in samples if now > 250.0]
+        assert after and all(acc == [healthy, healthy] for acc in after)
 
     def test_outage_aborts_and_retries_in_flight_work(self, tiny_scenario,
                                                       tiny_platform,

@@ -150,7 +150,7 @@ class TestCrossHashSeedStability:
         "from repro.workloads import GeneratorSpec, ScenarioGenerator\n"
         "from repro.workloads.frames import generate_frames\n"
         "scenario = ScenarioGenerator(GeneratorSpec(seed=5)).generate(2)\n"
-        "frames = generate_frames(scenario, duration_ms=200.0, jitter_ms=0.5, seed=0)\n"
+        "frames = generate_frames(scenario, duration_ms=200.0, seed=0)\n"
         "blob = pickle.dumps((scenario.describe(),\n"
         "    [(f.task_name, f.frame_id, f.arrival_ms) for f in frames]))\n"
         "print(hashlib.sha256(blob).hexdigest())\n"

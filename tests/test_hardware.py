@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import Accelerator, AnalyticalCostModel, Dataflow, build_platform, make_platform
+from repro.hardware import Accelerator, Dataflow, build_platform, make_platform
 from repro.hardware.platform import (
     PLATFORM_PRESETS,
     all_platform_names,
@@ -121,7 +121,3 @@ class TestCostModel:
         cost = cost_model.cost(conv2d("c", 64, 64, 32, 32), acc)
         assert cost.latency_ms >= max(cost.compute_ms, cost.memory_ms)
         assert cost.energy_mj > 0
-
-    def test_invalid_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            AnalyticalCostModel(launch_overhead_ms=-1.0)

@@ -248,9 +248,7 @@ class TestLeftoverAccounting:
             scheduler=NullScheduler(),
             duration_ms=duration,
         ).run()
-        frames = generate_frames(
-            single_head_scenario, duration_ms=duration, jitter_ms=SENSOR_JITTER_MS, seed=0
-        )
+        frames = generate_frames(single_head_scenario, duration_ms=duration, seed=0)
         period = single_head_scenario.task("vision").period_ms
         last_arrival = max(frame.arrival_ms for frame in frames)
         measured = [frame for frame in frames if frame.deadline_ms <= duration]
@@ -298,9 +296,7 @@ class TestMeasurementPolicy:
             duration_ms=duration,
             mode=mode,
         ).run()
-        frames = generate_frames(
-            tiny_scenario, duration_ms=duration, jitter_ms=SENSOR_JITTER_MS, seed=0
-        )
+        frames = generate_frames(tiny_scenario, duration_ms=duration, seed=0)
         for task in tiny_scenario.head_tasks:
             own = [frame for frame in frames if frame.task_name == task.name]
             measured = [frame for frame in own if frame.deadline_ms <= duration]

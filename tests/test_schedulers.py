@@ -1,9 +1,15 @@
 """Unit and integration tests for the baseline schedulers and DREAM."""
 
+import random
+from itertools import accumulate
+
 import pytest
 
+from repro.experiments.jobs import shared_context
 from repro.schedulers import make_scheduler, scheduler_names
+from repro.schedulers.veltair import BLOCK_LATENCY_MS, VeltairScheduler
 from repro.sim import SimulationEngine, Tracer, run_simulation
+from repro.sim.request import InferenceRequest
 
 
 class TestRegistry:
@@ -19,6 +25,47 @@ class TestRegistry:
     def test_factories_return_fresh_instances(self):
         first, second = make_scheduler("dream_full"), make_scheduler("dream_full")
         assert first is not second
+
+
+def _dream_info(optimization, frame_drop, supernet):
+    return {
+        "alpha": 1.0, "beta": 1.0, "radius": 0.5, "updates": 0,
+        "enabled": optimization, "objective": "uxcost",
+        "config": {
+            "parameter_optimization": optimization,
+            "frame_drop": frame_drop,
+            "supernet_switching": supernet,
+            "objective": "uxcost",
+        },
+        "supernet_switches": 0,
+        "frame_drops": 0,
+    }
+
+
+#: ``info()`` of every registry scheduler right after ``bind`` on the tiny
+#: scenario.  It lands in ``SimulationResult.scheduler_info``, so it is part
+#: of every stored result and benchmark digest.
+_BOUND_INFO = {
+    "fcfs_static": {"task_to_accelerator": {"context": 0, "heavy": 1, "vision": 0, "cascade": 1}},
+    "fcfs_dynamic": {},
+    "veltair": {"block_latency_ms": 0.75},
+    "planaria": {"fission_threshold": 2, "min_fraction": 0.5},
+    "dream_fixed": _dream_info(False, False, False),
+    "dream_mapscore": _dream_info(True, False, False),
+    "dream_smartdrop": _dream_info(True, True, False),
+    "dream_full": _dream_info(True, True, True),
+}
+
+
+@pytest.mark.parametrize("scheduler_name", scheduler_names())
+def test_bound_scheduler_info_is_pinned(tiny_scenario, tiny_platform, tiny_cost_table,
+                                        scheduler_name):
+    scheduler = make_scheduler(scheduler_name)
+    scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario, random.Random(0))
+    info = dict(scheduler.info())
+    expected = _BOUND_INFO[scheduler_name]
+    assert info == expected
+    assert list(info) == list(expected)
 
 
 @pytest.mark.parametrize("scheduler_name", scheduler_names())
@@ -49,19 +96,31 @@ class TestSchedulerBehaviour:
         assert set(mapping) == set(tiny_scenario.task_names)
         assert all(0 <= acc_id < len(tiny_platform) for acc_id in mapping.values())
 
-    def test_veltair_block_size_grows_with_budget(self, tiny_scenario, tiny_platform, tiny_cost_table):
-        import random
-        from repro.schedulers.veltair import VeltairScheduler
-        from repro.sim.request import InferenceRequest
-
-        small = VeltairScheduler(block_latency_ms=0.01)
-        large = VeltairScheduler(block_latency_ms=100.0)
-        for scheduler in (small, large):
-            scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario, random.Random(0))
-        spec = tiny_scenario.task("heavy")
-        request = InferenceRequest(spec.name, spec.default_model, 0, 0.0, 100.0, rng=random.Random(0))
-        assert small.block_size(request) <= large.block_size(request)
-        assert large.block_size(request) == len(request.path)
+    def test_veltair_blocks_close_at_the_latency_budget(self):
+        """A block of n layers: the average latencies of its first n-1 sum
+        below the budget, and either all n reach it or the block is the
+        whole remaining path.  ``vr_gaming`` has blocks of both kinds."""
+        scenario, platform, cost_table = shared_context("vr_gaming", "4k_1ws_2os", 0.5)
+        scheduler = VeltairScheduler()
+        scheduler.bind(platform, cost_table, scenario, random.Random(0))
+        closed_by = set()
+        for spec in scenario.tasks:
+            request = InferenceRequest(spec.name, spec.default_model, 0, 0.0, 100.0,
+                                       rng=random.Random(0))
+            path = list(request.remaining_path())
+            size = scheduler.block_size(request)
+            # Prefix sums left to right, as block_size accumulates them.
+            prefix = list(accumulate(
+                (cost_table.average_latency(request.model_name, index) for index in path[:size]),
+                initial=0.0,
+            ))
+            assert prefix[size - 1] < BLOCK_LATENCY_MS
+            if prefix[size] >= BLOCK_LATENCY_MS:
+                closed_by.add("budget")
+            else:
+                assert size == len(path)
+                closed_by.add("path end")
+        assert closed_by == {"budget", "path end"}
 
     def test_dream_tracks_parameters(self, tiny_scenario, tiny_platform):
         scheduler = make_scheduler("dream_mapscore")

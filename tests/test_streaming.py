@@ -15,7 +15,6 @@ from repro.workloads import (
     generate_frames,
     scenario_names,
 )
-from repro.workloads.frames import SENSOR_JITTER_MS
 from repro.workloads.traffic import BurstyArrival, PeriodicArrival, PoissonArrival
 
 
@@ -49,9 +48,7 @@ class TestStreamingParity:
         _, streamed = _streamed_arrivals(scenario, platform, cost_table, 400.0)
         materialized = [
             (frame.task_name, frame.frame_id, frame.arrival_ms)
-            for frame in generate_frames(
-                scenario, duration_ms=400.0, jitter_ms=SENSOR_JITTER_MS, seed=0
-            )
+            for frame in generate_frames(scenario, duration_ms=400.0, seed=0)
         ]
         # Frames arriving at the very end may still be streamed after the
         # last completion drains; the engine processes every frame the
@@ -65,9 +62,7 @@ class TestStreamingParity:
             _, streamed = _streamed_arrivals(scenario, platform, cost_table, 300.0)
             materialized = [
                 (frame.task_name, frame.frame_id, frame.arrival_ms)
-                for frame in generate_frames(
-                    scenario, duration_ms=300.0, jitter_ms=SENSOR_JITTER_MS, seed=0
-                )
+                for frame in generate_frames(scenario, duration_ms=300.0, seed=0)
             ]
             assert streamed == materialized, scenario.name
 

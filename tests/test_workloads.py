@@ -121,8 +121,8 @@ class TestFrames:
     @given(seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
     def test_generation_is_deterministic_per_seed(self, tiny_scenario, seed):
-        first = generate_frames(tiny_scenario, duration_ms=300.0, seed=seed, jitter_ms=1.0)
-        second = generate_frames(tiny_scenario, duration_ms=300.0, seed=seed, jitter_ms=1.0)
+        first = generate_frames(tiny_scenario, duration_ms=300.0, seed=seed)
+        second = generate_frames(tiny_scenario, duration_ms=300.0, seed=seed)
         assert [(f.task_name, f.arrival_ms) for f in first] == [
             (f.task_name, f.arrival_ms) for f in second
         ]
