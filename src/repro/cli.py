@@ -48,6 +48,8 @@ tests use; the CLI adds no simulation logic of its own.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
 import time
@@ -118,7 +120,19 @@ def _split_names(values: Optional[Sequence[str]], default: Sequence[str]) -> lis
 
 
 def _jsonable(value):
-    """Best-effort conversion of figure summaries to JSON-serializable data."""
+    """Best-effort conversion of figure summaries to JSON-serializable data.
+
+    Dataclass instances (Figure 10's ``OptimizationTrace``, its steps and
+    points) become objects of their fields, enums their ``.value``; any
+    other unknown value falls back to its ``repr``.
+    """
+    if isinstance(value, enum.Enum):
+        return _jsonable(value.value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            field.name: _jsonable(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

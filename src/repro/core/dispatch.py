@@ -15,6 +15,7 @@ one fits (or the lightest is reached), as illustrated in Figure 6.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from repro.core.mapscore import MapScoreEngine
@@ -61,6 +62,12 @@ class JobDispatchEngine:
         # is a pure function of (model, position), so the cache is exempt
         # state under the WakeHint contract.
         self._statics_cache: dict[int, tuple] = {}
+        # (model, position, remaining length) -> the one statics tuple of
+        # every request whose path is layers 0..n-1, so such requests at
+        # one position share it (at most L(L+1)/2 entries per model).
+        self._suffix_statics: dict[tuple[str, int, int], tuple] = {}
+        # The last field of each statics tuple: an int naming that tuple.
+        self._group_ids = itertools.count()
 
     # ------------------------------------------------------------------ #
     # Supernet switching (Section 4.5.1)
@@ -115,22 +122,37 @@ class JobDispatchEngine:
         """Rebuild one request's memoized accelerator-independent inputs.
 
         ``(position, model, to_go, average, total_latency, total_energy,
-        acc_row)`` — all pure functions of (model, next position), so the
-        entry is valid until the request makes progress.  Only the cache
-        *miss* path lives here; :meth:`_best_request` inlines the lookup.
+        acc_row, group)`` — all pure functions of (model, next position),
+        so the entry is valid until the request makes progress; ``group``
+        is an int unique to the tuple.  Paths ascend, so one whose last
+        layer is its length minus one runs every layer (a static path, an
+        early-exit prefix, a SkipNet path that skipped nothing): its tail
+        is the contiguous suffix ``(model, position, length)``, and it
+        takes that suffix's shared tuple, whose ``group`` then names the
+        suffix in :meth:`_best_request`.  Only the cache *miss* path lives
+        here; :meth:`_best_request` inlines the lookup.
         """
+        path = request.path
         model = request.model.name
-        arrays = self.cost_table.layer_arrays(model)
-        next_layer = request.path[position]
-        entry = (
-            position,
-            model,
-            self.map_score_engine.to_go_ms(request),
-            arrays.average_latency[next_layer],
-            arrays.total_latency[next_layer],
-            arrays.total_energy[next_layer],
-            arrays.acc_rows[next_layer],
-        )
+        suffix = None
+        if path[-1] == len(path) - 1:
+            suffix = (model, position, len(path) - position)
+        entry = self._suffix_statics.get(suffix)  # None is never a key
+        if entry is None:
+            arrays = self.cost_table.layer_arrays(model)
+            next_layer = path[position]
+            entry = (
+                position,
+                model,
+                self.map_score_engine.to_go_ms(request),
+                arrays.average_latency[next_layer],
+                arrays.total_latency[next_layer],
+                arrays.total_energy[next_layer],
+                arrays.acc_rows[next_layer],
+                next(self._group_ids),
+            )
+            if suffix is not None:
+                self._suffix_statics[suffix] = entry
         self._statics_cache[request.request_id] = entry
         return entry
 
@@ -154,8 +176,23 @@ class JobDispatchEngine:
         because at one consultation per event over deep queues even a
         method call per request dominates.  The strict ``>`` keeps the
         first maximum on exact ties, the pair the spec's stable descending
-        sort puts first.  Returns ``(score, request)``, with ``request``
-        ``None`` when nothing is schedulable.
+        sort puts first.
+
+        With ``alpha >= 0`` the scan also skips a *dominated* request: one
+        that shares its statics tuple with an earlier scored request (the
+        same model and remaining suffix, see :meth:`_build_statics`) and
+        has neither an earlier deadline nor an earlier
+        ``last_progress_ms``.  Given the statics, every MapScore
+        term is a function of slack and queue time alone: urgency does not
+        increase with slack, starvation does not decrease with queue time
+        when ``alpha >= 0``, and the rest is fixed.  Correctly rounded IEEE
+        subtraction, division, multiplication by a non-negative factor and
+        addition are each monotone, so the skipped request scores at most
+        the earlier one, which wins the tie anyway; the result is the full
+        scan's, bit for bit.  Each statics tuple keeps one earlier request,
+        the first scored, replaced by a later scored one that dominates it.
+        Returns ``(score, request)``, with ``request`` ``None`` when
+        nothing is schedulable.
         """
         now_ms = view.now_ms
         acc_id = acc.acc_id
@@ -166,6 +203,11 @@ class JobDispatchEngine:
         build = self._build_statics
         switch_cache: dict[str, float] = {}
         switch_get = switch_cache.get
+        skip_dominated = alpha >= 0.0
+        # statics group -> (deadline_ms, last_progress_ms) of the group's
+        # earlier scored request
+        scored: dict[int, tuple[float, float]] = {}
+        scored_get = scored.get
         best_score = 0.0
         best_request: Optional[InferenceRequest] = None
         for request in pending:
@@ -175,10 +217,20 @@ class JobDispatchEngine:
                 if position >= len(request.path):
                     continue
                 entry = build(request, position)
-            _pos, model, to_go, average, total_latency, total_energy, acc_row = entry
-            slack = request.deadline_ms - now_ms
+            _pos, model, to_go, average, total_latency, total_energy, acc_row, group = entry
+            deadline = request.deadline_ms
+            last_progress = request.last_progress_ms
+            if skip_dominated:
+                earlier = scored_get(group)
+                if earlier is None:
+                    scored[group] = (deadline, last_progress)
+                elif earlier[0] <= deadline and earlier[1] <= last_progress:
+                    continue
+                elif deadline <= earlier[0] and last_progress <= earlier[1]:
+                    scored[group] = (deadline, last_progress)
+            slack = deadline - now_ms
             urgency = to_go / (slack if slack > 1e-3 else 1e-3)
-            queue_time = now_ms - request.last_progress_ms
+            queue_time = now_ms - last_progress
             if queue_time < 0.0:
                 queue_time = 0.0
             alpha_starv = alpha * (queue_time / (average if average > 1e-12 else 1e-12))

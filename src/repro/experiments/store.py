@@ -122,8 +122,10 @@ class ResultStore:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 # No sort_keys: task_stats order is part of the result
-                # contract (UXCost sums terms in task order).
-                json.dump(payload, handle)
+                # contract (UXCost sums terms in task order).  dumps gives
+                # the text json.dump writes, but encodes it in C; dump's
+                # chunked encoder is always the pure-Python one.
+                handle.write(json.dumps(payload))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -21,7 +21,9 @@ precomputes them once at build time into flat per-model arrays:
   fission scales only the compute-bound component), and
 * memoized context-switch latency/energy per (model, previous model,
   accelerator) triple, priced from each model's
-  :func:`activation_footprint_bytes`.
+  :func:`activation_footprint_bytes`, and
+* lazily memoized remaining-work totals (ToGo, ``minimum_to_go``) per
+  contiguous run of layers, keyed ``(model, first layer, length)``.
 
 Every precomputed value is produced by the *same arithmetic expression* as
 the scan it replaces, so optimized and reference simulations agree
@@ -151,6 +153,10 @@ class CostTable:
         self._switch_cache: dict[tuple[str, str, int], tuple[float, float]] = {}
         # (model, acc_id, pe_fraction) -> effective latency per layer
         self._effective_cache: dict[tuple[str, int, float], tuple[float, ...]] = {}
+        # (model, first layer, length) -> total / best-case latency of that
+        # contiguous run of layers (see _run_total)
+        self._suffix_total: dict[tuple[str, int, int], float] = {}
+        self._suffix_best: dict[tuple[str, int, int], float] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -312,11 +318,10 @@ class CostTable:
         """
         if not layer_indices:
             return 0.0
-        totals = self._arrays[model_name].total_latency
-        return (
-            reduce(add, map(totals.__getitem__, layer_indices), 0.0)
-            / self._platform.num_accelerators
+        total = self._run_total(
+            self._suffix_total, self._arrays[model_name].total_latency, model_name, layer_indices
         )
+        return total / self._platform.num_accelerators
 
     def remaining_best_latency(
         self, model_name: str, layer_indices: Sequence[int]
@@ -325,8 +330,42 @@ class CostTable:
 
         Used by the smart frame drop engine (Section 4.2.1, Condition 1).
         """
-        best = self._arrays[model_name].best_latency
-        return reduce(add, map(best.__getitem__, layer_indices), 0.0)
+        return self._run_total(
+            self._suffix_best, self._arrays[model_name].best_latency, model_name, layer_indices
+        )
+
+    @staticmethod
+    def _run_total(
+        memo: dict[tuple[str, int, int], float],
+        per_layer: Sequence[float],
+        model_name: str,
+        layer_indices: Sequence[int],
+    ) -> float:
+        """Left-to-right total of ``per_layer`` over ``layer_indices``.
+
+        Layer indices ascend, as every execution path's do, so a run whose
+        last index is its first plus its length minus one is contiguous.
+        Every tail of a static or early-exit path is, and its total is
+        memoized under ``(model, first layer, length)``: at most L(L+1)/2
+        entries for an L-layer model, however many requests run it.  A
+        LayerSkipping tail with a skipped block inside it is summed per
+        call and not stored, because that key does not determine its
+        layers.
+        """
+        if not layer_indices:
+            return 0.0
+        first = layer_indices[0]
+        length = len(layer_indices)
+        contiguous = layer_indices[-1] - first + 1 == length
+        if contiguous:
+            key = (model_name, first, length)
+            total = memo.get(key)
+            if total is not None:
+                return total
+        total = reduce(add, map(per_layer.__getitem__, layer_indices), 0.0)
+        if contiguous:
+            memo[key] = total
+        return total
 
     def context_switch_energy(
         self, new_model: str, previous_model: str | None, acc_id: int

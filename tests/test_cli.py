@@ -98,6 +98,41 @@ class TestFigure:
         assert payload["name"] == "figure2"
         assert len(payload["rows"]) == 4
 
+    def test_jsonable_writes_optimization_traces_as_data(self):
+        from repro.cli import _jsonable
+        from repro.core.adaptivity import OptimizationStep, OptimizationTrace, ParameterPoint
+        from repro.sim.request import RequestState
+
+        trace = OptimizationTrace(
+            steps=[
+                OptimizationStep(
+                    step_index=0,
+                    point=ParameterPoint(1.0, 0.5),
+                    cost=2.5,
+                    radius=0.5,
+                    samples=((ParameterPoint(1.5, 0.5), 3.0),),
+                )
+            ]
+        )
+        data = _jsonable({"traces": {"case": trace}, "state": RequestState.COMPLETED})
+        assert data == {
+            "traces": {
+                "case": {
+                    "steps": [
+                        {
+                            "step_index": 0,
+                            "point": {"alpha": 1.0, "beta": 0.5},
+                            "cost": 2.5,
+                            "radius": 0.5,
+                            "samples": [[{"alpha": 1.5, "beta": 0.5}, 3.0]],
+                        }
+                    ]
+                }
+            },
+            "state": "completed",
+        }
+        assert json.loads(json.dumps(data)) == data
+
     def test_figure12_cells_reach_the_store(self, tmp_path, capsys, monkeypatch):
         from repro.experiments.jobs import CellJob
         from repro.experiments.store import ResultStore

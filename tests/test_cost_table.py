@@ -1,10 +1,13 @@
 """Unit tests for the offline cost table."""
 
+import random
+
 import pytest
 
-from repro.hardware import CostTable
+from repro.hardware import CostTable, make_platform
 from repro.hardware.cost_model import LayerCost
 from repro.hardware.cost_table import activation_footprint_bytes
+from repro.models import zoo
 
 
 class TestLookups:
@@ -204,3 +207,69 @@ class TestReferenceViewEquivalence:
                 )
             # Memoized: the exact same tuple comes back.
             assert tiny_cost_table.effective_latency_table("alpha", 0, fraction) is eff
+
+
+class TestSuffixMemo:
+    """Remaining-work totals are memoized per contiguous run of layers.
+
+    Every tail of a static or early-exit path is contiguous and is stored
+    under ``(model, first layer, length)``; a SkipNet tail that still
+    crosses a skipped block is summed per call and never stored.  Either
+    way the value must equal the reference table's scan bit for bit.
+    """
+
+    MODELS = ("kws_res8", "rapid_rl", "skipnet")
+
+    @classmethod
+    def _table(cls):
+        models = [zoo.build_model(name) for name in cls.MODELS]
+        return CostTable.build(make_platform("4k_1ws_2os"), models), models
+
+    @staticmethod
+    def _paths(model, count=40):
+        rng = random.Random(7)
+        paths = {tuple(model.worst_case_path())}
+        paths.update(tuple(model.sample_execution_path(rng)) for _ in range(count))
+        return sorted(paths)
+
+    def test_every_suffix_equals_the_reference_scans(self):
+        table, models = self._table()
+        reference = table.reference_view()
+        for model in models:
+            paths = self._paths(model)
+            if model.name == "rapid_rl":
+                assert len({len(path) for path in paths}) > 1  # exits were taken
+            if model.name == "skipnet":
+                assert any(path[-1] - path[0] + 1 != len(path) for path in paths)
+            for path in paths:
+                for position in range(len(path) + 1):
+                    tail = list(path[position:])
+                    for _miss_then_hit in range(2):
+                        assert table.remaining_average_latency(
+                            model.name, tail
+                        ) == reference.remaining_average_latency(model.name, tail)
+                        assert table.remaining_best_latency(
+                            model.name, tail
+                        ) == reference.remaining_best_latency(model.name, tail)
+            layers = model.num_layers
+            for memo in (table._suffix_total, table._suffix_best):
+                stored = [key for key in memo if key[0] == model.name]
+                assert 0 < len(stored) <= layers * (layers + 1) // 2
+
+    def test_non_contiguous_runs_are_never_stored(self):
+        table, models = self._table()
+        skipnet = models[self.MODELS.index("skipnet")]
+        contiguous = set()
+        for path in self._paths(skipnet):
+            for position in range(len(path)):
+                tail = list(path[position:])
+                table.remaining_average_latency(skipnet.name, tail)
+                table.remaining_best_latency(skipnet.name, tail)
+                if tail == list(range(tail[0], tail[0] + len(tail))):
+                    contiguous.add((skipnet.name, tail[0], len(tail)))
+        assert set(table._suffix_total) == contiguous
+        assert set(table._suffix_best) == contiguous
+        fresh, _models = self._table()
+        fresh.remaining_average_latency(skipnet.name, [0, 2, 3])
+        fresh.remaining_best_latency(skipnet.name, [0, 2, 3])
+        assert not fresh._suffix_total and not fresh._suffix_best

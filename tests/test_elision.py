@@ -14,12 +14,14 @@ supporting pool counter semantics.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import pytest
 
 from repro.experiments.jobs import generated_context, shared_context
+from repro.hardware import CostTable
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.base import WakeHint
 from repro.schedulers.planaria import MIN_FRACTION
@@ -430,3 +432,46 @@ def test_scheduler_memo_caches_stay_bounded_by_live_requests():
             assert len(scheduler.dispatch_engine._statics_cache) <= live_bound
             assert len(scheduler.map_score_engine._to_go_cache) <= live_bound
             assert len(scheduler.frame_drop_engine._to_go_cache) <= live_bound
+
+
+def test_suffix_memos_stay_bounded_by_distinct_suffixes():
+    """Shared statics and memoized suffix totals are per suffix, not per request.
+
+    A window three times as long runs three times the requests but reaches
+    no new suffix of a static model: DREAM's shared-statics table and a
+    fresh cost table's suffix memo of those models hold as many entries
+    after 3000 ms as after 1000 ms.  SkipNet's contiguous tails (past the
+    last skipped block) still appear as new skip patterns are sampled,
+    within the L(L+1)/2 bound.
+    """
+    scenario, platform, _ = shared_context("ar_call", _PLATFORM, 0.5)
+    layers = {model.name: model.num_layers for model in scenario.all_model_graphs()}
+    static = {
+        task.default_model.name
+        for task in scenario.tasks
+        if not task.default_model.is_dynamic
+    }
+    sizes = []
+    for duration_ms in (1000.0, 3000.0):
+        cost_table = CostTable.build(platform, scenario.all_model_graphs())
+        scheduler = make_scheduler("dream_full")
+        SimulationEngine(
+            scenario=scenario,
+            platform=platform,
+            scheduler=scheduler,
+            duration_ms=duration_ms,
+            seed=0,
+            cost_table=cost_table,
+        ).run()
+        memos = (cost_table._suffix_total, cost_table._suffix_best)
+        for memo in memos:
+            for name, count in Counter(key[0] for key in memo).items():
+                assert count <= layers[name] * (layers[name] + 1) // 2
+        sizes.append(
+            (
+                len(scheduler.dispatch_engine._suffix_statics),
+                [sum(key[0] in static for key in memo) for memo in memos],
+            )
+        )
+    assert sizes[0] == sizes[1]
+    assert sizes[0][0] == sum(layers[name] for name in static)

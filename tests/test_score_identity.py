@@ -279,3 +279,239 @@ def test_cross_accelerator_tie_goes_to_the_earlier_request():
     expected = [(request_a.request_id, 2), (request_b.request_id, 1)]
     assert _sequence(spec, view, 1.0, 0.5) == expected
     assert _sequence(fast, view, 1.0, 0.5) == expected
+
+
+# --------------------------------------------------------------------- #
+# Dominated same-suffix requests
+#
+# With alpha >= 0 the scan skips a request whose statics tuple is shared
+# with an earlier scored request (same model, same remaining suffix) that
+# has neither a later deadline nor a later last progress.  Skipping must
+# leave every pick exactly the spec's, so each case below checks the scan
+# on every accelerator and the greedy over every idle accelerator.
+# --------------------------------------------------------------------- #
+
+
+def _task(scenario, name):
+    return next(task for task in scenario.tasks if task.name == name)
+
+
+def _assert_scan_is_the_spec(scenario, cost_table, snapshot, accs, now_ms, alpha, beta):
+    """Per-accelerator scans and the multi-idle greedy both equal the spec."""
+    dispatch = JobDispatchEngine(cost_table, scenario, MapScoreEngine(cost_table))
+    schedulable = [r for r in snapshot if r.next_position < len(r.path)]
+    reference = _reference_scores(
+        MapScoreEngine(cost_table), schedulable, accs, now_ms, alpha, beta
+    )
+    picks = {}
+    for acc in accs:
+        scored = [(s, rid, a) for s, rid, a in reference if a == acc.acc_id]
+        score, best = dispatch._best_request(_View(now_ms), snapshot, acc, alpha, beta)
+        assert (score, best.request_id) == _first_max(scored)
+        picks[acc.acc_id] = best
+    fast, spec = _engines(scenario, cost_table)
+    view = _View(now_ms, accs, snapshot)
+    assert _sequence(fast, view, alpha, beta) == _sequence(spec, view, alpha, beta)
+    return dispatch, picks
+
+
+def _accs_for(scenario):
+    names = _model_names(scenario)
+    return (_Acc(0, None), _Acc(1, names[0]), _Acc(2, names[1]))
+
+
+def _shared(dispatch, requests):
+    """True when every request scanned with one shared statics tuple."""
+    entries = {id(dispatch._statics_cache[r.request_id]) for r in requests}
+    return len(entries) == 1
+
+
+@pytest.mark.parametrize("order", ["arrival", "reversed", "shuffled"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0])
+def test_unstarted_frames_of_one_task_some_late(order, alpha):
+    """Position-0 frames of one task, half of them past their deadline.
+
+    Late frames clamp their slack alike, so only queue time separates
+    them.  In arrival order the first frame dominates all others; reversed,
+    every frame is dominated by one that comes after it and must still be
+    scored.
+    """
+    scenario, _platform, cost_table = _context()
+    task = _task(scenario, "keyword_spotting")
+    rng = random.Random(11)
+    period = task.period_ms
+    frames = [
+        _make_request(rng, task, i, i * period, (i + 1) * period) for i in range(6)
+    ]
+    snapshot = list(frames)
+    if order == "reversed":
+        snapshot.reverse()
+    elif order == "shuffled":
+        rng.shuffle(snapshot)
+    now_ms = 3.5 * period  # frames 0-2 are late, 3-5 are not
+    dispatch, picks = _assert_scan_is_the_spec(
+        scenario, cost_table, tuple(snapshot), _accs_for(scenario), now_ms, alpha, 0.5
+    )
+    assert _shared(dispatch, frames)
+    # Late frames tie on urgency; any starvation weight favours the oldest.
+    late = {0} if alpha > 0.0 else {0, 1, 2}
+    assert {best.frame_id for best in picks.values()} <= late
+
+
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_started_requests_whose_progress_order_differs_from_pending_order(seed):
+    """Started requests at one position, pending in arrival order.
+
+    Their last progress is a permutation unrelated to arrival, so earlier
+    pending requests neither dominate nor are dominated by later ones in
+    any fixed pattern.
+    """
+    scenario, _platform, cost_table = _context()
+    rng = random.Random(seed)
+    task = _task(scenario, rng.choice(["keyword_spotting", "translation"]))
+    position = rng.randrange(1, task.default_model.num_layers)
+    progress = [rng.uniform(0.0, 60.0) for _ in range(8)]
+    rng.shuffle(progress)
+    requests = [
+        _make_request(
+            rng, task, i, 5.0 * i, 5.0 * i + rng.uniform(20.0, 70.0),
+            position=position, last_progress=max(5.0 * i, progress[i]),
+        )
+        for i in range(8)
+    ]
+    now_ms = rng.uniform(40.0, 90.0)
+    alpha, beta = rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
+    dispatch, _picks = _assert_scan_is_the_spec(
+        scenario, cost_table, tuple(requests), _accs_for(scenario), now_ms, alpha, beta
+    )
+    assert _shared(dispatch, requests)
+
+
+@pytest.mark.parametrize(
+    "first, second, alpha",
+    [
+        # The later request has the earlier deadline: it must be scored.
+        ((100.0, 10.0), (60.0, 20.0), 0.0),
+        # The later request has waited longer: it must be scored.
+        ((60.0, 30.0), (70.0, 5.0), 2.0),
+    ],
+)
+def test_a_later_undominated_request_wins(first, second, alpha):
+    """The earlier request of a shared suffix does not dominate the later one.
+
+    Each case is built so the later request is the spec's pick; a scan
+    that skipped it would keep the earlier one.
+    """
+    scenario, _platform, cost_table = _context()
+    task = _task(scenario, "translation")
+    rng = random.Random(1)
+    requests = [
+        _make_request(rng, task, i, 0.0, deadline, position=2, last_progress=progress)
+        for i, (deadline, progress) in enumerate((first, second))
+    ]
+    dispatch, picks = _assert_scan_is_the_spec(
+        scenario, cost_table, tuple(requests), _accs_for(scenario), 50.0, alpha, 0.5
+    )
+    assert _shared(dispatch, requests)
+    assert all(best is requests[1] for best in picks.values())
+
+
+def test_a_dominated_request_before_its_dominator_is_scored():
+    """The dominated request comes first in the scan and takes the lead;
+    its dominator, later in the scan, must still be scored and win."""
+    scenario, _platform, cost_table = _context()
+    task = _task(scenario, "translation")
+    rng = random.Random(2)
+    dominated = _make_request(rng, task, 0, 0.0, 80.0, position=3, last_progress=30.0)
+    dominator = _make_request(rng, task, 1, 0.0, 55.0, position=3, last_progress=10.0)
+    snapshot = (dominated, dominator)
+    dispatch, picks = _assert_scan_is_the_spec(
+        scenario, cost_table, snapshot, _accs_for(scenario), 50.0, 1.0, 0.5
+    )
+    assert _shared(dispatch, (dominated, dominator))
+    assert all(best is dominator for best in picks.values())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_exact_ties_inside_a_suffix_go_to_the_first(alpha):
+    """Identical requests of one suffix tie exactly; the first one wins,
+    with later duplicates skipped and an undominated request between."""
+    scenario, _platform, cost_table = _context()
+    task = _task(scenario, "keyword_spotting")
+    rng = random.Random(4)
+    twins = [
+        _make_request(rng, task, i, 0.0, 40.0, position=5, last_progress=12.0)
+        for i in range(3)
+    ]
+    between = _make_request(rng, task, 3, 0.0, 45.0, position=5, last_progress=8.0)
+    snapshot = (twins[0], between, twins[1], twins[2])
+    map_engine = MapScoreEngine(cost_table)
+    totals = {map_engine.map_score(r, 0, 30.0, alpha, 0.5, None).total for r in twins}
+    assert len(totals) == 1  # the tie is real
+    dispatch, picks = _assert_scan_is_the_spec(
+        scenario, cost_table, snapshot, _accs_for(scenario), 30.0, alpha, 0.5
+    )
+    assert _shared(dispatch, snapshot)
+    assert all(best in (twins[0], between) for best in picks.values())
+
+
+def _grouped_population(rng, scenario, size):
+    """Requests drawn from a few (task, position) suffixes, in random order,
+    with random deadlines (some late), progress and exact duplicates."""
+    suffixes = [
+        (_task(scenario, name), rng.randrange(0, 4))
+        for name in ("keyword_spotting", "translation", "keyword_spotting")
+    ]
+    requests = []
+    for i in range(size):
+        task, position = rng.choice(suffixes)
+        arrival = rng.uniform(0.0, 100.0)
+        requests.append(
+            _make_request(
+                rng, task, i, arrival, arrival + rng.uniform(5.0, 60.0),
+                position=position, last_progress=arrival + rng.uniform(0.0, 20.0),
+            )
+        )
+    for source in rng.sample(requests, k=size // 4):
+        task = _task(scenario, source.task_name)
+        requests.append(
+            _make_request(
+                rng, task, 10_000 + source.frame_id, source.arrival_ms,
+                source.deadline_ms, position=source.next_position,
+                last_progress=source.last_progress_ms,
+            )
+        )
+    rng.shuffle(requests)
+    return tuple(requests)
+
+
+@pytest.mark.parametrize("idle_count", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_multi_idle_rounds_over_shared_suffixes(seed, idle_count):
+    """Randomized grouped populations on one to three idle accelerators."""
+    scenario, _platform, cost_table = _context()
+    rng = random.Random(1000 + seed)
+    snapshot = _grouped_population(rng, scenario, rng.randrange(12, 40))
+    accs = _accs_for(scenario)
+    for acc in rng.sample(accs, k=len(accs) - idle_count):
+        acc.free_fraction = rng.choice([0.0, 0.5])
+    now_ms = rng.uniform(20.0, 140.0)
+    alpha, beta = rng.choice([0.0, rng.uniform(0.0, 2.0)]), rng.uniform(0.0, 1.0)
+    _assert_scan_is_the_spec(scenario, cost_table, snapshot, accs, now_ms, alpha, beta)
+    fast, _spec = _engines(scenario, cost_table)
+    assert len(_sequence(fast, _View(now_ms, accs, snapshot), alpha, beta)) == idle_count
+
+
+def test_negative_alpha_scores_every_request():
+    """Below zero, starvation lowers the score, so queue time no longer
+    orders a suffix's requests and nothing may be skipped."""
+    scenario, _platform, cost_table = _context()
+    task = _task(scenario, "translation")
+    rng = random.Random(6)
+    waited = _make_request(rng, task, 0, 0.0, 60.0, position=2, last_progress=5.0)
+    fresh = _make_request(rng, task, 1, 0.0, 60.0, position=2, last_progress=45.0)
+    dispatch, picks = _assert_scan_is_the_spec(
+        scenario, cost_table, (waited, fresh), _accs_for(scenario), 50.0, -1.0, 0.5
+    )
+    assert _shared(dispatch, (waited, fresh))
+    assert all(best is fresh for best in picks.values())

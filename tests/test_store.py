@@ -55,6 +55,15 @@ class TestResultStore:
         assert store.get(job).to_dict() == result.to_dict()
         assert store.stats()["entries"] == 1
 
+    def test_stored_text_is_the_json_dumps_of_job_and_result(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = CellJob.create(**{**_job_kwargs(), "scheduler": "dream_mapscore"})
+        result = job.run()
+        path = store.put(job, result)
+        expected = json.dumps({"job": job.to_dict(), "result": result.to_dict()})
+        assert path.read_text(encoding="utf-8") == expected
+        assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         job = CellJob.create(**_job_kwargs())
