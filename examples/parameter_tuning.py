@@ -32,7 +32,7 @@ def main() -> None:
         start = previous_end or ParameterPoint(1.5, 0.5)
         optimizer = IterativeParameterOptimizer(objective)
         trace = optimizer.optimize(start)
-        grid = parameter_grid(objective, values=(0.0, 0.5, 1.0, 1.5, 2.0))
+        grid = parameter_grid(objective)
         grid_best_point, grid_best = min(grid.items(), key=lambda item: item[1])
         rows.append(
             [

@@ -725,12 +725,13 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - started
     print(result.describe())
-    sessions = max(result.admitted, 1)
+    # Only the placements an outage left standing are simulated.
+    simulations = len(result.plan.jobs)
     print(
-        f"done: {result.admitted} session simulations in {elapsed:.2f} s "
-        f"({result.admitted / elapsed:.2f} sessions/s)"
+        f"done: {simulations} session simulations in {elapsed:.2f} s "
+        f"({simulations / elapsed:.2f} sessions/s)"
         if elapsed > 0
-        else f"done: {sessions} session simulations"
+        else f"done: {simulations} session simulations"
     )
     if store is not None:
         print(f"store: {store.stats()}")

@@ -204,7 +204,10 @@ def figure9(duration_ms: float = 1500.0, seed: int = 0) -> FigureResult:
     )
 
 
-#: Workload-change cases of Figure 10 (platform 4K 1OS+2WS).
+#: Platform of Figures 10 and 11 (4K 1OS+2WS).
+_FIGURE10_PLATFORM = "4k_1os_2ws"
+
+#: Workload-change cases of Figures 10 and 11.
 _FIGURE10_CASES = [
     ("idle->vr_gaming", None, "vr_gaming"),
     ("idle->ar_social", None, "ar_social"),
@@ -213,19 +216,14 @@ _FIGURE10_CASES = [
 ]
 
 
-def figure10(
-    duration_ms: float = 300.0,
-    seed: int = 0,
-    platform_name: str = "4k_1os_2ws",
-    grid_values: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
-) -> FigureResult:
+def figure10(duration_ms: float = 300.0, seed: int = 0) -> FigureResult:
     """Figure 10: (alpha, beta) search under workload changes vs the global optimum."""
     rows = []
     traces: dict[str, OptimizationTrace] = {}
     previous_end: Optional[ParameterPoint] = None
     for case_name, previous_scenario, target_scenario in _FIGURE10_CASES:
         objective = uxcost_objective(
-            target_scenario, platform_name, duration_ms=duration_ms, seed=seed
+            target_scenario, _FIGURE10_PLATFORM, duration_ms=duration_ms, seed=seed
         )
         if previous_scenario is None:
             # "IDLE": the system boots with arbitrary parameters.
@@ -235,7 +233,7 @@ def figure10(
         optimizer = IterativeParameterOptimizer(objective)
         trace = optimizer.optimize(start)
         traces[case_name] = trace
-        grid = parameter_grid(objective, values=grid_values)
+        grid = parameter_grid(objective)
         global_best = min(grid.values())
         gap = 0.0 if global_best <= 0 else trace.final_cost / global_best - 1.0
         rows.append(
@@ -266,16 +264,12 @@ def figure10(
     return result
 
 
-def figure11(
-    duration_ms: float = 300.0,
-    seed: int = 0,
-    platform_name: str = "4k_1os_2ws",
-) -> FigureResult:
+def figure11(duration_ms: float = 300.0, seed: int = 0) -> FigureResult:
     """Figure 11: convergence speed of the parameter optimization."""
     rows = []
     for case_name, previous_scenario, target_scenario in _FIGURE10_CASES:
         objective = uxcost_objective(
-            target_scenario, platform_name, duration_ms=duration_ms, seed=seed
+            target_scenario, _FIGURE10_PLATFORM, duration_ms=duration_ms, seed=seed
         )
         start = ParameterPoint(1.5, 0.5)
         optimizer = IterativeParameterOptimizer(objective)
@@ -306,21 +300,21 @@ def figure11(
     )
 
 
-def figure12(
-    duration_ms: float = 800.0,
-    seed: int = 0,
-    probabilities: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
-    platforms: Sequence[str] = ("4k_1ws_2os", "4k_1os_2ws"),
-) -> FigureResult:
+#: Platforms of the cascade-probability sweeps (Figures 12 and 14).
+_CASCADE_SWEEP_PLATFORMS = ("4k_1ws_2os", "4k_1os_2ws")
+
+
+def figure12(duration_ms: float = 800.0, seed: int = 0) -> FigureResult:
     """Figure 12: UXCost while sweeping the ML-cascade probability."""
     scenarios = ("vr_gaming", "ar_social")
+    platforms = _CASCADE_SWEEP_PLATFORMS
     schedulers = ["veltair", "planaria", "dream_mapscore", "dream_smartdrop", "dream_full"]
     grids = {
         probability: run_grid(
             scenarios, platforms, schedulers,
             duration_ms=duration_ms, seed=seed, cascade_probability=probability,
         )
-        for probability in probabilities
+        for probability in (0.5, 0.7, 0.9, 0.99)
     }
     rows = []
     for scenario in scenarios:
@@ -352,12 +346,7 @@ def figure12(
     )
 
 
-def figure13(
-    duration_ms: float = 1200.0,
-    seed: int = 0,
-    platform_name: str = "4k_1ws_2os",
-    probabilities: Sequence[float] = (0.5, 0.9),
-) -> FigureResult:
+def figure13(duration_ms: float = 1200.0, seed: int = 0) -> FigureResult:
     """Figure 13: optimizing DLV-only or energy-only degrades the other metric."""
     objectives = [
         OptimizationObjective.UXCOST,
@@ -366,9 +355,9 @@ def figure13(
     ]
     rows = []
     for scenario_name in ("vr_gaming", "ar_social"):
-        for probability in probabilities:
+        for probability in (0.5, 0.9):
             scenario, platform, cost_table = shared_context(
-                scenario_name, platform_name, probability
+                scenario_name, "4k_1ws_2os", probability
             )
             reference: Optional[dict] = None
             for objective in objectives:
@@ -416,20 +405,16 @@ def figure13(
     )
 
 
-def figure14(
-    duration_ms: float = 800.0,
-    seed: int = 0,
-    probabilities: Sequence[float] = (0.5, 0.99),
-    platforms: Sequence[str] = ("4k_1ws_2os", "4k_1os_2ws"),
-) -> FigureResult:
+def figure14(duration_ms: float = 800.0, seed: int = 0) -> FigureResult:
     """Figure 14: Supernet subnet mix selected by DREAM under load."""
     scenarios = ("vr_gaming", "ar_social")
+    platforms = _CASCADE_SWEEP_PLATFORMS
     grids = {
         probability: run_grid(
             scenarios, platforms, ["dream_full"],
             duration_ms=duration_ms, seed=seed, cascade_probability=probability,
         )
-        for probability in probabilities
+        for probability in (0.5, 0.99)
     }
     rows = []
     for scenario_name in scenarios:

@@ -10,12 +10,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-from repro.core.config import OptimizationObjective, dream_fixed
+from repro.core.config import dream_fixed
 from repro.core.dream import DreamScheduler
 from repro.experiments.jobs import shared_context
 from repro.sim import run_simulation
+from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY
+
+#: Values of alpha and of beta that :func:`parameter_grid` crosses: the
+#: 25-point grid Figure 10 takes its "global optimum" from.
+GRID_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def uxcost_objective(
@@ -23,18 +28,16 @@ def uxcost_objective(
     platform_name: str,
     duration_ms: float = 400.0,
     seed: int = 0,
-    cascade_probability: float = 0.5,
-    objective: OptimizationObjective = OptimizationObjective.UXCOST,
 ) -> Callable[[float, float], float]:
-    """Build an ``f(alpha, beta) -> cost`` objective for the offline optimizer.
+    """Build an ``f(alpha, beta) -> UXCost`` objective for the offline optimizer.
 
     Each evaluation runs a short simulation of DREAM with *fixed* (alpha,
     beta) (no online tuning, no frame drop, no Supernet switching, so the
-    measurement isolates the MapScore parameters) and returns the selected
-    metric.
+    measurement isolates the MapScore parameters) on the scenario at its
+    default cascade probability and returns the run's UXCost.
     """
     scenario, platform, cost_table = shared_context(
-        scenario_name, platform_name, cascade_probability
+        scenario_name, platform_name, DEFAULT_CASCADE_PROBABILITY
     )
 
     def objective_fn(alpha: float, beta: float) -> float:
@@ -48,18 +51,17 @@ def uxcost_objective(
             seed=seed,
             cost_table=cost_table,
         )
-        return objective.cost(result.uxcost_breakdown)
+        return result.uxcost
 
     return objective_fn
 
 
 def parameter_grid(
     objective_fn: Callable[[float, float], float],
-    values: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
 ) -> dict[tuple[float, float], float]:
-    """Evaluate the objective on an (alpha, beta) grid (Figure 10 backdrop)."""
+    """Evaluate the objective on the :data:`GRID_VALUES` grid (Figure 10 backdrop)."""
     return {
         (alpha, beta): objective_fn(alpha, beta)
-        for alpha in values
-        for beta in values
+        for alpha in GRID_VALUES
+        for beta in GRID_VALUES
     }

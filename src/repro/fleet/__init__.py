@@ -66,13 +66,12 @@ from repro.fleet.simulator import (
     session_seed,
     simulate_fleet,
 )
-from repro.fleet.spec import FAILOVER_POLICIES, FleetOutage, FleetSpec, PlatformSpec
+from repro.fleet.spec import FleetOutage, FleetSpec, PlatformSpec
 
 __all__ = [
     "ADMITTED",
     "EVICTED",
     "FAILED",
-    "FAILOVER_POLICIES",
     "REASON_CAPACITY",
     "REASON_FAILOVER",
     "REASON_FAIR_SHARE",

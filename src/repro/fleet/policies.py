@@ -197,21 +197,9 @@ class FairSharePolicy(RoutingPolicy):
     Live contention converges to the declared-population share exactly
     when every declared user is active, and otherwise lets the users who
     actually showed up split the idle capacity.
-
-    Attributes:
-        share_slack: multiplier on the per-user fair share
-            (``ceil(total_capacity * share_slack / contenders)``, at
-            least 1); values above 1 tolerate transient imbalance, values
-            below 1 enforce head-room.
     """
 
-    share_slack: float = 1.0
-
     kind = "fair_share"
-
-    def __post_init__(self) -> None:
-        if self.share_slack <= 0:
-            raise ValueError(f"share_slack must be positive (got {self.share_slack})")
 
     def fair_share(self, view: FleetLoadView, user_id: Optional[str] = None) -> int:
         """Max sessions one user may hold concurrently under this view.
@@ -227,7 +215,7 @@ class FairSharePolicy(RoutingPolicy):
         if user_id is not None and view.active_sessions(user_id) == 0:
             contenders += 1
         contenders = max(1, contenders)
-        return max(1, math.ceil(view.total_capacity * self.share_slack / contenders))
+        return max(1, math.ceil(view.total_capacity / contenders))
 
     def route(self, request: "SessionRequest", view: FleetLoadView) -> RoutingDecision:
         if view.active_sessions(request.user_id) >= self.fair_share(view, request.user_id):
@@ -239,7 +227,7 @@ class FairSharePolicy(RoutingPolicy):
 
 
 #: Factories for every routing policy, keyed by canonical name.
-ROUTING_POLICIES: dict[str, Callable[..., RoutingPolicy]] = {
+ROUTING_POLICIES: dict[str, Callable[[], RoutingPolicy]] = {
     RoundRobinPolicy.kind: RoundRobinPolicy,
     LeastLoadedPolicy.kind: LeastLoadedPolicy,
     FairSharePolicy.kind: FairSharePolicy,
@@ -251,7 +239,7 @@ def routing_policy_names() -> list[str]:
     return list(ROUTING_POLICIES)
 
 
-def make_routing_policy(name: str, **params) -> RoutingPolicy:
+def make_routing_policy(name: str) -> RoutingPolicy:
     """Build a fresh policy instance by registry name.
 
     Raises:
@@ -262,4 +250,4 @@ def make_routing_policy(name: str, **params) -> RoutingPolicy:
     except KeyError:
         known = ", ".join(routing_policy_names())
         raise KeyError(f"unknown routing policy {name!r}; available: {known}") from None
-    return factory(**params)
+    return factory()

@@ -64,6 +64,14 @@ from repro.workloads.users import session_requests
 #: a large prime keeps derived seeds distinct across fleet seeds.
 SESSION_SEED_STRIDE = 1_000_003
 
+#: Re-offers after the immediate one for an evicted session that found no
+#: healthy platform with a free slot, before it terminally fails.
+SESSION_RETRY_BUDGET = 1
+
+#: Base re-offer backoff: attempt *n* waits
+#: ``SESSION_RETRY_BACKOFF_MS * 2**(n-1)`` fleet-clock ms.
+SESSION_RETRY_BACKOFF_MS = 50.0
+
 
 def session_seed(fleet_seed: int, session_id: int) -> int:
     """The simulation seed of one admitted session.
@@ -227,12 +235,11 @@ class FleetSimulator:
         re-offers, ordered ``(time, transitions-first, declaration/stream
         order)`` so the schedule is a pure function of the spec.  An
         outage begin evicts every session active on the platform (sorted
-        by session id); under ``failover="reroute"`` each evicted session
-        is immediately re-offered to the least-loaded healthy platform
-        (ties by index) for its *remaining* window, retrying with
-        exponential backoff up to ``session_retry_budget`` extra attempts
-        before terminally failing; under ``failover="fail"`` it fails on
-        the spot.  An evicted placement's simulation job is discarded —
+        by session id); each evicted session is immediately re-offered to
+        the least-loaded healthy platform (ties by index) for its
+        *remaining* window, retrying with exponential backoff up to
+        :data:`SESSION_RETRY_BUDGET` extra attempts before terminally
+        failing.  An evicted placement's simulation job is discarded —
         the outage destroyed that work — and a reroute creates a fresh
         job for the remaining window, so jobs always describe exactly the
         placements that survived.
@@ -340,9 +347,9 @@ class FleetSimulator:
                 place(sid, index, end_ms, request.user_id)
                 jobs[sid] = make_job(sid, request, index, now, remaining)
                 return
-            if remaining > 0.0 and attempt <= spec.session_retry_budget:
+            if remaining > 0.0 and attempt <= SESSION_RETRY_BUDGET:
                 record(now, sid, request, RETRY, None, REASON_CAPACITY, remaining)
-                backoff = spec.session_retry_backoff_ms * (2.0 ** (attempt - 1))
+                backoff = SESSION_RETRY_BACKOFF_MS * (2.0 ** (attempt - 1))
                 heapq.heappush(
                     events,
                     (
@@ -400,10 +407,7 @@ class FleetSimulator:
                     user_active[user_id] -= 1
                     # The placement's simulation never finished: drop it.
                     jobs.pop(sid, None)
-                    if spec.failover == "fail":
-                        record(now, sid, request, FAILED, None, REASON_OUTAGE, remaining)
-                    else:
-                        attempt_reroute(now, sid, request, end_ms, attempt=1)
+                    attempt_reroute(now, sid, request, end_ms, attempt=1)
             elif kind == "outage_end":
                 outage = spec.outages[payload]
                 outage_open[outage.platform_index] -= 1

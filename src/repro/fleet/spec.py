@@ -17,13 +17,16 @@ simulation budget is spent — with a message naming the alternatives.
 
 Fault declarations ride the spec too: a :class:`FleetOutage` marks one
 platform down over a half-open window ``[start, end)``.  Sessions active
-on the platform when the outage begins are evicted and — under the
-``failover="reroute"`` policy — re-offered to the healthy remainder of
-the fleet with a bounded retry budget and exponential backoff, or
-terminally failed under ``failover="fail"``.  All fault knobs serialize
-*only when non-default*, so the canonical key (and therefore every
+on the platform when the outage begins are evicted and re-offered to the
+healthy remainder of the fleet with a bounded retry budget and
+exponential backoff (:mod:`repro.fleet.simulator`).  Outages serialize
+*only when declared*, so the canonical key (and therefore every
 content-addressed artifact) of a fault-free spec is byte-identical to
 pre-fault builds.
+
+``from_dict`` rejects a key that is not a field with a ``ValueError``
+naming it, so a hand-written spec with a typo or a retired option fails
+as a usage error instead of being silently ignored or crashing.
 """
 
 from __future__ import annotations
@@ -35,18 +38,10 @@ from typing import Mapping, Tuple
 from repro.hardware import all_platform_names
 from repro.schedulers import scheduler_names
 from repro.workloads import scenario_names
-from repro.workloads.users import UserSpec
+from repro.workloads.users import UserSpec, reject_unknown_keys
 
 #: Default session capacity of one platform (concurrently active sessions).
 DEFAULT_MAX_SESSIONS = 4
-
-#: Registered failover policies for sessions evicted by a platform outage.
-FAILOVER_POLICIES = ("reroute", "fail")
-
-#: Default failover knobs (fault-free specs must serialize without them).
-DEFAULT_FAILOVER = "reroute"
-DEFAULT_SESSION_RETRY_BUDGET = 1
-DEFAULT_SESSION_RETRY_BACKOFF_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,8 @@ class FleetOutage:
 
     While the window ``[start_ms, start_ms + duration_ms)`` is open the
     platform admits nothing; sessions active on it at ``start_ms`` are
-    evicted (their in-flight work is lost) and handled per the spec's
-    ``failover`` policy.  A session whose slot releases exactly at
+    evicted (their in-flight work is lost) and re-offered to the rest of
+    the fleet.  A session whose slot releases exactly at
     ``start_ms`` completed first — releases drain before fault
     transitions, mirroring the engine's heap priorities.
     """
@@ -95,6 +90,7 @@ class FleetOutage:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetOutage":
         """Rebuild from :meth:`to_dict` output."""
+        reject_unknown_keys(cls, data)
         return cls(
             platform_index=int(data["platform_index"]),
             start_ms=float(data["start_ms"]),
@@ -151,6 +147,7 @@ class PlatformSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PlatformSpec":
         """Rebuild from :meth:`to_dict` output."""
+        reject_unknown_keys(cls, data)
         return cls(**dict(data))
 
 
@@ -169,14 +166,6 @@ class FleetSpec:
             simulation seeds are all derived from it deterministically.
         outages: declared platform outages (empty = the historical
             always-healthy fleet; serialized only when non-empty).
-        failover: what happens to sessions evicted by an outage —
-            ``"reroute"`` re-offers them to the healthy remainder of the
-            fleet (least-loaded, ties by platform index) with bounded
-            retries, ``"fail"`` terminally fails them on the spot.
-        session_retry_budget: additional re-offer attempts after the
-            immediate one for an evicted session that found no capacity.
-        session_retry_backoff_ms: base re-offer backoff; attempt *n*
-            waits ``backoff * 2**(n-1)`` fleet-clock ms.
     """
 
     platforms: Tuple[PlatformSpec, ...]
@@ -185,9 +174,6 @@ class FleetSpec:
     duration_ms: float = 2000.0
     seed: int = 0
     outages: Tuple[FleetOutage, ...] = ()
-    failover: str = DEFAULT_FAILOVER
-    session_retry_budget: int = DEFAULT_SESSION_RETRY_BUDGET
-    session_retry_backoff_ms: float = DEFAULT_SESSION_RETRY_BACKOFF_MS
 
     def __post_init__(self) -> None:
         # Accept lists for ergonomic construction; store tuples (hashable).
@@ -225,20 +211,6 @@ class FleetSpec:
                     f"outage targets platform {outage.platform_index} but the "
                     f"fleet has only {len(self.platforms)} platform(s)"
                 )
-        if self.failover not in FAILOVER_POLICIES:
-            raise ValueError(
-                f"unknown failover policy {self.failover!r}; "
-                f"available: {', '.join(sorted(FAILOVER_POLICIES))}"
-            )
-        if self.session_retry_budget < 0:
-            raise ValueError(
-                f"session_retry_budget must be >= 0 (got {self.session_retry_budget})"
-            )
-        if self.session_retry_backoff_ms <= 0:
-            raise ValueError(
-                "session_retry_backoff_ms must be positive "
-                f"(got {self.session_retry_backoff_ms})"
-            )
 
     @property
     def total_users(self) -> int:
@@ -264,9 +236,9 @@ class FleetSpec:
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`).
 
-        Fault/failover knobs are emitted only when they differ from the
-        defaults, so fault-free specs keep their historical canonical
-        keys (and store/artifact content addresses).
+        Outages are emitted only when declared, so fault-free specs keep
+        their historical canonical keys (and store/artifact content
+        addresses).
         """
         payload = {
             "platforms": [spec.to_dict() for spec in self.platforms],
@@ -277,17 +249,12 @@ class FleetSpec:
         }
         if self.outages:
             payload["outages"] = [outage.to_dict() for outage in self.outages]
-        if self.failover != DEFAULT_FAILOVER:
-            payload["failover"] = self.failover
-        if self.session_retry_budget != DEFAULT_SESSION_RETRY_BUDGET:
-            payload["session_retry_budget"] = self.session_retry_budget
-        if self.session_retry_backoff_ms != DEFAULT_SESSION_RETRY_BACKOFF_MS:
-            payload["session_retry_backoff_ms"] = self.session_retry_backoff_ms
         return payload
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetSpec":
         """Rebuild from :meth:`to_dict` output."""
+        reject_unknown_keys(cls, data)
         payload = dict(data)
         payload["platforms"] = tuple(
             PlatformSpec.from_dict(item) for item in payload["platforms"]

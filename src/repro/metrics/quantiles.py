@@ -22,12 +22,12 @@ percent of the exact quantile for smooth distributions.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-__all__ = ["P2Quantile", "StreamingQuantiles", "DEFAULT_PROBABILITIES"]
+__all__ = ["P2Quantile", "StreamingQuantiles", "PROBABILITIES"]
 
-#: The quantiles the simulator tracks per task.
-DEFAULT_PROBABILITIES: tuple[float, ...] = (0.5, 0.95, 0.99)
+#: The quantiles the simulator tracks per task (and the fleet per user).
+PROBABILITIES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
 def _interpolated_quantile(sorted_samples: Sequence[float], p: float) -> float:
@@ -131,14 +131,12 @@ class P2Quantile:
 
 
 class StreamingQuantiles:
-    """A fixed set of P² markers over one sample stream (p50/p95/p99)."""
+    """The :data:`PROBABILITIES` P² markers over one sample stream."""
 
     __slots__ = ("_markers", "_count")
 
-    def __init__(self, probabilities: Iterable[float] = DEFAULT_PROBABILITIES) -> None:
-        self._markers = {p: P2Quantile(p) for p in probabilities}
-        if not self._markers:
-            raise ValueError("at least one probability is required")
+    def __init__(self) -> None:
+        self._markers = {p: P2Quantile(p) for p in PROBABILITIES}
         self._count = 0
 
     def __len__(self) -> int:
@@ -150,16 +148,11 @@ class StreamingQuantiles:
         for marker in self._markers.values():
             marker.add(sample)
 
-    def value(self, p: float) -> float:
-        """The estimate for one tracked probability."""
-        return self._markers[p].value()
-
     def summary(self) -> Optional[Mapping[str, float]]:
         """``{"count": n, "p50": ..., ...}`` or ``None`` for an empty stream.
 
-        Keys are ``p`` followed by the percentile with any trailing zeros
-        of the fractional part dropped (0.5 -> ``p50``, 0.99 -> ``p99``,
-        0.999 -> ``p99.9``).
+        Keys are ``p`` followed by the percentile (0.5 -> ``p50``, 0.99 ->
+        ``p99``).
         """
         if self._count == 0:
             return None

@@ -50,11 +50,12 @@ Because the scheduler runs at every state change, the event loop and what
 *are* the simulation hot path.  The engine has one event heap of
 ``(time, kind priority, tie key, kind, payload)`` entries and one loop,
 :meth:`SimulationEngine._run_loop`, that pops it: one handler call and one
-:meth:`SimulationEngine._dispatch` per event.  The two modes share that
-loop, every handler and every cold path (arrivals, finalization, cascades,
-expiry, tracing, fault transitions, aborts and retries), so that logic
-exists once, and they produce bit-for-bit identical results, traces and
-event counts.  They differ only in the components the loop runs over and
+:meth:`SimulationEngine._dispatch` per event, except that the fault edges
+of one instant are applied together before a single dispatch.  The two
+modes share that loop, every handler and every cold path (arrivals,
+finalization, cascades, expiry, tracing, fault transitions, aborts and
+retries), so that logic exists once, and they produce bit-for-bit
+identical results, traces and event counts.  They differ only in the components the loop runs over and
 in wake-hint elision, which only ``mode="fast"`` (the default) turns on.
 
 Each run builds one read-only :class:`~repro.sim.decisions.SystemView`
@@ -154,6 +155,14 @@ _FAULT_PHASES = ("end", "begin")
 #: Engine implementations selectable via ``SimulationEngine(mode=...)``.
 ENGINE_MODES = ("fast", "reference")
 
+#: Times an outage-aborted request is re-queued before it is terminally
+#: accounted as ``failed``.
+RETRY_BUDGET = 2
+
+#: Base of the exponential re-arrival backoff: the n-th retry re-queues
+#: ``RETRY_BACKOFF_MS * 2**(n-1)`` ms after the abort (no jitter).
+RETRY_BACKOFF_MS = 5.0
+
 
 class SimulationEngine:
     """Simulates one scenario on one platform under one scheduler.
@@ -194,12 +203,9 @@ class SimulationEngine:
             of :class:`~repro.sim.faults.FaultSpec` or their canonical JSON
             string; available in every mode and resource model.
             With no faults declared the engine is bit-for-bit identical to
-            builds without the axis.
-        retry_budget: how many times an outage-aborted request is re-queued
-            before it is terminally accounted as ``failed`` (default: 2).
-        retry_backoff_ms: base of the exponential re-arrival backoff — the
-            n-th retry re-queues ``retry_backoff_ms * 2**(n-1)`` ms after
-            the abort (default: 5.0; deterministic, no jitter).
+            builds without the axis.  An aborted request is retried up to
+            :data:`RETRY_BUDGET` times, :data:`RETRY_BACKOFF_MS` apart
+            with exponential backoff.
     """
 
     def __init__(
@@ -215,8 +221,6 @@ class SimulationEngine:
         dispatch_elision: bool = True,
         resource_model: str = "pe_fraction",
         faults: FaultsInput = None,
-        retry_budget: int = 2,
-        retry_backoff_ms: float = 5.0,
     ) -> None:
         if duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
@@ -230,12 +234,6 @@ class SimulationEngine:
                 f"unknown resource model {resource_model!r}; available: {known}"
             )
         self.faults = parse_faults(faults)
-        if retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
-        if retry_backoff_ms <= 0:
-            raise ValueError(f"retry_backoff_ms must be positive, got {retry_backoff_ms}")
-        self.retry_budget = retry_budget
-        self.retry_backoff_ms = retry_backoff_ms
         self.resource_model = resource_model
         self.scenario = scenario
         self.platform = platform
@@ -468,6 +466,21 @@ class SimulationEngine:
                 )
 
     def _handle_fault(self, edge: tuple[int, int]) -> None:
+        """Fire ``edge`` and every further fault edge of the same instant.
+
+        The loop's one ``_dispatch`` then sees the instant's final fault
+        state, so no scheduler consultation falls into the zero-length gap
+        between back-to-back windows or between two recoveries.  Fault
+        edges sort before every other event of their instant, so they are
+        the heap's next entries.
+        """
+        events = self._events
+        self._fire_fault_edge(edge)
+        while events and events[0][0] == self._now and events[0][1] == _PRIO_FAULT:
+            self.events_processed += 1
+            self._fire_fault_edge(heapq.heappop(events)[4])
+
+    def _fire_fault_edge(self, edge: tuple[int, int]) -> None:
         """Fire one fault edge (an outage's begin also aborts in-flight work)."""
         phase, index = edge
         spec = self.faults[index]
@@ -521,8 +534,8 @@ class SimulationEngine:
         """Kill every in-flight slot (outage begin) and re-queue or fail.
 
         Each aborted request is either re-queued with exponential backoff
-        (``retry_backoff_ms * 2**(retries-1)``) while its bounded retry
-        budget lasts, or terminally accounted as ``failed`` — exactly one
+        (``RETRY_BACKOFF_MS * 2**(retries-1)``) while :data:`RETRY_BUDGET`
+        lasts, or terminally accounted as ``failed`` — exactly one
         of the two, which the ``fault_conservation`` oracle audits.  Each
         retry is a completion-class event, pushed in abort order.
         """
@@ -546,8 +559,8 @@ class SimulationEngine:
                 # the finished hook lets schedulers evict cached state.
                 self._pool.remove(request)
                 self.scheduler.on_request_finished(request, now)
-                if request.retries <= self.retry_budget:
-                    backoff = self.retry_backoff_ms * (2.0 ** (request.retries - 1))
+                if request.retries <= RETRY_BUDGET:
+                    backoff = RETRY_BACKOFF_MS * (2.0 ** (request.retries - 1))
                     self._push_event(now + backoff, _EVENT_RETRY, request)
                 else:
                     request.mark_failed(now)

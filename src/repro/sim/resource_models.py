@@ -28,12 +28,12 @@ Two models are registered:
       accelerator (the clamp guarantees even a model larger than the
       budget can run alone rather than starve);
     * :meth:`~KvBatchModel.admits` — the charge must fit the free fraction
-      and the number of concurrent slots is capped at ``max_batch``;
+      and the number of concurrent slots is capped at :data:`MAX_BATCH`;
     * :meth:`~KvBatchModel.dilation` — the executor prices the layers at
       full PE with the same loop as the default model and scales the sum
       by the documented batch-dilation formula
 
-        ``latency = sum(layer latency at full PE) * (1 + alpha * (B - 1))``
+        ``latency = sum(layer latency at full PE) * (1 + BATCH_ALPHA * (B - 1))``
 
       where ``B = len(slots) + 1`` is the batch size *at dispatch time* —
       in-flight slots are never re-priced, which keeps the event loop
@@ -46,7 +46,7 @@ definition the cost table also prices context switches with.
 
 Determinism rules
 -----------------
-Model instances are pure functions of ``(scenario, params)``:
+Model instances are pure functions of the scenario:
 no RNG, no wall clock, and charge tables are precomputed over the
 scenario's model list in declaration order.  The same scenario + seed
 therefore yields the same trace on every run and PYTHONHASHSEED.
@@ -67,17 +67,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: public accessor (mirrors ``scheduler_names()``).
 RESOURCE_MODEL_NAMES = ("pe_fraction", "kv_batch")
 
-#: Default ratio of the shared KV budget to the largest activation
-#: footprint in the scenario when no explicit budget is configured: two
-#: "largest" requests fit side by side, so batching is possible but the
-#: budget still binds.
-DEFAULT_KV_BUDGET_RATIO = 2.0
+#: Ratio of the shared KV budget to the largest activation footprint in
+#: the scenario when the scenario pins no budget: two "largest" requests
+#: fit side by side, so batching is possible but the budget still binds.
+KV_BUDGET_RATIO = 2.0
 
-#: Default cap on concurrent slots per accelerator under ``kv_batch``.
-DEFAULT_MAX_BATCH = 4
+#: Cap on concurrent slots per accelerator under ``kv_batch``.
+MAX_BATCH = 4
 
-#: Default per-peer latency dilation of the batch formula.
-DEFAULT_BATCH_ALPHA = 0.25
+#: Per-peer latency dilation of the batch formula.
+BATCH_ALPHA = 0.25
 
 
 def resource_model_names() -> list[str]:
@@ -88,7 +87,7 @@ def resource_model_names() -> list[str]:
 def default_kv_budget_bytes(scenario: "Scenario") -> float:
     """The derived KV budget when the scenario does not pin one.
 
-    ``DEFAULT_KV_BUDGET_RATIO`` times the largest activation footprint over
+    :data:`KV_BUDGET_RATIO` times the largest activation footprint over
     every model the scenario may execute — deterministic in the scenario's
     declaration order and independent of the platform.
     """
@@ -96,46 +95,27 @@ def default_kv_budget_bytes(scenario: "Scenario") -> float:
         (activation_footprint_bytes(graph) for graph in scenario.all_model_graphs()),
         default=0,
     )
-    return DEFAULT_KV_BUDGET_RATIO * max(1, largest)
+    return KV_BUDGET_RATIO * max(1, largest)
 
 
 class KvBatchModel:
     """Continuous batching under a shared KV-cache memory budget.
 
-    A deterministic pure function of its constructor arguments: the
-    executor consults it on admission and pricing but keeps all
-    bookkeeping (running charge sums, slot maps) itself.
+    A deterministic pure function of the scenario: the executor consults
+    it on admission and pricing but keeps all bookkeeping (running charge
+    sums, slot maps) itself.
 
     Args:
-        scenario: the workload; its model list fixes the charge table and
-            (when ``scenario.kv_budget_bytes`` is unset) the derived budget.
-        budget_bytes: explicit shared memory budget per accelerator;
-            defaults to the scenario's ``kv_budget_bytes`` or, failing
-            that, :func:`default_kv_budget_bytes`.
-        max_batch: maximum concurrent slots per accelerator.
-        alpha: per-peer latency dilation of the batch formula.
+        scenario: the workload; its model list fixes the charge table, and
+            its ``kv_budget_bytes`` pins the shared memory budget per
+            accelerator (:func:`default_kv_budget_bytes` when unset).
     """
 
-    def __init__(
-        self,
-        scenario: "Scenario",
-        budget_bytes: Optional[float] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        alpha: float = DEFAULT_BATCH_ALPHA,
-    ) -> None:
-        if budget_bytes is None:
-            budget_bytes = scenario.kv_budget_bytes
+    def __init__(self, scenario: "Scenario") -> None:
+        budget_bytes = scenario.kv_budget_bytes
         if budget_bytes is None:
             budget_bytes = default_kv_budget_bytes(scenario)
-        if budget_bytes <= 0:
-            raise ValueError(f"kv budget must be positive (got {budget_bytes})")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0 (got {alpha})")
         self.budget_bytes = float(budget_bytes)
-        self.max_batch = max_batch
-        self.alpha = alpha
         # Charge table in scenario declaration order: deterministic across
         # runs and PYTHONHASHSEED values.
         self._charges: dict[str, float] = {}
@@ -150,13 +130,13 @@ class KvBatchModel:
 
     def admits(self, executor: "AcceleratorExecutor", assignment: Assignment) -> bool:
         """Fits the memory budget AND the batch-size cap."""
-        if len(executor.slots) >= self.max_batch:
+        if len(executor.slots) >= MAX_BATCH:
             return False
         return self.charge_fraction(assignment) <= executor.free_fraction + 1e-9
 
     def dilation(self, batch: int) -> float:
         """Latency multiplier of a dispatch that brings the accelerator to ``batch`` slots."""
-        return 1.0 + self.alpha * (batch - 1)
+        return 1.0 + BATCH_ALPHA * (batch - 1)
 
 
 def make_resource_model(name: str, scenario: "Scenario") -> Optional[KvBatchModel]:
@@ -177,10 +157,10 @@ def make_resource_model(name: str, scenario: "Scenario") -> Optional[KvBatchMode
 
 
 __all__ = [
-    "DEFAULT_BATCH_ALPHA",
-    "DEFAULT_KV_BUDGET_RATIO",
-    "DEFAULT_MAX_BATCH",
+    "BATCH_ALPHA",
+    "KV_BUDGET_RATIO",
     "KvBatchModel",
+    "MAX_BATCH",
     "RESOURCE_MODEL_NAMES",
     "default_kv_budget_bytes",
     "make_resource_model",

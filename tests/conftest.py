@@ -17,6 +17,8 @@ from repro.models.dynamic import LayerSkipping
 from repro.models.graph import ModelGraph
 from repro.models.layers import conv2d, fc
 from repro.models.supernet import Supernet
+from repro.sim import FaultSpec
+from repro.sim.engine import RETRY_BUDGET
 from repro.workloads.scenario import Scenario, TaskSpec
 
 
@@ -101,3 +103,39 @@ def rng() -> random.Random:
 def cost_model() -> AnalyticalCostModel:
     """A default analytical cost model instance."""
     return AnalyticalCostModel()
+
+
+def _outages_failing_one_request(run):
+    """Outage windows that abort one request ``RETRY_BUDGET + 1`` times.
+
+    ``run(faults)`` simulates under a fault plan and returns its trace
+    records.  Each 1 ms window opens 1 µs after a dispatch of the request
+    that is still in flight then, found by replaying the run under the
+    windows placed so far, so the last abort finds the retry budget spent
+    and fails the request.  Returns the plan and the request's
+    ``(task, frame)``.
+    """
+    plan, target = (), None
+    for _ in range(RETRY_BUDGET + 1):
+        records = run(plan)
+        after_ms = plan[-1].end_ms if plan else 0.0
+        for index, record in enumerate(records):
+            key = (record.task_name, record.frame_id)
+            if record.event != "dispatch" or record.time_ms < after_ms or target not in (None, key):
+                continue
+            end_ms = next((later.time_ms for later in records[index + 1:]
+                           if (later.task_name, later.frame_id) == key
+                           and later.event in ("layers_complete", "abort")), float("inf"))
+            if end_ms > record.time_ms + 1e-3:
+                break
+        else:
+            pytest.fail(f"no dispatch of {target or 'any request'} in flight after {after_ms} ms")
+        target = key
+        plan += (FaultSpec("platform_outage", start_ms=record.time_ms + 1e-3, duration_ms=1.0),)
+    return plan, target
+
+
+@pytest.fixture(scope="session")
+def outages_failing_one_request():
+    """``build(run) -> (plan, (task, frame))``: see :func:`_outages_failing_one_request`."""
+    return _outages_failing_one_request

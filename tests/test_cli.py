@@ -464,8 +464,40 @@ class TestFleet:
                      "--workers", "2", "--json", str(process)]) == 0
         assert json.loads(serial.read_text()) == json.loads(process.read_text())
 
+    def test_run_reports_the_simulations_it_ran(self, tmp_path, capsys):
+        # An outage evicts a session that finds no free slot again: it was
+        # admitted, but its platform simulation never runs.
+        spec_file = tmp_path / "spec.json"
+        assert main(["fleet", "describe", *self._FAST, "--users", "4",
+                     "--max-sessions", "1", "--spec-out", str(spec_file)]) == 0
+        payload = json.loads(spec_file.read_text())
+        payload["outages"] = [{"platform_index": 0, "start_ms": 50.0, "duration_ms": 150.0}]
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fleet", "run", "--spec", str(spec_file)]) == 0
+        out = capsys.readouterr().out
+        assert "goodput=5/6 sessions" in out
+        assert "done: 5 session simulations" in out
+
     def test_unreadable_spec_is_a_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        assert main(["fleet", "run", "--spec", str(bad)]) == 2
-        assert "cannot read fleet spec" in capsys.readouterr().err
+        spec_file = tmp_path / "spec.json"
+        assert main(["fleet", "describe", *self._FAST, "--spec-out", str(spec_file)]) == 0
+        valid = spec_file.read_text()
+        outage = {"platform_index": 0, "start_ms": 1.0, "duration_ms": 1.0, "end_ms": 2.0}
+        cases = [
+            (lambda spec: "{not json", "cannot read fleet spec"),
+            (lambda spec: spec.update(failover="fail", session_retry_budget=2),
+             "unknown FleetSpec key(s): failover, session_retry_budget"),
+            (lambda spec: spec["platforms"][0].update(capacity=2),
+             "unknown PlatformSpec key(s): capacity"),
+            (lambda spec: spec["users"][0].update(rate=1.0), "unknown UserSpec key(s): rate"),
+            (lambda spec: spec.update(outages=[outage]), "unknown FleetOutage key(s): end_ms"),
+        ]
+        for edit, message in cases:
+            spec = json.loads(valid)
+            text = edit(spec)
+            spec_file.write_text(text or json.dumps(spec), encoding="utf-8")
+            capsys.readouterr()
+            for command in ("run", "describe"):
+                assert main(["fleet", command, "--spec", str(spec_file)]) == 2
+                assert message in capsys.readouterr().err

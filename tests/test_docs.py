@@ -6,7 +6,8 @@ protection as code:
 * ``docs/cli.md`` is generated from the live argument parser and must be
   byte-identical to an in-process regeneration;
 * the glossary's policy-constants table lists every scheduling-policy
-  constant with the value the code holds;
+  constant with the value the code holds, and its engine, batching,
+  fleet and sweep table holds the code's values too;
 * the documentation pages exist and their relative links resolve;
 * every module under ``src/`` carries a module docstring (the local
   equivalent of the ruff D100/D104 gate CI runs).
@@ -72,7 +73,11 @@ POLICY_MODULES = ["repro.core.config", "repro.core.adaptivity", "repro.core.fram
 
 
 def policy_constant_rows():
-    """``{dotted name: value}`` from the glossary's policy-constants table."""
+    """``{dotted name: value}`` from the glossary's constants tables.
+
+    The section runs from "Policy constants" to the next ``##`` heading,
+    so it covers the engine, batching, fleet and sweep table too.
+    """
     text = (DOCS / "glossary.md").read_text(encoding="utf-8")
     section = text.split("### Policy constants", 1)[1].split("\n## ", 1)[0]
     return {
@@ -89,6 +94,18 @@ class TestPolicyConstants:
             module_name, _, name = dotted.rpartition(".")
             actual = getattr(importlib.import_module(module_name), name)
             assert (type(actual), actual) == (type(value), value), dotted
+
+    def test_engine_fleet_and_sweep_constants_have_rows(self):
+        rows = policy_constant_rows()
+        for dotted in ("repro.sim.engine.RETRY_BUDGET", "repro.sim.engine.RETRY_BACKOFF_MS",
+                       "repro.sim.resource_models.MAX_BATCH",
+                       "repro.sim.resource_models.BATCH_ALPHA",
+                       "repro.sim.resource_models.KV_BUDGET_RATIO",
+                       "repro.fleet.simulator.SESSION_RETRY_BUDGET",
+                       "repro.fleet.simulator.SESSION_RETRY_BACKOFF_MS",
+                       "repro.metrics.quantiles.PROBABILITIES",
+                       "repro.experiments.sweeps.GRID_VALUES"):
+            assert dotted in rows, dotted
 
     def test_every_policy_constant_has_a_row(self):
         rows = policy_constant_rows()

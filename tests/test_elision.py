@@ -226,17 +226,17 @@ def test_coalescing_drains_simultaneous_events_bit_for_bit():
     assert results[True][2].events_processed == results[False][2].events_processed
 
 
-#: Fault settings of the collision pins.  ``grid_faults`` puts every edge
-#: (80, 104, 160, 200 and 240 ms) and every outage retry (88 ms, with an
-#: 8 ms backoff) on the aligned scenario's 8 ms arrival grid, so fault
-#: edges and retries collide with arrivals and completions; at 200 ms a
-#: recovery and an activation fire together.  ``stacked_faults`` opens
-#: and closes two stalls at one instant, so one fault edge is next in line
-#: after another.
+#: Fault settings of the collision pins.  ``grid_faults`` opens its outage
+#: at 83 ms, so the outage retries (``RETRY_BACKOFF_MS`` = 5 ms later, at
+#: 88 ms) and every other edge (104, 160, 200 and 240 ms) land on the
+#: aligned scenario's 8 ms arrival grid: fault edges and retries collide
+#: with arrivals and completions, and at 200 ms a recovery and an
+#: activation fire together.  ``stacked_faults`` opens and closes two
+#: stalls at one instant.  The edges of one instant share one dispatch.
 _COLLISION_FAULTS = {
     "no_faults": None,
     "grid_faults": (
-        FaultSpec("platform_outage", start_ms=80.0, duration_ms=24.0),
+        FaultSpec("platform_outage", start_ms=83.0, duration_ms=21.0),
         FaultSpec("accel_degrade", start_ms=160.0, duration_ms=40.0, acc_id=0, magnitude=0.5),
         FaultSpec("transient_stall", start_ms=200.0, duration_ms=40.0, acc_id=1, magnitude=2.0),
     ),
@@ -261,17 +261,17 @@ _ENGINE_COUNTERS = (
 #: ``_ENGINE_COUNTERS`` order.
 _COLLISION_COUNTERS = {
     ("fcfs_dynamic", "no_faults"): (191, 91, 191, 48, 5, 0, 0, 0),
-    ("fcfs_dynamic", "grid_faults"): (192, 81, 192, 49, 13, 3, 3, 0),
-    ("fcfs_dynamic", "stacked_faults"): (193, 89, 193, 50, 9, 0, 0, 0),
+    ("fcfs_dynamic", "grid_faults"): (193, 82, 192, 48, 13, 3, 3, 0),
+    ("fcfs_dynamic", "stacked_faults"): (193, 89, 191, 50, 9, 0, 0, 0),
     ("planaria", "no_faults"): (8300, 8197, 8300, 48, 8, 0, 0, 0),
-    ("planaria", "grid_faults"): (8312, 8198, 8312, 52, 13, 3, 3, 0),
-    ("planaria", "stacked_faults"): (8304, 8197, 8304, 50, 12, 0, 0, 0),
+    ("planaria", "grid_faults"): (8312, 8198, 8311, 50, 13, 3, 3, 0),
+    ("planaria", "stacked_faults"): (8304, 8197, 8302, 50, 12, 0, 0, 0),
     ("dream_fixed", "no_faults"): (8300, 8200, 8300, 48, 5, 0, 0, 0),
-    ("dream_fixed", "grid_faults"): (8312, 8201, 8312, 52, 13, 3, 3, 0),
-    ("dream_fixed", "stacked_faults"): (8304, 8200, 8304, 50, 9, 0, 0, 0),
+    ("dream_fixed", "grid_faults"): (8312, 8201, 8311, 50, 13, 3, 3, 0),
+    ("dream_fixed", "stacked_faults"): (8304, 8200, 8302, 50, 9, 0, 0, 0),
     ("dream_full", "no_faults"): (7698, 7716, 7588, 0, 5, 0, 0, 0),
-    ("dream_full", "grid_faults"): (8241, 8261, 8118, 0, 13, 3, 3, 0),
-    ("dream_full", "stacked_faults"): (7701, 7720, 7588, 0, 9, 0, 0, 0),
+    ("dream_full", "grid_faults"): (8241, 8260, 8121, 0, 13, 3, 3, 0),
+    ("dream_full", "stacked_faults"): (7701, 7718, 7588, 0, 9, 0, 0, 0),
 }
 
 
@@ -294,7 +294,6 @@ def test_colliding_events_pin_every_engine_counter(scheduler_name, faults):
         seed=0,
         cost_table=CostTable.build(platform, scenario.all_model_graphs()),
         faults=_COLLISION_FAULTS[faults],
-        retry_backoff_ms=8.0,
     )
     expected = dict(zip(_ENGINE_COUNTERS, _COLLISION_COUNTERS[scheduler_name, faults]))
     assert engine.run().engine_counters == expected

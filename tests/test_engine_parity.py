@@ -192,18 +192,21 @@ def test_fault_plans_bitwise_parity_across_all_schedulers(generator_seed, kind):
                        seed=1, faults=plan)
 
 
-def test_kv_batch_outage_parity():
-    """kv_batch under an outage, with no retry budget: aborts fail terminally."""
+def test_kv_batch_outage_parity(outages_failing_one_request):
+    """kv_batch under outages that exhaust one request's retry budget."""
     scenario, platform, cost_table = generated_context(
         GeneratorSpec(resource_model="kv_batch"), 0, _PLATFORM
     )
-    plan = sample_fault_plan(
-        seed=0, duration_ms=300.0, accelerators=len(platform.accelerators),
-        kinds=("platform_outage",),
-    )
+
+    def run(faults):
+        return _run(scenario, platform, cost_table, "fcfs_dynamic", "fast", 300.0,
+                    resource_model="kv_batch", faults=faults)[1]
+
+    plan, target = outages_failing_one_request(run)
+    assert [r.event for r in run(plan) if (r.task_name, r.frame_id) == target][-1] == "failed"
     for scheduler_name in ("fcfs_dynamic", "planaria", "dream_full"):
         _assert_parity(scenario, platform, cost_table, scheduler_name, 300.0,
-                       resource_model="kv_batch", faults=plan, retry_budget=0)
+                       resource_model="kv_batch", faults=plan)
 
 
 def _engine(scheduler, duration_ms=250.0, **kwargs):

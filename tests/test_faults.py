@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.schedulers import make_scheduler
+from repro.experiments.jobs import shared_context
+from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.fcfs import DynamicFcfsScheduler
 from repro.sim import (
     FAULT_KINDS,
@@ -36,6 +37,7 @@ from repro.sim import (
     parse_faults,
     sample_fault_plan,
 )
+from repro.sim.engine import RETRY_BUDGET
 
 
 def _engine(scenario, platform, cost_table, scheduler="fcfs_dynamic", **kwargs):
@@ -208,8 +210,8 @@ class TestEngineFaults:
                 ("accel_degrade", 150.0, 0.5),
             )
         )
-        # (now, per-accelerator (stall factor, capacity)) after each event;
-        # the edges of one instant fire one at a time.
+        # (now, per-accelerator (stall factor, capacity)) at every
+        # consultation; the edges of one instant apply before any of them.
         samples = []
 
         class Probe(DynamicFcfsScheduler):
@@ -228,7 +230,8 @@ class TestEngineFaults:
             duration_ms=400.0, cost_table=tiny_cost_table, faults=windows,
         )
         engine.run()
-        state = dict(samples)  # the last sample of each instant
+        state = dict(samples)
+        assert all(acc == state[now] for now, acc in samples)
         healthy = (1.0, 1.0)
         assert state[100.0] == [(3.0, 0.25), healthy]
         both_open = [acc for now, acc in samples if 150.0 <= now < 200.0]
@@ -258,20 +261,28 @@ class TestEngineFaults:
 
     def test_exhausted_retry_budget_fails_terminally(self, tiny_scenario,
                                                      tiny_platform,
-                                                     tiny_cost_table):
-        baseline, tracer = _engine(tiny_scenario, tiny_platform, tiny_cost_table)
-        baseline.run()
-        outage = _busy_outage(tracer)
+                                                     tiny_cost_table,
+                                                     outages_failing_one_request):
+        def run(faults):
+            engine, tracer = _engine(tiny_scenario, tiny_platform, tiny_cost_table,
+                                     faults=faults)
+            engine.run()
+            return tracer.records
+
+        plan, target = outages_failing_one_request(run)
         engine, faulted_tracer = _engine(
-            tiny_scenario, tiny_platform, tiny_cost_table,
-            faults=(outage,), retry_budget=0,
+            tiny_scenario, tiny_platform, tiny_cost_table, faults=plan,
         )
         result = engine.run()
+        events = [r.event for r in faulted_tracer.records
+                  if (r.task_name, r.frame_id) == target]
+        assert events.count("abort") == RETRY_BUDGET + 1
+        assert events.count("retry") == RETRY_BUDGET
+        assert events[-1] == "failed"
         assert engine.requests_failed > 0
-        assert engine.requests_retried == 0
         assert sum(s.failed_frames for s in result.task_stats.values()) > 0
         assert audit_trace(faulted_tracer, scenario=tiny_scenario, result=result,
-                           faults=(outage,)) == []
+                           faults=plan) == []
 
     def test_fault_counters_serialize_only_when_nonzero(self, tiny_scenario,
                                                         tiny_platform,
@@ -282,6 +293,46 @@ class TestEngineFaults:
         assert "failed_frames" not in blob
         assert "aborts" not in blob
         assert "retries" not in blob
+
+
+#: Hand-written plans whose windows meet at 150 ms or end together at
+#: 200 ms.  Sampled plans draw continuous starts and lengths, so they
+#: practically never put two edges on one instant.
+_SHARED_INSTANT_PLANS = {
+    "back_to_back_outages": (
+        FaultSpec("platform_outage", start_ms=100.0, duration_ms=50.0),
+        FaultSpec("platform_outage", start_ms=150.0, duration_ms=50.0),
+    ),
+    "back_to_back_degrades": (
+        FaultSpec("accel_degrade", start_ms=100.0, duration_ms=50.0, acc_id=0, magnitude=0.5),
+        FaultSpec("accel_degrade", start_ms=150.0, duration_ms=50.0, acc_id=0, magnitude=0.25),
+    ),
+    "outage_then_degrade": (
+        FaultSpec("platform_outage", start_ms=100.0, duration_ms=50.0),
+        FaultSpec("accel_degrade", start_ms=150.0, duration_ms=50.0, acc_id=1, magnitude=0.5),
+    ),
+    "stall_and_degrade_end_together": (
+        FaultSpec("transient_stall", start_ms=100.0, duration_ms=100.0, acc_id=0, magnitude=2.0),
+        FaultSpec("accel_degrade", start_ms=150.0, duration_ms=50.0, acc_id=1, magnitude=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_SHARED_INSTANT_PLANS))
+def test_fault_edges_of_one_instant_apply_together(plan):
+    """Every scheduler passes the fault oracle when windows meet: no work
+    is dispatched into the zero-length gap between two windows, or under
+    the first of two degrades that replace each other."""
+    faults = _SHARED_INSTANT_PLANS[plan]
+    scenario, platform, cost_table = shared_context("vr_gaming", "4k_1ws_2os", 0.5)
+    for name in scheduler_names():
+        tracer = Tracer()
+        result = SimulationEngine(
+            scenario=scenario, platform=platform, scheduler=make_scheduler(name),
+            duration_ms=250.0, cost_table=cost_table, tracer=tracer, faults=faults,
+        ).run()
+        violations = audit_trace(tracer, scenario=scenario, result=result, faults=faults)
+        assert violations == [], f"{plan} / {name}: {violations[:3]}"
 
 
 class TestEngineRegistryErrors:

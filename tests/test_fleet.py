@@ -77,13 +77,11 @@ def small_spec(policy="least_loaded", max_sessions=2, users=2, seed=0):
     )
 
 
-def faulted_spec(failover="reroute", max_sessions=2, users=2, retry_budget=1):
+def faulted_spec(max_sessions=2, users=2):
     """``small_spec`` plus a mid-window outage on platform 0."""
     return dataclasses.replace(
         small_spec(max_sessions=max_sessions, users=users),
         outages=(FleetOutage(platform_index=0, start_ms=100.0, duration_ms=150.0),),
-        failover=failover,
-        session_retry_budget=retry_budget,
     )
 
 
@@ -285,11 +283,10 @@ class TestRoutingPolicies:
         fifth = policy.route(request(user_id="mobile/4"), v)
         assert (fifth.outcome, fifth.reason) == (REJECTED, REASON_CAPACITY)
 
-    def test_fair_share_slack_scales_the_share(self):
+    def test_fair_share_divides_capacity_and_never_by_zero(self):
         v = view([(2, 4), (2, 4)],
                  user_active={"mobile/0": 2, "mobile/1": 2}, total_users=4)
-        # Two live contenders over capacity 8: base share 4, slack 2 -> 8.
-        assert FairSharePolicy(share_slack=2.0).fair_share(v, "mobile/0") == 8
+        # Two live contenders over capacity 8: share 4.
         assert FairSharePolicy().fair_share(v, "mobile/0") == 4
         # An idle fleet never divides by zero.
         assert FairSharePolicy().fair_share(view([(0, 4)])) == 4
@@ -585,27 +582,19 @@ class TestFleetFaults:
         outage = FleetOutage(platform_index=0, start_ms=10.0, duration_ms=5.0)
         assert outage.active_at(10.0) and not outage.active_at(15.0)
 
-    @pytest.mark.parametrize("mutation", [
-        {"outages": (FleetOutage(platform_index=9, start_ms=0.0, duration_ms=1.0),)},
-        {"failover": "no_such_policy"},
-        {"session_retry_budget": -1},
-        {"session_retry_backoff_ms": 0.0},
-    ])
-    def test_spec_rejects_invalid_fault_knobs(self, mutation):
-        with pytest.raises(ValueError):
-            dataclasses.replace(small_spec(), **mutation)
+    def test_spec_rejects_an_outage_on_a_missing_platform(self):
+        outage = FleetOutage(platform_index=9, start_ms=0.0, duration_ms=1.0)
+        with pytest.raises(ValueError, match="only 3 platform"):
+            dataclasses.replace(small_spec(), outages=(outage,))
 
     def test_faulted_spec_round_trips(self):
-        spec = faulted_spec(failover="fail", retry_budget=3)
+        spec = faulted_spec()
         assert FleetSpec.from_dict(spec.to_dict()) == spec
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert spec.canonical_key() != small_spec().canonical_key()
 
     def test_fault_free_spec_serializes_without_fault_knobs(self):
-        blob = json.dumps(small_spec().to_dict())
-        for knob in ("outages", "failover", "session_retry_budget",
-                     "session_retry_backoff_ms"):
-            assert knob not in blob
+        assert "outages" not in json.dumps(small_spec().to_dict())
 
     def test_totals_carry_fault_block_only_with_outages(self):
         healthy = simulate_fleet(small_spec()).to_dict()["totals"]
@@ -626,16 +615,8 @@ class TestFleetFaults:
                 assert not outage.active_at(record.time_ms)
         assert audit_fleet(result) == []
 
-    def test_failover_fail_terminates_evicted_sessions(self):
-        result = simulate_fleet(faulted_spec(failover="fail"))
-        assert result.evicted > 0
-        assert result.failed == result.evicted
-        assert result.rerouted == 0
-        assert audit_fleet(result) == []
-
     def test_contended_outage_retries_and_drops_goodput(self):
-        result = simulate_fleet(faulted_spec(max_sessions=1, users=4,
-                                             retry_budget=2))
+        result = simulate_fleet(faulted_spec(max_sessions=1, users=4))
         assert result.retried > 0
         assert result.failed > 0
         assert result.goodput_sessions == len(result.plan.jobs)

@@ -87,15 +87,6 @@ class TestStreamingQuantiles:
         assert summary["count"] == 3
         assert summary["p50"] == 2.0
 
-    def test_custom_probabilities_key_formatting(self):
-        stream = StreamingQuantiles(probabilities=(0.999,))
-        stream.add(1.0)
-        assert set(stream.summary()) == {"count", "p99.9"}
-
-    def test_requires_probabilities(self):
-        with pytest.raises(ValueError):
-            StreamingQuantiles(probabilities=())
-
     def test_quantiles_ordered(self):
         rng = random.Random(5)
         stream = StreamingQuantiles()

@@ -8,6 +8,7 @@ conservation against the default spec), the differential resource axis,
 and PYTHONHASHSEED-independence of a full kv run.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import pytest
 from repro.hardware.cost_table import activation_footprint_bytes
 from repro.sim import SimulationEngine, Tracer, audit_trace, make_resource_model
 from repro.sim.resource_models import (
-    DEFAULT_KV_BUDGET_RATIO,
+    KV_BUDGET_RATIO,
+    MAX_BATCH,
     KvBatchModel,
     RESOURCE_MODEL_NAMES,
     default_kv_budget_bytes,
@@ -74,21 +76,13 @@ class TestKvBatchPhysics:
             activation_footprint_bytes(graph)
             for graph in tiny_scenario.all_model_graphs()
         )
-        assert default_kv_budget_bytes(tiny_scenario) == DEFAULT_KV_BUDGET_RATIO * largest
+        assert default_kv_budget_bytes(tiny_scenario) == KV_BUDGET_RATIO * largest
 
     def test_oversized_model_is_clamped_to_run_alone(self, tiny_scenario):
         # A budget smaller than every footprint must clamp charges to 1.0,
         # not starve: the model can still run, just exclusively.
-        model = KvBatchModel(tiny_scenario, budget_bytes=1.0)
+        model = KvBatchModel(dataclasses.replace(tiny_scenario, kv_budget_bytes=1.0))
         assert all(charge == 1.0 for charge in model._charges.values())
-
-    def test_invalid_parameters_rejected(self, tiny_scenario):
-        with pytest.raises(ValueError, match="budget"):
-            KvBatchModel(tiny_scenario, budget_bytes=0.0)
-        with pytest.raises(ValueError, match="max_batch"):
-            KvBatchModel(tiny_scenario, max_batch=0)
-        with pytest.raises(ValueError, match="alpha"):
-            KvBatchModel(tiny_scenario, alpha=-0.1)
 
     def test_scenario_budget_overrides_derived(self, tiny_models):
         scenario = Scenario(
@@ -189,9 +183,7 @@ class TestKvBatchEngine:
             elif rec.event == "layers_complete":
                 for slots in in_flight.values():
                     slots.discard(key)
-        from repro.sim.resource_models import DEFAULT_MAX_BATCH
-
-        assert peak <= DEFAULT_MAX_BATCH
+        assert peak <= MAX_BATCH
 
 
 class TestGeneratorKvSampling:

@@ -1,6 +1,7 @@
 """Unit tests for requests, queues, executors and the metric records."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.metrics.reporting import format_table, geometric_mean
 from repro.hardware.cost_table import activation_footprint_bytes
 from repro.sim import Assignment, ReferenceRequestPool, RequestPool
 from repro.sim.executor import AcceleratorExecutor
-from repro.sim.resource_models import DEFAULT_BATCH_ALPHA, KvBatchModel
+from repro.sim.resource_models import BATCH_ALPHA, MAX_BATCH, KvBatchModel
 from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.results import AcceleratorStats, SimulationResult
 
@@ -406,7 +407,7 @@ class TestExecutor:
         # factor is 1 + alpha) and only then adds the switch costs.
         def priced(fast):
             table = tiny_cost_table if fast else tiny_cost_table.reference_view()
-            model = KvBatchModel(tiny_scenario, budget_bytes=1e15)
+            model = KvBatchModel(replace(tiny_scenario, kv_budget_bytes=1e15))
             executor = AcceleratorExecutor(tiny_platform[0], table, fast=fast, resource_model=model)
             record, now = _start_block(executor, tiny_scenario, block, switch, peer=True)
             slot = record.slot
@@ -423,7 +424,7 @@ class TestExecutor:
         for layer_index in layers:
             latency += tiny_cost_table.latency(name, layer_index, 0)
             energy += tiny_cost_table.energy(name, layer_index, 0)
-        latency = latency * (1.0 + DEFAULT_BATCH_ALPHA) + tiny_cost_table.context_switch_latency(
+        latency = latency * (1.0 + BATCH_ALPHA) + tiny_cost_table.context_switch_latency(
             name, previous, 0
         )
         energy += tiny_cost_table.context_switch_energy(name, previous, 0)
@@ -431,16 +432,16 @@ class TestExecutor:
         assert energy_mj == energy
 
     def test_kv_batch_caps_the_batch(self, tiny_platform, tiny_cost_table, tiny_scenario):
-        # A budget far above every footprint: only max_batch binds.
-        model = KvBatchModel(tiny_scenario, budget_bytes=1e15, max_batch=2)
+        # A budget far above every footprint: only MAX_BATCH binds.
+        model = KvBatchModel(replace(tiny_scenario, kv_budget_bytes=1e15))
         executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
-        for seed in (1, 2):
+        for seed in range(1, MAX_BATCH + 1):
             executor.start(Assignment(request=_request(tiny_scenario, rng_seed=seed), acc_id=0), 0.0)
-        third = Assignment(request=_request(tiny_scenario, rng_seed=3), acc_id=0)
+        extra = Assignment(request=_request(tiny_scenario, rng_seed=MAX_BATCH + 1), acc_id=0)
         assert executor.free_fraction > 0.9
-        assert not executor.can_accept_assignment(third)
+        assert not executor.can_accept_assignment(extra)
         with pytest.raises(ValueError, match="cannot accept"):
-            executor.start(third, 0.0)
+            executor.start(extra, 0.0)
 
     def test_kv_batch_charges_its_memory_share(
         self, tiny_platform, tiny_cost_table, tiny_scenario
@@ -448,7 +449,7 @@ class TestExecutor:
         # A budget that makes "vision" charge 0.6 of the accelerator: a
         # second one does not fit, whatever pe_fraction it requests.
         footprint = activation_footprint_bytes(tiny_scenario.task("vision").default_model)
-        model = KvBatchModel(tiny_scenario, budget_bytes=footprint / 0.6)
+        model = KvBatchModel(replace(tiny_scenario, kv_budget_bytes=footprint / 0.6))
         executor = AcceleratorExecutor(tiny_platform[0], tiny_cost_table, resource_model=model)
         first = Assignment(request=_request(tiny_scenario, rng_seed=1), acc_id=0, pe_fraction=0.25)
         charge = model.charge_fraction(first)
