@@ -1,8 +1,11 @@
 """Plug a custom scheduling policy into the simulator.
 
-The library's scheduler interface is three methods (``bind``, ``schedule``
-and optional hooks); this example implements a simple earliest-deadline-
-first, heterogeneity-aware policy in ~40 lines and compares it against
+The library's scheduler interface is three methods: ``bind`` (the
+platform, cost table and scenario, once per run), ``schedule`` (the live
+system view, at every scheduling point) and the optional
+``on_request_finished`` hook.  This example implements a simple
+earliest-deadline-first, heterogeneity-aware policy in ~40 lines, reading
+the cost table that the inherited ``bind`` stores, and compares it against
 dynamic FCFS and DREAM on the VR gaming scenario — the workflow a systems
 researcher would use to prototype their own policy against the paper's
 baselines.
@@ -44,7 +47,7 @@ class EdfBestAcceleratorScheduler(Scheduler):
             next_layer = request.next_layer()
             best = min(
                 idle,
-                key=lambda acc_id: view.cost_table.latency(request.model_name, next_layer, acc_id),
+                key=lambda acc_id: self.cost_table.latency(request.model_name, next_layer, acc_id),
             )
             assignments.append(Assignment(request=request, acc_id=best, layer_count=1))
             idle.remove(best)

@@ -98,7 +98,7 @@ class DreamScheduler(Scheduler):
         )
         return WakeHint(min_free_fraction=1.0, same_instant_only=stateful)
 
-    def bind(self, platform, cost_table, scenario, rng) -> None:
+    def bind(self, platform, cost_table, scenario) -> None:
         # Re-binding happens when the usage scenario changes (the paper's
         # "Lv 2" task-level dynamicity, run by phased workloads): the tuned
         # (alpha, beta) carry over as the starting point of the next
@@ -109,7 +109,7 @@ class DreamScheduler(Scheduler):
         if self.adaptivity_engine is not None:
             carried_alpha = self.adaptivity_engine.current.alpha
             carried_beta = self.adaptivity_engine.current.beta
-        super().bind(platform, cost_table, scenario, rng)
+        super().bind(platform, cost_table, scenario)
         # A reference cost table signals the reference simulation mode: the
         # frame-drop and dispatch engines keep their historical per-call
         # paths so benchmark comparisons measure the pre-optimization cost
@@ -148,7 +148,7 @@ class DreamScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # engine callbacks
     # ------------------------------------------------------------------ #
-    def on_request_finished(self, request: InferenceRequest, now_ms: float) -> None:
+    def on_request_finished(self, request: InferenceRequest) -> None:
         map_score, frame_drop, adaptivity, dispatch = self._engines()
         frame_drop.record_outcome(
             request.task_name, dropped=request.state is RequestState.DROPPED

@@ -10,11 +10,14 @@ the :class:`~repro.fleet.simulator.AdmissionRecord` stream:
     Every submitted session reaches *exactly one* final outcome: its
     first record is a first decision (admitted / rejected / throttled),
     fault-recovery records (evicted / rerouted / retry / failed) form a
-    legal chain — evictions only while placed, reroutes/retries/failures
-    only while evicted-and-unresolved — and the last record per session
-    is a placement (admitted / rerouted) or a terminal non-placement
-    (rejected / throttled / failed).  Session ids stay dense and unique
-    over first decisions; nothing leaks, nothing double-finishes.
+    legal chain — evictions only while placed, reroutes and retries only
+    while evicted-and-unresolved, failures only after a retry (an
+    eviction always re-offers the session, which still has window left),
+    and at most ``SESSION_RETRY_BUDGET`` retries per eviction — and the
+    last record per session is a placement (admitted / rerouted) or a
+    terminal non-placement (rejected / throttled / failed).  Session ids
+    stay dense and unique over first decisions; nothing leaks, nothing
+    double-finishes.
 
 ``no_double_routing``
     Surviving placements and simulation jobs correspond one-to-one: a
@@ -68,7 +71,12 @@ from repro.fleet.policies import (
     RETRY,
     THROTTLED,
 )
-from repro.fleet.simulator import AdmissionRecord, FleetJob, FleetPlan
+from repro.fleet.simulator import (
+    SESSION_RETRY_BUDGET,
+    AdmissionRecord,
+    FleetJob,
+    FleetPlan,
+)
 from repro.fleet.spec import FleetSpec
 from repro.sim.invariants import TraceInvariantError, Violation
 
@@ -91,6 +99,8 @@ def check_session_conservation(records: Sequence[AdmissionRecord]) -> list[Viola
     counts = {outcome: 0 for outcome in _FIRST_OUTCOMES}
     # session_id -> last outcome, driving the per-session state machine.
     last: dict[int, str] = {}
+    # session_id -> retries since its latest eviction.
+    retries: dict[int, int] = {}
     for record in records:
         sid = record.session_id
         if record.outcome not in _OUTCOMES:
@@ -132,7 +142,7 @@ def check_session_conservation(records: Sequence[AdmissionRecord]) -> list[Viola
                 EVICTED: _PLACEMENTS,
                 REROUTED: (EVICTED, RETRY),
                 RETRY: (EVICTED, RETRY),
-                FAILED: (EVICTED, RETRY),
+                FAILED: (RETRY,),
             }[record.outcome]
             if previous not in legal:
                 violations.append(
@@ -144,6 +154,20 @@ def check_session_conservation(records: Sequence[AdmissionRecord]) -> list[Viola
                         sid,
                     )
                 )
+            if record.outcome == EVICTED:
+                retries[sid] = 0
+            elif record.outcome == RETRY:
+                retries[sid] = retries.get(sid, 0) + 1
+                if retries[sid] > SESSION_RETRY_BUDGET:
+                    violations.append(
+                        Violation(
+                            "session_conservation",
+                            f"retry {retries[sid]} of session {sid} since its "
+                            f"eviction exceeds the budget of {SESSION_RETRY_BUDGET}",
+                            record.time_ms,
+                            sid,
+                        )
+                    )
         last[sid] = record.outcome
     if seen and seen != set(range(len(seen))):
         violations.append(

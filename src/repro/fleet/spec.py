@@ -38,7 +38,8 @@ from typing import Mapping, Tuple
 from repro.hardware import all_platform_names
 from repro.schedulers import scheduler_names
 from repro.workloads import scenario_names
-from repro.workloads.users import UserSpec, reject_unknown_keys
+from repro.workloads.traffic import reject_unknown_keys
+from repro.workloads.users import UserSpec
 
 #: Default session capacity of one platform (concurrently active sessions).
 DEFAULT_MAX_SESSIONS = 4

@@ -3,27 +3,24 @@
 A scheduler is a policy object the simulation engine consults at every
 state change.  The engine guarantees the call order:
 
-1. :meth:`Scheduler.bind` — once, before the simulation starts, with the
-   platform, the offline cost table, the scenario and a private random
-   generator.
-2. :meth:`Scheduler.on_request_arrival` — whenever a sensor frame or a
-   triggered cascade becomes an inference request.
-3. :meth:`Scheduler.schedule` — at every scheduling point; the scheduler
+1. :meth:`Scheduler.bind` — once per run, before the simulation starts,
+   with the platform, the offline cost table and the scenario.  This is
+   the only way static context reaches a scheduler.
+2. :meth:`Scheduler.schedule` — at every scheduling point; the scheduler
    inspects a :class:`~repro.sim.decisions.SystemView` and returns a
    :class:`~repro.sim.decisions.SchedulingDecision`.
-4. :meth:`Scheduler.on_layers_complete` — when dispatched layers finish but
-   the request still has layers left.
-5. :meth:`Scheduler.on_request_finished` — when a request reaches a
-   terminal state (completed, dropped or expired).
+3. :meth:`Scheduler.on_request_finished` — when a request leaves the
+   pool: it reached a terminal state (completed, dropped or expired), or
+   an outage aborted it.
 
-Only :meth:`schedule` is abstract; the bookkeeping hooks default to no-ops
-so simple policies stay simple.
+Only :meth:`schedule` is abstract; the finished hook defaults to a no-op
+so simple policies stay simple.  A hook exists only while a scheduler
+overrides it.
 """
 
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -95,18 +92,11 @@ class Scheduler(abc.ABC):
         self.platform: Optional[Platform] = None
         self.cost_table: Optional[CostTable] = None
         self.scenario: Optional[Scenario] = None
-        self.rng: random.Random = random.Random(0)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def bind(
-        self,
-        platform: Platform,
-        cost_table: CostTable,
-        scenario: Scenario,
-        rng: random.Random,
-    ) -> None:
+    def bind(self, platform: Platform, cost_table: CostTable, scenario: Scenario) -> None:
         """Attach the scheduler to a concrete system before simulation.
 
         Subclasses overriding this must call ``super().bind(...)`` so the
@@ -115,16 +105,9 @@ class Scheduler(abc.ABC):
         self.platform = platform
         self.cost_table = cost_table
         self.scenario = scenario
-        self.rng = rng
 
-    def on_request_arrival(self, request: InferenceRequest, now_ms: float) -> None:
-        """Hook: a new inference request entered the system."""
-
-    def on_layers_complete(self, request: InferenceRequest, now_ms: float) -> None:
-        """Hook: dispatched layers finished; the request has more layers."""
-
-    def on_request_finished(self, request: InferenceRequest, now_ms: float) -> None:
-        """Hook: the request reached a terminal state."""
+    def on_request_finished(self, request: InferenceRequest) -> None:
+        """Hook: the request left the pool (terminal, or aborted by an outage)."""
 
     @abc.abstractmethod
     def schedule(self, view: SystemView) -> SchedulingDecision:
@@ -162,7 +145,3 @@ class Scheduler(abc.ABC):
                 f"{type(self).__name__} was not bound to a platform before use"
             )
         return self.cost_table
-
-    def slack_ms(self, request: InferenceRequest, now_ms: float) -> float:
-        """Slack: time left until the request's deadline."""
-        return request.deadline_ms - now_ms

@@ -86,8 +86,8 @@ class StaticFcfsScheduler(Scheduler):
         """
         return WakeHint(min_free_fraction=1.0)
 
-    def bind(self, platform, cost_table, scenario, rng) -> None:
-        super().bind(platform, cost_table, scenario, rng)
+    def bind(self, platform, cost_table, scenario) -> None:
+        super().bind(platform, cost_table, scenario)
         self._reserved_until = {acc.acc_id: 0.0 for acc in platform}
         self._task_to_acc = {}
         self._worst_case_ms = {}

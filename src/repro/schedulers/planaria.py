@@ -47,7 +47,7 @@ class PlanariaScheduler(Scheduler):
         # Remaining-work estimates only change when a request makes progress.
         self._remaining_cache: dict[int, tuple[int, float]] = {}
 
-    def on_request_finished(self, request: InferenceRequest, now_ms: float) -> None:
+    def on_request_finished(self, request: InferenceRequest) -> None:
         """Evict the finished request's remaining-work memo entry."""
         self._remaining_cache.pop(request.request_id, None)
 
@@ -111,7 +111,7 @@ class PlanariaScheduler(Scheduler):
         assigned_ids: set[int] = set()
 
         # Accelerators ordered by free PE capacity (count-based resource view).
-        platform = view.platform
+        platform = self.platform
         accelerators = sorted(
             view.accelerators,
             key=lambda acc: acc.free_fraction * platform[acc.acc_id].num_pes,

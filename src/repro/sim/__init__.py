@@ -34,10 +34,7 @@ from repro.sim.faults import (
     FaultSpec,
     capacity_at,
     fault_kind_names,
-    faults_from_json,
-    faults_to_json,
     outage_active,
-    parse_faults,
     sample_fault_plan,
 )
 from repro.sim.queues import ReferenceRequestPool, RequestPool
@@ -74,10 +71,7 @@ __all__ = [
     "FaultSpec",
     "capacity_at",
     "fault_kind_names",
-    "faults_from_json",
-    "faults_to_json",
     "outage_active",
-    "parse_faults",
     "sample_fault_plan",
     "RequestPool",
     "ReferenceRequestPool",

@@ -1,10 +1,13 @@
 """Scheduler <-> simulator interface types.
 
 Schedulers observe the system through a :class:`SystemView` (accelerator
-availability, pending requests, cost tables, current time) and respond with
-a :class:`SchedulingDecision`: a list of :class:`Assignment` objects plus,
-optionally, requests to drop (smart frame drop) — exactly the "scheduler
-inputs" / "scheduler output" boxes of Figure 4.  The views are read-only
+availability, pending and running requests, queue depths, current time)
+and respond with a :class:`SchedulingDecision`: a list of
+:class:`Assignment` objects plus, optionally, requests to drop (smart
+frame drop) — exactly the "scheduler inputs" / "scheduler output" boxes
+of Figure 4.  The static inputs (the platform, the offline cost table and
+the scenario) reach a scheduler once, through
+:meth:`~repro.schedulers.base.Scheduler.bind`.  The views are read-only
 and live: one per engine run, reading the pool and the executors when a
 scheduler accesses them, so nothing is rebuilt per scheduling point.
 """
@@ -15,11 +18,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.hardware.cost_table import CostTable
-from repro.hardware.platform import Platform
 from repro.models.graph import ModelGraph
 from repro.sim.request import InferenceRequest
-from repro.workloads.scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.executor import AcceleratorExecutor
@@ -131,9 +131,12 @@ class AcceleratorView:
 
 
 class SystemView:
-    """Read-only view of everything a scheduler may observe.
+    """Read-only view of the dynamic system state a scheduler observes.
 
-    The engine builds one view per run and advances :attr:`now_ms` before
+    Static context (the platform, the offline cost table and the scenario)
+    does not change during a run, so it is not on the view: it arrives
+    once, through :meth:`~repro.schedulers.base.Scheduler.bind`.  The
+    engine builds one view per run and advances :attr:`now_ms` before
     each ``schedule()`` call.  The request tuples and ``queue_depths`` are
     the pool's snapshots, built when read: the fast pool memoizes each on
     its version counter, so a snapshot no scheduler asks for is never
@@ -148,9 +151,6 @@ class SystemView:
 
     Attributes:
         now_ms: current simulation time.
-        platform: the hardware platform.
-        cost_table: offline per-(layer, accelerator) latency/energy table.
-        scenario: the active workload scenario.
         accelerators: one view per accelerator, ordered by id.
         pending_requests: schedulable requests (not running, not terminal),
             ordered by ``(arrival_ms, request_id)``.
@@ -158,32 +158,21 @@ class SystemView:
         queue_depths: number of live requests per task, in scenario order.
     """
 
-    __slots__ = (
-        "_now_ms", "_platform", "_cost_table", "_scenario", "_accelerators",
-        "_pool", "_task_names",
-    )
+    __slots__ = ("_now_ms", "_accelerators", "_pool", "_task_names")
 
     def __init__(
         self,
-        platform: Platform,
-        cost_table: CostTable,
-        scenario: Scenario,
+        task_names: Sequence[str],
         pool: "RequestPool | ReferenceRequestPool",
         executors: Sequence["AcceleratorExecutor"],
     ) -> None:
         self._now_ms = 0.0
-        self._platform = platform
-        self._cost_table = cost_table
-        self._scenario = scenario
         self._accelerators = tuple(AcceleratorView(executor) for executor in executors)
         self._pool = pool
         # A tuple, so the pool's depth memo matches it without a copy.
-        self._task_names = tuple(task.name for task in scenario.tasks)
+        self._task_names = tuple(task_names)
 
     now_ms = property(attrgetter("_now_ms"), doc="Current simulation time (ms).")
-    platform = property(attrgetter("_platform"), doc="The hardware platform.")
-    cost_table = property(attrgetter("_cost_table"), doc="The offline cost table.")
-    scenario = property(attrgetter("_scenario"), doc="The active workload scenario.")
     accelerators = property(
         attrgetter("_accelerators"), doc="One view per accelerator, ordered by id."
     )

@@ -40,8 +40,8 @@ unless their traffic model sets its own.
 
 Schedulers must implement the small protocol documented in
 :class:`repro.schedulers.base.Scheduler`; the engine only relies on the
-methods ``bind``, ``on_request_arrival``, ``schedule``,
-``on_layers_complete``, ``on_request_finished`` and ``info``.
+methods ``bind``, ``schedule``, ``on_request_finished``, ``wake_hint`` and
+``info``, and on the ``name`` attribute.
 
 Performance architecture
 ------------------------
@@ -107,14 +107,14 @@ import heapq
 import itertools
 import random
 from dataclasses import replace
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.hardware.cost_table import CostTable
 from repro.hardware.platform import Platform
 from repro.metrics.quantiles import StreamingQuantiles
 from repro.sim.decisions import SchedulingDecision, SystemView
 from repro.sim.executor import AcceleratorExecutor
-from repro.sim.faults import FaultsInput, parse_faults
+from repro.sim.faults import FaultSpec
 from repro.sim.queues import ReferenceRequestPool, RequestPool
 from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES, make_resource_model
@@ -199,9 +199,9 @@ class SimulationEngine:
             shared KV memory budget; available in every mode
             (the non-default admission/pricing path is a single shared code
             path, so cross-mode parity holds there too).
-        faults: optional fault plan (:mod:`repro.sim.faults`): a sequence
-            of :class:`~repro.sim.faults.FaultSpec` or their canonical JSON
-            string; available in every mode and resource model.
+        faults: the fault plan (:mod:`repro.sim.faults`), a sequence of
+            :class:`~repro.sim.faults.FaultSpec`; available in every mode
+            and resource model.
             With no faults declared the engine is bit-for-bit identical to
             builds without the axis.  An aborted request is retried up to
             :data:`RETRY_BUDGET` times, :data:`RETRY_BACKOFF_MS` apart
@@ -220,7 +220,7 @@ class SimulationEngine:
         mode: str = "fast",
         dispatch_elision: bool = True,
         resource_model: str = "pe_fraction",
-        faults: FaultsInput = None,
+        faults: Sequence[FaultSpec] = (),
     ) -> None:
         if duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
@@ -233,7 +233,7 @@ class SimulationEngine:
             raise ValueError(
                 f"unknown resource model {resource_model!r}; available: {known}"
             )
-        self.faults = parse_faults(faults)
+        self.faults = tuple(faults)
         self.resource_model = resource_model
         self.scenario = scenario
         self.platform = platform
@@ -278,7 +278,7 @@ class SimulationEngine:
         pool_class = RequestPool if fast else ReferenceRequestPool
         self._pool = pool_class(self._grace_ms_by_task)
         #: The one view every ``schedule()`` call of the run receives.
-        self._view = SystemView(platform, self.cost_table, scenario, self._pool, self._executors)
+        self._view = SystemView(scenario.task_names, self._pool, self._executors)
         self._stats: dict[str, TaskStats] = {
             task.name: TaskStats(task_name=task.name) for task in scenario.tasks
         }
@@ -321,7 +321,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the measured result."""
-        self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
+        self.scheduler.bind(self.platform, self.cost_table, self.scenario)
         if self.dispatch_elision:
             self._hint = self.scheduler.wake_hint()
         self._run_loop()
@@ -421,7 +421,6 @@ class SimulationEngine:
         self._pool.add(request)
         if self.tracer is not None:
             self._trace(request, "arrival")
-        self.scheduler.on_request_arrival(request, self._now)
 
     def _handle_completion(self, payload) -> None:
         acc_id, slot_id = payload
@@ -445,7 +444,6 @@ class SimulationEngine:
             self._spawn_cascades(request)
         else:
             self._pool.note_progress(request)
-            self.scheduler.on_layers_complete(request, self._now)
 
     # ------------------------------------------------------------------ #
     # fault injection
@@ -558,7 +556,7 @@ class SimulationEngine:
                 # The request leaves the pool until its retry re-arrival;
                 # the finished hook lets schedulers evict cached state.
                 self._pool.remove(request)
-                self.scheduler.on_request_finished(request, now)
+                self.scheduler.on_request_finished(request)
                 if request.retries <= RETRY_BUDGET:
                     backoff = RETRY_BACKOFF_MS * (2.0 ** (request.retries - 1))
                     self._push_event(now + backoff, _EVENT_RETRY, request)
@@ -578,7 +576,6 @@ class SimulationEngine:
         self._stats[request.task_name].retries += 1
         if self.tracer is not None:
             self._trace(request, "retry", detail=f"attempt {request.retries}")
-        self.scheduler.on_request_arrival(request, self._now)
 
     def _spawn_cascades(self, parent: InferenceRequest) -> None:
         """Spawn each child task whose trigger fires on ``parent``'s completion.
@@ -610,7 +607,6 @@ class SimulationEngine:
                     )
                 else:
                     self._trace(request, "cascade_arrival", detail=f"from {parent.task_name}")
-            self.scheduler.on_request_arrival(request, now)
 
     # ------------------------------------------------------------------ #
     # dispatching
@@ -725,7 +721,7 @@ class SimulationEngine:
 
     def _finalize_request(self, request: InferenceRequest) -> None:
         self._pool.remove(request)
-        self.scheduler.on_request_finished(request, self._now)
+        self.scheduler.on_request_finished(request)
         self._accumulate_stats(request)
 
     def _accumulate_stats(self, request: InferenceRequest) -> None:
@@ -797,7 +793,7 @@ class SimulationEngine:
         return SimulationResult(
             scenario_name=self.scenario.name,
             platform_name=self.platform.name,
-            scheduler_name=getattr(self.scheduler, "name", type(self.scheduler).__name__),
+            scheduler_name=self.scheduler.name,
             duration_ms=self.duration_ms,
             seed=self.seed,
             task_stats=self._stats,

@@ -2,10 +2,10 @@
 
 Production platforms are not perfectly healthy forever: accelerators
 throttle, platforms crash, drivers stall.  This module makes failure a
-first-class, *seeded* input to the simulation — a fault plan is data
-(frozen, picklable, JSON-round-trippable), never a side effect of
-wall-clock time or interpreter state, so a faulted run is exactly as
-reproducible as a fault-free one.
+first-class, *seeded* input to the simulation — a fault plan is data (a
+tuple of frozen, picklable :class:`FaultSpec` values), never a side
+effect of wall-clock time or interpreter state, so a faulted run is
+exactly as reproducible as a fault-free one.
 
 Three fault kinds are registered:
 
@@ -22,16 +22,17 @@ Three fault kinds are registered:
 
 All sampled fault timelines derive from ``random.Random(f"faults:...")``
 — string seeding hashes through SHA-512, which is stable across
-processes, platforms and ``PYTHONHASHSEED`` — so chaos sweeps are
-bit-for-bit replayable from the plan's canonical JSON alone.
+processes, platforms and ``PYTHONHASHSEED`` — so a chaos sweep is
+bit-for-bit replayable from its seed alone: fuzz artifacts record each
+plan with :meth:`FaultSpec.to_dict`, and ``repro fuzz --replay``
+re-samples it from the recorded seed.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 #: Registered fault kinds, in canonical order.
 FAULT_KINDS = ("accel_degrade", "platform_outage", "transient_stall")
@@ -84,8 +85,8 @@ class FaultSpec:
     """One declared fault: a kind, a target, a time window, a magnitude.
 
     Frozen and hashable so fault plans can live inside frozen specs and be
-    shipped to worker processes; ``to_dict``/``from_dict`` round-trip
-    through JSON exactly (all fields are JSON scalars).
+    shipped to worker processes; :meth:`to_dict` records one in a fuzz
+    artifact (all fields are JSON scalars).
     """
 
     kind: str
@@ -129,7 +130,7 @@ class FaultSpec:
         return self.start_ms <= time_ms < self.end_ms
 
     def to_dict(self) -> dict:
-        """JSON-serializable payload (round-trips via :meth:`from_dict`)."""
+        """JSON-serializable payload, as fuzz artifacts record it."""
         return {
             "kind": self.kind,
             "start_ms": self.start_ms,
@@ -137,56 +138,6 @@ class FaultSpec:
             "acc_id": self.acc_id,
             "magnitude": self.magnitude,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(
-            kind=data["kind"],
-            start_ms=float(data["start_ms"]),
-            duration_ms=float(data["duration_ms"]),
-            acc_id=None if data.get("acc_id") is None else int(data["acc_id"]),
-            magnitude=float(data.get("magnitude", 1.0)),
-        )
-
-    def canonical_key(self) -> str:
-        """Stable JSON key for content addressing and dedup."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-#: What the engine accepts as a fault declaration: nothing, a canonical
-#: JSON string (the picklable/cacheable wire form), or spec objects.
-FaultsInput = Union[None, str, Sequence[FaultSpec]]
-
-
-def faults_to_json(specs: Iterable[FaultSpec]) -> str:
-    """Canonical JSON wire form of a fault plan.
-
-    This is the form that travels through ``CellJob`` engine kwargs (which
-    admit only JSON scalars, to keep cache keys content-addressed) and
-    through fuzz artifacts.
-    """
-    return json.dumps([spec.to_dict() for spec in specs], sort_keys=True)
-
-
-def faults_from_json(text: str) -> tuple[FaultSpec, ...]:
-    """Parse :func:`faults_to_json` output back into specs."""
-    payload = json.loads(text)
-    if not isinstance(payload, list):
-        raise ValueError(f"fault plan JSON must be a list, got {type(payload).__name__}")
-    return tuple(FaultSpec.from_dict(entry) for entry in payload)
-
-
-def parse_faults(value: FaultsInput) -> tuple[FaultSpec, ...]:
-    """Normalize any accepted fault declaration into a tuple of specs."""
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        return faults_from_json(value)
-    return tuple(
-        item if isinstance(item, FaultSpec) else FaultSpec.from_dict(item)
-        for item in value
-    )
 
 
 def sample_fault_plan(

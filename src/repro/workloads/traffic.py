@@ -345,6 +345,18 @@ def arrival_process_names() -> list[str]:
     return list(ARRIVAL_PROCESSES)
 
 
+def reject_unknown_keys(cls: type, data: Mapping) -> None:
+    """Raise ``ValueError`` naming every key of ``data`` that is not a field of ``cls``.
+
+    :func:`arrival_process_from_dict` and the ``from_dict`` methods of the
+    fleet's spec dataclasses call it, so a misspelt or retired key in a
+    hand-written spec is a usage error.
+    """
+    unknown = sorted(set(data) - {field.name for field in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+
+
 def make_arrival_process(kind: str, **params) -> ArrivalProcess:
     """Build a traffic model by registry name.
 
@@ -360,7 +372,14 @@ def make_arrival_process(kind: str, **params) -> ArrivalProcess:
 
 
 def arrival_process_from_dict(data: Mapping) -> ArrivalProcess:
-    """Rebuild a process from :meth:`ArrivalProcess.to_dict` output."""
+    """Rebuild a process from :meth:`ArrivalProcess.to_dict` output.
+
+    Raises:
+        KeyError: for an unknown ``kind``.
+        ValueError: for a key that is not a parameter of the kind's class.
+    """
     payload = dict(data)
     kind = payload.pop("kind")
+    if kind in ARRIVAL_PROCESSES:
+        reject_unknown_keys(ARRIVAL_PROCESSES[kind], payload)
     return make_arrival_process(kind, **payload)

@@ -34,7 +34,7 @@ Key invariants:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.workloads.scenarios import scenario_names
@@ -42,22 +42,12 @@ from repro.workloads.traffic import (
     ArrivalProcess,
     PeriodicArrival,
     arrival_process_from_dict,
+    reject_unknown_keys,
 )
 
 #: Session arrivals used when a :class:`UserSpec` does not override them:
 #: strictly periodic at the population's nominal rate, no jitter.
 DEFAULT_SESSION_TRAFFIC = PeriodicArrival(jitter_ms=0.0)
-
-
-def reject_unknown_keys(cls: type, data: Mapping) -> None:
-    """Raise ``ValueError`` naming every key of ``data`` that is not a field of ``cls``.
-
-    The ``from_dict`` methods of the fleet's spec dataclasses call it, so
-    a misspelt or retired key in a hand-written spec is a usage error.
-    """
-    unknown = sorted(set(data) - {field.name for field in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,8 @@ class TestFleet:
             (lambda spec: spec["platforms"][0].update(capacity=2),
              "unknown PlatformSpec key(s): capacity"),
             (lambda spec: spec["users"][0].update(rate=1.0), "unknown UserSpec key(s): rate"),
+            (lambda spec: spec["users"][0].update(traffic={"kind": "poisson", "burst_size": 3}),
+             "unknown PoissonArrival key(s): burst_size"),
             (lambda spec: spec.update(outages=[outage]), "unknown FleetOutage key(s): end_ms"),
         ]
         for edit, message in cases:

@@ -234,7 +234,7 @@ def test_coalescing_drains_simultaneous_events_bit_for_bit():
 #: activation fire together.  ``stacked_faults`` opens and closes two
 #: stalls at one instant.  The edges of one instant share one dispatch.
 _COLLISION_FAULTS = {
-    "no_faults": None,
+    "no_faults": (),
     "grid_faults": (
         FaultSpec("platform_outage", start_ms=83.0, duration_ms=21.0),
         FaultSpec("accel_degrade", start_ms=160.0, duration_ms=40.0, acc_id=0, magnitude=0.5),

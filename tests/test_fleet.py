@@ -25,12 +25,15 @@ from repro.experiments import ResultStore
 from repro.fleet import (
     ADMITTED,
     EVICTED,
+    FAILED,
     REASON_CAPACITY,
     REASON_FAIR_SHARE,
     REASON_OUTAGE,
     REJECTED,
     REROUTED,
+    RETRY,
     THROTTLED,
+    AdmissionRecord,
     FairSharePolicy,
     FleetLoadView,
     FleetOutage,
@@ -457,6 +460,39 @@ class TestOracleCorruption:
         )
         violations = check_session_conservation(records)
         assert self._invariants(violations) == {"session_conservation"}
+
+    @staticmethod
+    def _chain(*outcomes):
+        """Hand-built records of one session: admitted, then ``outcomes``
+        (``session_conservation`` reads only the outcome chain)."""
+        return [
+            AdmissionRecord(
+                time_ms=10.0 * step, session_id=0, user_id="mobile/0",
+                population="mobile", scenario="ar_call", outcome=outcome,
+                platform_index=None, reason="", duration_ms=100.0,
+                active_before=(0, 0, 0),
+            )
+            for step, outcome in enumerate((ADMITTED, *outcomes))
+        ]
+
+    def test_retry_budget_is_per_eviction(self):
+        records = self._chain(EVICTED, RETRY, REROUTED, EVICTED, RETRY, FAILED)
+        assert check_session_conservation(records) == []
+
+    def test_failure_straight_after_eviction(self):
+        """An eviction always re-offers the session before it can fail."""
+        violations = check_session_conservation(self._chain(EVICTED, FAILED))
+        assert [v.message for v in violations] == [
+            "'failed' after 'evicted' (legal predecessors: retry)"
+        ]
+
+    def test_retries_beyond_the_budget(self):
+        violations = check_session_conservation(
+            self._chain(EVICTED, RETRY, RETRY, FAILED)
+        )
+        assert [v.message for v in violations] == [
+            "retry 2 of session 0 since its eviction exceeds the budget of 1"
+        ]
 
     def test_admitted_session_without_a_job(self, honest):
         plan = honest.plan

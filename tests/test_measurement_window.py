@@ -46,21 +46,15 @@ class RecordingScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self.inner = make_scheduler("fcfs_dynamic")
-        self.finished: list[tuple[InferenceRequest, float]] = []
+        self.finished: list[InferenceRequest] = []
 
-    def bind(self, platform, cost_table, scenario, rng) -> None:
-        super().bind(platform, cost_table, scenario, rng)
-        self.inner.bind(platform, cost_table, scenario, rng)
+    def bind(self, platform, cost_table, scenario) -> None:
+        super().bind(platform, cost_table, scenario)
+        self.inner.bind(platform, cost_table, scenario)
 
-    def on_request_arrival(self, request, now_ms) -> None:
-        self.inner.on_request_arrival(request, now_ms)
-
-    def on_layers_complete(self, request, now_ms) -> None:
-        self.inner.on_layers_complete(request, now_ms)
-
-    def on_request_finished(self, request, now_ms) -> None:
-        self.finished.append((request, now_ms))
-        self.inner.on_request_finished(request, now_ms)
+    def on_request_finished(self, request) -> None:
+        self.finished.append(request)
+        self.inner.on_request_finished(request)
 
     def schedule(self, view) -> SchedulingDecision:
         return self.inner.schedule(view)
@@ -104,25 +98,34 @@ class TestExpiryTimestamps:
         # NullScheduler semantics via a recording wrapper would still
         # dispatch; instead starve by never scheduling.
         scheduler.inner = NullScheduler()
+        tracer = Tracer()
         engine = SimulationEngine(
             scenario=single_head_scenario,
             platform=het_4k_platform,
             scheduler=scheduler,
             duration_ms=1000.0,
+            tracer=tracer,
         )
         engine.run()
         period = single_head_scenario.task("vision").period_ms
+        # An ``expired`` trace record carries the detection time.
+        detected_at = {
+            record.request_id: record.time_ms
+            for record in tracer.records
+            if record.event == "expired"
+        }
         expired = [
-            (request, now)
-            for request, now in scheduler.finished
+            request
+            for request in scheduler.finished
             if request.state is RequestState.EXPIRED
         ]
         assert expired, "starved requests should expire"
-        for request, detected_at in expired:
+        assert {request.request_id for request in expired} == set(detected_at)
+        for request in expired:
             true_expiry = request.deadline_ms + period  # grace = 1 period
             assert request.last_progress_ms == pytest.approx(true_expiry)
             # detection can only happen at a later event
-            assert detected_at >= request.last_progress_ms
+            assert detected_at[request.request_id] >= request.last_progress_ms
 
     def test_expiry_stamp_identical_across_modes(
         self, single_head_scenario, het_4k_platform
@@ -140,7 +143,7 @@ class TestExpiryTimestamps:
             ).run()
             stamps[mode] = [
                 (request.frame_id, request.last_progress_ms)
-                for request, _ in scheduler.finished
+                for request in scheduler.finished
                 if request.state is RequestState.EXPIRED
             ]
         assert stamps["fast"] == stamps["reference"]
@@ -170,9 +173,7 @@ class TestZeroLatencyAccounting:
         )
         request.record_layers(list(request.path), completion_ms=10.0)
         assert request.latency_ms == 0.0  # legitimate, not missing
-        engine.scheduler.bind(
-            engine.platform, engine.cost_table, engine.scenario, None
-        )
+        engine.scheduler.bind(engine.platform, engine.cost_table, engine.scenario)
         engine._finalize_request(request)
         stats = engine._stats["vision"]
         assert stats.completed_frames == 1

@@ -1,15 +1,48 @@
 """Unit and integration tests for the baseline schedulers and DREAM."""
 
+import ast
 import random
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
+import repro.sim.engine
 from repro.experiments.jobs import shared_context
-from repro.schedulers import make_scheduler, scheduler_names
+from repro.schedulers import SCHEDULER_FACTORIES, make_scheduler, scheduler_names
 from repro.schedulers.veltair import BLOCK_LATENCY_MS, VeltairScheduler
 from repro.sim import SimulationEngine, Tracer, run_simulation
 from repro.sim.request import InferenceRequest
+
+
+def _engine_scheduler_calls() -> set[str]:
+    """Names of every ``self.scheduler.<name>(...)`` call in the engine."""
+    tree = ast.parse(Path(repro.sim.engine.__file__).read_text(encoding="utf-8"))
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "scheduler"
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "self"
+    }
+
+
+def test_every_protocol_method_the_engine_calls_has_an_override():
+    """A scheduler method the engine calls exists only while a registry
+    scheduler defines it itself: a hook that no scheduler overrides is
+    dead weight on every event.  ``schedule`` is abstract, so every
+    scheduler defines it."""
+    called = _engine_scheduler_calls()
+    assert {"bind", "schedule", "on_request_finished"} <= called
+    classes = {type(factory()) for factory in SCHEDULER_FACTORIES.values()}
+    unused = sorted(
+        name for name in called - {"schedule"}
+        if not any(name in vars(cls) for cls in classes)
+    )
+    assert unused == []
 
 
 class TestRegistry:
@@ -61,7 +94,7 @@ _BOUND_INFO = {
 def test_bound_scheduler_info_is_pinned(tiny_scenario, tiny_platform, tiny_cost_table,
                                         scheduler_name):
     scheduler = make_scheduler(scheduler_name)
-    scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario, random.Random(0))
+    scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario)
     info = dict(scheduler.info())
     expected = _BOUND_INFO[scheduler_name]
     assert info == expected
@@ -88,10 +121,8 @@ def test_every_scheduler_completes_work(tiny_scenario, tiny_platform, scheduler_
 
 class TestSchedulerBehaviour:
     def test_static_fcfs_pins_tasks(self, tiny_scenario, tiny_platform, tiny_cost_table):
-        import random
-
         scheduler = make_scheduler("fcfs_static")
-        scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario, random.Random(0))
+        scheduler.bind(tiny_platform, tiny_cost_table, tiny_scenario)
         mapping = scheduler.info()["task_to_accelerator"]
         assert set(mapping) == set(tiny_scenario.task_names)
         assert all(0 <= acc_id < len(tiny_platform) for acc_id in mapping.values())
@@ -102,7 +133,7 @@ class TestSchedulerBehaviour:
         whole remaining path.  ``vr_gaming`` has blocks of both kinds."""
         scenario, platform, cost_table = shared_context("vr_gaming", "4k_1ws_2os", 0.5)
         scheduler = VeltairScheduler()
-        scheduler.bind(platform, cost_table, scenario, random.Random(0))
+        scheduler.bind(platform, cost_table, scenario)
         closed_by = set()
         for spec in scenario.tasks:
             request = InferenceRequest(spec.name, spec.default_model, 0, 0.0, 100.0,
