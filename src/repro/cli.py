@@ -169,18 +169,6 @@ def _make_store(args: argparse.Namespace) -> Optional[ResultStore]:
     return ResultStore(args.store) if args.store is not None else None
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict[str, str]:
-    """Extra engine kwargs for ``--resource-model``.
-
-    The default resource model contributes nothing so default jobs keep
-    their historical content-addressed store keys.
-    """
-    resource_model = getattr(args, "resource_model", "pe_fraction")
-    if resource_model != "pe_fraction":
-        return {"resource_model": resource_model}
-    return {}
-
-
 def _execute_and_report(jobs, args: argparse.Namespace) -> tuple[GridResult, float]:
     """Run cell jobs on the selected backend and print the UXCost table.
 
@@ -281,7 +269,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         duration_ms=duration_ms,
         seed=args.seed,
         cascade_probability=args.cascade_probability,
-        **_engine_kwargs(args),
+        resource_model=args.resource_model,
     )
     grid, elapsed = _execute_and_report(jobs, args)
 
@@ -352,6 +340,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                     json.dumps(payload, indent=2) + "\n", encoding="utf-8"
                 )
                 print(f"wrote {args.out / name}.{{txt,json}}")
+    if store is not None:
+        print(f"store: {store.stats()}")
     return 0
 
 
@@ -469,7 +459,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     jobs = generated_cell_jobs(
         spec, args.count, platforms, schedulers,
         duration_ms=duration_ms, seed=args.seed,
-        **_engine_kwargs(args),
+        resource_model=args.resource_model,
     )
     print(
         f"running {len(jobs)} generated cells ({args.count} scenarios x "
@@ -820,9 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_parser = subparsers.add_parser(
         "figure", help="regenerate one evaluation figure (2,7-14) or 'all'",
-        description="--backend and --store reach the cells of figures 2, 7, 8, 9, "
-        "12 and 14. Figures 10, 11 and 13 run their optimizer and objective "
-        "loops in-process, without the store.",
+        description="--backend and --store reach the cells of every figure; with "
+        "--store, the store's counters print after the last figure.",
     )
     figure_parser.add_argument(
         "name", help="figure number (e.g. 7), name (figure7), or 'all'"

@@ -7,7 +7,8 @@ Two cooperating pieces:
   current point, take the two lowest-UXCost samples, move to their
   interpolated point, shrink the sampling radius, repeat until the radius
   falls below a threshold.  Figures 10 and 11 are produced with this
-  optimizer (each evaluation being a short simulation).
+  optimizer (each evaluation being a short simulation; the objective
+  gets each step's samples as one batch).
 
 * :class:`OnlineAdaptivityEngine` — the runtime adaptivity engine of
   Figure 4.  It keeps generating valid schedules while *gradually* moving
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.config import PARAMETER_RANGE, OptimizationObjective
 from repro.metrics.uxcost import ModelOutcome, compute_uxcost
@@ -106,11 +107,13 @@ class IterativeParameterOptimizer:
     """Offline (alpha, beta) search with shrinking sampling radius.
 
     Args:
-        objective: callable evaluating a parameter pair (lower is better);
-            each call typically runs one short simulation.
+        objective: callable mapping a sequence of points to their costs,
+            in order (lower is better); each cost typically takes one short
+            simulation.  :meth:`optimize` asks for each step's candidates
+            as one batch and for the interpolated centre as a second.
     """
 
-    def __init__(self, objective: Callable[[float, float], float]) -> None:
+    def __init__(self, objective: Callable[[Sequence[ParameterPoint]], Sequence[float]]) -> None:
         self.objective = objective
 
     # ------------------------------------------------------------------ #
@@ -152,14 +155,12 @@ class IterativeParameterOptimizer:
         radius = INITIAL_RADIUS
         step_index = 0
         while radius >= MIN_RADIUS:
-            samples = [
-                (point, self.objective(point.alpha, point.beta))
-                for point in self.candidate_points(center, radius)
-            ]
+            candidates = self.candidate_points(center, radius)
+            samples = list(zip(candidates, self.objective(candidates)))
             samples.sort(key=lambda item: item[1])
             best, second = samples[0], samples[1] if len(samples) > 1 else samples[0]
             center = self.interpolate(best, second).clamped()
-            center_cost = self.objective(center.alpha, center.beta)
+            (center_cost,) = self.objective([center])
             # Keep the better of (interpolated center, best raw sample) so a
             # bad interpolation cannot make the trajectory regress.
             if best[1] < center_cost:

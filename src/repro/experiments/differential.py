@@ -414,7 +414,7 @@ def run_differential(
     ]
     kernel_failures: list[Violation] = []
 
-    def _run(scheduler_name: str, **engine_kwargs) -> tuple[SimulationResult, Tracer]:
+    def _run(scheduler_name: str, overrides: Mapping) -> tuple[SimulationResult, Tracer]:
         tracer = Tracer()
         engine = SimulationEngine(
             scenario=scenario,
@@ -424,7 +424,7 @@ def run_differential(
             seed=seed,
             cost_table=cost_table,
             tracer=tracer,
-            **{**canonical_engine, **engine_kwargs},
+            **{**canonical_engine, **overrides},
         )
         return engine.run(), tracer
 
@@ -444,21 +444,21 @@ def run_differential(
 
     for scheduler_name in schedulers:
         try:
-            result, tracer = _run(scheduler_name)
+            result, tracer = _run(scheduler_name, {})
         except Exception:  # noqa: BLE001 - a crashing scheduler is a finding
             report.harness_errors[scheduler_name] = traceback.format_exc()
             continue
         report.runs[scheduler_name] = _audited(scheduler_name, result, tracer)
-        for infix, value, runs, engine_kwargs in secondary:
+        for infix, value, runs, overrides in secondary:
             key = f"{scheduler_name}@{infix}{value}"
             try:
-                run_result, run_tracer = _run(scheduler_name, **engine_kwargs)
+                run_result, run_tracer = _run(scheduler_name, overrides)
             except Exception:  # noqa: BLE001 - a crashing secondary run is a finding
                 report.harness_errors[key] = traceback.format_exc()
                 continue
             if runs is not None:
                 runs[key] = _audited(
-                    scheduler_name, run_result, run_tracer, engine_kwargs.get("faults")
+                    scheduler_name, run_result, run_tracer, overrides.get("faults")
                 )
                 continue
             # The canonical run was audited above, so equality of the result

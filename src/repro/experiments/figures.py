@@ -6,17 +6,18 @@ the same series the paper plots and whose ``text`` is a printable table.
 Durations default to values that keep a full regeneration tractable on a
 laptop; pass larger ``duration_ms`` for tighter statistics.
 
-Figures 2, 7, 8, 9, 12 and 14 execute through
-:func:`repro.experiments.harness.run_grid` (Figures 12 and 14 once per
-cascade probability) and therefore inherit the execution defaults
-installed with :func:`repro.experiments.harness.default_execution` — wrap
-a figure call in that context manager (or use ``repro figure N --backend
-process``) to fan its cells out over a process pool and/or persist them in
-a :class:`~repro.experiments.store.ResultStore` without changing any
-figure signature.  Results are bit-for-bit identical across backends.
-Figures 10, 11 and 13 run their optimizer and objective loops in-process,
-without the backend or the store, on the memoized
-:func:`~repro.experiments.jobs.shared_context` of each cell.
+Every figure runs each of its simulations as a
+:class:`~repro.experiments.jobs.CellJob` through
+:func:`repro.experiments.harness.execute_jobs`: Figures 2, 7, 8, 9, 12 and
+14 via :func:`~repro.experiments.harness.run_grid` (Figures 12 and 14 once
+per cascade probability), Figures 10 and 11 via the optimizer objective of
+:mod:`repro.experiments.sweeps`, and Figure 13 directly.  Each therefore
+inherits the execution defaults installed with
+:func:`repro.experiments.harness.default_execution` — wrap a figure call in
+that context manager (or use ``repro figure N --backend process``) to fan
+its cells out over a process pool and/or persist them in a
+:class:`~repro.experiments.store.ResultStore` without changing any figure
+signature.  Results are bit-for-bit identical across backends.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from typing import Optional, Sequence
 
 from repro.core.adaptivity import IterativeParameterOptimizer, OptimizationTrace, ParameterPoint
 from repro.core.config import DreamConfig, OptimizationObjective
-from repro.core.dream import DreamScheduler
-from repro.experiments.harness import ExperimentCell, GridResult, run_grid
-from repro.experiments.jobs import shared_context
+from repro.experiments.harness import ExperimentCell, GridResult, execute_jobs, run_grid
+from repro.experiments.jobs import CellJob
 from repro.experiments.sweeps import parameter_grid, uxcost_objective
 from repro.hardware.platform import heterogeneous_platform_names, homogeneous_platform_names
 from repro.metrics.reporting import format_table, geometric_mean
-from repro.sim import run_simulation
 from repro.workloads import scenario_names
 
 
@@ -216,15 +215,26 @@ _FIGURE10_CASES = [
 ]
 
 
+def _figure10_objectives(duration_ms: float, seed: int) -> dict:
+    """One objective per target scenario of :data:`_FIGURE10_CASES`.
+
+    Two cases target ``ar_social``; sharing its objective runs each of
+    their common points once.
+    """
+    return {
+        target: uxcost_objective(target, _FIGURE10_PLATFORM, duration_ms=duration_ms, seed=seed)
+        for _, _, target in _FIGURE10_CASES
+    }
+
+
 def figure10(duration_ms: float = 300.0, seed: int = 0) -> FigureResult:
     """Figure 10: (alpha, beta) search under workload changes vs the global optimum."""
     rows = []
     traces: dict[str, OptimizationTrace] = {}
     previous_end: Optional[ParameterPoint] = None
+    objectives = _figure10_objectives(duration_ms, seed)
     for case_name, previous_scenario, target_scenario in _FIGURE10_CASES:
-        objective = uxcost_objective(
-            target_scenario, _FIGURE10_PLATFORM, duration_ms=duration_ms, seed=seed
-        )
+        objective = objectives[target_scenario]
         if previous_scenario is None:
             # "IDLE": the system boots with arbitrary parameters.
             start = ParameterPoint(1.5, 0.5)
@@ -267,15 +277,14 @@ def figure10(duration_ms: float = 300.0, seed: int = 0) -> FigureResult:
 def figure11(duration_ms: float = 300.0, seed: int = 0) -> FigureResult:
     """Figure 11: convergence speed of the parameter optimization."""
     rows = []
-    for case_name, previous_scenario, target_scenario in _FIGURE10_CASES:
-        objective = uxcost_objective(
-            target_scenario, _FIGURE10_PLATFORM, duration_ms=duration_ms, seed=seed
-        )
+    objectives = _figure10_objectives(duration_ms, seed)
+    for case_name, _, target_scenario in _FIGURE10_CASES:
+        objective = objectives[target_scenario]
         start = ParameterPoint(1.5, 0.5)
         optimizer = IterativeParameterOptimizer(objective)
         trace = optimizer.optimize(start)
         costs = trace.costs_per_step()
-        initial = objective(start.alpha, start.beta)
+        (initial,) = objective([start])
         improvements = [0.0 if initial <= 0 else 1.0 - cost / initial for cost in costs]
         rows.append(
             {
@@ -353,45 +362,41 @@ def figure13(duration_ms: float = 1200.0, seed: int = 0) -> FigureResult:
         OptimizationObjective.DEADLINE_ONLY,
         OptimizationObjective.ENERGY_ONLY,
     ]
+    # DREAM-Full under each tuning objective; the UXCost row is the
+    # registry's dream_full and comes first in each (scenario, p) block,
+    # so every row is compared with its block's UXCost row.
+    jobs = [
+        CellJob(
+            scenario_name,
+            "4k_1ws_2os",
+            f"dream_{objective.value}",
+            duration_ms=duration_ms,
+            seed=seed,
+            cascade_probability=probability,
+            dream=DreamConfig(True, True, True, objective=objective),
+        )
+        for scenario_name in ("vr_gaming", "ar_social")
+        for probability in (0.5, 0.9)
+        for objective in objectives
+    ]
     rows = []
-    for scenario_name in ("vr_gaming", "ar_social"):
-        for probability in (0.5, 0.9):
-            scenario, platform, cost_table = shared_context(
-                scenario_name, "4k_1ws_2os", probability
-            )
-            reference: Optional[dict] = None
-            for objective in objectives:
-                config = DreamConfig(
-                    enable_parameter_optimization=True,
-                    enable_frame_drop=True,
-                    enable_supernet_switching=True,
-                    objective=objective,
-                )
-                scheduler = DreamScheduler(config, name=f"dream_{objective.value}")
-                result = run_simulation(
-                    scenario=scenario,
-                    platform=platform,
-                    scheduler=scheduler,
-                    duration_ms=duration_ms,
-                    seed=seed,
-                    cost_table=cost_table,
-                )
-                breakdown = result.uxcost_breakdown
-                record = {
-                    "scenario": scenario_name,
-                    "cascade_probability": probability,
-                    "objective": objective.value,
-                    "uxcost": breakdown.uxcost,
-                    "violation_factor": breakdown.overall_violation_rate,
-                    "energy_factor": breakdown.overall_normalized_energy,
-                }
-                if objective is OptimizationObjective.UXCOST:
-                    reference = record
-                if reference is not None:
-                    record["uxcost_vs_uxcost_objective"] = (
-                        record["uxcost"] / reference["uxcost"] if reference["uxcost"] > 0 else 1.0
-                    )
-                rows.append(record)
+    reference: Optional[dict] = None
+    for job, result in zip(jobs, execute_jobs(jobs)):
+        breakdown = result.uxcost_breakdown
+        record = {
+            "scenario": job.scenario,
+            "cascade_probability": job.cascade_probability,
+            "objective": job.dream.objective.value,
+            "uxcost": breakdown.uxcost,
+            "violation_factor": breakdown.overall_violation_rate,
+            "energy_factor": breakdown.overall_normalized_energy,
+        }
+        if job.dream.objective is OptimizationObjective.UXCOST:
+            reference = record
+        record["uxcost_vs_uxcost_objective"] = (
+            record["uxcost"] / reference["uxcost"] if reference["uxcost"] > 0 else 1.0
+        )
+        rows.append(record)
     text = format_table(
         ["scenario", "p", "objective", "UXCost", "DLV factor", "energy factor"],
         [[r["scenario"], r["cascade_probability"], r["objective"], r["uxcost"], r["violation_factor"], r["energy_factor"]] for r in rows],

@@ -1,12 +1,16 @@
-"""Grid runner shared by all figure generators.
+"""Job execution shared by all figure generators.
 
-The evaluation is a grid of (scenario, platform, scheduler) cells, each
-cell being one simulation.  Since the parallel-backend refactor the
-harness is a thin orchestration layer over three pieces:
+The evaluation is a set of (scenario, platform, scheduler) cells, each
+cell being one simulation, and :func:`execute_jobs` is the one way the
+experiment layer runs them: grids through :func:`run_grid`, the (alpha,
+beta) objective of Figures 10 and 11 (:mod:`repro.experiments.sweeps`)
+and Figure 13's objective ablation directly.  The harness is a thin
+orchestration layer over three pieces:
 
 * :mod:`repro.experiments.jobs` — every cell is a picklable
-  :class:`~repro.experiments.jobs.CellJob` (preset names + scalars) whose
-  ``run()`` builds a fresh scheduler via ``make_scheduler`` and reuses a
+  :class:`~repro.experiments.jobs.CellJob` (preset names + scalars, plus
+  a :class:`~repro.core.config.DreamConfig` for a DREAM the registry does
+  not name) whose ``run()`` builds a fresh scheduler and reuses a
   process-local (scenario, platform, cost-table) context cache, so cost
   tables are still built once per (scenario, platform) pair.
 * :mod:`repro.experiments.backends` — jobs execute on a pluggable backend:
@@ -18,8 +22,8 @@ harness is a thin orchestration layer over three pieces:
   already persisted are skipped and loaded instead of re-simulated.
 
 :func:`default_execution` installs a backend/store for a whole code region,
-which is how the ``repro`` CLI routes the untouched ``figure*`` generators
-through the process pool without changing their signatures.
+which is how the ``repro`` CLI routes the ``figure*`` generators through
+the process pool and the store without changing their signatures.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def default_execution(
     """Temporarily change the default backend/workers/store.
 
     Any argument left as ``None`` keeps its current default.  Every
-    ``run_grid`` call inside the ``with`` body — including the ones made
+    ``execute_jobs`` call inside the ``with`` body — including the ones made
     deep inside figure generators — picks these up, which lets the CLI run
     an unmodified figure through the process backend::
 
@@ -216,7 +220,6 @@ def run_grid(
     backend: Optional[BackendLike] = None,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    **engine_kwargs,
 ) -> GridResult:
     """Run the full (scenario x platform x scheduler) grid.
 
@@ -236,8 +239,6 @@ def run_grid(
             instance; see :func:`default_execution`.
         workers: pool size for the ``process`` backend.
         store: optional result cache; hits skip simulation entirely.
-        **engine_kwargs: extra scalar :class:`~repro.sim.SimulationEngine`
-            kwargs applied to every cell.
     """
     jobs = grid_jobs(
         scenarios,
@@ -246,7 +247,6 @@ def run_grid(
         duration_ms=duration_ms,
         seed=seed,
         cascade_probability=cascade_probability,
-        **engine_kwargs,
     )
     results = execute_jobs(jobs, backend=backend, workers=workers, store=store)
     return GridResult(results={job.cell: result for job, result in zip(jobs, results)})
@@ -257,7 +257,6 @@ def run_phased_workload(
     platform_name: str,
     scheduler_name: str,
     seed: int = 0,
-    **engine_kwargs,
 ) -> list[SimulationResult]:
     """Run a multi-phase workload (the paper's "Lv 2" task-level dynamicity).
 
@@ -280,10 +279,9 @@ def run_phased_workload(
     switch; a request that should survive a boundary would have to be
     re-issued by its (still-present) task in the next phase.
     """
-    return PhasedJob.create(
+    return PhasedJob(
         workload=workload,
         platform=platform_name,
         scheduler=scheduler_name,
         seed=seed,
-        **engine_kwargs,
     ).run()

@@ -9,9 +9,10 @@ built only from preset *names* and scalars, so a job can be
 * hashed into a stable content key for the on-disk result cache
   (:mod:`repro.experiments.store`), and
 * replayed bit-for-bit: the job carries every input that influences the
-  simulation (names, seed, duration, cascade probability, engine kwargs),
-  and :meth:`CellJob.run` constructs a *fresh* scheduler via
-  :func:`repro.schedulers.make_scheduler` on every execution.
+  simulation (names, seed, duration, cascade probability, resource model
+  and, for a DREAM built outside the registry, its :class:`DreamConfig`),
+  and :meth:`CellJob.run` constructs a *fresh* scheduler on every
+  execution.
 
 Workers memoize the expensive per-(scenario, platform) context — the built
 scenario, the platform and its :class:`~repro.hardware.CostTable` — in a
@@ -26,9 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
+from repro.core.config import DreamConfig
+from repro.core.dream import DreamScheduler
 from repro.hardware import CostTable, Platform, make_platform
 from repro.schedulers import make_scheduler
 from repro.sim import SimulationResult, run_simulation
@@ -42,21 +45,10 @@ from repro.workloads.generator import GeneratorSpec, ScenarioGenerator
 #: load fine but would silently lack the new per-task data.
 CACHE_FORMAT_VERSION = 2
 
-#: Engine kwargs must stay JSON-scalar so jobs remain picklable and
-#: content-addressable.
-_SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-def _freeze_engine_kwargs(kwargs: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:
-    """Validate and canonicalize engine kwargs into a hashable tuple."""
-    for key, value in kwargs.items():
-        if not isinstance(value, _SCALAR_TYPES):
-            raise TypeError(
-                f"engine kwarg {key!r} must be a JSON scalar to be used in a "
-                f"job spec (got {type(value).__name__}); to run prebuilt objects, "
-                f"call repro.sim.run_simulation directly"
-            )
-    return tuple(sorted(kwargs.items()))
+#: The engine's default resource model.  A job on it writes
+#: ``"engine_kwargs": {}`` into its payload, as every job did before the
+#: field existed, so its store key is unchanged.
+_DEFAULT_RESOURCE_MODEL = "pe_fraction"
 
 
 @dataclass(frozen=True)
@@ -88,21 +80,27 @@ class CellJob:
         platform: platform preset name (``repro.hardware.PLATFORM_PRESETS``).
         scheduler: scheduler name (``repro.schedulers.scheduler_names()``); a
             fresh scheduler is instantiated per run, so repeated executions
-            are independent and deterministic.
+            are independent and deterministic.  With ``dream`` set it is
+            only the result's label.
         duration_ms: simulated window length.
         seed: seed for every stochastic element of the simulation.
         cascade_probability: ML-cascade trigger probability of the scenario.
-        engine_kwargs: extra :class:`~repro.sim.SimulationEngine` kwargs as a
-            sorted tuple of (name, scalar) pairs (see :meth:`create`).
         generator: optional :class:`~repro.workloads.GeneratorSpec`; when
             set, the scenario is *generated* (``ScenarioGenerator(generator)
             .generate(generator_index)``) instead of resolved as a preset
-            name, and ``scenario`` must equal the generated scenario's name.
-            The spec is a frozen dataclass of scalars, so generated jobs
-            remain picklable and content-addressable exactly like preset
-            jobs (``cascade_probability`` is ignored — trigger probabilities
-            live inside the spec).
+            name, and ``scenario`` must equal the generated scenario's name
+            (as :func:`generated_cell_jobs` sets it).  The spec is a frozen
+            dataclass of scalars, so generated jobs remain picklable and
+            content-addressable exactly like preset jobs
+            (``cascade_probability`` is ignored — trigger probabilities live
+            inside the spec).
         generator_index: scenario index within the generator spec.
+        resource_model: the :class:`~repro.sim.SimulationEngine` resource
+            model (``repro.sim.RESOURCE_MODEL_NAMES``).
+        dream: optional :class:`~repro.core.config.DreamConfig`; when set,
+            the cell runs ``DreamScheduler(dream, name=scheduler)`` instead
+            of the registry's ``scheduler`` (Figures 10, 11 and 13 run
+            DREAM configurations the registry does not name).
     """
 
     scenario: str
@@ -111,62 +109,10 @@ class CellJob:
     duration_ms: float = 1000.0
     seed: int = 0
     cascade_probability: float = 0.5
-    engine_kwargs: Tuple[Tuple[str, object], ...] = ()
     generator: Optional[GeneratorSpec] = None
     generator_index: int = 0
-
-    @classmethod
-    def create(
-        cls,
-        scenario: str,
-        platform: str,
-        scheduler: str,
-        duration_ms: float = 1000.0,
-        seed: int = 0,
-        cascade_probability: float = 0.5,
-        generator: Optional[GeneratorSpec] = None,
-        generator_index: int = 0,
-        **engine_kwargs,
-    ) -> "CellJob":
-        """Build a job from keyword engine kwargs (validated to scalars)."""
-        return cls(
-            scenario=scenario,
-            platform=platform,
-            scheduler=scheduler,
-            duration_ms=duration_ms,
-            seed=seed,
-            cascade_probability=cascade_probability,
-            engine_kwargs=_freeze_engine_kwargs(engine_kwargs),
-            generator=generator,
-            generator_index=generator_index,
-        )
-
-    @classmethod
-    def for_generated(
-        cls,
-        generator: GeneratorSpec,
-        index: int,
-        platform: str,
-        scheduler: str,
-        duration_ms: float = 1000.0,
-        seed: int = 0,
-        **engine_kwargs,
-    ) -> "CellJob":
-        """Build a job for one *generated* scenario of a spec.
-
-        The scenario name is derived from the spec so the job's grid cell
-        key stays self-describing (``gen-<seed>-<index>/platform/scheduler``).
-        """
-        return cls.create(
-            scenario=ScenarioGenerator(generator).scenario_name(index),
-            platform=platform,
-            scheduler=scheduler,
-            duration_ms=duration_ms,
-            seed=seed,
-            generator=generator,
-            generator_index=index,
-            **engine_kwargs,
-        )
+    resource_model: str = _DEFAULT_RESOURCE_MODEL
+    dream: Optional[DreamConfig] = None
 
     @property
     def cell(self) -> ExperimentCell:
@@ -176,9 +122,10 @@ class CellJob:
     def to_dict(self) -> dict:
         """JSON-serializable description of every simulation input.
 
-        Generator fields are only included for generated jobs, so the
+        The generator and DREAM fields are only included when set, and the
+        default resource model writes ``"engine_kwargs": {}``, so the
         content hashes (and therefore the cached results) of preset jobs
-        are unchanged by the generator feature.
+        are those they had before these fields existed.
         """
         payload = {
             "scenario": self.scenario,
@@ -187,11 +134,17 @@ class CellJob:
             "duration_ms": self.duration_ms,
             "seed": self.seed,
             "cascade_probability": self.cascade_probability,
-            "engine_kwargs": {key: value for key, value in self.engine_kwargs},
+            "engine_kwargs": (
+                {}
+                if self.resource_model == _DEFAULT_RESOURCE_MODEL
+                else {"resource_model": self.resource_model}
+            ),
         }
         if self.generator is not None:
             payload["generator"] = self.generator.to_dict()
             payload["generator_index"] = self.generator_index
+        if self.dream is not None:
+            payload["dream"] = {**asdict(self.dream), "objective": self.dream.objective.value}
         return payload
 
     def cache_key(self) -> str:
@@ -222,20 +175,24 @@ class CellJob:
                 raise ValueError(
                     f"generated job scenario name {self.scenario!r} does not match "
                     f"the generated scenario {scenario.name!r}; build jobs via "
-                    f"generated_cell_jobs() or CellJob.for_generated()"
+                    f"generated_cell_jobs()"
                 )
         else:
             scenario, platform, cost_table = shared_context(
                 self.scenario, self.platform, self.cascade_probability
             )
+        if self.dream is not None:
+            scheduler = DreamScheduler(self.dream, name=self.scheduler)
+        else:
+            scheduler = make_scheduler(self.scheduler)
         return run_simulation(
             scenario=scenario,
             platform=platform,
-            scheduler=make_scheduler(self.scheduler),
+            scheduler=scheduler,
             duration_ms=self.duration_ms,
             seed=self.seed,
             cost_table=cost_table,
-            **dict(self.engine_kwargs),
+            resource_model=self.resource_model,
         )
 
 
@@ -260,25 +217,6 @@ class PhasedJob:
     platform: str
     scheduler: str
     seed: int = 0
-    engine_kwargs: Tuple[Tuple[str, object], ...] = ()
-
-    @classmethod
-    def create(
-        cls,
-        workload: PhasedWorkload,
-        platform: str,
-        scheduler: str,
-        seed: int = 0,
-        **engine_kwargs,
-    ) -> "PhasedJob":
-        """Build a phased job from keyword engine kwargs."""
-        return cls(
-            workload=workload,
-            platform=platform,
-            scheduler=scheduler,
-            seed=seed,
-            engine_kwargs=_freeze_engine_kwargs(engine_kwargs),
-        )
 
     def run(self) -> list[SimulationResult]:
         """Execute every phase in order, threading one scheduler through."""
@@ -293,7 +231,6 @@ class PhasedJob:
                     scheduler=scheduler,
                     duration_ms=phase.duration_ms,
                     seed=self.seed + index,
-                    **dict(self.engine_kwargs),
                 )
             )
         return results
@@ -371,7 +308,7 @@ def grid_jobs(
     duration_ms: float = 1000.0,
     seed: int = 0,
     cascade_probability: float = 0.5,
-    **engine_kwargs,
+    resource_model: str = _DEFAULT_RESOURCE_MODEL,
 ) -> list[CellJob]:
     """Expand a (scenario x platform x scheduler) grid into cell jobs.
 
@@ -379,14 +316,14 @@ def grid_jobs(
     worker share their (scenario, platform) context.
     """
     return [
-        CellJob.create(
+        CellJob(
             scenario=scenario,
             platform=platform,
             scheduler=scheduler,
             duration_ms=duration_ms,
             seed=seed,
             cascade_probability=cascade_probability,
-            **engine_kwargs,
+            resource_model=resource_model,
         )
         for scenario in scenarios
         for platform in platforms
@@ -401,22 +338,26 @@ def generated_cell_jobs(
     schedulers: Sequence[str],
     duration_ms: float = 1000.0,
     seed: int = 0,
-    **engine_kwargs,
+    resource_model: str = _DEFAULT_RESOURCE_MODEL,
 ) -> list[CellJob]:
     """Expand ``count`` generated scenarios into a grid of cell jobs.
 
+    Each job is named after its generated scenario, so its grid cell key
+    stays self-describing (``gen-<seed>-<index>/platform/scheduler``).
     Ordered scheduler-innermost like :func:`grid_jobs`, so contiguous
     chunks share the generated (scenario, platform) context.
     """
+    generator = ScenarioGenerator(spec)
     return [
-        CellJob.for_generated(
-            spec,
-            index,
+        CellJob(
+            scenario=generator.scenario_name(index),
             platform=platform,
             scheduler=scheduler,
             duration_ms=duration_ms,
             seed=seed,
-            **engine_kwargs,
+            generator=spec,
+            generator_index=index,
+            resource_model=resource_model,
         )
         for index in range(count)
         for platform in platforms

@@ -308,7 +308,7 @@ class FleetSimulator:
                 platform_index=index,
                 platform_name=labels[index],
                 admit_ms=admit_ms,
-                cell=CellJob.create(
+                cell=CellJob(
                     scenario=request.scenario,
                     platform=platform.platform,
                     scheduler=platform.scheduler,

@@ -376,9 +376,16 @@ def arrival_process_from_dict(data: Mapping) -> ArrivalProcess:
 
     Raises:
         KeyError: for an unknown ``kind``.
-        ValueError: for a key that is not a parameter of the kind's class.
+        ValueError: for a ``traffic`` value that is not an object, one
+            without a ``kind`` key, or a key that is not a parameter of the
+            kind's class.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"traffic must be an object with a 'kind' key, not {data!r}")
     payload = dict(data)
+    if "kind" not in payload:
+        known = ", ".join(arrival_process_names())
+        raise ValueError(f"traffic object has no 'kind' key; available kinds: {known}")
     kind = payload.pop("kind")
     if kind in ARRIVAL_PROCESSES:
         reject_unknown_keys(ARRIVAL_PROCESSES[kind], payload)

@@ -133,18 +133,26 @@ class TestFigure:
         }
         assert json.loads(json.dumps(data)) == data
 
-    def test_figure12_cells_reach_the_store(self, tmp_path, capsys, monkeypatch):
+    def test_every_figure_reaches_the_store(self, tmp_path, capsys, monkeypatch):
+        import ast
+
         from repro.experiments.jobs import CellJob
         from repro.experiments.store import ResultStore
         from repro.sim import SimulationEngine
 
         store = tmp_path / "store"
-        args = ["figure", "12", "--duration-ms", "50", "--store", str(store)]
+        args = ["figure", "all", "--duration-ms", "20", "--store", str(store)]
+
+        def tables(out):
+            # Each figure's header line carries its wall time, and the last
+            # line the store counters; every other line is a table row.
+            lines = out.splitlines()
+            assert lines[-1].startswith("store: ")
+            stats = ast.literal_eval(lines[-1][len("store: "):])
+            return [line for line in lines[:-1] if not line.startswith("== ")], stats
+
         assert main(args) == 0
-        # The first line is the header with the wall time; the table follows.
-        first = capsys.readouterr().out.split("\n", 1)[1]
-        # 2 scenarios x 2 platforms x 4 cascade probabilities x 5 schedulers.
-        assert len(ResultStore(store)) == 80
+        first = capsys.readouterr().out
 
         def must_not_run(self):
             raise AssertionError("a cell was computed, not loaded from the store")
@@ -152,7 +160,25 @@ class TestFigure:
         monkeypatch.setattr(CellJob, "run", must_not_run)
         monkeypatch.setattr(SimulationEngine, "run", must_not_run)
         assert main(args) == 0
-        assert capsys.readouterr().out.split("\n", 1)[1] == first
+        second = capsys.readouterr().out
+        (first, cold), (second, warm) = tables(first), tables(second)
+        assert second == first
+        assert cold["writes"] == cold["misses"] == len(ResultStore(store)) > 0
+        assert warm["misses"] == warm["writes"] == 0
+
+    def test_figure11_is_served_from_figure10_entries(self, tmp_path, capsys, monkeypatch):
+        from repro.sim import SimulationEngine
+
+        store = tmp_path / "store"
+        assert main(["figure", "10", "--duration-ms", "20", "--store", str(store)]) == 0
+
+        def must_not_run(self):
+            raise AssertionError("a Figure 11 point missed the store")
+
+        monkeypatch.setattr(SimulationEngine, "run", must_not_run)
+        capsys.readouterr()
+        assert main(["figure", "11", "--duration-ms", "20", "--store", str(store)]) == 0
+        assert "'misses': 0, 'writes': 0" in capsys.readouterr().out
 
 
 class TestGenerate:
@@ -493,6 +519,10 @@ class TestFleet:
             (lambda spec: spec["users"][0].update(rate=1.0), "unknown UserSpec key(s): rate"),
             (lambda spec: spec["users"][0].update(traffic={"kind": "poisson", "burst_size": 3}),
              "unknown PoissonArrival key(s): burst_size"),
+            (lambda spec: spec["users"][0].update(traffic={"rate_hz": 3.0}),
+             "traffic object has no 'kind' key; available kinds: periodic, poisson"),
+            (lambda spec: spec["users"][0].update(traffic="poisson"),
+             "traffic must be an object with a 'kind' key, not 'poisson'"),
             (lambda spec: spec.update(outages=[outage]), "unknown FleetOutage key(s): end_ms"),
         ]
         for edit, message in cases:

@@ -204,17 +204,17 @@ class TestFrameDrop:
 
 class TestIterativeOptimizer:
     def test_converges_on_convex_objective(self):
-        def objective(alpha, beta):
-            return (alpha - 0.6) ** 2 + (beta - 1.4) ** 2 + 0.01
+        def cost(point):
+            return (point.alpha - 0.6) ** 2 + (point.beta - 1.4) ** 2 + 0.01
 
-        optimizer = IterativeParameterOptimizer(objective)
+        optimizer = IterativeParameterOptimizer(lambda points: [cost(p) for p in points])
         trace = optimizer.optimize(ParameterPoint(1.8, 0.2))
         assert trace.final_point.distance(ParameterPoint(0.6, 1.4)) < 0.45
-        assert trace.final_cost <= objective(1.8, 0.2)
+        assert trace.final_cost <= cost(ParameterPoint(1.8, 0.2))
 
     def test_costs_never_regress_much(self):
-        def objective(alpha, beta):
-            return abs(alpha - 1.0) + abs(beta - 1.0) + 0.1
+        def objective(points):
+            return [abs(p.alpha - 1.0) + abs(p.beta - 1.0) + 0.1 for p in points]
 
         optimizer = IterativeParameterOptimizer(objective)
         trace = optimizer.optimize(ParameterPoint(0.0, 2.0))
@@ -222,7 +222,7 @@ class TestIterativeOptimizer:
         assert costs[-1] <= costs[0] + 1e-9
 
     def test_candidates_respect_range(self):
-        optimizer = IterativeParameterOptimizer(lambda a, b: a + b)
+        optimizer = IterativeParameterOptimizer(lambda points: [p.alpha + p.beta for p in points])
         points = optimizer.candidate_points(ParameterPoint(0.0, 2.0), radius=0.5)
         for point in points:
             assert 0.0 <= point.alpha <= 2.0

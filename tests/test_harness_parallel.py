@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.config import dream_fixed
 from repro.experiments import (
     CellJob,
     JobTimeoutError,
@@ -41,21 +42,72 @@ GRID_KWARGS = dict(
 
 class TestCellJob:
     def test_job_is_picklable(self):
-        job = CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic", duration_ms=100.0)
+        job = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic", duration_ms=100.0)
         clone = pickle.loads(pickle.dumps(job))
         assert clone == job
+        tuned = CellJob("ar_call", "4k_1ws_2os", "dream_fixed", dream=dream_fixed(0.5, 1.5))
+        assert pickle.loads(pickle.dumps(tuned)) == tuned
 
     def test_cache_key_is_stable_and_input_sensitive(self):
-        job = CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic", seed=0)
+        job = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic", seed=0)
         assert job.cache_key() == job.cache_key()
-        reseeded = CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic", seed=1)
+        reseeded = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic", seed=1)
         assert reseeded.cache_key() != job.cache_key()
-        rescheduled = CellJob.create("ar_call", "4k_1ws_2os", "planaria", seed=0)
+        rescheduled = CellJob("ar_call", "4k_1ws_2os", "planaria", seed=0)
         assert rescheduled.cache_key() != job.cache_key()
 
-    def test_engine_kwargs_must_be_scalars(self):
-        with pytest.raises(TypeError):
-            CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic", tracer=object())
+    def test_cache_keys_are_pinned(self):
+        # Keys of repro 1.1.0 at CACHE_FORMAT_VERSION 2: a store written
+        # before CellJob named its fields must still be read.
+        import repro
+        from repro.experiments.jobs import CACHE_FORMAT_VERSION, generated_cell_jobs
+        from repro.workloads import GeneratorSpec
+
+        assert (repro.__version__, CACHE_FORMAT_VERSION) == ("1.1.0", 2)
+        job = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic")
+        assert job.to_dict()["engine_kwargs"] == {}
+        assert job.cache_key() == (
+            "832a15ca75e3b12257e1724105366e805d887663ba7c9d350ca2626bdef14e1b"
+        )
+        kv = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic", resource_model="kv_batch")
+        assert kv.to_dict()["engine_kwargs"] == {"resource_model": "kv_batch"}
+        assert kv.cache_key() == (
+            "ce9c87577d25c001d8de208329a846cf81c96e04e07385ad5186e66c72f2ab2c"
+        )
+        (generated,) = generated_cell_jobs(
+            GeneratorSpec(seed=5, max_tasks=3), 1, ["4k_1ws_2os"], ["dream_full"],
+            duration_ms=150.0,
+        )
+        assert generated.cache_key() == (
+            "d97dba6f33f0310b413b05a1165120bcb5bcf06492d8480e02e2705fbd9d38f8"
+        )
+
+    def test_dream_config_is_part_of_the_key(self):
+        job = CellJob("ar_call", "4k_1ws_2os", "dream_fixed", dream=dream_fixed(1.0, 1.0))
+        assert job.to_dict()["dream"] == {
+            "enable_parameter_optimization": False,
+            "enable_frame_drop": False,
+            "enable_supernet_switching": False,
+            "alpha": 1.0,
+            "beta": 1.0,
+            "objective": "uxcost",
+        }
+        moved = CellJob("ar_call", "4k_1ws_2os", "dream_fixed", dream=dream_fixed(1.5, 1.0))
+        assert moved.cache_key() != job.cache_key()
+        assert "dream" not in CellJob("ar_call", "4k_1ws_2os", "dream_fixed").to_dict()
+
+    def test_dream_config_runs_instead_of_the_registry(self):
+        from repro.core.config import dream_full
+
+        registry = CellJob("ar_call", "4k_1ws_2os", "dream_full", duration_ms=150.0).run()
+        named = CellJob(
+            "ar_call", "4k_1ws_2os", "dream_full", duration_ms=150.0, dream=dream_full()
+        ).run()
+        assert named.to_dict() == registry.to_dict()
+        tuned = CellJob(
+            "ar_call", "4k_1ws_2os", "tuned", duration_ms=150.0, dream=dream_fixed(0.0, 2.0)
+        ).run()
+        assert tuned.scheduler_name == "tuned"
 
     def test_generated_job_is_picklable_and_content_addressed(self):
         from repro.experiments.jobs import generated_cell_jobs
@@ -75,7 +127,7 @@ class TestCellJob:
         assert other.cache_key() != job.cache_key()
         # Preset jobs keep their historical content hashes: no generator
         # fields leak into their to_dict payload.
-        preset = CellJob.create("ar_call", "4k_1ws_2os", "fcfs_dynamic")
+        preset = CellJob("ar_call", "4k_1ws_2os", "fcfs_dynamic")
         assert "generator" not in preset.to_dict()
 
     def test_generated_job_runs_and_is_deterministic(self):
@@ -94,7 +146,7 @@ class TestCellJob:
     def test_generated_job_name_mismatch_is_rejected(self):
         from repro.workloads import GeneratorSpec
 
-        job = CellJob.create(
+        job = CellJob(
             "wrong_name", "4k_1ws_2os", "fcfs_dynamic",
             generator=GeneratorSpec(seed=5, max_tasks=3), generator_index=0,
         )
@@ -256,8 +308,8 @@ class TestCrossSessionDeterminism:
         )
         script = (
             "from repro.experiments import CellJob\n"
-            "job = CellJob.create('ar_call', '4k_1ws_2os', 'dream_mapscore',\n"
-            "                     duration_ms=200.0, seed=0)\n"
+            "job = CellJob('ar_call', '4k_1ws_2os', 'dream_mapscore',\n"
+            "              duration_ms=200.0, seed=0)\n"
             "print(repr(job.run().uxcost))\n"
         )
         output = subprocess.run(

@@ -47,7 +47,7 @@ class TestRoundTrip:
 class TestResultStore:
     def test_put_get_round_trip(self, tmp_path, small_grid):
         store = ResultStore(tmp_path / "cache")
-        job = CellJob.create(**{**_job_kwargs(), "scheduler": "fcfs_dynamic"})
+        job = CellJob(**{**_job_kwargs(), "scheduler": "fcfs_dynamic"})
         result = job.run()
         assert store.get(job) is None
         store.put(job, result)
@@ -57,7 +57,7 @@ class TestResultStore:
 
     def test_stored_text_is_the_json_dumps_of_job_and_result(self, tmp_path):
         store = ResultStore(tmp_path)
-        job = CellJob.create(**{**_job_kwargs(), "scheduler": "dream_mapscore"})
+        job = CellJob(**{**_job_kwargs(), "scheduler": "dream_mapscore"})
         result = job.run()
         path = store.put(job, result)
         expected = json.dumps({"job": job.to_dict(), "result": result.to_dict()})
@@ -66,7 +66,7 @@ class TestResultStore:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        job = CellJob.create(**_job_kwargs())
+        job = CellJob(**_job_kwargs())
         path = store.path_for(job.cache_key())
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{ not json", encoding="utf-8")
@@ -77,14 +77,14 @@ class TestResultStore:
 
     def test_absent_entry_is_a_plain_miss_not_corruption(self, tmp_path):
         store = ResultStore(tmp_path)
-        job = CellJob.create(**_job_kwargs())
+        job = CellJob(**_job_kwargs())
         assert store.get(job) is None
         assert store.misses == 1
         assert store.corrupt == 0
 
     def test_truncated_entry_recovers_by_recompute_and_overwrite(self, tmp_path):
         store = ResultStore(tmp_path)
-        job = CellJob.create(**_job_kwargs())
+        job = CellJob(**_job_kwargs())
         result = job.run()
         store.put(job, result)
         path = store.path_for(job.cache_key())
