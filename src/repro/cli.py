@@ -10,10 +10,10 @@ Subcommands:
   ``--smoke`` selects the small fixed grid CI uses for backend parity and
   the process-backend speedup check.
 * ``repro figure N`` — regenerate one evaluation figure (or ``all``).
-  Figures 2, 7, 8, 9, 12 and 14 run their cells through the selected
-  backend and store via :func:`repro.experiments.harness.default_execution`;
-  Figures 10, 11 and 13 run their optimizer and objective loops
-  in-process, without the store.
+  Every figure runs its cells through the selected backend and store via
+  :func:`repro.experiments.harness.default_execution`; without ``--store``
+  the figures of one command share a store in a temporary directory, so
+  a cell that several figures run simulates once.
 * ``repro generate`` — sample randomized scenarios from the model zoo
   (seeded, reproducible), optionally writing the generator spec and running
   the generated grid on any backend/store.  ``--traffic`` samples
@@ -48,10 +48,12 @@ tests use; the CLI adds no simulation logic of its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import json
 import sys
+import tempfile
 import time
 from dataclasses import replace as _dc_replace
 from pathlib import Path
@@ -90,6 +92,7 @@ from repro.workloads import (
     make_arrival_process,
     scenario_names,
 )
+from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY
 
 #: ``repro fuzz`` exit code for invariant/metamorphic violations (a harness
 #: error exits 1 and a usage error exits 2, so the three are distinguishable
@@ -315,8 +318,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             return 2
         names = [key]
 
-    store = _make_store(args)
-    with default_execution(backend=args.backend, workers=args.workers, store=store):
+    # Without --store the figures still share one store, in a directory
+    # removed on exit, so a cell that several figures run (every Figure 11
+    # point is a Figure 10 point) simulates once per command.
+    with contextlib.ExitStack() as stack:
+        store = ResultStore(
+            args.store if args.store is not None
+            else stack.enter_context(tempfile.TemporaryDirectory())
+        )
+        stack.enter_context(default_execution(backend=args.backend, workers=args.workers, store=store))
         for name in names:
             generator = figures_mod.ALL_FIGURES[name]
             kwargs = {"seed": args.seed}
@@ -340,7 +350,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                     json.dumps(payload, indent=2) + "\n", encoding="utf-8"
                 )
                 print(f"wrote {args.out / name}.{{txt,json}}")
-    if store is not None:
+    if args.store is not None:
         print(f"store: {store.stats()}")
     return 0
 
@@ -782,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid_parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     grid_parser.add_argument(
-        "--cascade-probability", type=float, default=0.5,
-        help="ML-cascade trigger probability (default: 0.5)",
+        "--cascade-probability", type=float, default=DEFAULT_CASCADE_PROBABILITY,
+        help="ML-cascade trigger probability (default: %(default)s)",
     )
     grid_parser.add_argument(
         "--smoke", action="store_true",

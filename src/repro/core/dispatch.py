@@ -170,9 +170,11 @@ class JobDispatchEngine:
         that computes exactly the expressions of
         :meth:`~repro.core.mapscore.MapScoreEngine.map_score` (Algorithm 1,
         lines 7-15), bit for bit, with the accelerator-independent inputs
-        taken from the statics cache and the context-switch energy memoized
-        per model.  Requests whose path is exhausted are skipped in the scan
-        (no filtered list is built), and the cache lookup is inlined,
+        taken from the statics cache and the context-switch energies from
+        the table's row for the accelerator's resident model
+        (:meth:`~repro.hardware.cost_table.CostTable.switch_energy_row`).
+        Requests whose path is exhausted are skipped in the scan (no
+        filtered list is built), and the cache lookup is inlined,
         because at one consultation per event over deep queues even a
         method call per request dominates.  The strict ``>`` keeps the
         first maximum on exact ties, the pair the spec's stable descending
@@ -196,13 +198,10 @@ class JobDispatchEngine:
         """
         now_ms = view.now_ms
         acc_id = acc.acc_id
-        resident_model = acc.resident_model
-        cost_table = self.cost_table
         cache = self._statics_cache
         cache_get = cache.get
         build = self._build_statics
-        switch_cache: dict[str, float] = {}
-        switch_get = switch_cache.get
+        switch_row = self.cost_table.switch_energy_row(acc.resident_model, acc_id)
         skip_dominated = alpha >= 0.0
         # statics group -> (deadline_ms, last_progress_ms) of the group's
         # earlier scored request
@@ -234,12 +233,7 @@ class JobDispatchEngine:
             if queue_time < 0.0:
                 queue_time = 0.0
             alpha_starv = alpha * (queue_time / (average if average > 1e-12 else 1e-12))
-            switch_energy = switch_get(model)
-            if switch_energy is None:
-                switch_energy = cost_table.context_switch_energy(
-                    model, resident_model, acc_id
-                )
-                switch_cache[model] = switch_energy
+            switch_energy = switch_row[model]
             this_latency, layer_energy = acc_row[acc_id]
             lat_pref = total_latency / (this_latency if this_latency > 1e-12 else 1e-12)
             if layer_energy < 1e-12:

@@ -31,7 +31,6 @@ from repro.experiments.harness import (
     execute_jobs,
     get_execution_defaults,
     run_grid,
-    run_phased_workload,
 )
 from repro.experiments.differential import (
     DifferentialReport,
@@ -73,6 +72,5 @@ __all__ = [
     "make_backend",
     "parameter_grid",
     "run_grid",
-    "run_phased_workload",
     "uxcost_objective",
 ]

@@ -166,19 +166,16 @@ def backend_names() -> list[str]:
     return list(BACKEND_FACTORIES)
 
 
-def make_backend(
-    backend: BackendLike = "serial",
-    workers: Optional[int] = None,
-    job_timeout_s: Optional[float] = None,
-):
+def make_backend(backend: BackendLike = "serial", workers: Optional[int] = None):
     """Resolve a backend name (or pass an instance through).
+
+    A per-job timeout reaches the harness only through an instance, e.g.
+    ``ProcessBackend(workers, job_timeout_s=...)``.
 
     Args:
         backend: ``"serial"``, ``"process"``, or an object with a
             ``run_jobs`` method (returned unchanged).
         workers: pool size, only meaningful for the ``process`` backend.
-        job_timeout_s: opt-in per-job timeout, only meaningful for the
-            ``process`` backend (see :class:`ProcessBackend`).
 
     Raises:
         ValueError: if the name is not registered.
@@ -194,5 +191,5 @@ def make_backend(
             f"unknown backend {backend!r}; available: {backend_names()}"
         ) from None
     if factory is ProcessBackend:
-        return ProcessBackend(workers=workers, job_timeout_s=job_timeout_s)
+        return ProcessBackend(workers=workers)
     return factory()

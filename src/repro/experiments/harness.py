@@ -33,16 +33,11 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 from repro.experiments.backends import BackendLike, make_backend
-from repro.experiments.jobs import (
-    CellJob,
-    ExperimentCell,
-    PhasedJob,
-    grid_jobs,
-)
+from repro.experiments.jobs import CellJob, ExperimentCell, grid_jobs
 from repro.experiments.store import ResultStore
 from repro.metrics.reporting import geometric_mean
 from repro.sim import SimulationResult
-from repro.workloads.dynamicity import PhasedWorkload
+from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY
 
 __all__ = [
     "ExperimentCell",
@@ -52,7 +47,6 @@ __all__ = [
     "get_execution_defaults",
     "execute_jobs",
     "run_grid",
-    "run_phased_workload",
 ]
 
 
@@ -93,16 +87,6 @@ class GridResult:
                 for cell, result in sorted(self.results.items(), key=lambda item: item[0].key)
             }
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridResult":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            results={
-                ExperimentCell.from_key(key): SimulationResult.from_dict(result)
-                for key, result in data["cells"].items()
-            }
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -216,7 +200,7 @@ def run_grid(
     schedulers: Sequence[str],
     duration_ms: float = 1000.0,
     seed: int = 0,
-    cascade_probability: float = 0.5,
+    cascade_probability: float = DEFAULT_CASCADE_PROBABILITY,
     backend: Optional[BackendLike] = None,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
@@ -250,38 +234,3 @@ def run_grid(
     )
     results = execute_jobs(jobs, backend=backend, workers=workers, store=store)
     return GridResult(results={job.cell: result for job, result in zip(jobs, results)})
-
-
-def run_phased_workload(
-    workload: PhasedWorkload,
-    platform_name: str,
-    scheduler_name: str,
-    seed: int = 0,
-) -> list[SimulationResult]:
-    """Run a multi-phase workload (the paper's "Lv 2" task-level dynamicity).
-
-    Delegates to :class:`~repro.experiments.jobs.PhasedJob`, which creates
-    the scheduler once through the same ``make_scheduler`` path grid cells
-    use and documents the seed contract: phase ``i`` runs with seed
-    ``seed + i`` while the scheduler instance (and therefore DREAM's tuned
-    (alpha, beta)) carries over the usage-scenario change, modelling DREAM's
-    re-adaptation after a scenario switch.  No paper figure runs a phased
-    workload (Figures 10 and 11 run the parameter optimizer with a fresh
-    scheduler per evaluation);
-    ``tests/test_harness_parallel.py::TestPhasedDeterminism`` exercises it.
-
-    Phase-boundary semantics: each phase is an independent
-    :class:`~repro.sim.SimulationEngine` run, so requests still in flight
-    when a phase's window ends are **discarded at the boundary** (they are
-    finalized as unfinished in that phase's result and are *not* carried
-    into the next phase) — only scheduler state crosses phases, work does
-    not.  This models the runtime flushing its queues on a usage-scenario
-    switch; a request that should survive a boundary would have to be
-    re-issued by its (still-present) task in the next phase.
-    """
-    return PhasedJob(
-        workload=workload,
-        platform=platform_name,
-        scheduler=scheduler_name,
-        seed=seed,
-    ).run()

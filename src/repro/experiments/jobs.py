@@ -38,6 +38,7 @@ from repro.sim import SimulationResult, run_simulation
 from repro.workloads import Scenario, build_scenario
 from repro.workloads.dynamicity import PhasedWorkload
 from repro.workloads.generator import GeneratorSpec, ScenarioGenerator
+from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY
 
 #: Bump when simulation semantics change in a way that invalidates cached
 #: results (also combined with ``repro.__version__`` in the cache key).
@@ -63,12 +64,6 @@ class ExperimentCell:
     def key(self) -> str:
         """Stable string key for result dictionaries."""
         return f"{self.scenario}/{self.platform}/{self.scheduler}"
-
-    @classmethod
-    def from_key(cls, key: str) -> "ExperimentCell":
-        """Inverse of :attr:`key`."""
-        scenario, platform, scheduler = key.split("/")
-        return cls(scenario, platform, scheduler)
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ class CellJob:
     scheduler: str
     duration_ms: float = 1000.0
     seed: int = 0
-    cascade_probability: float = 0.5
+    cascade_probability: float = DEFAULT_CASCADE_PROBABILITY
     generator: Optional[GeneratorSpec] = None
     generator_index: int = 0
     resource_model: str = _DEFAULT_RESOURCE_MODEL
@@ -307,7 +302,7 @@ def grid_jobs(
     schedulers: Sequence[str],
     duration_ms: float = 1000.0,
     seed: int = 0,
-    cascade_probability: float = 0.5,
+    cascade_probability: float = DEFAULT_CASCADE_PROBABILITY,
     resource_model: str = _DEFAULT_RESOURCE_MODEL,
 ) -> list[CellJob]:
     """Expand a (scenario x platform x scheduler) grid into cell jobs.

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from repro.hardware.dataflow import Dataflow
 
-#: Default platform-wide constants from Table 2 / Section 5.1.
+#: Platform-wide totals of Table 2 / Section 5.1; ``build_platform`` splits
+#: the SRAM and the bandwidth across the sub-accelerators by PE count.
 DEFAULT_CLOCK_HZ = 700e6
 DEFAULT_SRAM_BYTES = 8 * 1024 * 1024
 DEFAULT_DRAM_BANDWIDTH_GBPS = 90.0

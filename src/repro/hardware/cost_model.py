@@ -202,11 +202,3 @@ class AnalyticalCostModel:
             dram_bytes=dram_bytes,
             utilization=utilization,
         )
-
-    def latency_ms(self, layer: LayerLike, accelerator: Accelerator) -> float:
-        """Convenience accessor for the latency only."""
-        return self.cost(layer, accelerator).latency_ms
-
-    def energy_mj(self, layer: LayerLike, accelerator: Accelerator) -> float:
-        """Convenience accessor for the energy only."""
-        return self.cost(layer, accelerator).energy_mj

@@ -21,7 +21,9 @@ precomputes them once at build time into flat per-model arrays:
   fission scales only the compute-bound component), and
 * memoized context-switch latency/energy per (model, previous model,
   accelerator) triple, priced from each model's
-  :func:`activation_footprint_bytes`, and
+  :func:`activation_footprint_bytes`, with one row of every model's
+  switch energy per (previous model, accelerator) pair
+  (:meth:`CostTable.switch_energy_row`, read by DREAM's MapScore scan), and
 * lazily memoized remaining-work totals (ToGo, ``minimum_to_go``) per
   contiguous run of layers, keyed ``(model, first layer, length)``.
 
@@ -151,6 +153,8 @@ class CostTable:
         }
         # (model, previous_model, acc_id) -> (latency_ms, energy_mj)
         self._switch_cache: dict[tuple[str, str, int], tuple[float, float]] = {}
+        # (previous_model, acc_id) -> {model: context-switch energy}
+        self._switch_rows: dict[tuple[str | None, int], dict[str, float]] = {}
         # (model, acc_id, pe_fraction) -> effective latency per layer
         self._effective_cache: dict[tuple[str, int, float], tuple[float, ...]] = {}
         # (model, first layer, length) -> total / best-case latency of that
@@ -199,6 +203,7 @@ class CostTable:
         view._footprints = self._footprints
         view._arrays = self._arrays
         view._switch_cache = {}
+        view._switch_rows = {}
         view._effective_cache = {}
         return view
 
@@ -382,6 +387,23 @@ class CostTable:
         if previous_model is None or previous_model == new_model:
             return 0.0
         return self._switch_cost(new_model, previous_model, acc_id)[1]
+
+    def switch_energy_row(self, previous_model: str | None, acc_id: int) -> dict[str, float]:
+        """``{model: context_switch_energy(model, previous_model, acc_id)}``.
+
+        One entry per model of the table, memoized per ``(previous_model,
+        acc_id)``: a MapScore scan reads one switch energy per scored
+        request, and the row turns each into a dict lookup.
+        """
+        key = (previous_model, acc_id)
+        row = self._switch_rows.get(key)
+        if row is None:
+            row = {
+                model: self.context_switch_energy(model, previous_model, acc_id)
+                for model in self._entries
+            }
+            self._switch_rows[key] = row
+        return row
 
     def context_switch_latency(
         self, new_model: str, previous_model: str | None, acc_id: int

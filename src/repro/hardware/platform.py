@@ -70,24 +70,17 @@ class Platform:
         return f"{self.name}: [{parts}] ({self.total_pes} PEs total)"
 
 
-def build_platform(
-    name: str,
-    spec: Sequence[tuple[Dataflow, int]],
-    sram_bytes: int = DEFAULT_SRAM_BYTES,
-    dram_bandwidth_gbps: float = DEFAULT_DRAM_BANDWIDTH_GBPS,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-) -> Platform:
+def build_platform(name: str, spec: Sequence[tuple[Dataflow, int]]) -> Platform:
     """Build a platform from a list of (dataflow, num_pes) pairs.
 
-    The shared SRAM and DRAM bandwidth are split among the sub-accelerators
-    proportionally to their PE counts.
+    Table 2's shared SRAM (:data:`DEFAULT_SRAM_BYTES`) and DRAM bandwidth
+    (:data:`DEFAULT_DRAM_BANDWIDTH_GBPS`) are split among the
+    sub-accelerators proportionally to their PE counts; all of them run at
+    :data:`DEFAULT_CLOCK_HZ`.
 
     Args:
         name: platform name.
         spec: one (dataflow, PE count) pair per sub-accelerator.
-        sram_bytes: total on-chip SRAM shared by the platform.
-        dram_bandwidth_gbps: total off-chip bandwidth shared by the platform.
-        clock_hz: common clock frequency.
     """
     if not spec:
         raise ValueError("platform spec must contain at least one accelerator")
@@ -101,9 +94,9 @@ def build_platform(
                 name=f"{dataflow.value}-{num_pes}#{acc_id}",
                 dataflow=dataflow,
                 num_pes=num_pes,
-                sram_bytes=max(1, int(round(sram_bytes * share))),
-                dram_bandwidth_gbps=dram_bandwidth_gbps * share,
-                clock_hz=clock_hz,
+                sram_bytes=max(1, int(round(DEFAULT_SRAM_BYTES * share))),
+                dram_bandwidth_gbps=DEFAULT_DRAM_BANDWIDTH_GBPS * share,
+                clock_hz=DEFAULT_CLOCK_HZ,
             )
         )
     return Platform(name=name, accelerators=tuple(accelerators))

@@ -119,9 +119,8 @@ def dwconv2d(
     channels: int,
     kernel: int = 3,
     stride: int = 1,
-    padding: int | None = None,
 ) -> Layer:
-    """A depthwise 2-D convolution (one filter per channel)."""
+    """A depthwise 2-D convolution (one filter per channel, "same" padding)."""
     return conv2d(
         name,
         height,
@@ -130,7 +129,6 @@ def dwconv2d(
         out_channels=channels,
         kernel=kernel,
         stride=stride,
-        padding=padding,
         groups=channels,
     )
 
@@ -218,11 +216,9 @@ def conv1d(
     in_channels: int,
     out_channels: int,
     kernel: int = 3,
-    stride: int = 1,
 ) -> Layer:
-    """A 1-D (temporal) convolution, used by ED-TCN and keyword spotting."""
-    padding = kernel // 2
-    out_len = _out_dim(length, kernel, stride, padding)
+    """A unit-stride 1-D (temporal) convolution with "same" padding (ED-TCN)."""
+    out_len = _out_dim(length, kernel, 1, kernel // 2)
     macs = out_len * out_channels * in_channels * kernel
     weight_elems = out_channels * in_channels * kernel
     return Layer(

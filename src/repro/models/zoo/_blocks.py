@@ -76,7 +76,6 @@ def vgg_stage(
     in_channels: int,
     out_channels: int,
     num_convs: int,
-    pool: bool = True,
 ) -> tuple[list[Layer], int, int]:
     """VGG-style stage: ``num_convs`` 3x3 convolutions followed by 2x2 pooling."""
     layers: list[Layer] = []
@@ -86,10 +85,8 @@ def vgg_stage(
             conv2d(f"{prefix}.conv{i + 1}", height, width, channels, out_channels, 3)
         )
         channels = out_channels
-    if pool:
-        layers.append(pool2d(f"{prefix}.pool", height, width, out_channels, 2))
-        height, width = height // 2, width // 2
-    return layers, height, width
+    layers.append(pool2d(f"{prefix}.pool", height, width, out_channels, 2))
+    return layers, height // 2, width // 2
 
 
 def inception_module(

@@ -14,20 +14,14 @@ from repro.models.graph import ModelGraph
 from repro.models.layers import conv1d, fc, pool2d
 
 
-def build_ed_tcn(
-    window: int = 128,
-    feature_dim: int = 2048,
-    num_actions: int = 48,
-) -> ModelGraph:
+def build_ed_tcn(window: int = 128) -> ModelGraph:
     """Build the ED-TCN action-segmentation model graph.
 
     Args:
         window: number of temporal steps in the input window.
-        feature_dim: per-step input feature dimension.
-        num_actions: output action classes per step.
     """
     layers = [
-        conv1d("encoder0.conv", window, feature_dim, 256, kernel=25),
+        conv1d("encoder0.conv", window, 2048, 256, kernel=25),
         pool2d("encoder0.pool", window, 1, 256, kernel=2, stride=2),
     ]
     half_window = window // 2
@@ -38,7 +32,7 @@ def build_ed_tcn(
     layers.append(conv1d("decoder0.conv", quarter_window, 160, 160, kernel=25))
     layers.append(conv1d("decoder1.conv", half_window, 160, 256, kernel=25))
     layers.append(conv1d("head.frame_conv", window, 256, 128, kernel=1))
-    layers.append(fc("head.classifier", 128, num_actions))
+    layers.append(fc("head.classifier", 128, 48))  # 48 action classes per step
 
     return ModelGraph(
         name="ed_tcn",
@@ -46,6 +40,6 @@ def build_ed_tcn(
         metadata={
             "source": "Lea et al., CVPR 2017 (ED-TCN)",
             "task": "action segmentation",
-            "input": f"{window} steps x {feature_dim} features",
+            "input": f"{window} steps x 2048 features",
         },
     )

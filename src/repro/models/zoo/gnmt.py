@@ -19,7 +19,6 @@ def build_gnmt(
     hidden_size: int = 768,
     src_tokens: int = 16,
     tgt_tokens: int = 16,
-    vocab_size: int = 32000,
 ) -> ModelGraph:
     """Build the GNMT translation model graph.
 
@@ -27,10 +26,10 @@ def build_gnmt(
         hidden_size: LSTM hidden width.
         src_tokens: encoder unroll length.
         tgt_tokens: decoder unroll length.
-        vocab_size: output vocabulary (projection width).
     """
+    # A 32000-token vocabulary sets the embedding and projection widths.
     layers = [
-        fc("encoder.embedding", vocab_size // 64, hidden_size),
+        fc("encoder.embedding", 32000 // 64, hidden_size),
     ]
     for layer_index in range(4):
         layers.append(
@@ -51,7 +50,7 @@ def build_gnmt(
             )
         )
     layers.append(fc("decoder.attention", hidden_size * 2, hidden_size))
-    layers.append(fc("decoder.projection", hidden_size, vocab_size // 8))
+    layers.append(fc("decoder.projection", hidden_size, 32000 // 8))
     return ModelGraph(
         name="gnmt",
         layers=tuple(layers),

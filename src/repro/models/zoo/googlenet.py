@@ -29,12 +29,11 @@ _INCEPTION_5 = (
 )
 
 
-def build_googlenet_car(resolution: int = 224, num_classes: int = 431) -> ModelGraph:
+def build_googlenet_car(resolution: int = 224) -> ModelGraph:
     """Build the GoogLeNet-car classification model graph.
 
     Args:
         resolution: square input resolution.
-        num_classes: CompCars fine-grained car model classes.
     """
     layers = [conv2d("stem.conv1", resolution, resolution, 3, 64, kernel=7, stride=2)]
     size = resolution // 2
@@ -62,7 +61,7 @@ def build_googlenet_car(resolution: int = 224, num_classes: int = 431) -> ModelG
         module_layers, channels = inception_module(f"inception{name}", size, size, channels, *params)
         layers.extend(module_layers)
     layers.append(pool2d("head.pool", size, size, channels, kernel=size))
-    layers.append(fc("head.classifier", channels, num_classes))
+    layers.append(fc("head.classifier", channels, 431))  # CompCars car models
 
     return ModelGraph(
         name="googlenet_car",

@@ -13,12 +13,11 @@ from repro.models.graph import ModelGraph
 from repro.models.layers import conv2d, fc, pool2d
 
 
-def build_handposenet(resolution: int = 128, num_joints: int = 21) -> ModelGraph:
+def build_handposenet(resolution: int = 128) -> ModelGraph:
     """Build the hand-pose estimation model graph.
 
     Args:
         resolution: square input resolution of the hand crop.
-        num_joints: number of regressed hand joints.
     """
     layers = []
     height = width = resolution
@@ -39,7 +38,7 @@ def build_handposenet(resolution: int = 128, num_joints: int = 21) -> ModelGraph
     # Global pose branch.
     layers.append(fc("global.fc1", height * width * channels, 1024))
     layers.append(fc("global.fc2", 1024, 512))
-    layers.append(fc("global.pose", 512, num_joints * 3))
+    layers.append(fc("global.pose", 512, 21 * 3))  # 21 joints, 3-D each
 
     # Local refinement branch per joint group (modelled as three grouped heads).
     for head_index in range(3):

@@ -12,12 +12,8 @@ from repro.models.graph import ModelGraph
 from repro.models.layers import conv2d, eltwise, fc, pool2d
 
 
-def build_kws_res8(num_keywords: int = 12) -> ModelGraph:
-    """Build the res8 keyword-spotting model graph.
-
-    Args:
-        num_keywords: size of the keyword vocabulary (output classes).
-    """
+def build_kws_res8() -> ModelGraph:
+    """Build the res8 keyword-spotting model graph."""
     height, width = 101, 40
     channels = 45
     layers = [conv2d("stem", height, width, 1, channels, kernel=3)]
@@ -32,7 +28,7 @@ def build_kws_res8(num_keywords: int = 12) -> ModelGraph:
         )
         layers.append(eltwise(f"res{block_index}.add", height, width, channels))
     layers.append(pool2d("head.pool", height, width, channels, kernel=height, stride=height))
-    layers.append(fc("head.classifier", channels, num_keywords))
+    layers.append(fc("head.classifier", channels, 12))  # 12-keyword vocabulary
     return ModelGraph(
         name="kws_res8",
         layers=tuple(layers),

@@ -15,17 +15,16 @@ from repro.models.graph import ModelGraph
 from repro.models.layers import conv2d, fc, pool2d
 from repro.models.dynamic import EarlyExit
 
+#: Probability of taking each preemptive exit branch (about 40% per branch,
+#: see the module docstring).
+EXIT_PROBABILITY = 0.4
 
-def build_rapid_rl(
-    height: int = 120,
-    width: int = 160,
-    exit_probability: float = 0.4,
-) -> ModelGraph:
+
+def build_rapid_rl(height: int = 120, width: int = 160) -> ModelGraph:
     """Build the RAPID-RL indoor-navigation policy graph.
 
     Args:
         height, width: input resolution of the onboard camera.
-        exit_probability: probability of taking each preemptive exit branch.
     """
     layers = [conv2d("stage0.conv", height, width, 4, 32, kernel=5, stride=2)]
     fm_h, fm_w = height // 2, width // 2
@@ -53,8 +52,8 @@ def build_rapid_rl(
         layers=tuple(layers),
         dynamic_behavior=EarlyExit(
             exit_points=(
-                (exit0_index, exit_probability),
-                (exit1_index, exit_probability),
+                (exit0_index, EXIT_PROBABILITY),
+                (exit1_index, EXIT_PROBABILITY),
             )
         ),
         metadata={

@@ -20,13 +20,16 @@ from repro.models.zoo._blocks import resnet_basic_block
 #: ResNet-34 stage configuration: (out_channels, num_blocks, stride).
 _STAGES = ((64, 3, 1), (128, 4, 2), (256, 6, 2), (512, 3, 2))
 
+#: Probability that each skippable block is skipped (the paper's operating
+#: point, see the module docstring).
+SKIP_PROBABILITY = 0.5
 
-def build_skipnet(resolution: int = 224, skip_probability: float = 0.5) -> ModelGraph:
+
+def build_skipnet(resolution: int = 224) -> ModelGraph:
     """Build the SkipNet-34 model graph with per-block skipping.
 
     Args:
         resolution: square input resolution.
-        skip_probability: probability that each skippable block is skipped.
     """
     layers = [conv2d("stem", resolution, resolution, 3, 64, kernel=7, stride=2)]
     height = width = resolution // 2
@@ -60,7 +63,7 @@ def build_skipnet(resolution: int = 224, skip_probability: float = 0.5) -> Model
         name="skipnet",
         layers=tuple(layers),
         dynamic_behavior=LayerSkipping(
-            blocks=tuple(skippable_blocks), skip_probability=skip_probability
+            blocks=tuple(skippable_blocks), skip_probability=SKIP_PROBABILITY
         ),
         metadata={
             "source": "Wang et al., ECCV 2018 (SkipNet-34)",

@@ -24,7 +24,7 @@ _TRUNK = (
 )
 
 
-def build_sosnet(patch_size: int = 32, num_patches: int = 64) -> ModelGraph:
+def build_sosnet(num_patches: int = 64) -> ModelGraph:
     """Build the SOSNet descriptor model graph.
 
     The per-patch network is replicated over the patch batch by scaling the
@@ -32,13 +32,12 @@ def build_sosnet(patch_size: int = 32, num_patches: int = 64) -> ModelGraph:
     the same MAC count and traffic as running the descriptor per keypoint.
 
     Args:
-        patch_size: square patch resolution (32 in the paper).
         num_patches: keypoint patches described per frame.
     """
-    # Tile the batch along the height dimension: batch of N patches of HxW
-    # is cost-equivalent to a single (N*H)xW input for a per-patch CNN.
-    height = patch_size * num_patches
-    width = patch_size
+    # Tile the batch of 32x32 patches along the height dimension: N patches
+    # of HxW are cost-equivalent to a single (N*H)xW input for a per-patch CNN.
+    height = 32 * num_patches
+    width = 32
     channels = 1
     layers = []
     for index, (out_channels, kernel, stride) in enumerate(_TRUNK):
@@ -64,6 +63,6 @@ def build_sosnet(patch_size: int = 32, num_patches: int = 64) -> ModelGraph:
         metadata={
             "source": "Tian et al., CVPR 2019 (SOSNet)",
             "task": "visual odometry / obstacle support",
-            "input": f"{num_patches} patches of {patch_size}x{patch_size}",
+            "input": f"{num_patches} patches of 32x32",
         },
     )

@@ -131,8 +131,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: buggy scheduler implementations instead of hanging the simulation.
 MAX_DISPATCH_ROUNDS = 64
 
-_INF = float("inf")
-
 _EVENT_ARRIVAL = "arrival"
 _EVENT_COMPLETE = "complete"
 _EVENT_FAULT = "fault"

@@ -45,9 +45,7 @@ __all__ = [
 ]
 
 
-def head_arrival_plan(
-    scenario: "Scenario", start_ms: float = 0.0
-) -> list[tuple["TaskSpec", float]]:
+def head_arrival_plan(scenario: "Scenario") -> list[tuple["TaskSpec", float]]:
     """(head task, phase offset) pairs shared by both frame-generation paths.
 
     Head tasks are phase-staggered slightly (a fraction of the shortest
@@ -66,7 +64,7 @@ def head_arrival_plan(
         raise ValueError(f"scenario {scenario.name!r} has no head tasks")
     shortest_period = min(task.period_ms for task in heads)
     stagger = shortest_period / max(1, len(heads)) * 0.25
-    return [(task, start_ms + index * stagger) for index, task in enumerate(heads)]
+    return [(task, index * stagger) for index, task in enumerate(heads)]
 
 
 def task_arrival_rng(seed: int, task_name: str) -> random.Random:
@@ -114,9 +112,8 @@ def generate_frames(
     scenario: "Scenario",
     duration_ms: float,
     seed: int = 0,
-    start_ms: float = 0.0,
 ) -> list[Frame]:
-    """Materialize all head-task frames of a scenario for a simulation window.
+    """Materialize all head-task frames of a scenario for ``[0, duration_ms)``.
 
     Each head task is fed by its own traffic model (``TaskSpec.traffic``,
     defaulting to periodic + :data:`SENSOR_JITTER_MS` of uniform jitter)
@@ -127,7 +124,6 @@ def generate_frames(
         scenario: the workload scenario.
         duration_ms: length of the simulated window.
         seed: seed for the per-task arrival random generators.
-        start_ms: start of the window (frames arrive at or after this time).
 
     Returns:
         All frames sorted by arrival time (ties broken by task name).
@@ -135,14 +131,7 @@ def generate_frames(
     if duration_ms <= 0:
         raise ValueError("duration_ms must be positive")
     frames: list[Frame] = []
-    for task, offset_ms in head_arrival_plan(scenario, start_ms):
-        frames.extend(
-            task_frame_stream(
-                task,
-                offset_ms=offset_ms,
-                end_ms=start_ms + duration_ms,
-                seed=seed,
-            )
-        )
+    for task, offset_ms in head_arrival_plan(scenario):
+        frames.extend(task_frame_stream(task, offset_ms=offset_ms, end_ms=duration_ms, seed=seed))
     frames.sort(key=lambda frame: (frame.arrival_ms, frame.task_name))
     return frames

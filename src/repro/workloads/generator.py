@@ -23,12 +23,27 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Tuple
+from typing import Callable, Mapping, Tuple
 
 from repro.hardware.cost_table import activation_footprint_bytes
 from repro.models import zoo
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES
 from repro.workloads.scenario import ModelOrSupernet, Scenario, TaskSpec
+from repro.workloads.scenarios import (
+    CONTEXT_RESOLUTION,
+    DEPTH_SHAPE,
+    DETECTION_RESOLUTION,
+    EDTCN_WINDOW,
+    GAZE_RESOLUTION,
+    GNMT_HIDDEN,
+    GNMT_TOKENS,
+    HANDPOSE_RESOLUTION,
+    RAPID_RL_SHAPE,
+    SKIPNET_RESOLUTION,
+    SOSNET_PATCHES,
+    TRAILNET_SHAPE,
+    VOXCELEB_SHAPE,
+)
 from repro.workloads.traffic import arrival_process_names, make_arrival_process
 
 #: Default traffic sampling: the historical periodic-only behaviour.  A
@@ -44,7 +59,8 @@ class _PoolEntry:
 
     ``params`` maps builder kwarg names to the discrete values the
     resolution sweep may pick; the first value is the canonical default
-    used when sweeping is disabled.
+    used when sweeping is disabled, the Table-3 scenarios' deployment size
+    (:mod:`repro.workloads.scenarios`) where a scenario sets one.
     """
 
     key: str
@@ -63,55 +79,64 @@ class _PoolEntry:
 #: names; model names are pairwise distinct across entries (the three SSD
 #: entries differ through the ``task`` kwarg baked into the graph name),
 #: so any subset sampled without replacement satisfies the Scenario
-#: unique-model-name validation.
+#: unique-model-name validation.  Every value tuple's order is part of the
+#: generator's RNG draws (``rng.choice``), so it must not change.
 MODEL_POOL: Tuple[_PoolEntry, ...] = (
-    _PoolEntry("gaze_estimation", zoo.build_fbnet_c, (("resolution", (384, 256, 192)),)),
+    _PoolEntry("gaze_estimation", zoo.build_fbnet_c, (("resolution", (GAZE_RESOLUTION, 256, 192)),)),
     _PoolEntry(
         "hand_detection",
         zoo.build_ssd_mobilenet_v2,
-        (("resolution", (512, 384, 320)), ("task", ("hand",))),
+        (("resolution", (DETECTION_RESOLUTION, 384, 320)), ("task", ("hand",))),
     ),
     _PoolEntry(
         "object_detection",
         zoo.build_ssd_mobilenet_v2,
-        (("resolution", (512, 384, 320)), ("task", ("object",))),
+        (("resolution", (DETECTION_RESOLUTION, 384, 320)), ("task", ("object",))),
     ),
     _PoolEntry(
         "face_detection",
         zoo.build_ssd_mobilenet_v2,
-        (("resolution", (512, 384, 320)), ("task", ("face",))),
+        (("resolution", (DETECTION_RESOLUTION, 384, 320)), ("task", ("face",))),
     ),
-    _PoolEntry("hand_pose_estimation", zoo.build_handposenet, (("resolution", (256, 192, 128)),)),
-    _PoolEntry("context_understanding", zoo.build_once_for_all, (("resolution", (384, 320, 256)),)),
+    _PoolEntry(
+        "hand_pose_estimation", zoo.build_handposenet, (("resolution", (HANDPOSE_RESOLUTION, 192, 128)),)
+    ),
+    _PoolEntry(
+        "context_understanding", zoo.build_once_for_all, (("resolution", (CONTEXT_RESOLUTION, 320, 256)),)
+    ),
     _PoolEntry("keyword_spotting", zoo.build_kws_res8, ()),
     _PoolEntry(
         "translation",
         zoo.build_gnmt,
-        (("hidden_size", (1024, 768, 512)), ("src_tokens", (32, 16)), ("tgt_tokens", (32, 16))),
+        (
+            ("hidden_size", (GNMT_HIDDEN, 768, 512)),
+            ("src_tokens", (GNMT_TOKENS, 16)),
+            ("tgt_tokens", (GNMT_TOKENS, 16)),
+        ),
     ),
-    _PoolEntry("scene_understanding", zoo.build_skipnet, (("resolution", (384, 288, 224)),)),
+    _PoolEntry("scene_understanding", zoo.build_skipnet, (("resolution", (SKIPNET_RESOLUTION, 288, 224)),)),
     _PoolEntry(
         "outdoor_navigation",
         zoo.build_trailnet,
-        (("height", (216, 180)), ("width", (384, 320))),
+        (("height", (TRAILNET_SHAPE[0], 180)), ("width", (TRAILNET_SHAPE[1], 320))),
     ),
-    _PoolEntry("visual_odometry", zoo.build_sosnet, (("num_patches", (96, 64, 48)),)),
+    _PoolEntry("visual_odometry", zoo.build_sosnet, (("num_patches", (SOSNET_PATCHES, 64, 48)),)),
     _PoolEntry(
         "indoor_navigation",
         zoo.build_rapid_rl,
-        (("height", (240, 180)), ("width", (320, 240))),
+        (("height", (RAPID_RL_SHAPE[0], 180)), ("width", (RAPID_RL_SHAPE[1], 240))),
     ),
     _PoolEntry("car_classification", zoo.build_googlenet_car, (("resolution", (224, 192)),)),
     _PoolEntry(
         "depth_estimation",
         zoo.build_focal_length_depth,
-        (("height", (160, 224)), ("width", (224, 288))),
+        (("height", (DEPTH_SHAPE[0], 224)), ("width", (DEPTH_SHAPE[1], 288))),
     ),
-    _PoolEntry("action_segmentation", zoo.build_ed_tcn, (("window", (256, 192, 128)),)),
+    _PoolEntry("action_segmentation", zoo.build_ed_tcn, (("window", (EDTCN_WINDOW, 192, 128)),)),
     _PoolEntry(
         "speaker_verification",
         zoo.build_vgg_voxceleb,
-        (("height", (384, 256)), ("width", (256, 192))),
+        (("height", (VOXCELEB_SHAPE[0], 256)), ("width", (VOXCELEB_SHAPE[1], 192))),
     ),
 )
 
@@ -343,8 +368,3 @@ class ScenarioGenerator:
             ),
             kv_budget_bytes=kv_budget,
         )
-
-    def scenarios(self, count: int) -> Iterator[Scenario]:
-        """Yield the first ``count`` scenarios of the spec."""
-        for index in range(count):
-            yield self.generate(index)

@@ -18,24 +18,26 @@ from repro.workloads.scenario import Scenario, TaskSpec
 #: Default probability that a cascade dependency fires (Section 5.1).
 DEFAULT_CASCADE_PROBABILITY = 0.5
 
-# Deployment-time input resolutions.  The zoo defaults follow each model's
+# Deployment-time input sizes.  The zoo defaults follow each model's
 # original publication; AR/VR and drone deployments feed higher-resolution
 # sensor crops (XRBench uses VGA-class cameras), which is what loads a
 # 4K-PE platform realistically.  These constants keep all scenarios
-# consistent and give the calibration knob a single home.
-_GAZE_RESOLUTION = 384
-_DETECTION_RESOLUTION = 512
-_HANDPOSE_RESOLUTION = 256
-_CONTEXT_RESOLUTION = 384
-_SKIPNET_RESOLUTION = 384
-_TRAILNET_SHAPE = (216, 384)
-_SOSNET_PATCHES = 96
-_RAPID_RL_SHAPE = (240, 320)
-_DEPTH_SHAPE = (160, 224)
-_EDTCN_WINDOW = 256
-_VOXCELEB_SHAPE = (384, 256)
-_GNMT_HIDDEN = 1024
-_GNMT_TOKENS = 32
+# consistent and give the calibration knob a single home: the scenario
+# generator's model pool (repro.workloads.generator.MODEL_POOL) takes each
+# one as its entry's canonical (first) value.
+GAZE_RESOLUTION = 384
+DETECTION_RESOLUTION = 512
+HANDPOSE_RESOLUTION = 256
+CONTEXT_RESOLUTION = 384
+SKIPNET_RESOLUTION = 384
+TRAILNET_SHAPE = (216, 384)
+SOSNET_PATCHES = 96
+RAPID_RL_SHAPE = (240, 320)
+DEPTH_SHAPE = (160, 224)
+EDTCN_WINDOW = 256
+VOXCELEB_SHAPE = (384, 256)
+GNMT_HIDDEN = 1024
+GNMT_TOKENS = 32
 
 
 def build_vr_gaming(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY) -> Scenario:
@@ -48,20 +50,20 @@ def build_vr_gaming(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY) ->
             "understanding, and a keyword-spotting -> translation audio pipeline."
         ),
         tasks=(
-            TaskSpec("gaze_estimation", zoo.build_fbnet_c(resolution=_GAZE_RESOLUTION), fps=60),
-            TaskSpec("hand_detection", zoo.build_ssd_mobilenet_v2(resolution=_DETECTION_RESOLUTION, task="hand"), fps=30),
+            TaskSpec("gaze_estimation", zoo.build_fbnet_c(resolution=GAZE_RESOLUTION), fps=60),
+            TaskSpec("hand_detection", zoo.build_ssd_mobilenet_v2(resolution=DETECTION_RESOLUTION, task="hand"), fps=30),
             TaskSpec(
                 "hand_pose_estimation",
-                zoo.build_handposenet(resolution=_HANDPOSE_RESOLUTION),
+                zoo.build_handposenet(resolution=HANDPOSE_RESOLUTION),
                 fps=30,
                 depends_on="hand_detection",
                 trigger_probability=cascade_probability,
             ),
-            TaskSpec("context_understanding", zoo.build_once_for_all(resolution=_CONTEXT_RESOLUTION), fps=30),
+            TaskSpec("context_understanding", zoo.build_once_for_all(resolution=CONTEXT_RESOLUTION), fps=30),
             TaskSpec("keyword_spotting", zoo.build_kws_res8(), fps=15),
             TaskSpec(
                 "translation",
-                zoo.build_gnmt(hidden_size=_GNMT_HIDDEN, src_tokens=_GNMT_TOKENS, tgt_tokens=_GNMT_TOKENS),
+                zoo.build_gnmt(hidden_size=GNMT_HIDDEN, src_tokens=GNMT_TOKENS, tgt_tokens=GNMT_TOKENS),
                 fps=15,
                 depends_on="keyword_spotting",
                 trigger_probability=cascade_probability,
@@ -82,12 +84,12 @@ def build_ar_call(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY) -> S
             TaskSpec("keyword_spotting", zoo.build_kws_res8(), fps=15),
             TaskSpec(
                 "translation",
-                zoo.build_gnmt(hidden_size=_GNMT_HIDDEN, src_tokens=_GNMT_TOKENS, tgt_tokens=_GNMT_TOKENS),
+                zoo.build_gnmt(hidden_size=GNMT_HIDDEN, src_tokens=GNMT_TOKENS, tgt_tokens=GNMT_TOKENS),
                 fps=15,
                 depends_on="keyword_spotting",
                 trigger_probability=cascade_probability,
             ),
-            TaskSpec("context_understanding", zoo.build_skipnet(resolution=_SKIPNET_RESOLUTION), fps=30),
+            TaskSpec("context_understanding", zoo.build_skipnet(resolution=SKIPNET_RESOLUTION), fps=30),
         ),
     )
 
@@ -102,9 +104,9 @@ def build_drone_outdoor(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY
             "TrailNet navigation and 60 FPS SOSNet visual odometry."
         ),
         tasks=(
-            TaskSpec("object_detection", zoo.build_ssd_mobilenet_v2(resolution=_DETECTION_RESOLUTION, task="object"), fps=30),
-            TaskSpec("outdoor_navigation", zoo.build_trailnet(height=_TRAILNET_SHAPE[0], width=_TRAILNET_SHAPE[1]), fps=60),
-            TaskSpec("visual_odometry", zoo.build_sosnet(num_patches=_SOSNET_PATCHES), fps=60),
+            TaskSpec("object_detection", zoo.build_ssd_mobilenet_v2(resolution=DETECTION_RESOLUTION, task="object"), fps=30),
+            TaskSpec("outdoor_navigation", zoo.build_trailnet(height=TRAILNET_SHAPE[0], width=TRAILNET_SHAPE[1]), fps=60),
+            TaskSpec("visual_odometry", zoo.build_sosnet(num_patches=SOSNET_PATCHES), fps=60),
         ),
     )
 
@@ -120,9 +122,9 @@ def build_drone_indoor(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY)
             "and 60 FPS GoogLeNet-car classification for parking enforcement."
         ),
         tasks=(
-            TaskSpec("object_detection", zoo.build_ssd_mobilenet_v2(resolution=_DETECTION_RESOLUTION, task="object"), fps=30),
-            TaskSpec("indoor_navigation", zoo.build_rapid_rl(height=_RAPID_RL_SHAPE[0], width=_RAPID_RL_SHAPE[1]), fps=60),
-            TaskSpec("obstacle_detection", zoo.build_sosnet(num_patches=_SOSNET_PATCHES), fps=60),
+            TaskSpec("object_detection", zoo.build_ssd_mobilenet_v2(resolution=DETECTION_RESOLUTION, task="object"), fps=30),
+            TaskSpec("indoor_navigation", zoo.build_rapid_rl(height=RAPID_RL_SHAPE[0], width=RAPID_RL_SHAPE[1]), fps=60),
+            TaskSpec("obstacle_detection", zoo.build_sosnet(num_patches=SOSNET_PATCHES), fps=60),
             TaskSpec("car_classification", zoo.build_googlenet_car(), fps=60),
         ),
     )
@@ -138,17 +140,17 @@ def build_ar_social(cascade_probability: float = DEFAULT_CASCADE_PROBABILITY) ->
             "speaker verification, and Supernet-based context understanding."
         ),
         tasks=(
-            TaskSpec("depth_estimation", zoo.build_focal_length_depth(height=_DEPTH_SHAPE[0], width=_DEPTH_SHAPE[1]), fps=30),
-            TaskSpec("action_segmentation", zoo.build_ed_tcn(window=_EDTCN_WINDOW), fps=30),
-            TaskSpec("face_detection", zoo.build_ssd_mobilenet_v2(resolution=_DETECTION_RESOLUTION, task="face"), fps=30),
+            TaskSpec("depth_estimation", zoo.build_focal_length_depth(height=DEPTH_SHAPE[0], width=DEPTH_SHAPE[1]), fps=30),
+            TaskSpec("action_segmentation", zoo.build_ed_tcn(window=EDTCN_WINDOW), fps=30),
+            TaskSpec("face_detection", zoo.build_ssd_mobilenet_v2(resolution=DETECTION_RESOLUTION, task="face"), fps=30),
             TaskSpec(
                 "face_verification",
-                zoo.build_vgg_voxceleb(height=_VOXCELEB_SHAPE[0], width=_VOXCELEB_SHAPE[1]),
+                zoo.build_vgg_voxceleb(height=VOXCELEB_SHAPE[0], width=VOXCELEB_SHAPE[1]),
                 fps=30,
                 depends_on="face_detection",
                 trigger_probability=cascade_probability,
             ),
-            TaskSpec("context_understanding", zoo.build_once_for_all(resolution=_CONTEXT_RESOLUTION), fps=30),
+            TaskSpec("context_understanding", zoo.build_once_for_all(resolution=CONTEXT_RESOLUTION), fps=30),
         ),
     )
 

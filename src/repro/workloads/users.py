@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY, scenario_names
 from repro.workloads.traffic import (
     ArrivalProcess,
     PeriodicArrival,
@@ -100,7 +100,7 @@ class UserSpec:
     sessions_per_minute: float = 30.0
     session_duration_ms: float = 400.0
     traffic: Optional[ArrivalProcess] = None
-    cascade_probability: float = 0.5
+    cascade_probability: float = DEFAULT_CASCADE_PROBABILITY
 
     def __post_init__(self) -> None:
         if not self.name:

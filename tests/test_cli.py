@@ -180,6 +180,28 @@ class TestFigure:
         assert main(["figure", "11", "--duration-ms", "20", "--store", str(store)]) == 0
         assert "'misses': 0, 'writes': 0" in capsys.readouterr().out
 
+    def test_figures_without_a_store_run_each_cell_once(self, tmp_path, capsys, monkeypatch):
+        import tempfile
+        from collections import Counter
+
+        from repro.experiments.jobs import CellJob
+
+        runs = Counter()
+        original_run = CellJob.run
+
+        def counting_run(self):
+            runs[self.cache_key()] += 1
+            return original_run(self)
+
+        monkeypatch.setattr(CellJob, "run", counting_run)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["figure", "all", "--duration-ms", "20"]) == 0
+        assert "store:" not in capsys.readouterr().out
+        repeated = {key: count for key, count in runs.items() if count > 1}
+        assert runs and not repeated, f"{len(repeated)} cells ran more than once"
+        # The shared store lived in a temporary directory, removed on exit.
+        assert not any(tmp_path.iterdir())
+
 
 class TestGenerate:
     def test_generate_prints_and_writes_spec(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from repro.hardware import CostTable, make_platform
 from repro.hardware.cost_model import LayerCost
 from repro.hardware.cost_table import activation_footprint_bytes
 from repro.models import zoo
+from repro.workloads import build_scenario
 
 
 class TestLookups:
@@ -117,6 +118,21 @@ class TestContextSwitch:
         max_cost = acc.context_switch_cost(acc.sram_bytes, acc.sram_bytes)
         assert tiny_cost_table.context_switch_latency("alpha", "beta", 0) <= max_cost.latency_ms + 1e-9
 
+    def test_switch_energy_row_equals_the_per_model_lookup(self):
+        scenario = build_scenario("vr_gaming")
+        table = CostTable.build(make_platform("4k_1ws_2os"), scenario.all_model_graphs())
+        reference = table.reference_view()
+        for view in (table, reference):
+            for acc_id in range(view.num_accelerators):
+                for previous in (None, *view.model_names):
+                    row = view.switch_energy_row(previous, acc_id)
+                    assert sorted(row) == view.model_names
+                    for model in view.model_names:
+                        assert row[model] == view.context_switch_energy(model, previous, acc_id)
+                    assert view.switch_energy_row(previous, acc_id) is row
+        # The reference view memoizes its own rows, not the table's.
+        assert reference.switch_energy_row(None, 0) is not table.switch_energy_row(None, 0)
+
 
 class TestSummarize:
     """Direct unit coverage of activation_footprint_bytes."""
@@ -218,11 +234,9 @@ class TestSuffixMemo:
     way the value must equal the reference table's scan bit for bit.
     """
 
-    MODELS = ("kws_res8", "rapid_rl", "skipnet")
-
-    @classmethod
-    def _table(cls):
-        models = [zoo.build_model(name) for name in cls.MODELS]
+    @staticmethod
+    def _table():
+        models = [zoo.build_kws_res8(), zoo.build_rapid_rl(), zoo.build_skipnet()]
         return CostTable.build(make_platform("4k_1ws_2os"), models), models
 
     @staticmethod
@@ -258,7 +272,7 @@ class TestSuffixMemo:
 
     def test_non_contiguous_runs_are_never_stored(self):
         table, models = self._table()
-        skipnet = models[self.MODELS.index("skipnet")]
+        skipnet = models[-1]
         contiguous = set()
         for path in self._paths(skipnet):
             for position in range(len(path)):

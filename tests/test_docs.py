@@ -7,7 +7,8 @@ protection as code:
   byte-identical to an in-process regeneration;
 * the glossary's policy-constants table lists every scheduling-policy
   constant with the value the code holds, and its engine, batching,
-  fleet and sweep table holds the code's values too;
+  fleet and sweep table and its platform and model table hold the
+  code's values too;
 * the documentation pages exist and their relative links resolve;
 * every module under ``src/`` carries a module docstring (the local
   equivalent of the ruff D100/D104 gate CI runs).
@@ -105,6 +106,15 @@ class TestPolicyConstants:
                        "repro.fleet.simulator.SESSION_RETRY_BACKOFF_MS",
                        "repro.metrics.quantiles.PROBABILITIES",
                        "repro.experiments.sweeps.GRID_VALUES"):
+            assert dotted in rows, dotted
+
+    def test_platform_and_model_constants_have_rows(self):
+        rows = policy_constant_rows()
+        for dotted in ("repro.hardware.accelerator.DEFAULT_SRAM_BYTES",
+                       "repro.hardware.accelerator.DEFAULT_DRAM_BANDWIDTH_GBPS",
+                       "repro.hardware.accelerator.DEFAULT_CLOCK_HZ",
+                       "repro.models.zoo.skipnet.SKIP_PROBABILITY",
+                       "repro.models.zoo.rapid_rl.EXIT_PROBABILITY"):
             assert dotted in rows, dotted
 
     def test_every_policy_constant_has_a_row(self):

@@ -99,8 +99,9 @@ class TestGeneratedScenarios:
 
     def test_cascades_disabled_when_depth_zero(self):
         spec = GeneratorSpec(seed=1, min_tasks=1, max_tasks=3, max_cascade_depth=0)
-        for scenario in ScenarioGenerator(spec).scenarios(self.COUNT):
-            assert all(task.is_head for task in scenario)
+        generator = ScenarioGenerator(spec)
+        for index in range(self.COUNT):
+            assert all(task.is_head for task in generator.generate(index))
 
     def test_model_names_unique_across_tasks(self):
         for _, scenario in self._population():
@@ -109,7 +110,8 @@ class TestGeneratedScenarios:
 
     def test_population_is_diverse(self):
         spec = GeneratorSpec(seed=2, max_tasks=6, chain_probability=0.9)
-        scenarios = list(ScenarioGenerator(spec).scenarios(12))
+        generator = ScenarioGenerator(spec)
+        scenarios = [generator.generate(index) for index in range(12)]
         task_counts = {len(scenario) for scenario in scenarios}
         assert len(task_counts) > 1, "task counts should vary across indices"
         assert any(

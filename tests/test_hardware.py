@@ -3,6 +3,11 @@
 import pytest
 
 from repro.hardware import Accelerator, Dataflow, build_platform, make_platform
+from repro.hardware.accelerator import (
+    DEFAULT_CLOCK_HZ,
+    DEFAULT_DRAM_BANDWIDTH_GBPS,
+    DEFAULT_SRAM_BYTES,
+)
 from repro.hardware.platform import (
     PLATFORM_PRESETS,
     all_platform_names,
@@ -62,6 +67,12 @@ class TestPlatform:
         big, small = platform[0], platform[1]
         assert big.sram_bytes > small.sram_bytes
         assert big.dram_bandwidth_gbps > small.dram_bandwidth_gbps
+        # The shares split Table 2's platform totals.
+        assert sum(acc.sram_bytes for acc in platform) == pytest.approx(DEFAULT_SRAM_BYTES, abs=2)
+        assert sum(acc.dram_bandwidth_gbps for acc in platform) == pytest.approx(
+            DEFAULT_DRAM_BANDWIDTH_GBPS
+        )
+        assert {acc.clock_hz for acc in platform} == {DEFAULT_CLOCK_HZ}
 
     def test_platform_name_lists_are_disjoint_and_complete(self):
         het, hom = set(heterogeneous_platform_names()), set(homogeneous_platform_names())
@@ -78,7 +89,7 @@ class TestCostModel:
         platform = make_platform("4k_1ws_2os")
         ws, os_ = platform[0], platform[1]
         layer = dwconv2d("dw", 56, 56, 64)
-        assert cost_model.latency_ms(layer, os_) < cost_model.latency_ms(layer, ws) * (
+        assert cost_model.cost(layer, os_).latency_ms < cost_model.cost(layer, ws).latency_ms * (
             ws.num_pes / os_.num_pes
         )
 
@@ -89,13 +100,13 @@ class TestCostModel:
         from repro.models.layers import lstm
 
         layer = lstm("l", 1024, 1024, seq_len=32)
-        assert cost_model.latency_ms(layer, platform[0]) < cost_model.latency_ms(layer, platform[1])
+        assert cost_model.cost(layer, platform[0]).latency_ms < cost_model.cost(layer, platform[1]).latency_ms
 
     def test_more_pes_never_slower_for_compute_bound(self, cost_model):
         small = Accelerator(0, "s", Dataflow.WEIGHT_STATIONARY, num_pes=512)
         large = Accelerator(1, "l", Dataflow.WEIGHT_STATIONARY, num_pes=4096)
         layer = conv2d("c", 128, 128, 64, 128, kernel=3)
-        assert cost_model.latency_ms(layer, large) <= cost_model.latency_ms(layer, small)
+        assert cost_model.cost(layer, large).latency_ms <= cost_model.cost(layer, small).latency_ms
 
     def test_utilization_bounded(self, cost_model):
         acc = Accelerator(0, "a", Dataflow.OUTPUT_STATIONARY, num_pes=2048)
@@ -106,7 +117,7 @@ class TestCostModel:
         acc = Accelerator(0, "a", Dataflow.WEIGHT_STATIONARY, num_pes=2048)
         small = conv2d("s", 32, 32, 16, 16)
         big = conv2d("b", 64, 64, 64, 64)
-        assert 0 < cost_model.energy_mj(small, acc) < cost_model.energy_mj(big, acc)
+        assert 0 < cost_model.cost(small, acc).energy_mj < cost_model.cost(big, acc).energy_mj
 
     def test_sram_spill_increases_traffic(self, cost_model):
         tiny_sram = Accelerator(0, "t", Dataflow.WEIGHT_STATIONARY, num_pes=2048, sram_bytes=1024)

@@ -17,6 +17,7 @@ from repro.core.config import dream_fixed
 from repro.experiments import (
     CellJob,
     JobTimeoutError,
+    PhasedJob,
     ProcessBackend,
     SerialBackend,
     backend_names,
@@ -25,7 +26,6 @@ from repro.experiments import (
     grid_jobs,
     make_backend,
     run_grid,
-    run_phased_workload,
 )
 from repro.workloads import build_scenario
 from repro.workloads.dynamicity import PhasedWorkload, WorkloadPhase
@@ -238,11 +238,6 @@ class TestJobTimeout:
         with pytest.raises(ValueError, match="job_timeout_s"):
             ProcessBackend(job_timeout_s=0)
 
-    def test_make_backend_forwards_the_timeout(self):
-        backend = make_backend("process", workers=2, job_timeout_s=1.5)
-        assert backend.job_timeout_s == 1.5
-        assert make_backend("process", workers=2).job_timeout_s is None
-
     def test_wedged_worker_recovers_via_serial_retry(self):
         backend = ProcessBackend(workers=2, job_timeout_s=0.3)
         results = backend.run_jobs([_EchoJob("ok"), _SlowInWorkerJob()])
@@ -332,10 +327,10 @@ class TestPhasedDeterminism:
         )
 
     def test_phased_runs_are_deterministic(self):
-        first = run_phased_workload(self._workload(), "4k_1ws_2os", "dream_full", seed=7)
-        second = run_phased_workload(self._workload(), "4k_1ws_2os", "dream_full", seed=7)
+        first = PhasedJob(self._workload(), "4k_1ws_2os", "dream_full", seed=7).run()
+        second = PhasedJob(self._workload(), "4k_1ws_2os", "dream_full", seed=7).run()
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_phase_seeds_are_offset_from_base(self):
-        results = run_phased_workload(self._workload(), "4k_1ws_2os", "fcfs_dynamic", seed=5)
+        results = PhasedJob(self._workload(), "4k_1ws_2os", "fcfs_dynamic", seed=5).run()
         assert [result.seed for result in results] == [5, 6]

@@ -10,6 +10,8 @@ from repro.models.dynamic import EarlyExit, LayerSkipping
 from repro.models.graph import ModelGraph
 from repro.models.layers import fc
 from repro.models.supernet import Supernet
+from repro.models.zoo.rapid_rl import EXIT_PROBABILITY
+from repro.models.zoo.skipnet import SKIP_PROBABILITY
 
 
 class TestModelGraph:
@@ -94,9 +96,9 @@ class TestSupernet:
 
 
 class TestZoo:
-    @pytest.mark.parametrize("name", sorted(zoo.MODEL_BUILDERS))
-    def test_every_model_builds(self, name):
-        built = zoo.build_model(name)
+    @pytest.mark.parametrize("builder", sorted(zoo.__all__))
+    def test_every_model_builds(self, builder):
+        built = getattr(zoo, builder)()
         graphs = built.variants if isinstance(built, Supernet) else (built,)
         for graph in graphs:
             assert graph.num_layers > 0
@@ -104,17 +106,16 @@ class TestZoo:
             names = [layer.name for layer in graph.layers]
             assert len(names) == len(set(names))
 
-    def test_unknown_model_raises(self):
-        with pytest.raises(KeyError):
-            zoo.build_model("resnet_9000")
-
     def test_skipnet_is_dynamic(self):
-        assert zoo.build_skipnet().is_dynamic
+        model = zoo.build_skipnet()
+        assert model.is_dynamic
+        assert model.dynamic_behavior.skip_probability == SKIP_PROBABILITY
 
     def test_rapid_rl_has_early_exits(self):
         model = zoo.build_rapid_rl()
         assert isinstance(model.dynamic_behavior, EarlyExit)
         assert model.dynamic_behavior.exit_points
+        assert {p for _, p in model.dynamic_behavior.exit_points} == {EXIT_PROBABILITY}
 
     def test_once_for_all_has_four_ordered_variants(self):
         supernet = zoo.build_once_for_all()

@@ -32,11 +32,6 @@ class TestRoundTrip:
             assert restored.normalized_energy == result.normalized_energy
             assert list(restored.task_stats) == list(result.task_stats)
 
-    def test_grid_result_json_round_trip(self, small_grid):
-        restored = GridResult.from_dict(json.loads(json.dumps(small_grid.to_dict())))
-        assert restored.uxcost_table() == small_grid.uxcost_table()
-        assert set(restored.results) == set(small_grid.results)
-
     def test_variant_counts_survive(self, small_grid):
         result = next(iter(small_grid.results.values()))
         restored = SimulationResult.from_dict(result.to_dict())

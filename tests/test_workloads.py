@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.models.layers import fc
 from repro.models.graph import ModelGraph
 from repro.workloads import build_scenario, generate_frames, scenario_names
-from repro.workloads.dynamicity import PhasedWorkload, WorkloadPhase, context_switch, single_phase
+from repro.workloads.dynamicity import PhasedWorkload, WorkloadPhase
 from repro.workloads.scenario import Scenario, TaskSpec
 from repro.workloads.scenarios import DEFAULT_CASCADE_PROBABILITY
 
@@ -129,17 +129,6 @@ class TestFrames:
 
 
 class TestPhasedWorkload:
-    def test_single_phase(self, tiny_scenario):
-        workload = single_phase(tiny_scenario, 500.0)
-        assert workload.total_duration_ms == 500.0
-        assert workload.scenarios == [tiny_scenario]
-
-    def test_context_switch_naming(self, tiny_scenario):
-        other = build_scenario("ar_call")
-        workload = context_switch(tiny_scenario, other, 250.0)
-        assert "tiny" in workload.display_name and "ar_call" in workload.display_name
-        assert workload.phase_boundaries_ms() == [0.0, 250.0]
-
     def test_invalid_duration(self, tiny_scenario):
         with pytest.raises(ValueError):
             WorkloadPhase(tiny_scenario, 0.0)
